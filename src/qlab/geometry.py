@@ -19,6 +19,7 @@ the torus).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -157,16 +158,23 @@ def zonal_grid(n: int, size: int, pole_levels: int = 0) -> QuadratureGrid:
                           pole_refined=True)
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [-1, 1], computed once per order.  The cached
+    arrays are read-only so no caller can change them."""
+    x, w = gauss_gegenbauer(order, 0.0)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _panel_gauss(a: float, b: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule with ``panels`` equal panels on [a, b]."""
-    x0, w0 = gauss_gegenbauer(order, 0.0)
+    x0, w0 = _gauss_legendre(order)
     edges = np.linspace(a, b, panels + 1)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = (hi - lo) / 2.0
-        xs.append((lo + hi) / 2.0 + half * x0)
-        ws.append(half * w0)
-    return np.concatenate(xs), np.concatenate(ws)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = (hi - lo) / 2.0
+    return ((lo + hi) / 2.0 + half * x0).ravel(), (half * w0).ravel()
 
 
 def full_sphere_grid(size_phi: int, size_theta: int | None = None) -> QuadratureGrid:

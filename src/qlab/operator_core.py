@@ -2,10 +2,10 @@
 spectral calculus (multipliers, band projectors, Bernstein smoothing) built
 on the resulting decomposition.
 
-The eigensolver is deliberately hand-rolled and deterministic: Householder
-tridiagonalization followed by implicit-shift QL, with a fixed tie-breaking
-sign convention for the eigenvectors, so repeated runs produce bit-identical
-decompositions.
+The eigensolver is LAPACK's symmetric ``eigh`` followed by a stable
+ascending sort and a fixed sign convention for the eigenvectors.  For the
+same input, the same BLAS thread count and the same BLAS build, repeated runs
+produce bit-identical decompositions.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import numpy as np
 from . import geometry
 from .errors import ConfigError, DomainError, NumericError
 from .potentials import Potential
-
-_QL_MAX_SWEEPS = 64
 
 
 def _potential_values(V: Potential | None, grid: geometry.QuadratureGrid) -> np.ndarray:
@@ -68,7 +66,9 @@ def assemble(V: Potential | None, basis: geometry.Basis, shift: int = 0,
                 f"{diff[j, k]:.3e} (scale {scale:.3e}) under grid refinement; "
                 "use a finer or pole-refined grid")
         pot = pot_fine
-    M = np.diag(basis.freqs ** 2 + float(shift)) + pot
+    # every model Laplace eigenvalue is an integer (k(k+n-1), l(l+1), |m|^2);
+    # rounding keeps the free spectrum exact where sqrt(.)**2 misses by an ulp
+    M = np.diag(np.rint(basis.freqs ** 2) + float(shift)) + pot
     return 0.5 * (M + M.T)
 
 
@@ -86,100 +86,6 @@ def _refined_copy(basis: geometry.Basis) -> geometry.Basis:
     per_dim = int(round(grid.size ** (1.0 / m.n)))
     fine = geometry.torus_grid(m.n, 2 * per_dim)
     return geometry.TorusBasis(m.n, basis.K, fine)
-
-
-def householder_tridiagonalize(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduce a symmetric matrix to tridiagonal form: A = Q T Q^T.
-
-    Returns (diagonal, subdiagonal, Q).  Reflections are applied with the
-    standard sign choice (alpha opposite to the pivot) for stability.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError("matrix must be square")
-    if not np.allclose(A, A.T, atol=1e-10 * max(1.0, float(np.max(np.abs(A))))):
-        raise DomainError("matrix must be symmetric")
-    a = 0.5 * (A + A.T)
-    m = a.shape[0]
-    q = np.eye(m)
-    for k in range(m - 2):
-        x = a[k + 1:, k]
-        norm_x = float(np.sqrt(np.sum(x * x)))
-        if norm_x == 0.0:
-            continue
-        alpha = -norm_x if x[0] >= 0.0 else norm_x
-        v = x.copy()
-        v[0] -= alpha
-        vnorm = float(np.sqrt(np.sum(v * v)))
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        a[k + 1:, :] -= 2.0 * np.outer(v, v @ a[k + 1:, :])
-        a[:, k + 1:] -= 2.0 * np.outer(a[:, k + 1:] @ v, v)
-        q[:, k + 1:] -= 2.0 * np.outer(q[:, k + 1:] @ v, v)
-    d = np.diag(a).copy()
-    e = np.diag(a, -1).copy()
-    return d, e, q
-
-
-def ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Implicit-shift QL on a symmetric tridiagonal matrix.
-
-    ``d`` is the diagonal, ``e`` the subdiagonal, ``z`` the accumulated
-    transform from the tridiagonalization; returns (eigenvalues,
-    eigenvectors) unsorted.  Raises NumericError if any eigenvalue fails to
-    converge within the sweep budget.
-    """
-    n = d.shape[0]
-    d = np.asarray(d, dtype=float).copy()
-    e = np.append(np.asarray(e, dtype=float), 0.0)
-    z = np.asarray(z, dtype=float).copy()
-    eps = np.finfo(float).eps
-    for l in range(n):
-        for sweep in range(_QL_MAX_SWEEPS + 1):
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            if sweep == _QL_MAX_SWEEPS:
-                raise NumericError(f"QL iteration for eigenvalue {l} exceeded "
-                                   f"{_QL_MAX_SWEEPS} sweeps")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + (r if g >= 0.0 else -r))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                col = z[:, i + 1].copy()
-                z[:, i + 1] = s * z[:, i] + c * col
-                z[:, i] = c * z[:, i] - s * col
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return d, z
 
 
 @dataclass
@@ -225,9 +131,22 @@ class SpectralDecomposition:
 
 def diagonalize(matrix: np.ndarray, basis: geometry.Basis | None = None,
                 shift: int = 0) -> SpectralDecomposition:
-    """Full eigendecomposition via Householder + implicit QL, deterministic."""
-    d, e, q = householder_tridiagonalize(matrix)
-    mu, vecs = ql_implicit(d, e, q)
+    """Full eigendecomposition of a symmetric matrix via LAPACK ``eigh``.
+
+    Eigenvalues ascend (stable sort) and each eigenvector has its
+    largest-magnitude component positive.  Raises DomainError for a
+    non-square or non-symmetric matrix and NumericError when the solver
+    does not converge.
+    """
+    A = np.asarray(matrix, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DomainError("matrix must be square")
+    if not np.allclose(A, A.T, atol=1e-10 * max(1.0, float(np.max(np.abs(A))))):
+        raise DomainError("matrix must be symmetric")
+    try:
+        mu, vecs = np.linalg.eigh(0.5 * (A + A.T))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver did not converge: {exc}") from exc
     order = np.argsort(mu, kind="stable")
     mu = mu[order]
     vecs = vecs[:, order]
@@ -240,16 +159,25 @@ def diagonalize(matrix: np.ndarray, basis: geometry.Basis | None = None,
                                  basis=basis, shift=shift)
 
 
+def _positivity_shift(mu: np.ndarray) -> int:
+    """Smallest integer N >= 0 with mu[0] + N >= 1 for ascending eigenvalues
+    ``mu``, forgiving a round-off of a few ulps of the matrix norm in mu[0]
+    (so mu[0] = -5 - 1 ulp gives 6, not 7)."""
+    scale = max(1.0, abs(float(mu[0])), abs(float(mu[-1])))
+    slack = 8.0 * np.finfo(float).eps * scale
+    return max(0, int(math.ceil(1.0 - float(mu[0]) - slack)))
+
+
 def solve(V: Potential | None, basis: geometry.Basis, shift: int | str = 0,
           check: bool = False) -> SpectralDecomposition:
     """Assemble and diagonalize H_V (+ shift) in one step.
 
     ``shift='auto'`` picks the smallest integer N >= 0 making the lowest
-    Galerkin eigenvalue of H_{V+N} at least 1.
+    Galerkin eigenvalue of H_{V+N} at least 1, up to round-off.
     """
     if shift == "auto":
         base = diagonalize(assemble(V, basis, shift=0, check=check), basis, 0)
-        n_shift = max(0, int(math.ceil(1.0 - float(base.eigenvalues[0]))))
+        n_shift = _positivity_shift(base.eigenvalues)
         if n_shift == 0:
             return base
         return SpectralDecomposition(eigenvalues=base.eigenvalues + n_shift,

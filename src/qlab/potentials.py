@@ -437,8 +437,6 @@ def flat_ball_kato_oracle(n: int, r: float, vconst: float = 1.0) -> float:
 
 def positivity_shift(V: Potential, basis) -> int:
     """Smallest integer N >= 0 with the lowest Galerkin eigenvalue of
-    H_{V+N} at the working truncation at least 1."""
+    H_{V+N} at the working truncation at least 1, up to round-off."""
     from . import operator_core
-    matrix = operator_core.assemble(V, basis)
-    mu_min = float(operator_core.diagonalize(matrix).eigenvalues[0])
-    return max(0, int(math.ceil(1.0 - mu_min)))
+    return operator_core.solve(V, basis, shift="auto").shift

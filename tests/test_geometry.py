@@ -29,6 +29,17 @@ def test_gauss_gegenbauer_chebyshev_moments():
     assert np.sum(w * x ** 2) == pytest.approx(math.pi / 2, rel=1e-14)
 
 
+def test_panel_gauss_cache_is_read_only():
+    x0, w0 = geometry._gauss_legendre(8)
+    with pytest.raises(ValueError):
+        x0[0] = 0.0
+    x, w = geometry._panel_gauss(0.0, 2.0, 3, 8)
+    x[:] = 0.0  # the composite rule is a fresh array; the cache is untouched
+    again, w_again = geometry._panel_gauss(0.0, 2.0, 3, 8)
+    assert np.sum(w_again) == pytest.approx(2.0, rel=1e-14)
+    assert np.sum(w_again * again ** 2) == pytest.approx(8.0 / 3.0, rel=1e-14)
+
+
 @given(n=st.integers(min_value=2, max_value=6),
        size=st.integers(min_value=8, max_value=120))
 @settings(max_examples=25, deadline=None)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qlab import geometry, operator_core, potentials
-from qlab.errors import ConfigError, DomainError
+from qlab.errors import ConfigError, DomainError, NumericError
 
 
 def test_two_by_two_closed_form():
@@ -34,6 +34,38 @@ def test_eigensolver_bit_deterministic():
     d2 = operator_core.diagonalize(A.copy())
     assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
     assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+
+
+def test_diagonalize_rejects_non_square_and_non_symmetric():
+    with pytest.raises(DomainError, match="square"):
+        operator_core.diagonalize(np.ones((3, 2)))
+    A = np.arange(9.0).reshape(3, 3)
+    with pytest.raises(DomainError, match="symmetric"):
+        operator_core.diagonalize(A)
+
+
+def test_diagonalize_maps_solver_failure_to_numeric_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(operator_core.np.linalg, "eigh", fail)
+    with pytest.raises(NumericError, match="did not converge"):
+        operator_core.diagonalize(np.eye(3))
+
+
+def test_positivity_shift_forgives_round_off():
+    rule = operator_core._positivity_shift
+    assert rule(np.array([np.nextafter(-5.0, -np.inf), 2.0])) == 6
+    assert rule(np.array([-5.0, 2.0])) == 6
+    assert rule(np.array([-5.5, 2.0])) == 7
+    assert rule(np.array([1.0, 2.0])) == 0
+    assert rule(np.array([0.5, 2.0])) == 1
+
+
+def test_free_zonal_s3_spectrum_exact():
+    manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 3)
+    basis = geometry.build_basis(manifold, 64)
+    ks = np.arange(65.0)
+    assert np.array_equal(operator_core.solve(None, basis).eigenvalues, ks * (ks + 2))
 
 
 def test_free_sphere_spectrum(s2_free_24):
