@@ -13,12 +13,14 @@ Modules:
                      square functions, Strichartz probes
 - ``parametrix``     Bessel kernels K_m, radial kernels F_nu, kernel bounds
 - ``cli``            the ``qlab`` experiment runner
+
+Importing the package loads only ``errors``; import a module by name
+(``from qlab import geometry``) to use it.  numpy is therefore first
+loaded after ``qlab.cli`` has applied ``--jobs`` to the thread pools.
 """
 
 __version__ = "0.1.0"
 
-from . import (dynamics, errors, estimators, geometry, operator_core,
-               parametrix, potentials)
 from .errors import (ConfigError, DomainError, NumericError, QlabError,
                      ResolutionError)
 

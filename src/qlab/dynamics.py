@@ -1,6 +1,6 @@
 """Functional calculus in motion: heat semigroup, wave propagators and the
-finite-propagation-speed diagnostic, Bochner-Riesz means, Hörmander
-multipliers, the Littlewood-Paley square function, and Strichartz ratios.
+finite-propagation-speed diagnostic, Bochner-Riesz means, the Hörmander
+symbol check, the Littlewood-Paley square function, and Strichartz ratios.
 
 Everything acts through a SpectralDecomposition, so all operators here are
 finite-rank multipliers m(sqrt(H_V)); probes report lower bounds and growth
@@ -25,20 +25,8 @@ def heat(decomp: operator_core.SpectralDecomposition, t: float) -> operator_core
     """The semigroup e^{-t H_V} as a multiplier in sqrt(H_V)."""
     if t <= 0:
         raise DomainError("heat time must be positive")
-    op = operator_core.MultiplierOperator(lambda fr: np.exp(-t * np.asarray(fr) ** 2))
-    op.operator_ = _wrap(decomp)
-    return op
-
-
-def _wrap(decomp: operator_core.SpectralDecomposition) -> operator_core.SchrodingerOperator:
-    holder = operator_core.SchrodingerOperator()
-    holder.decomposition_ = decomp
-    holder.basis_ = decomp.basis
-    holder.eigenvalues_ = decomp.eigenvalues
-    holder.eigenvectors_ = decomp.eigenvectors
-    holder.frequencies_ = decomp.frequencies
-    holder.shift_ = decomp.shift
-    return holder
+    return operator_core.MultiplierOperator(
+        decomp, lambda fr: np.exp(-t * np.asarray(fr) ** 2))
 
 
 def heat_kernel_sup(decomp: operator_core.SpectralDecomposition, t: float) -> float:
@@ -111,9 +99,7 @@ class WaveSolution:
 
 
 def wave_cosine(decomp: operator_core.SpectralDecomposition, t: float) -> operator_core.MultiplierOperator:
-    op = operator_core.MultiplierOperator(lambda fr: np.cos(t * np.asarray(fr)))
-    op.operator_ = _wrap(decomp)
-    return op
+    return operator_core.MultiplierOperator(decomp, lambda fr: np.cos(t * np.asarray(fr)))
 
 
 def cone_leakage(decomp: operator_core.SpectralDecomposition, t: float,
@@ -140,9 +126,8 @@ def cone_leakage(decomp: operator_core.SpectralDecomposition, t: float,
         raise ResolutionError("truncation too small for the mollifier scale; "
                               "increase K")
     margin = 4.0 / cutoff
-    weights = np.cos(t * decomp.frequencies) * np.exp(-(decomp.frequencies / cutoff) ** 2)
-    U = decomp.node_values()
-    kernel = (U * weights[None, :]) @ U.T
+    kernel = operator_core.multiplier_kernel(
+        decomp, lambda fr: np.cos(t * fr) * np.exp(-(fr / cutoff) ** 2))
     phi = grid.nodes
     w = grid.weights
     mass = w[:, None] * w[None, :] * kernel ** 2
@@ -204,9 +189,7 @@ def bochner_riesz(decomp: operator_core.SpectralDecomposition, lam: float,
             out[inside] = (1.0 - (fr[inside] / lam) ** 2) ** delta
         return out
 
-    op = operator_core.MultiplierOperator(fn)
-    op.operator_ = _wrap(decomp)
-    return op
+    return operator_core.MultiplierOperator(decomp, fn)
 
 
 def br_l1_row_norm(decomp: operator_core.SpectralDecomposition, lam: float,
@@ -348,13 +331,6 @@ def norm_equivalence_probe(decomp: operator_core.SpectralDecomposition, rs=(4 / 
 
 # ---------------------------------------------------------------------------
 # Hörmander multipliers
-
-
-def hormander_multiplier(decomp: operator_core.SpectralDecomposition,
-                         m) -> operator_core.MultiplierOperator:
-    op = operator_core.MultiplierOperator(m)
-    op.operator_ = _wrap(decomp)
-    return op
 
 
 def besov_check(m, s: float, lam_max: float = 256.0, samples: int = 4096) -> float:

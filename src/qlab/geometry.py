@@ -18,11 +18,9 @@ the torus).
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,36 +210,21 @@ def lp_norm(grid: QuadratureGrid, f: np.ndarray, p: float) -> float:
     return float(np.sum(grid.weights * np.abs(f) ** p) ** (1.0 / p))
 
 
-def inner_product(grid: QuadratureGrid, f: np.ndarray, g: np.ndarray) -> complex:
-    """Quadrature inner product <f, g> = sum w_i f_i conj(g_i)."""
-    f, g = np.asarray(f), np.asarray(g)
-    if f.shape[0] != grid.size or g.shape[0] != grid.size:
-        raise DomainError("grid function length does not match grid size")
-    val = np.sum(grid.weights * f * np.conjugate(g))
-    return complex(val) if np.iscomplexobj(f) or np.iscomplexobj(g) else float(val)
+def _gegenbauer_table(kmax: int, lam: float, x: np.ndarray) -> np.ndarray:
+    """Values of C_k^(lam)(x), k = 0..kmax, one row per degree.
 
-
-def _gegenbauer_table(kmax: int, lam: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values and first two derivatives of C_k^(lam)(x), k = 0..kmax.
-
-    Three-term recurrence, differentiated twice; stable for the degrees
-    used here (k <= ~512, lam <= 5/2).
+    Three-term recurrence; stable for the degrees used here (k <= ~512,
+    lam <= 5/2).
     """
-    npts = x.shape[0]
-    c = np.zeros((kmax + 1, npts))
-    d1 = np.zeros_like(c)
-    d2 = np.zeros_like(c)
+    c = np.zeros((kmax + 1, x.shape[0]))
     c[0] = 1.0
     if kmax >= 1:
         c[1] = 2.0 * lam * x
-        d1[1] = 2.0 * lam
     for k in range(2, kmax + 1):
         a = 2.0 * (k + lam - 1.0) / k
         b = (k + 2.0 * lam - 2.0) / k
         c[k] = a * x * c[k - 1] - b * c[k - 2]
-        d1[k] = a * (c[k - 1] + x * d1[k - 1]) - b * d1[k - 2]
-        d2[k] = a * (2.0 * d1[k - 1] + x * d2[k - 1]) - b * d2[k - 2]
-    return c, d1, d2
+    return c
 
 
 class Basis:
@@ -254,14 +237,13 @@ class Basis:
     values : (N, J) basis values on the grid, orthonormal under the weights
     """
 
-    def __init__(self, manifold, K, grid, freqs, degrees, values, mode_labels):
+    def __init__(self, manifold, K, grid, freqs, degrees, values):
         self.manifold = manifold
         self.K = K
         self.grid = grid
         self.freqs = freqs
         self.degrees = degrees
         self.values = values
-        self.mode_labels = mode_labels
 
     @property
     def size(self) -> int:
@@ -269,10 +251,6 @@ class Basis:
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def gram_matrix(self) -> np.ndarray:
-        wv = self.values * self.grid.weights[:, None]
-        return self.values.T @ wv
 
     def project(self, f: np.ndarray) -> np.ndarray:
         """Coefficients <f, e_j> of a grid function."""
@@ -284,18 +262,6 @@ class Basis:
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         return self.values @ np.asarray(coeffs)
 
-    def metadata(self) -> dict:
-        return {
-            "kind": self.manifold.kind,
-            "n": self.manifold.n,
-            "K": self.K,
-            "modes": [
-                {"j": j, "degree": int(self.degrees[j]), "freq": float(self.freqs[j]),
-                 "label": self.mode_labels[j]}
-                for j in range(self.size)
-            ],
-        }
-
 
 class ZonalSphereBasis(Basis):
     """Zonal (Gegenbauer/Legendre) eigenbasis on S^n, degrees 0..K."""
@@ -305,7 +271,7 @@ class ZonalSphereBasis(Basis):
             raise DomainError("grid does not match requested zonal sphere")
         self.lam_geg = (n - 1) / 2.0
         x = np.cos(grid.nodes)
-        table, _, _ = _gegenbauer_table(K, self.lam_geg, x)
+        table = _gegenbauer_table(K, self.lam_geg, x)
         norms = np.sqrt(np.sum(grid.weights * table ** 2, axis=1))
         if np.any(norms <= 0) or not np.all(np.isfinite(norms)):
             raise ResolutionError(f"grid of {grid.size} nodes cannot normalize degree {K}; "
@@ -314,21 +280,12 @@ class ZonalSphereBasis(Basis):
         values = (table / norms[:, None]).T
         degrees = np.arange(K + 1)
         freqs = np.sqrt(degrees * (degrees + n - 1.0))
-        labels = [f"zonal-k{k}" for k in degrees]
-        super().__init__(grid.manifold, K, grid, freqs, degrees, values, labels)
+        super().__init__(grid.manifold, K, grid, freqs, degrees, values)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         x = np.cos(np.atleast_1d(np.asarray(points, dtype=float)))
-        table, _, _ = _gegenbauer_table(self.K, self.lam_geg, x)
+        table = _gegenbauer_table(self.K, self.lam_geg, x)
         return (table / self._norms[:, None]).T
-
-    def laplacian_values(self, points: np.ndarray) -> np.ndarray:
-        """Delta_g e_j at the given polar angles, via exact differentiation
-        of the polynomial representation: (1-x^2) f'' - n x f' in x = cos(phi)."""
-        x = np.cos(np.atleast_1d(np.asarray(points, dtype=float)))
-        table, d1, d2 = _gegenbauer_table(self.K, self.lam_geg, x)
-        lap = (1.0 - x ** 2) * d2 - self.manifold.n * x * d1
-        return (lap / self._norms[:, None]).T
 
 
 def _normalized_assoc_legendre(K: int, m: int, phi: np.ndarray) -> np.ndarray:
@@ -366,8 +323,7 @@ class FullSphereBasis(Basis):
         self.modes = [modes[i] for i in order]
         degrees, freqs = degrees[order], freqs[order]
         values = self._eval_modes(grid.nodes)
-        labels = [f"Y{k}{'c' if pr == 'c' else 's'}{m}" for k, m, pr in self.modes]
-        super().__init__(grid.manifold, K, grid, freqs, degrees, values, labels)
+        super().__init__(grid.manifold, K, grid, freqs, degrees, values)
 
     def _eval_modes(self, points: np.ndarray) -> np.ndarray:
         phi, theta = points[:, 0], points[:, 1]
@@ -406,8 +362,7 @@ class TorusBasis(Basis):
         degrees = np.rint(freqs ** 2).astype(int)
         self._vol = grid.manifold.volume
         values = self._eval_modes(grid.nodes)
-        labels = [f"m{list(m)}{parity}" for m, parity in self.modes]
-        super().__init__(grid.manifold, K, grid, freqs, degrees, values, labels)
+        super().__init__(grid.manifold, K, grid, freqs, degrees, values)
 
     @staticmethod
     def _half_lattice(n: int, K: int) -> list[tuple[int, ...]]:
@@ -468,21 +423,3 @@ def build_basis(manifold: ModelManifold, K: int, grid: QuadratureGrid | None = N
         return FullSphereBasis(K, grid)
     return TorusBasis(manifold.n, K, grid)
 
-
-def save_grid_function(path, grid: QuadratureGrid, values: np.ndarray) -> None:
-    """CSV dump of a grid function: node coordinates, weight, value columns."""
-    values = np.asarray(values)
-    nodes = np.atleast_2d(grid.nodes.T).T
-    ncoord = nodes.shape[1] if nodes.ndim == 2 else 1
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(ncoord)] + ["weight", "value"])
-        for i in range(grid.size):
-            coords = [repr(float(c)) for c in np.atleast_1d(nodes[i])]
-            writer.writerow(coords + [repr(float(grid.weights[i])), repr(complex(values[i]))
-                                      if np.iscomplexobj(values) else repr(float(values[i]))])
-
-
-def save_basis_metadata(path, basis: Basis) -> None:
-    with open(path, "w") as fh:
-        json.dump(basis.metadata(), fh, indent=2)

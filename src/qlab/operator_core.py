@@ -1,6 +1,8 @@
 """Galerkin assembly and diagonalization of H_V = -Delta_g + V, plus the
 spectral calculus (multipliers, band projectors, Bernstein smoothing) built
-on the resulting decomposition.
+on the resulting decomposition.  A multiplier m(sqrt(H_V)) is the plain
+value ``MultiplierOperator(decomp, fn)``: one decomposition and the symbol
+m, applied by ``multiplier``.
 
 The eigensolver is LAPACK's symmetric ``eigh`` followed by a stable
 ascending sort and a fixed sign convention for the eigenvectors.  For the
@@ -331,43 +333,17 @@ class SchrodingerOperator:
             raise NumericError("operator is not fitted; call fit(basis) first")
 
 
+@dataclass(frozen=True)
 class MultiplierOperator:
-    """Spectral multiplier m(sqrt(H)) as a transformer on grid functions."""
+    """The spectral multiplier m(sqrt(H)) read off one decomposition:
+    ``fn`` is the symbol m, applied to ``decomp.frequencies``."""
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray],
-                 operator: SchrodingerOperator | None = None):
-        self.fn = fn
-        self.operator = operator
-
-    def fit(self, basis: geometry.Basis, y=None):
-        op = self.operator if self.operator is not None else SchrodingerOperator()
-        if not hasattr(op, "decomposition_"):
-            op.fit(basis)
-        self.operator_ = op
-        return self
+    decomp: SpectralDecomposition
+    fn: Callable[[np.ndarray], np.ndarray]
 
     def transform(self, f: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        f = np.asarray(f)
-        if f.ndim == 1:
-            return multiplier(self.operator_.decomposition_, self.fn, f)
-        return np.column_stack([
-            multiplier(self.operator_.decomposition_, self.fn, f[:, j])
-            for j in range(f.shape[1])])
-
-    def kernel(self) -> np.ndarray:
-        self._check_fitted()
-        return multiplier_kernel(self.operator_.decomposition_, self.fn)
-
-    def compose(self, other: "MultiplierOperator") -> "MultiplierOperator":
-        composed = MultiplierOperator(lambda freq: self.fn(freq) * other.fn(freq))
-        if hasattr(self, "operator_"):
-            composed.operator_ = self.operator_
-        return composed
-
-    def _check_fitted(self):
-        if not hasattr(self, "operator_"):
-            raise NumericError("multiplier is not fitted; call fit(basis) first")
+        """m(sqrt(H)) f for grid values f."""
+        return multiplier(self.decomp, self.fn, f)
 
 
 def save_decomposition(decomp: SpectralDecomposition, path: str) -> None:

@@ -1,6 +1,8 @@
 import glob
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -110,3 +112,13 @@ def test_failed_verdict_exit_code(tmp_path):
     assert rc == 2
     payload = json.loads((tmp_path / "heat.json").read_text())
     assert payload["summary"]["verdict"] == "fail"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # --jobs sets the BLAS thread variables, which only act before numpy loads
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, qlab.cli; assert 'numpy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

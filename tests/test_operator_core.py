@@ -97,8 +97,17 @@ def test_auto_shift(s2_free_24):
 
 def test_multiplier_identity(s2_free_24):
     f = s2_free_24.node_values()[:, 3] + 0.5 * s2_free_24.node_values()[:, 7]
-    out = operator_core.multiplier(s2_free_24, lambda fr: np.ones_like(fr), f)
+
+    def one(fr):
+        return np.ones_like(fr)
+
+    out = operator_core.multiplier(s2_free_24, one, f)
     assert np.allclose(out, f, atol=1e-10)
+    # a multiplier is the plain value (decomp, fn), applied by `multiplier`
+    op = operator_core.MultiplierOperator(s2_free_24, one)
+    assert np.array_equal(op.transform(f), out)
+    from qlab import dynamics
+    assert dynamics.heat(s2_free_24, 0.2).decomp is s2_free_24
 
 
 def test_band_projector_idempotent(s2_free_24):
