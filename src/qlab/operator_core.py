@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -98,12 +98,18 @@ class SpectralDecomposition:
     ``eigenvectors`` their coefficient columns in the basis, and
     ``frequencies`` sqrt(max(mu_i, 0)); ``shift`` records the constant that
     was added to the operator before diagonalizing.
+
+    ``node_values()`` is computed once per decomposition, on its first call,
+    and every call returns that same read-only array.  ``eigenvectors`` and
+    ``basis`` must therefore not be mutated after that first call.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     basis: geometry.Basis | None = None
     shift: int = 0
+    _node_values: np.ndarray | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -114,10 +120,15 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
     def node_values(self) -> np.ndarray:
-        """Eigenfunction values on the basis quadrature grid, one column each."""
+        """Eigenfunction values on the basis quadrature grid, one column each
+        (computed on the first call, then returned as the same read-only array)."""
         if self.basis is None:
             raise DomainError("decomposition carries no basis")
-        return self.basis.values @ self.eigenvectors
+        if self._node_values is None:
+            values = self.basis.values @ self.eigenvectors
+            values.flags.writeable = False
+            self._node_values = values
+        return self._node_values
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         if self.basis is None:

@@ -121,6 +121,43 @@ def test_strichartz_constant_mode_closed_form(s2_free_24):
     assert ratio == pytest.approx(vol ** (1 / pc - 0.5), rel=1e-10)
 
 
+@pytest.mark.parametrize("name", ["s2_free_72", "s2_kato_72"])
+def test_strichartz_blocks_match_per_node_sweep(name, request):
+    """The blocked time sweep equals the per-time-node sum; K = 72 gives 104
+    time nodes, so the last block is partial, and the data carries the
+    constant mode (the zero-frequency limit t * f1 on the free sphere)."""
+    decomp = request.getfixturevalue(name)
+    U = decomp.node_values()
+    f0 = U[:, 0] + np.sum(U[:, 3:12], axis=1)
+    f1 = 0.7 * U[:, 0] - 0.4 * U[:, 5] + 0.2 * U[:, 20]
+    grid = decomp.basis.grid
+    pc = estimators.p_critical(2)
+    sol = dynamics.WaveSolution.from_data(decomp, f0, f1)
+    freq = decomp.frequencies
+    ts, wts = dynamics._time_quadrature(float(freq[-1]))
+    assert ts.size == 104
+    acc = sum(wt * geometry.lp_norm(grid, sol.values(t), pc) ** pc
+              for t, wt in zip(ts, wts))
+    denom = (np.sqrt(np.sum((1.0 + freq) * sol.c0 ** 2))
+             + np.sqrt(np.sum(sol.c1 ** 2 / (1.0 + freq))))
+    expected = acc ** (1.0 / pc) / denom
+    assert dynamics.strichartz_ratio(decomp, f0, f1) == pytest.approx(expected, rel=1e-12)
+
+
+def test_norm_equivalence_one_square_function_per_test_function(s2_free_72, monkeypatch):
+    calls = []
+    original = dynamics.square_function
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "square_function", counting)
+    rs = (4 / 3, 2.0, 4.0)
+    report = dynamics.norm_equivalence_probe(s2_free_72, rs=rs)
+    assert len(calls) == len(report.rows) / len(rs)
+
+
 def test_besov_check_identity_symbol():
     val = dynamics.besov_check(lambda s: np.ones_like(np.asarray(s, float)),
                                1.0, lam_max=64.0, samples=2048)

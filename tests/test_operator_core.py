@@ -68,6 +68,15 @@ def test_free_zonal_s3_spectrum_exact():
     assert np.array_equal(operator_core.solve(None, basis).eigenvalues, ks * (ks + 2))
 
 
+def test_node_values_cached_read_only():
+    basis = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_ZONAL, 2), 24)
+    decomp = operator_core.solve(None, basis)
+    first = decomp.node_values()
+    assert decomp.node_values() is first
+    assert not first.flags.writeable
+    assert np.array_equal(first, basis.values @ decomp.eigenvectors)
+
+
 def test_free_sphere_spectrum(s2_free_24):
     ks = np.arange(25.0)
     assert np.allclose(s2_free_24.eigenvalues, ks * (ks + 1), atol=1e-10)
