@@ -514,10 +514,10 @@ def uniform_resolvent_probe(n: int, lams, grid_size: int | None = None,
     rows, vals = [], []
     for lam in lams:
         mult = 1.0 / (ksq - (lam + 1j) ** 2)
-        # point-concentrated test function
+        # point-concentrated test function; its DFT is identically 1
         f_pt = np.zeros((N,) * n)
         f_pt[(0,) * n] = 1.0
-        g_pt = np.fft.ifftn(np.fft.fftn(f_pt) * mult)
+        g_pt = np.fft.ifftn(mult)
         # shell-concentrated test function: Fourier mass on ||m| - lam| <= 1
         shell = (np.abs(np.sqrt(ksq) - lam) <= 1.0).astype(float)
         g_sh = np.fft.ifftn(shell * mult)

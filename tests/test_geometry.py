@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlab import geometry
-from qlab.errors import DomainError, ResolutionError
+from qlab.errors import DomainError, NumericError, ResolutionError
 
 
 def test_sphere_volumes():
@@ -27,6 +28,87 @@ def test_gauss_gegenbauer_chebyshev_moments():
     x, w = geometry.gauss_gegenbauer(6, -0.5)
     assert np.sum(w) == pytest.approx(math.pi, rel=1e-14)
     assert np.sum(w * x ** 2) == pytest.approx(math.pi / 2, rel=1e-14)
+
+
+GAUSS_ALPHAS = (-0.5, 0.0, 0.5, 1.0, 1.5)
+
+
+def _mu0(alpha):
+    return math.sqrt(math.pi) * math.gamma(alpha + 1.0) / math.gamma(alpha + 1.5)
+
+
+def _mpmath_gauss(m, alpha):
+    """Gauss rule for (1-x^2)^alpha from the roots of mpmath's Jacobi
+    polynomial P_m^(alpha, alpha) at 50 digits, ascending."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        def poly(x):  # zeroprec: a root is 0, not a failed series
+            return mpmath.jacobi(m, a, a, x, zeroprec=300)
+        def deriv(x):
+            return (m + 2 * a + 1) / 2 * mpmath.jacobi(m - 1, a + 1, a + 1, x)
+        starts = [mpmath.cos(mpmath.pi * (i - 0.25 + a / 2) / (m + a + 0.5))
+                  for i in range(m, 0, -1)]
+        roots = [mpmath.findroot(poly, s, solver="newton", df=deriv) for s in starts]
+        assert all(lo < hi for lo, hi in zip(roots, roots[1:]))  # m distinct roots
+        scale = (2 ** (2 * a + 1) * mpmath.gamma(m + a + 1) ** 2
+                 / (mpmath.gamma(m + 2 * a + 1) * mpmath.factorial(m)))
+        weights = [scale / ((1 - x * x) * deriv(x) ** 2) for x in roots]
+        return (np.array([float(x) for x in roots]),
+                np.array([float(w) for w in weights]))
+
+
+@pytest.mark.parametrize("alpha", GAUSS_ALPHAS)
+@pytest.mark.parametrize("m", [1, 2, 5, 16, 40])
+def test_gauss_gegenbauer_matches_mpmath(m, alpha):
+    x, w = geometry.gauss_gegenbauer(m, alpha)
+    x_ref, w_ref = _mpmath_gauss(m, alpha)
+    assert np.max(np.abs(x - x_ref)) <= 2e-15
+    assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", GAUSS_ALPHAS)
+def test_gauss_gegenbauer_exact_to_degree_2m_minus_1(alpha):
+    m = 64
+    x, w = geometry.gauss_gegenbauer(m, alpha)
+    for k in range(2 * m):
+        got = float(np.sum(w * x ** k))
+        if k % 2:
+            assert abs(got) <= 1e-15 * _mu0(alpha)
+        else:  # Beta((k+1)/2, alpha+1)
+            exact = math.exp(math.lgamma((k + 1) / 2) + math.lgamma(alpha + 1)
+                             - math.lgamma(k / 2 + alpha + 1.5))
+            # x^k multiplies the few-ulp node error by k; near the endpoints,
+            # which dominate large k, the weights carry up to ~m ulps
+            assert got == pytest.approx(exact, rel=(k + m) * 1e-15)
+
+
+@pytest.mark.parametrize("alpha", GAUSS_ALPHAS)
+@pytest.mark.parametrize("m", [1, 2, 7, 64, 65])
+def test_gauss_gegenbauer_exactly_symmetric(m, alpha):
+    x, w = geometry.gauss_gegenbauer(m, alpha)
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0)
+    if m % 2:
+        assert x[m // 2] == 0.0
+    if m == 1:
+        assert w[0] == pytest.approx(_mu0(alpha), rel=1e-15)
+        assert math.fsum(w) == pytest.approx(_mu0(alpha), rel=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -1.5])
+def test_gauss_gegenbauer_rejects_non_integrable_weight(alpha):
+    with pytest.raises(DomainError, match="alpha"):
+        geometry.gauss_gegenbauer(8, alpha)
+
+
+@pytest.mark.parametrize("m,alpha,reason", [(16, 11.0, "did not converge"),
+                                            (40, 12.0, "repeated or out-of-range")])
+def test_gauss_gegenbauer_newton_failure_raises(m, alpha, reason):
+    # far beyond the alpha = (n-2)/2 of any sphere the lab uses, the node
+    # estimates are too rough; the rule must fail loudly, not return wrong nodes
+    with pytest.raises(NumericError, match=reason):
+        geometry.gauss_gegenbauer(m, alpha)
 
 
 def test_panel_gauss_cache_is_read_only():
