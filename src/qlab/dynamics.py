@@ -43,14 +43,14 @@ def heat_kernel_sup(decomp: operator_core.SpectralDecomposition, t: float) -> fl
 
 
 def heat_report(decomp: operator_core.SpectralDecomposition, ts,
-                tol: float = 0.1, name: str = "heat") -> estimators.ExperimentReport:
+                tol: float = 0.1) -> estimators.ExperimentReport:
     """Fit of the on-diagonal kernel sup against t; target slope -n/2."""
     ts = np.asarray(ts, dtype=float)
     n = decomp.basis.grid.manifold.n
     rows = [[t, heat_kernel_sup(decomp, t)] for t in ts]
     fit = estimators.fit_exponent(ts, [r[1] for r in rows])
     summary = estimators.slope_verdict(fit, -n / 2.0, tol)
-    return estimators.ExperimentReport(name=name,
+    return estimators.ExperimentReport(name="heat",
                                        params={"ts": ts.tolist(), "n": n,
                                                "shift": decomp.shift},
                                        columns=["t", "kernel_sup"], rows=rows,
@@ -208,10 +208,10 @@ def br_l1_row_norm(decomp: operator_core.SpectralDecomposition, lam: float,
 
 
 def br_norm_probe(decomp: operator_core.SpectralDecomposition, delta: float,
-                  lams, target: float = 0.0, tol: float = 0.15,
-                  min_growth: float | None = None,
-                  name: str = "bochner-riesz") -> estimators.ExperimentReport:
-    """L^1 operator-norm growth of S_lambda^delta over a lambda grid.
+                  lams, tol: float = 0.15,
+                  min_growth: float | None = None) -> estimators.ExperimentReport:
+    """L^1 operator-norm growth of S_lambda^delta over a lambda grid;
+    verdict: fitted slope within ``tol`` of 0.
 
     With ``min_growth`` set, the verdict instead requires the fitted slope
     to be at least that value (the negative control below the critical
@@ -224,9 +224,9 @@ def br_norm_probe(decomp: operator_core.SpectralDecomposition, delta: float,
         summary = {"slope": fit.slope, "residual": fit.residual,
                    "min_growth": min_growth, "verdict": "pass" if ok else "fail"}
     else:
-        summary = estimators.slope_verdict(fit, target, tol)
+        summary = estimators.slope_verdict(fit, 0.0, tol)
     summary["delta"] = delta
-    return estimators.ExperimentReport(name=name,
+    return estimators.ExperimentReport(name="bochner-riesz",
                                        params={"delta": delta, "lams": lams.tolist()},
                                        columns=["lambda", "l1_norm"], rows=rows,
                                        summary=summary)
@@ -242,8 +242,11 @@ def default_lp_family(lam_max: float):
     return [(lambda fr, j=j: operator_core.lp_beta(j, fr)) for j in range(J + 1)]
 
 
+_PARTITION_TOL = 1e-8  # allowed deviation of sum_j beta_j from 1 on the spectrum
+
+
 def square_function(decomp: operator_core.SpectralDecomposition, f: np.ndarray,
-                    family=None, check_tol: float = 1e-8) -> np.ndarray:
+                    family=None) -> np.ndarray:
     """Sf = (sum_j |beta_j(sqrt(H_V)) f|^2)^{1/2} on the grid."""
     freq = decomp.frequencies
     if family is None:
@@ -251,7 +254,7 @@ def square_function(decomp: operator_core.SpectralDecomposition, f: np.ndarray,
     total = np.zeros_like(freq)
     for beta in family:
         total = total + np.asarray(beta(freq), dtype=float)
-    if float(np.max(np.abs(total - 1.0))) > check_tol:
+    if float(np.max(np.abs(total - 1.0))) > _PARTITION_TOL:
         raise ConfigError("beta family is not a partition of unity on the "
                           f"spectrum (max deviation {np.max(np.abs(total - 1.0)):.2e})")
     c = decomp.project(np.asarray(f, dtype=float))
@@ -260,6 +263,9 @@ def square_function(decomp: operator_core.SpectralDecomposition, f: np.ndarray,
         piece = decomp.synthesize(np.asarray(beta(freq)) * c)
         acc += piece ** 2
     return np.sqrt(acc)
+
+
+_PRESETS = ("zonal-ladder", "point-concentrated", "random-band")
 
 
 def test_battery(decomp: operator_core.SpectralDecomposition, preset: str,
@@ -294,19 +300,18 @@ def test_battery(decomp: operator_core.SpectralDecomposition, preset: str,
             out.append((f"band-{j}", decomp.synthesize(c)))
     else:
         raise ConfigError(f"unknown battery preset {preset!r}; choose from "
-                          "zonal-ladder, point-concentrated, random-band")
+                          + ", ".join(_PRESETS))
     if not out:
         raise ResolutionError(f"battery {preset!r} is empty at this truncation")
     return out
 
 
-def norm_equivalence_probe(decomp: operator_core.SpectralDecomposition, rs=(4 / 3, 2.0, 4.0),
-                           presets=("zonal-ladder", "point-concentrated", "random-band"),
-                           name: str = "square-function") -> estimators.ExperimentReport:
-    """min/max of ||Sf||_r / ||f||_r over the battery, per r."""
+def norm_equivalence_probe(decomp: operator_core.SpectralDecomposition,
+                           rs=(4 / 3, 2.0, 4.0)) -> estimators.ExperimentReport:
+    """min/max of ||Sf||_r / ||f||_r over all three batteries, per r."""
     grid = decomp.basis.grid
     battery = [(label, f, square_function(decomp, f))
-               for preset in presets for label, f in test_battery(decomp, preset)]
+               for preset in _PRESETS for label, f in test_battery(decomp, preset)]
     rows = []
     summary = {}
     for r in rs:
@@ -322,9 +327,9 @@ def norm_equivalence_probe(decomp: operator_core.SpectralDecomposition, rs=(4 / 
         summary[f"C_{r:g}"] = max(ratios)
     two_sided = all(summary[f"c_{r:g}"] > 0.05 and summary[f"C_{r:g}"] < 20.0 for r in rs)
     summary["verdict"] = "pass" if two_sided else "fail"
-    return estimators.ExperimentReport(name=name,
+    return estimators.ExperimentReport(name="square-function",
                                        params={"rs": list(map(float, rs)),
-                                               "presets": list(presets)},
+                                               "presets": list(_PRESETS)},
                                        columns=["r", "test_function", "ratio"],
                                        rows=rows, summary=summary)
 
@@ -398,8 +403,7 @@ def strichartz_ratio(decomp: operator_core.SpectralDecomposition, f0: np.ndarray
 
 
 def strichartz_report(decomp: operator_core.SpectralDecomposition,
-                      ks=(4, 8, 16, 32), tol: float = 0.1,
-                      name: str = "strichartz") -> estimators.ExperimentReport:
+                      ks=(4, 8, 16, 32), tol: float = 0.1) -> estimators.ExperimentReport:
     """Zonal-ladder battery: no growth trend of the Strichartz ratio in k."""
     U = decomp.node_values()
     freq = decomp.frequencies
@@ -418,7 +422,7 @@ def strichartz_report(decomp: operator_core.SpectralDecomposition,
         vals.append(ratio)
     fit = estimators.fit_exponent(used, vals)
     summary = estimators.slope_verdict(fit, 0.0, tol)
-    return estimators.ExperimentReport(name=name,
+    return estimators.ExperimentReport(name="strichartz",
                                        params={"ks": list(map(int, ks)),
                                                "battery": "zonal-ladder"},
                                        columns=["k", "ratio"], rows=rows,
@@ -426,8 +430,7 @@ def strichartz_report(decomp: operator_core.SpectralDecomposition,
 
 
 def band_bound_report(decomp: operator_core.SpectralDecomposition,
-                      ks=(4, 8, 16, 32), tol: float = 0.1,
-                      name: str = "strichartz-band") -> estimators.ExperimentReport:
+                      ks=(4, 8, 16, 32), tol: float = 0.1) -> estimators.ExperimentReport:
     """||chi_k f||_{p_c} <= C (1+k)^{1/p_c} ||f||_2 reproduced as a slope fit
     of the 2 -> p_c projector norm against 1+k."""
     n = decomp.basis.grid.manifold.n
@@ -440,7 +443,7 @@ def band_bound_report(decomp: operator_core.SpectralDecomposition,
         vals.append(res.lower)
     fit = estimators.fit_exponent(used, vals)
     summary = estimators.slope_verdict(fit, 1.0 / pc, tol)
-    return estimators.ExperimentReport(name=name,
+    return estimators.ExperimentReport(name="strichartz-band",
                                        params={"ks": list(map(int, ks)), "p": pc},
                                        columns=["k", "norm_lower", "norm_upper"],
                                        rows=rows, summary=summary)

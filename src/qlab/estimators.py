@@ -85,19 +85,10 @@ class ExponentTable:
     def p_c(self) -> float:
         return p_critical(self.n)
 
-    def write_csv(self, path: str) -> None:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["p", "sigma", "delta"])
-        for p, s, d in zip(self.ps, self.sigmas, self.deltas):
-            writer.writerow([repr(float(p)), repr(float(s)), repr(float(d))])
-        atomic_write_text(path, buf.getvalue())
 
-
-def exponent_table(n: int, ps=None) -> ExponentTable:
-    if ps is None:
-        ps = np.concatenate([np.linspace(2.0, 2 * p_critical(n), 25), [np.inf]])
-    ps = np.asarray(ps, dtype=float)
+def exponent_table(n: int) -> ExponentTable:
+    """sigma(p) and the Bochner-Riesz index on 25 points of [2, 2 p_c], then p = inf."""
+    ps = np.concatenate([np.linspace(2.0, 2 * p_critical(n), 25), [np.inf]])
     return ExponentTable(n=n, ps=ps,
                          sigmas=np.array([sigma(p, n) for p in ps]),
                          deltas=np.array([br_delta(p, n) for p in ps]))
@@ -142,7 +133,6 @@ class ExperimentReport:
     columns: list = field(default_factory=list)
     rows: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-    notes: str = ""
 
     @property
     def verdict(self):
@@ -150,7 +140,7 @@ class ExperimentReport:
 
     def to_dict(self) -> dict:
         return {"name": self.name, "params": self.params, "columns": self.columns,
-                "rows": self.rows, "summary": self.summary, "notes": self.notes}
+                "rows": self.rows, "summary": self.summary}
 
     def write_csv(self, path: str) -> None:
         buf = io.StringIO()
@@ -167,14 +157,16 @@ class ExperimentReport:
             json.dumps(self.to_dict(), indent=2, sort_keys=True, default=str) + "\n")
 
 
-def slope_verdict(fit: PowerFit, target: float, tol: float,
-                  residual_cap: float = 0.5) -> dict:
+_RESIDUAL_CAP = 0.5  # RMS log-space fit residual above which no verdict is given
+
+
+def slope_verdict(fit: PowerFit, target: float, tol: float) -> dict:
     """Shared verdict rule: pass iff |slope - target| <= tol and the fit
     residual is below the declared cap (otherwise no verdict is emitted)."""
-    ok_resid = fit.residual < residual_cap
+    ok_resid = fit.residual < _RESIDUAL_CAP
     verdict = "pass" if (ok_resid and abs(fit.slope - target) <= tol) else "fail"
     out = {"slope": fit.slope, "intercept": fit.intercept, "residual": fit.residual,
-           "target": target, "tolerance": tol, "residual_cap": residual_cap,
+           "target": target, "tolerance": tol, "residual_cap": _RESIDUAL_CAP,
            "verdict": verdict}
     if not ok_resid:
         out["verdict"] = "no-verdict"
@@ -218,12 +210,18 @@ class ProjectorNormResult:
     lower: float
     upper: float
     p: float
-    band: tuple
     rank: int
     stagnation: bool = False
 
 
-def _ascent_starts(num_modes: int, restarts: int) -> list:
+# projected-gradient ascent: starts per band, steps per start, and the
+# relative gain below which a start counts as converged
+_ASCENT_RESTARTS = 8
+_ASCENT_MAX_ITER = 400
+_ASCENT_TOL = 1e-6
+
+
+def _ascent_starts(num_modes: int) -> list:
     """Deterministic initial coefficient vectors on the unit sphere."""
     starts = [np.full(num_modes, 1.0 / math.sqrt(num_modes))]
     alt = np.ones(num_modes)
@@ -234,15 +232,14 @@ def _ascent_starts(num_modes: int, restarts: int) -> list:
         e[j] = 1.0
         starts.append(e)
     rng = np.random.default_rng(20240801)
-    while len(starts) < restarts:
+    while len(starts) < _ASCENT_RESTARTS:
         v = rng.standard_normal(num_modes)
         starts.append(v / np.linalg.norm(v))
-    return starts[:restarts]
+    return starts[:_ASCENT_RESTARTS]
 
 
 def projector_norm(decomp: operator_core.SpectralDecomposition, lo: float, hi: float,
-                   p: float, restarts: int = 8, max_iter: int = 400,
-                   tol: float = 1e-6) -> ProjectorNormResult:
+                   p: float) -> ProjectorNormResult:
     """L^2 -> L^p norm of the spectral projector onto frequencies in (lo, hi].
 
     p = 2 is exactly 1; p = infinity is exact on the grid (pointwise l2 norm
@@ -265,20 +262,18 @@ def projector_norm(decomp: operator_core.SpectralDecomposition, lo: float, hi: f
             @ decomp.eigenvectors[:, idx]
         sup_line = max(sup_line, float(np.max(np.sqrt(np.sum(pole_vals ** 2, axis=1)))))
     if math.isinf(p):
-        return ProjectorNormResult(lower=sup_line, upper=sup_line, p=p,
-                                   band=(lo, hi), rank=int(idx.size))
+        return ProjectorNormResult(lower=sup_line, upper=sup_line, p=p, rank=int(idx.size))
     if p == 2:
-        return ProjectorNormResult(lower=1.0, upper=1.0, p=p, band=(lo, hi),
-                                   rank=int(idx.size))
+        return ProjectorNormResult(lower=1.0, upper=1.0, p=p, rank=int(idx.size))
     w = grid.weights
     best = 0.0
     all_stagnated = True
-    for c0 in _ascent_starts(idx.size, restarts):
+    for c0 in _ascent_starts(idx.size):
         c = c0.copy()
         val = float(geometry.lp_norm(grid, U @ c, p))
         step = 0.5
         converged = False
-        for _ in range(max_iter):
+        for _ in range(_ASCENT_MAX_ITER):
             g = U @ c
             gp = w * np.abs(g) ** (p - 1) * np.sign(g)
             grad = U.T @ gp  # gradient of ||Uc||_p^p up to the constant p
@@ -296,7 +291,7 @@ def projector_norm(decomp: operator_core.SpectralDecomposition, lo: float, hi: f
                     improved = True
                     break
                 step *= 0.5
-            if not improved or val - prev < tol * val:
+            if not improved or val - prev < _ASCENT_TOL * val:
                 converged = True  # local maximum within tolerance
                 break
             step = min(step * 2.0, 1.0)
@@ -306,14 +301,12 @@ def projector_norm(decomp: operator_core.SpectralDecomposition, lo: float, hi: f
     theta = 1.0 - 2.0 / p
     upper = sup_line ** theta  # ||P||_{2->2} = 1 interpolated against 2->inf
     return ProjectorNormResult(lower=min(best, upper), upper=upper, p=p,
-                               band=(lo, hi), rank=int(idx.size),
-                               stagnation=all_stagnated)
+                               rank=int(idx.size), stagnation=all_stagnated)
 
 
 def projector_growth_report(decomp: operator_core.SpectralDecomposition, p: float,
-                            lams, width: float = 1.0, target: float | None = None,
-                            tol: float = 0.1, name: str = "projector-norms") -> ExperimentReport:
-    """Fit the growth of ||chi_lambda||_{2->p} over a frequency grid."""
+                            lams, width: float = 1.0, tol: float = 0.1) -> ExperimentReport:
+    """Fit the growth of ||chi_lambda||_{2->p} over a frequency grid; target sigma(p)."""
     n = decomp.basis.grid.manifold.n
     rows = []
     used_lams, vals = [], []
@@ -328,11 +321,9 @@ def projector_growth_report(decomp: operator_core.SpectralDecomposition, p: floa
     if len(used_lams) < 4:
         raise ResolutionError("fewer than 4 nonempty bands; increase K or widen bands")
     fit = fit_exponent(used_lams, vals)
-    if target is None:
-        target = sigma(p, n)
-    summary = slope_verdict(fit, target, tol)
+    summary = slope_verdict(fit, sigma(p, n), tol)
     summary["p"] = p
-    return ExperimentReport(name=name, params={"p": p, "width": width,
+    return ExperimentReport(name="projector-norms", params={"p": p, "width": width,
                                                "lams": list(map(float, lams)), "n": n},
                             columns=["lambda", "norm_lower", "norm_upper", "rank",
                                      "stagnation"],
@@ -361,7 +352,7 @@ def weyl_constant(n: int) -> float:
 
 
 def local_weyl_report(decomp: operator_core.SpectralDecomposition, point, mus,
-                      band=(0.9, 1.1), name: str = "weyl") -> ExperimentReport:
+                      band=(0.9, 1.1)) -> ExperimentReport:
     n = decomp.basis.grid.manifold.n
     c_n = weyl_constant(n)
     rows = []
@@ -372,7 +363,7 @@ def local_weyl_report(decomp: operator_core.SpectralDecomposition, point, mus,
         rows.append([mu, s, ratio])
         ratios.append(ratio)
     ok = all(band[0] <= r <= band[1] for r in ratios)
-    return ExperimentReport(name=name,
+    return ExperimentReport(name="weyl",
                             params={"point": list(np.atleast_1d(point).astype(float)),
                                     "mus": list(map(float, mus)), "band": list(band)},
                             columns=["mu", "partial_sum", "ratio"],
@@ -405,13 +396,6 @@ class DivergentQuasimodeReport:
     tail_l2: float
     normalization: float       # lam^{-1} ||(-Delta-(lam+i)^2)(u-e)||_2 + ||u||_2
     normalization_full: float  # same with the full residual including e_lam
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "eps": self.eps, "lam": self.lam,
-                "ks": self.ks.tolist(), "terms": self.terms.tolist(),
-                "partial_sums": self.partial_sums.tolist(), "growth": self.growth,
-                "tail_l2": self.tail_l2, "normalization": self.normalization,
-                "normalization_full": self.normalization_full}
 
 
 def divergent_quasimode(n: int, eps: float, k_min: int = 4, k_max: int = 14,
@@ -483,8 +467,7 @@ def sobolev_dual_pair(n: int) -> tuple[float, float]:
 
 
 def uniform_resolvent_probe(n: int, lams, grid_size: int | None = None,
-                            p: float | None = None, tol: float = 0.15,
-                            name: str = "resolvent-probe") -> ExperimentReport:
+                            p: float | None = None, tol: float = 0.15) -> ExperimentReport:
     """Lower bounds on ||(-Delta - (lam+i)^2)^{-1}||_{L^p -> L^p'} on T^n.
 
     The resolvent is diagonal in the Fourier basis, so it is applied by FFT
@@ -506,34 +489,29 @@ def uniform_resolvent_probe(n: int, lams, grid_size: int | None = None,
     ksq = sum(np.meshgrid(*([freqs ** 2] * n), indexing="ij", sparse=True))
     cell = (2.0 * math.pi / N) ** n
 
-    def norms(f):
-        a = np.abs(f)
-        return ((np.sum(a ** p_star) * cell) ** (1.0 / p_star),
-                (np.sum(a ** p_dual) * cell) ** (1.0 / p_dual))
+    def norm(f, q):
+        return (np.sum(np.abs(f) ** q) * cell) ** (1.0 / q)
 
+    # the point-concentrated test function (a unit mass at the origin, whose
+    # DFT is identically 1) has L^p norm cell^{1/p} exactly
+    fp_pt = cell ** (1.0 / p_star)
     rows, vals = [], []
     for lam in lams:
         mult = 1.0 / (ksq - (lam + 1j) ** 2)
-        # point-concentrated test function; its DFT is identically 1
-        f_pt = np.zeros((N,) * n)
-        f_pt[(0,) * n] = 1.0
         g_pt = np.fft.ifftn(mult)
         # shell-concentrated test function: Fourier mass on ||m| - lam| <= 1
         shell = (np.abs(np.sqrt(ksq) - lam) <= 1.0).astype(float)
         g_sh = np.fft.ifftn(shell * mult)
-        f_sh = np.fft.ifftn(shell)
-        lower = 0.0
-        for f, g in ((f_pt, g_pt), (f_sh, g_sh)):
-            fp, _ = norms(f)
-            _, gq = norms(g)
-            if fp > 0:
-                lower = max(lower, gq / fp)
+        fp_sh = norm(np.fft.ifftn(shell), p_star)
+        lower = max(0.0, norm(g_pt, p_dual) / fp_pt)
+        if fp_sh > 0:
+            lower = max(lower, norm(g_sh, p_dual) / fp_sh)
         rows.append([float(lam), lower])
         vals.append(lower)
     fit = fit_exponent(lams, vals)
     summary = slope_verdict(fit, 0.0, tol)
     summary.update({"p": p_star, "p_prime": p_dual, "grid_size": N})
-    return ExperimentReport(name=name,
+    return ExperimentReport(name="resolvent-probe",
                             params={"n": n, "lams": lams.tolist(), "grid_size": N,
                                     "p": p_star, "p_prime": p_dual},
                             columns=["lambda", "norm_lower"], rows=rows,

@@ -59,9 +59,6 @@ class ModelManifold:
             return (2.0 * math.pi) ** self.n
         return sphere_volume(self.n)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "n": self.n}
-
 
 @dataclass(frozen=True)
 class QuadratureGrid:
@@ -181,20 +178,31 @@ def zonal_grid(n: int, size: int, pole_levels: int = 0) -> QuadratureGrid:
     poles via the substitution phi = exp(-s), with s ranging up to
     2**pole_levels; these resolve integrands with pole singularities.
     """
-    surf = sphere_volume(n - 1)
     if pole_levels <= 0:
         x, w = gauss_gegenbauer(size, (n - 2) / 2.0)
         phi = np.arccos(x)[::-1]
-        weights = (w * surf)[::-1].copy()
+        weights = (w * sphere_volume(n - 1))[::-1].copy()
         return QuadratureGrid(ModelManifold(SPHERE_ZONAL, n), phi, weights)
-    # split rule: smooth bulk away from the poles, log-graded caps
-    phi_c = 0.1
-    s_lo, s_hi = -math.log(phi_c), float(2 ** pole_levels)
+    return _pole_capped_grid(n, max(8, size // 8), float(2 ** pole_levels), 1)
+
+
+_CAP_CUT = 0.1  # polar angle where the log-graded caps meet the bulk
+
+
+def _pole_capped_grid(n: int, bulk_panels: int, s_hi: float,
+                      cap_panels_per_unit: int) -> QuadratureGrid:
+    """Split zonal rule on S^n: ``bulk_panels`` Gauss panels on
+    [phi_c, pi - phi_c] with phi_c = 0.1, and two caps phi = exp(-s),
+    pi - exp(-s) for s in [-ln(phi_c), s_hi], with ``cap_panels_per_unit``
+    panels per unit of s (at least 8)."""
+    surf = sphere_volume(n - 1)
+    s_lo = -math.log(_CAP_CUT)
     if s_hi <= s_lo:
         raise ResolutionError("pole grading level too small for the cap cut")
-    phi_b, w_b = _panel_gauss(phi_c, math.pi - phi_c, max(8, size // 8), 8)
+    phi_b, w_b = _panel_gauss(_CAP_CUT, math.pi - _CAP_CUT, bulk_panels, 8)
     w_b = w_b * np.sin(phi_b) ** (n - 1) * surf
-    sp, swp = _panel_gauss(s_lo, s_hi, max(8, int(math.ceil(s_hi - s_lo))), 8)
+    sp, swp = _panel_gauss(s_lo, s_hi,
+                           max(8, int(math.ceil((s_hi - s_lo) * cap_panels_per_unit))), 8)
     phi_seg = np.exp(-sp)
     # d(phi) = -exp(-s) ds; volume element sin^{n-1}(phi) * vol(S^{n-1})
     w_seg = swp * phi_seg * np.sin(phi_seg) ** (n - 1) * surf
@@ -285,16 +293,14 @@ class Basis:
     Attributes
     ----------
     freqs : (J,) frequencies lambda_j = sqrt(eigenvalue), ascending
-    degrees : (J,) integer degree k_j (lattice-norm index on the torus)
     values : (N, J) basis values on the grid, orthonormal under the weights
     """
 
-    def __init__(self, manifold, K, grid, freqs, degrees, values):
+    def __init__(self, manifold, K, grid, freqs, values):
         self.manifold = manifold
         self.K = K
         self.grid = grid
         self.freqs = freqs
-        self.degrees = degrees
         self.values = values
 
     @property
@@ -332,7 +338,7 @@ class ZonalSphereBasis(Basis):
         values = (table / norms[:, None]).T
         degrees = np.arange(K + 1)
         freqs = np.sqrt(degrees * (degrees + n - 1.0))
-        super().__init__(grid.manifold, K, grid, freqs, degrees, values)
+        super().__init__(grid.manifold, K, grid, freqs, values)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         x = np.cos(np.atleast_1d(np.asarray(points, dtype=float)))
@@ -373,9 +379,9 @@ class FullSphereBasis(Basis):
         freqs = np.sqrt(degrees * (degrees + 1.0))
         order = np.argsort(freqs, kind="stable")
         self.modes = [modes[i] for i in order]
-        degrees, freqs = degrees[order], freqs[order]
+        freqs = freqs[order]
         values = self._eval_modes(grid.nodes)
-        super().__init__(grid.manifold, K, grid, freqs, degrees, values)
+        super().__init__(grid.manifold, K, grid, freqs, values)
 
     def _eval_modes(self, points: np.ndarray) -> np.ndarray:
         phi, theta = points[:, 0], points[:, 1]
@@ -411,10 +417,9 @@ class TorusBasis(Basis):
         order = np.argsort(freqs, kind="stable")
         self.modes = [modes[i] for i in order]
         freqs = freqs[order]
-        degrees = np.rint(freqs ** 2).astype(int)
         self._vol = grid.manifold.volume
         values = self._eval_modes(grid.nodes)
-        super().__init__(grid.manifold, K, grid, freqs, degrees, values)
+        super().__init__(grid.manifold, K, grid, freqs, values)
 
     @staticmethod
     def _half_lattice(n: int, K: int) -> list[tuple[int, ...]]:

@@ -45,13 +45,16 @@ def potential_matrix(V: Potential | None, basis: geometry.Basis) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+_CHECK_TOL = 0.01  # largest entry move under refinement, relative to the matrix scale
+
+
 def assemble(V: Potential | None, basis: geometry.Basis, shift: int = 0,
-             check: bool = False, check_tol: float = 0.01) -> np.ndarray:
+             check: bool = False) -> np.ndarray:
     """Galerkin matrix of -Delta_g + V + shift in the given basis.
 
     ``check=True`` reassembles the potential block on a once-refined grid
     and raises, naming the worst entry, when any coefficient moves by more
-    than ``check_tol`` relative to the matrix scale.  Singular potentials
+    than 1% (``_CHECK_TOL``) of the matrix scale.  Singular potentials
     should be assembled on pole-refined (graded) grids; the check is the
     guard that catches a grid that cannot resolve V.
     """
@@ -62,7 +65,7 @@ def assemble(V: Potential | None, basis: geometry.Basis, shift: int = 0,
         scale = max(float(np.max(np.abs(pot_fine))), 1e-300)
         diff = np.abs(pot_fine - pot)
         j, k = np.unravel_index(int(np.argmax(diff)), diff.shape)
-        if diff[j, k] > check_tol * scale:
+        if diff[j, k] > _CHECK_TOL * scale:
             raise NumericError(
                 f"potential assembly not converged: entry ({j}, {k}) moved by "
                 f"{diff[j, k]:.3e} (scale {scale:.3e}) under grid refinement; "

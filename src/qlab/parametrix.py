@@ -23,15 +23,19 @@ from .errors import ConfigError, DomainError, NumericError
 
 OVERLAP_BAND = (0.8, 1.25)
 _STITCH_AT = 1.0
+_TRAPEZOID_TOL = 1e-10
+_MAX_DOUBLINGS = 22
+_L6_DELTA = 0.5  # radius of the ball of the L^6 kernel check
+_REMAINDER_DELTA = 0.5  # outer radius of the remainder probe's annulus bump
 
 
-def bessel_k_integral(m: float, z: complex, tol: float = 1e-10,
-                      max_doublings: int = 22) -> complex:
+def bessel_k_integral(m: float, z: complex) -> complex:
     """K_m(z) by trapezoid quadrature of int_0^inf e^{-z cosh t} cosh(mt) dt.
 
     The integrand is analytic and decays double-exponentially, so the
     trapezoid rule converges geometrically under node doubling; doubles
-    until two successive values agree to ``tol`` relative.
+    until two successive values agree to 1e-10 relative, and raises
+    NumericError if they do not within 22 doublings.
     """
     z = complex(z)
     if z.real <= 0:
@@ -40,32 +44,33 @@ def bessel_k_integral(m: float, z: complex, tol: float = 1e-10,
     t_max = max(10.0, 20.0 / math.sqrt(abs(z))) + m
     n_nodes = 64
     prev = None
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         t = np.linspace(0.0, t_max, n_nodes + 1)
         ch = np.cosh(t)
         vals = np.exp(-z * ch) * np.cosh(m * t)
         h = t_max / n_nodes
         cur = h * (np.sum(vals) - 0.5 * (vals[0] + vals[-1]))
-        if prev is not None and abs(cur - prev) <= tol * max(abs(cur), 1e-300):
+        if prev is not None and abs(cur - prev) <= _TRAPEZOID_TOL * max(abs(cur), 1e-300):
             return complex(cur)
         prev = cur
         n_nodes *= 2
     raise NumericError("Bessel integral did not stabilize under doubling")
 
 
-def bessel_k_asymptotic(m: float, z: complex, panels: int = 24) -> complex:
+def bessel_k_asymptotic(m: float, z: complex) -> complex:
     """K_m(z) = sqrt(pi/2z) e^{-z} a_m(z) with the exact symbol
 
     a_m(z) = int_0^inf e^{-u} u^{m-1/2} (1 + u/2z)^{m-1/2} du / Gamma(m+1/2),
 
     evaluated after u = v^2 (removing the endpoint singularity for m < 1/2)
-    by composite Gauss panels.  Exact representation, good for |z| >~ 1.
+    by 24 composite Gauss panels on v in [0, 12].  Exact representation,
+    good for |z| >~ 1.
     """
     z = complex(z)
     if z.real <= 0:
         raise DomainError("bessel_k needs Re z > 0")
     m = abs(float(m))
-    v, w = geometry._panel_gauss(0.0, 12.0, panels, 8)
+    v, w = geometry._panel_gauss(0.0, 12.0, 24, 8)
     u = v ** 2
     integrand = np.exp(-u) * v ** (2.0 * m) * (1.0 + u / (2.0 * z)) ** (m - 0.5)
     a = 2.0 * np.sum(w * integrand) / math.gamma(m + 0.5)
@@ -112,19 +117,17 @@ def f0_closed_form_3d(r: float, lam: float) -> complex:
     return np.exp(1j * (lam + 1j) * r) / (4.0 * math.pi * r)
 
 
-def recursion_residual(n: int, lam: float, rs=None, h: float | None = None) -> float:
-    """Max relative residual of (-Delta_radial - (lambda+i)^2) F_1 = F_0.
+def recursion_residual(n: int, lam: float) -> float:
+    """Max relative residual of (-Delta_radial - (lambda+i)^2) F_1 = F_0 over
+    19 radii in [0.1, 1].
 
     The radial Laplacian f'' + (n-1)/r f' is applied by central finite
     differences; the step is tied to the oscillation scale 1/lambda.
     """
-    if rs is None:
-        rs = np.linspace(0.1, 1.0, 19)
-    if h is None:
-        h = 1e-4 / max(1.0, lam / 5.0)
+    h = 1e-4 / max(1.0, lam / 5.0)
     zsq = complex(lam, 1.0) ** 2
     worst = 0.0
-    for r in np.asarray(rs, dtype=float):
+    for r in np.linspace(0.1, 1.0, 19):
         fm, f0v, fp = (f_nu(n, 1, r + s, lam) for s in (-h, 0.0, h))
         d2 = (fp - 2.0 * f0v + fm) / h ** 2
         d1 = (fp - fm) / (2.0 * h)
@@ -134,8 +137,9 @@ def recursion_residual(n: int, lam: float, rs=None, h: float | None = None) -> f
     return worst
 
 
-def small_r_slope(n: int, lam: float, decades: float = 1.0) -> estimators.PowerFit:
-    """Local log-log slope of |F_0(r)| for r below 1/lambda (target 2 - n)."""
+def small_r_slope(n: int, lam: float) -> estimators.PowerFit:
+    """Local log-log slope of |F_0(r)| over the decade r in [0.02, 0.2]/lambda
+    (target 2 - n)."""
     rs = np.geomspace(0.02 / lam, 0.2 / lam, 9)
     vals = [abs(f_nu(n, 0, float(r), lam)) for r in rs]
     return estimators.fit_exponent(rs, vals)
@@ -178,7 +182,7 @@ def t_lambda_model(lam: float, d):
     return np.where(u <= 1.0, inner, outer)
 
 
-def kernel_l6_value(lam: float, delta: float = 0.5) -> float:
+def kernel_l6_value(lam: float, delta: float) -> float:
     """(int_{d <= delta} |T_lambda|^6 dx)^{1/6} by log-graded radial quadrature."""
     s, w = geometry._panel_gauss(math.log(delta) - 30.0, math.log(delta), 40, 8)
     d = np.exp(s)
@@ -187,17 +191,18 @@ def kernel_l6_value(lam: float, delta: float = 0.5) -> float:
     return float(np.sum(wd * integrand)) ** (1.0 / 6.0)
 
 
-def kernel_l6_check(lams, delta: float = 0.5, tol: float = 0.05,
-                    name: str = "parametrix-l6") -> estimators.ExperimentReport:
+def kernel_l6_check(lams) -> estimators.ExperimentReport:
+    """Slope of the L^6 kernel norm on the ball d <= 1/2 against lambda;
+    verdict: within 0.05 of -1/3."""
     lams = np.asarray(lams, dtype=float)
     if lams.size < 4:
         raise ConfigError("need at least 4 lambda points")
-    rows = [[lam, kernel_l6_value(lam, delta)] for lam in lams]
+    rows = [[lam, kernel_l6_value(lam, _L6_DELTA)] for lam in lams]
     fit = estimators.fit_exponent(lams, [r[1] for r in rows])
-    summary = estimators.slope_verdict(fit, -1.0 / 3.0, tol)
-    summary["delta"] = delta
-    return estimators.ExperimentReport(name=name,
-                                       params={"lams": lams.tolist(), "delta": delta},
+    summary = estimators.slope_verdict(fit, -1.0 / 3.0, 0.05)
+    summary["delta"] = _L6_DELTA
+    return estimators.ExperimentReport(name="parametrix-l6",
+                                       params={"lams": lams.tolist(), "delta": _L6_DELTA},
                                        columns=["lambda", "l6_norm"], rows=rows,
                                        summary=summary)
 
@@ -214,20 +219,19 @@ def annulus_bump(d, delta: float) -> np.ndarray:
     return _smoothstep(4.0 * t) * _smoothstep(4.0 * (1.0 - t))
 
 
-def remainder_operator_norm(lam: float, delta: float = 0.5, with_phase: bool = True,
-                            n: int = 2) -> float:
+def remainder_operator_norm(lam: float, with_phase: bool) -> float:
     """L^2 -> L^2 norm of the model remainder kernel
-    r_lambda(x, y) = lam^{(n-1)/2} e^{-i lam d(x,y)} c(d(x,y)) on S^2.
+    r_lambda(x, y) = lam^{1/2} e^{-i lam d(x,y)} c(d(x,y)) on S^2, with c the
+    annulus bump supported in [1/4, 1/2] (the phase is dropped when
+    ``with_phase`` is false).
 
     Distance kernels diagonalize over spherical harmonics (Funk-Hecke), so
     the norm is the max over degrees of |2 pi int k(theta) P_k(cos theta)
     sin(theta) d(theta)|, computed with phase-resolving quadrature.
     """
-    if n != 2:
-        raise DomainError("the remainder probe is implemented on S^2")
     panels = max(24, int(math.ceil(lam)))  # >= 6 nodes per wavelength
     th, w = geometry._panel_gauss(0.0, math.pi, panels, 8)
-    amp = lam ** ((n - 1) / 2.0) * annulus_bump(th, delta)
+    amp = lam ** 0.5 * annulus_bump(th, _REMAINDER_DELTA)
     kern = amp * (np.exp(-1j * lam * th) if with_phase else 1.0)
     k_max = int(math.ceil(3.0 * lam)) + 16
     x = np.cos(th)
@@ -245,28 +249,28 @@ def remainder_operator_norm(lam: float, delta: float = 0.5, with_phase: bool = T
     return float(best)
 
 
-def remainder_scale_check(lams, n: int = 2, delta: float = 0.5,
-                          name: str = "parametrix-remainder") -> estimators.ExperimentReport:
-    """Slope of the model remainder norm against lambda, with the
-    phase-removed control (exact slope (n-1)/2) alongside."""
+def remainder_scale_check(lams) -> estimators.ExperimentReport:
+    """Slope of the model remainder norm on S^2 against lambda, with the
+    phase-removed control (exact slope 1/2) alongside."""
     lams = np.asarray(lams, dtype=float)
     if lams.size < 4:
         raise ConfigError("need at least 4 lambda points")
     rows = []
     with_p, without_p = [], []
     for lam in lams:
-        a = remainder_operator_norm(lam, delta, with_phase=True, n=n)
-        b = remainder_operator_norm(lam, delta, with_phase=False, n=n)
+        a = remainder_operator_norm(lam, with_phase=True)
+        b = remainder_operator_norm(lam, with_phase=False)
         rows.append([lam, a, b])
         with_p.append(a)
         without_p.append(b)
     fit = estimators.fit_exponent(lams, with_p)
     fit0 = estimators.fit_exponent(lams, without_p)
-    target0 = (n - 1) / 2.0
+    target0 = 0.5
     cancel = fit.slope < fit0.slope - 0.1
     verdict = "pass" if (abs(fit0.slope - target0) < 0.02 and cancel) else "fail"
     return estimators.ExperimentReport(
-        name=name, params={"n": n, "delta": delta, "lams": lams.tolist()},
+        name="parametrix-remainder",
+        params={"n": 2, "delta": _REMAINDER_DELTA, "lams": lams.tolist()},
         columns=["lambda", "norm", "norm_no_phase"], rows=rows,
         summary={"slope": fit.slope, "residual": fit.residual,
                  "slope_no_phase": fit0.slope, "target_no_phase": target0,

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import geometry
-from .errors import DomainError, NumericError
+from .errors import DomainError
 
 INJECTIVITY_SCALE = math.pi / 2.0
 
@@ -37,7 +37,6 @@ class Potential:
     fn: Callable[[np.ndarray], np.ndarray]
     singularities: tuple[float, ...] = ()
     smooth_bound: float | None = None
-    real: bool = True
 
     def __call__(self, phi):
         return self.fn(np.asarray(phi, dtype=float))
@@ -45,10 +44,6 @@ class Potential:
     @property
     def singular(self) -> bool:
         return len(self.singularities) > 0
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "singularities": list(self.singularities),
-                "smooth_bound": self.smooth_bound}
 
 
 def constant(c: float) -> Potential:
@@ -190,9 +185,8 @@ def parse_zonal_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
     return fn
 
 
-def from_expression(text: str, singularities: tuple[float, ...] = ()) -> Potential:
-    return Potential(name=f"expr({text})", fn=parse_zonal_expression(text),
-                     singularities=singularities)
+def from_expression(text: str) -> Potential:
+    return Potential(name=f"expr({text})", fn=parse_zonal_expression(text))
 
 
 def kato_weight(n: int, r):
@@ -222,15 +216,19 @@ def _graded_half(a: float, b: float, toward_a: bool, depth: float,
     return x, w * u
 
 
+_KATO_DEPTH = 30.0  # grading depth of the outer polar-angle rule
+_KATO_PER_UNIT = 0.5  # panels per unit of grading depth, doubled for the refinement
+
+
 def _ball_integral(V: Potential, n: int, center: float, r: float,
-                   depth: float = 30.0, per_unit: float = 0.5,
-                   tau_per_unit: float = 0.5) -> float:
+                   per_unit: float) -> float:
     """Integral of h_n(d(x,y)) |V(y)| over the geodesic ball B_r(x) on S^n.
 
     Sliced along the polar angle phi (V is zonal): the outer phi grid is
     graded toward the sphere poles (poles of V) and toward the ball center
     (peak of h); the inner bearing integral uses the haversine form of the
-    geodesic distance, which stays accurate when y is close to x.
+    geodesic distance, which stays accurate when y is close to x.  Both
+    rules use ``per_unit`` panels per unit of grading depth.
     """
     lo, hi = max(0.0, center - r), min(math.pi, center + r)
     pts = sorted({lo, center, hi})
@@ -238,7 +236,7 @@ def _ball_integral(V: Potential, n: int, center: float, r: float,
     for p, q in zip(pts, pts[1:]):
         mid = 0.5 * (p + q)
         for a, b, toward_a in ((p, mid, True), (mid, q, False)):
-            x, w = _graded_half(a, b, toward_a, depth, per_unit)
+            x, w = _graded_half(a, b, toward_a, _KATO_DEPTH, per_unit)
             phis.append(x)
             wphis.append(w)
     phi = np.concatenate(phis)
@@ -248,7 +246,7 @@ def _ball_integral(V: Potential, n: int, center: float, r: float,
     phi, w_phi = phi[keep], w_phi[keep]
     if phi.size == 0:
         return 0.0
-    tau, w_tau = _graded_half(0.0, 1.0, True, 25.0, tau_per_unit)
+    tau, w_tau = _graded_half(0.0, 1.0, True, 25.0, per_unit)
     sa, ca = math.sin(center), math.cos(center)
     b_fac = sa * np.sin(phi)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -268,27 +266,23 @@ def _ball_integral(V: Potential, n: int, center: float, r: float,
     return float(np.sum(w_phi * vabs * np.sin(phi) ** (n - 1) * surf * inner))
 
 
-def kato_modulus(V: Potential, r: float, n: int, centers: np.ndarray | None = None,
-                 depth: float = 30.0, per_unit: float = 0.5,
-                 return_status: bool = False):
+def kato_modulus(V: Potential, r: float, n: int, return_status: bool = False):
     """sup_x of the h_n-weighted integral of |V| over geodesic r-balls.
 
-    The sup runs over the annotated singular points plus a coarse grid of
-    candidate centers.  Raises on r outside (0, pi/2); reports a
-    non-convergence flag (via ``return_status``) when one refinement of the
-    ball quadrature moves the value by more than 5%.
+    The sup runs over the annotated singular points plus 64 evenly spaced
+    candidate centers in [0.02, pi - 0.02].  Raises on r outside (0, pi/2);
+    reports a non-convergence flag (via ``return_status``) when one
+    refinement of the ball quadrature moves the value by more than 5%.
     """
     if not 0.0 < r < INJECTIVITY_SCALE:
         raise DomainError(f"radius must lie in (0, {INJECTIVITY_SCALE:.4f}), got {r}")
-    if centers is None:
-        coarse = np.linspace(0.02, math.pi - 0.02, 64)
-        sing = list(V.singularities)
-        centers = np.concatenate([np.asarray(sing, dtype=float), coarse]) if sing else coarse
-    vals = np.array([_ball_integral(V, n, a, r, depth, per_unit, per_unit)
-                     for a in centers])
+    coarse = np.linspace(0.02, math.pi - 0.02, 64)
+    sing = list(V.singularities)
+    centers = np.concatenate([np.asarray(sing, dtype=float), coarse]) if sing else coarse
+    vals = np.array([_ball_integral(V, n, a, r, _KATO_PER_UNIT) for a in centers])
     best = float(np.max(vals))
     a_best = float(centers[int(np.argmax(vals))])
-    refined = _ball_integral(V, n, a_best, r, depth, 2 * per_unit, 2 * per_unit)
+    refined = _ball_integral(V, n, a_best, r, 2 * _KATO_PER_UNIT)
     converged = abs(refined - best) <= 0.05 * max(abs(refined), 1e-300)
     value = max(best, refined)
     if return_status:
@@ -300,51 +294,29 @@ def kato_modulus(V: Potential, r: float, n: int, centers: np.ndarray | None = No
 class LpNormResult:
     value: float
     divergent: bool
-    history: tuple[float, ...]
 
 
-def potential_lq_norm(V: Potential, n: int, q: float, base_depth: float = 40.0,
-                      base_panels: int = 2) -> LpNormResult:
+def potential_lq_norm(V: Potential, n: int, q: float) -> LpNormResult:
     """(integral of |V|^q over S^n)^(1/q) with singularity-graded quadrature.
 
-    Divergence detection: two successive refinements (4x the panel count,
-    depth extended by 8) growing by more than 10% flag the integral as
-    divergent and return an infinite sentinel.
+    Three pole-capped rules: cap depth 40, 48, 56 in s = -ln(phi), with 2, 8,
+    32 panels per unit of s and 8 times that many bulk panels.  Divergence
+    detection: either refinement growing the integral by more than 10% flags
+    it as divergent and returns an infinite sentinel.
     """
     if q <= 0:
         raise DomainError("exponent must be positive")
-    history = []
+    sums = []
     for step in range(3):
-        depth = base_depth + 8.0 * step
-        per_unit = base_panels * 4 ** step
-        grid = _graded_sphere_grid(n, depth, per_unit)
+        per_unit = 2 * 4 ** step
+        grid = geometry._pole_capped_grid(n, 8 * per_unit, 40.0 + 8.0 * step, per_unit)
         vals = np.abs(V(grid.nodes)) ** q
-        history.append(float(np.sum(grid.weights * vals)))
-    growth1 = history[1] / history[0] if history[0] > 0 else 1.0
-    growth2 = history[2] / history[1] if history[1] > 0 else 1.0
+        sums.append(float(np.sum(grid.weights * vals)))
+    growth1 = sums[1] / sums[0] if sums[0] > 0 else 1.0
+    growth2 = sums[2] / sums[1] if sums[1] > 0 else 1.0
     divergent = growth1 > 1.10 or growth2 > 1.10
-    value = math.inf if divergent else history[-1] ** (1.0 / q)
-    return LpNormResult(value=value, divergent=divergent, history=tuple(history))
-
-
-def _graded_sphere_grid(n: int, depth: float, panels_per_unit: int) -> geometry.QuadratureGrid:
-    surf = geometry.sphere_volume(n - 1)
-    phi_c = 0.1
-    s_lo = -math.log(phi_c)
-    phi_b, w_b = geometry._panel_gauss(phi_c, math.pi - phi_c, 8 * panels_per_unit, 8)
-    w_b = w_b * np.sin(phi_b) ** (n - 1) * surf
-    sp, swp = geometry._panel_gauss(s_lo, depth,
-                                    max(8, int(math.ceil((depth - s_lo) * panels_per_unit))), 8)
-    phi_seg = np.exp(-sp)
-    w_seg = swp * phi_seg * np.sin(phi_seg) ** (n - 1) * surf
-    # the mirrored cap pi - exp(-s) stops being representable in double
-    # precision around s = 35, so it is truncated there
-    mirror = phi_seg > 4e-15
-    phi = np.concatenate([phi_seg, phi_b, np.pi - phi_seg[mirror]])
-    weights = np.concatenate([w_seg, w_b, w_seg[mirror]])
-    order = np.argsort(phi)
-    return geometry.QuadratureGrid(geometry.ModelManifold(geometry.SPHERE_ZONAL, n),
-                                   phi[order], weights[order], pole_refined=True)
+    value = math.inf if divergent else sums[-1] ** (1.0 / q)
+    return LpNormResult(value=value, divergent=divergent)
 
 
 def ln_half_norm(V: Potential, n: int) -> LpNormResult:
@@ -370,48 +342,36 @@ class KatoReport:
     converged: tuple[bool, ...]
     verdict: str
     stagnation_ratio: float
-    in_kato_ratio_threshold: float
-    not_in_kato_ratio_threshold: float
     lnhalf_norm: float
     lnhalf_divergent: bool
-    shift: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "potential": self.potential,
-            "radii": list(self.radii), "moduli": list(self.moduli),
-            "converged": list(self.converged), "verdict": self.verdict,
-            "stagnation_ratio": self.stagnation_ratio,
-            "in_kato_ratio_threshold": self.in_kato_ratio_threshold,
-            "not_in_kato_ratio_threshold": self.not_in_kato_ratio_threshold,
-            "lnhalf_norm": self.lnhalf_norm, "lnhalf_divergent": self.lnhalf_divergent,
-            "shift": self.shift,
-        }
 
 
-def kato_report(V: Potential, n: int, radii: tuple[float, ...] = (1e-1, 1e-2, 1e-3),
-                in_kato_threshold: float = 0.1, not_in_kato_threshold: float = 0.3,
-                shift: int | None = None, **kwargs) -> KatoReport:
+# verdict thresholds on the ratio of the modulus at the smallest radius to
+# the modulus at the largest: engineering choices at finite resolution
+_IN_KATO_RATIO = 0.1
+_NOT_IN_KATO_RATIO = 0.3
+
+
+def kato_report(V: Potential, n: int,
+                radii: tuple[float, ...] = (1e-1, 1e-2, 1e-3)) -> KatoReport:
     """Evaluate the Kato modulus on a decreasing radius grid and classify.
 
-    The verdict thresholds are engineering choices at finite resolution and
-    are echoed in the report: ``in-Kato`` when the modulus at the smallest
-    radius has dropped below ``in_kato_threshold`` times the largest-radius
-    value; ``not-in-Kato`` when it stagnates above ``not_in_kato_threshold``
-    of it across at least three radii.
+    ``in-Kato`` when the modulus at the smallest radius has dropped below
+    ``_IN_KATO_RATIO`` times the largest-radius value; ``not-in-Kato`` when it
+    stagnates above ``_NOT_IN_KATO_RATIO`` of it across at least three radii.
     """
     radii = tuple(sorted(radii, reverse=True))
     vals, flags = [], []
     for r in radii:
-        v, ok = kato_modulus(V, r, n, return_status=True, **kwargs)
+        v, ok = kato_modulus(V, r, n, return_status=True)
         vals.append(v)
         flags.append(ok)
     ratio = vals[-1] / vals[0] if vals[0] > 0 else 0.0
     if vals[0] == 0.0:
         verdict = IN_KATO
-    elif len(radii) >= 3 and ratio > not_in_kato_threshold:
+    elif len(radii) >= 3 and ratio > _NOT_IN_KATO_RATIO:
         verdict = NOT_IN_KATO
-    elif ratio < in_kato_threshold:
+    elif ratio < _IN_KATO_RATIO:
         verdict = IN_KATO
     else:
         verdict = INCONCLUSIVE
@@ -420,19 +380,16 @@ def kato_report(V: Potential, n: int, radii: tuple[float, ...] = (1e-1, 1e-2, 1e
     norm = ln_half_norm(V, n)
     return KatoReport(n=n, potential=V.name, radii=radii, moduli=tuple(vals),
                       converged=tuple(flags), verdict=verdict, stagnation_ratio=ratio,
-                      in_kato_ratio_threshold=in_kato_threshold,
-                      not_in_kato_ratio_threshold=not_in_kato_threshold,
-                      lnhalf_norm=norm.value, lnhalf_divergent=norm.divergent,
-                      shift=shift)
+                      lnhalf_norm=norm.value, lnhalf_divergent=norm.divergent)
 
 
-def flat_ball_kato_oracle(n: int, r: float, vconst: float = 1.0) -> float:
-    """Closed-form flat-space value of the Kato ball integral for a constant
-    potential; small-radius oracle for the sphere computation."""
+def flat_ball_kato_oracle(n: int, r: float) -> float:
+    """Closed-form flat-space value of the Kato ball integral for V = 1;
+    small-radius oracle for the sphere computation."""
     if n == 2:
-        return vconst * 2.0 * math.pi * (-(r ** 2 / 2.0) * math.log(r) + r ** 2 / 4.0)
+        return 2.0 * math.pi * (-(r ** 2 / 2.0) * math.log(r) + r ** 2 / 4.0)
     surf = geometry.sphere_volume(n - 1)
-    return vconst * surf * r ** 2 / 2.0
+    return surf * r ** 2 / 2.0
 
 
 def positivity_shift(V: Potential, basis) -> int:

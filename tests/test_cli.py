@@ -1,6 +1,7 @@
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 from qlab import cli
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+DOCS = os.path.join(os.path.dirname(__file__), "..", "docs", "configuration.md")
 
 
 def run_cli(args, capsys=None):
@@ -64,6 +66,36 @@ def test_validate_truncation_too_small(tmp_path, capsys):
     assert "truncation too small" in out
 
 
+def test_validate_rejects_unparseable_optional_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[experiment]\nexperiment = wave-speed\ncutoff = abc\n")
+    rc = cli.main(["validate", "--config", str(cfg)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "key 'cutoff': cannot parse value 'abc'" in out
+
+
+def test_empty_optional_key_is_unset():
+    cfg = cli.build_config("resolvent-probe", {"grid_size": "", "p": " "})
+    assert cfg["grid_size"] is None and cfg["p"] is None
+    assert cli.build_config("resolvent-probe", {"grid_size": "40"})["grid_size"] == 40
+
+
+def test_docs_key_lists_match_schemas():
+    """Each experiment's `Keys:` line in docs/configuration.md names exactly
+    its schema keys; "common" stands for the common keys."""
+    text = open(DOCS).read()
+    sections = dict(re.findall(r"^### (\S+)\n(.*?)(?=^### |\Z)", text, re.S | re.M))
+    assert set(sections) == set(cli.SCHEMAS)
+    for name, body in sections.items():
+        keys_line = body.split("Keys:", 1)[1].split("CSV", 1)[0]
+        keys_line = re.sub(r"\([^)]*\)", "", keys_line)  # drop value notes
+        documented = set(re.findall(r"`([^`]+)`", keys_line))
+        if "common" in keys_line:
+            documented |= set(cli._COMMON)
+        assert documented == set(cli.SCHEMAS[name]), name
+
+
 def test_validate_never_writes_outputs(tmp_path):
     cfg = tmp_path / "ok.ini"
     cfg.write_text("[experiment]\nexperiment = spectrum\nK = 4\n")
@@ -92,6 +124,7 @@ def test_counterexample_json_contents(tmp_path):
     assert rc == 0
     payload = json.loads((tmp_path / "counterexample.json").read_text())
     assert payload["summary"]["residual_within_bound"] is True
+    assert payload["summary"]["residual_rel_max"] <= 1e-8
     assert payload["summary"]["kato_classification"] == "not-in-Kato"
     assert payload["summary"]["verdict"] == "pass"
 
