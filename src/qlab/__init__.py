@@ -9,7 +9,7 @@ Modules:
 - ``operator_core``  Galerkin assembly, deterministic eigensolver, multipliers
 - ``estimators``     exponents sigma(p)/p_c, projector norms, Weyl sums,
                      quasimode ratios, exponent fitting
-- ``dynamics``       heat/wave/Schrodinger flows, Bochner-Riesz,
+- ``dynamics``       heat and wave flows, Bochner-Riesz,
                      square functions, Strichartz probes
 - ``parametrix``     Bessel kernels K_m, radial kernels F_nu, kernel bounds
 - ``cli``            the ``qlab`` experiment runner

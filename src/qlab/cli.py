@@ -67,6 +67,17 @@ def _to_shift(text: str):
     return text if text == "auto" else int(text)
 
 
+def _choice(*names):
+    """Parser for a key whose value must be one of ``names``."""
+    def parse(text: str) -> str:
+        text = text.strip()
+        if text not in names:
+            raise ValueError(text)
+        return text
+    parse.choices = names
+    return parse
+
+
 _COMMON = {
     "manifold": (_to_str, "sphere-zonal"),
     "n": (_to_int, 2),
@@ -95,9 +106,11 @@ SCHEMAS = {
                       "lams": (_to_floats, (32.0, 64.0, 128.0, 256.0, 512.0)),
                       "tol": (_to_float, 0.15), "min_growth": (_to_float, None)},
     "square-function": {**_COMMON, "K": (_to_int, 64),
-                        "preset": (_to_str, "zonal-ladder"),
+                        "preset": (_choice("zonal-ladder", "point-concentrated",
+                                           "random-band"), "zonal-ladder"),
                         "band_lo": (_to_float, 0.2), "band_hi": (_to_float, 5.0)},
-    "multiplier": {**_COMMON, "symbol": (_to_str, "imaginary-power"),
+    "multiplier": {**_COMMON,
+                   "symbol": (_choice("one", "imaginary-power", "bump"), "imaginary-power"),
                    "rs": (_to_floats, (4.0 / 3.0, 2.0, 4.0)),
                    "besov_s": (_to_float, 1.0)},
     "heat": {**_COMMON, "K": (_to_int, 128),
@@ -106,7 +119,8 @@ SCHEMAS = {
     "wave-speed": {"n": (_to_int, 2), "potential": (_to_str, "0"),
                    "t": (_to_float, 0.5), "Ks": (_to_ints, (64, 128, 256)),
                    "cutoff": (_to_float, None), "seed": (_to_int, 20240801)},
-    "strichartz": {**_COMMON, "K": (_to_int, 40), "battery": (_to_str, "zonal-ladder"),
+    "strichartz": {**_COMMON, "K": (_to_int, 40),
+                   "battery": (_choice("zonal-ladder", "band-bound"), "zonal-ladder"),
                    "ks": (_to_ints, (4, 8, 16, 32)), "tol": (_to_float, 0.1)},
     "parametrix": {"n": (_to_int, 3), "nu": (_to_int, 0),
                    "lams": (_to_floats, (5.0, 50.0)),
@@ -125,9 +139,6 @@ SCHEMAS = {
                         "grid_size": (_to_int, None), "p": (_to_float, None),
                         "tol": (_to_float, 0.15), "seed": (_to_int, 20240801)},
 }
-
-_SPECTRAL = {"spectrum", "projector-norms", "quasimode", "bochner-riesz",
-             "square-function", "multiplier", "heat", "strichartz", "weyl"}
 
 
 def list_experiments() -> str:
@@ -176,7 +187,9 @@ def build_config(experiment: str, raw: dict) -> dict:
         try:
             cfg[key] = parser(value)
         except (ValueError, TypeError):
-            diagnostics.append(f"key {key!r}: cannot parse value {value!r}")
+            choices = getattr(parser, "choices", None)
+            diagnostics.append(f"key {key!r}: cannot parse value {value!r}"
+                               + (f"; choose from {', '.join(choices)}" if choices else ""))
     if diagnostics:
         raise CliError(diagnostics)
     cfg["experiment"] = experiment
@@ -186,11 +199,12 @@ def build_config(experiment: str, raw: dict) -> dict:
 def validate(experiment: str, cfg: dict) -> list:
     """Semantic diagnostics beyond type checking; never mutates state."""
     out = []
-    if experiment in _SPECTRAL and cfg.get("K", 1) < 2:
+    spectral = "manifold" in cfg  # the schemas built on _COMMON solve for a decomposition
+    if spectral and cfg["K"] < 2:
         out.append("truncation too small (K must be at least 2)")
     if "lams" in cfg:
         lam_max = max(cfg["lams"]) if cfg["lams"] else 0.0
-        if experiment in _SPECTRAL and cfg.get("K", 0) < lam_max:
+        if spectral and cfg["K"] < lam_max:
             out.append(f"truncation too small (K={cfg.get('K')} below the "
                        f"largest requested frequency {lam_max:g})")
     if experiment == "divergent-quasimode":
@@ -200,6 +214,12 @@ def validate(experiment: str, cfg: dict) -> list:
             out.append("eps must lie in (0, 1/2)")
     if experiment == "wave-speed" and abs(cfg["t"]) > math.pi / 2:
         out.append("time t must satisfy |t| <= pi/2")
+    if experiment == "resolvent-probe":
+        n, p = cfg["n"], cfg["p"]
+        if n < 3:
+            out.append("dimension must be >= 3 for the uniform resolvent pair")
+        elif p is not None and abs(p - 2.0 * n / (n + 2.0)) > 1e-9:
+            out.append(f"p must equal 2n/(n+2) = {2.0 * n / (n + 2.0):.6f} for n = {n}")
     if cfg.get("manifold") not in (None, "sphere-zonal", "sphere-full-2d", "torus"):
         out.append(f"unknown manifold {cfg.get('manifold')!r}")
     return out
@@ -367,11 +387,8 @@ def _multiplier_symbol(name: str):
             s = np.asarray(s, dtype=complex)
             return np.where(s != 0, np.where(s != 0, s, 1.0) ** 1j, 1.0)
         return imaginary_power
-    if name == "bump":
-        from . import operator_core
-        return operator_core.lp_profile
-    raise CliError(f"unknown multiplier symbol {name!r}; "
-                   "choose from one, imaginary-power, bump")
+    from . import operator_core
+    return operator_core.lp_profile
 
 
 def _run_multiplier(cfg):
@@ -405,10 +422,7 @@ def _run_strichartz(cfg):
     decomp = _solve(cfg)
     if cfg["battery"] == "zonal-ladder":
         return dynamics.strichartz_report(decomp, ks=cfg["ks"], tol=cfg["tol"])
-    if cfg["battery"] == "band-bound":
-        return dynamics.band_bound_report(decomp, ks=cfg["ks"], tol=cfg["tol"])
-    raise CliError(f"unknown strichartz battery {cfg['battery']!r}; "
-                   "choose zonal-ladder or band-bound")
+    return dynamics.band_bound_report(decomp, ks=cfg["ks"], tol=cfg["tol"])
 
 
 def _run_parametrix(cfg):

@@ -21,14 +21,6 @@ from .errors import ConfigError, DomainError, ResolutionError
 # heat semigroup
 
 
-def heat(decomp: operator_core.SpectralDecomposition, t: float) -> operator_core.MultiplierOperator:
-    """The semigroup e^{-t H_V} as a multiplier in sqrt(H_V)."""
-    if t <= 0:
-        raise DomainError("heat time must be positive")
-    return operator_core.MultiplierOperator(
-        decomp, lambda fr: np.exp(-t * np.asarray(fr) ** 2))
-
-
 def heat_kernel_sup(decomp: operator_core.SpectralDecomposition, t: float) -> float:
     """sup over the grid of the on-diagonal heat kernel sum_i e^{-t mu_i} v_i(x)^2."""
     if t <= 0:
@@ -96,10 +88,6 @@ class WaveSolution:
         freq = self.decomp.frequencies
         return float(np.sum((freq * self.coefficients(t)) ** 2)
                      + np.sum(self.velocity_coefficients(t) ** 2))
-
-
-def wave_cosine(decomp: operator_core.SpectralDecomposition, t: float) -> operator_core.MultiplierOperator:
-    return operator_core.MultiplierOperator(decomp, lambda fr: np.cos(t * np.asarray(fr)))
 
 
 def cone_leakage(decomp: operator_core.SpectralDecomposition, t: float,
@@ -171,9 +159,8 @@ def cone_leakage_trend(n: int, t: float, Ks, V=None,
 # Bochner-Riesz
 
 
-def bochner_riesz(decomp: operator_core.SpectralDecomposition, lam: float,
-                  delta: float) -> operator_core.MultiplierOperator:
-    """S_lambda^delta with coefficients (1 - mu_i/lam^2)^delta on mu_i <= lam^2."""
+def bochner_riesz(lam: float, delta: float):
+    """Symbol of S_lambda^delta: (1 - (s/lam)^2)^delta on s <= lam, 0 beyond."""
     if delta < 0:
         raise DomainError("Bochner-Riesz index must be nonnegative")
     if lam <= 0:
@@ -189,7 +176,7 @@ def bochner_riesz(decomp: operator_core.SpectralDecomposition, lam: float,
             out[inside] = (1.0 - (fr[inside] / lam) ** 2) ** delta
         return out
 
-    return operator_core.MultiplierOperator(decomp, fn)
+    return fn
 
 
 def br_l1_row_norm(decomp: operator_core.SpectralDecomposition, lam: float,
@@ -200,8 +187,7 @@ def br_l1_row_norm(decomp: operator_core.SpectralDecomposition, lam: float,
     L^1 -> L^1 operator norm on the full sphere (the kernel is a function of
     geodesic distance, so all rows integrate identically).
     """
-    op = bochner_riesz(decomp, lam, delta)
-    weights = op.fn(decomp.frequencies)
+    weights = bochner_riesz(lam, delta)(decomp.frequencies)
     pole = (decomp.basis.evaluate(np.array([0.0])) @ decomp.eigenvectors)[0]
     row = decomp.node_values() @ (weights * pole)
     return float(decomp.basis.grid.integrate(np.abs(row)))

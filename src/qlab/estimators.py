@@ -74,26 +74,6 @@ def br_delta(p: float, n: int) -> float:
     return max(n * abs(0.5 - inv_p) - 0.5, 0.0)
 
 
-@dataclass
-class ExponentTable:
-    n: int
-    ps: np.ndarray
-    sigmas: np.ndarray
-    deltas: np.ndarray
-
-    @property
-    def p_c(self) -> float:
-        return p_critical(self.n)
-
-
-def exponent_table(n: int) -> ExponentTable:
-    """sigma(p) and the Bochner-Riesz index on 25 points of [2, 2 p_c], then p = inf."""
-    ps = np.concatenate([np.linspace(2.0, 2 * p_critical(n), 25), [np.inf]])
-    return ExponentTable(n=n, ps=ps,
-                         sigmas=np.array([sigma(p, n) for p in ps]),
-                         deltas=np.array([br_delta(p, n) for p in ps]))
-
-
 # ---------------------------------------------------------------------------
 # log-log fitting and the generic report container
 

@@ -1,8 +1,9 @@
 """Galerkin assembly and diagonalization of H_V = -Delta_g + V, plus the
-spectral calculus (multipliers, band projectors, Bernstein smoothing) built
-on the resulting decomposition.  A multiplier m(sqrt(H_V)) is the plain
-value ``MultiplierOperator(decomp, fn)``: one decomposition and the symbol
-m, applied by ``multiplier``.
+spectral calculus built on the resulting decomposition.  A multiplier
+m(sqrt(H_V)) is a symbol ``fn`` (a function of the frequencies), applied to
+grid values by ``multiplier(decomp, fn, f)``; ``multiplier_kernel`` gives
+its node-space kernel and ``lp_psi``/``lp_beta``/``lp_profile`` are the
+Littlewood-Paley symbols.
 
 The eigensolver is LAPACK's symmetric ``eigh`` followed by a stable
 ascending sort and a fixed sign convention for the eigenvectors.  For the
@@ -12,8 +13,6 @@ produce bit-identical decompositions.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -21,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import geometry
-from .errors import ConfigError, DomainError, NumericError
+from .errors import DomainError, NumericError
 from .potentials import Potential
 
 
@@ -219,38 +218,9 @@ def multiplier_kernel(decomp: SpectralDecomposition,
     return (U * weights[None, :]) @ U.T
 
 
-def band_projector(decomp: SpectralDecomposition, lo: float, hi: float):
-    """Sharp spectral projector onto frequencies in (lo, hi]."""
-    def chi(freq):
-        freq = np.asarray(freq)
-        return ((freq > lo) & (freq <= hi)).astype(float)
-    return chi
-
-
 def band_indices(decomp: SpectralDecomposition, lo: float, hi: float) -> np.ndarray:
     freq = decomp.frequencies
     return np.nonzero((freq > lo) & (freq <= hi))[0]
-
-
-def bernstein_bump(s: np.ndarray) -> np.ndarray:
-    """Smooth bump supported on (1/2, 1), normalized to unit integral."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = (s > 0.5) & (s < 1.0)
-    t = (s[inside] - 0.5) * 4.0 - 1.0  # map (1/2, 1) to (-1, 1)
-    out[inside] = np.exp(-1.0 / (1.0 - t ** 2))
-    return out
-
-
-_BERNSTEIN_NORM = None
-
-
-def _bernstein_norm() -> float:
-    global _BERNSTEIN_NORM
-    if _BERNSTEIN_NORM is None:
-        s, w = geometry._panel_gauss(0.5, 1.0, 32, 8)
-        _BERNSTEIN_NORM = float(np.sum(w * bernstein_bump(s)))
-    return _BERNSTEIN_NORM
 
 
 def lp_psi(xi) -> np.ndarray:
@@ -277,107 +247,3 @@ def lp_profile(s) -> np.ndarray:
     """The single smooth bump supported in (1/2, 2): psi(s) - psi(2s)."""
     s = np.asarray(s, dtype=float)
     return lp_psi(s) - lp_psi(2.0 * s)
-
-
-def bernstein_weights(mu: np.ndarray, lam: float) -> np.ndarray:
-    """Smoothed heat-sandwich weights int_{1/2}^1 exp(-s mu / lam^2) beta(s) ds.
-
-    beta is a nonnegative bump on (1/2, 1) with unit integral, so the
-    weights sit between exp(-mu/lam^2) and exp(-mu/(2 lam^2)).
-    """
-    if lam <= 0:
-        raise DomainError("lambda must be positive")
-    s, w = geometry._panel_gauss(0.5, 1.0, 32, 8)
-    beta = bernstein_bump(s) / _bernstein_norm()
-    mu = np.asarray(mu, dtype=float)
-    return np.exp(-np.outer(mu, s) / lam ** 2) @ (w * beta)
-
-
-class SchrodingerOperator:
-    """Estimator wrapping assembly + diagonalization of -Delta_g + V.
-
-    The constructor arguments are its parameters: ``get_params()`` returns
-    them by name and ``set_params(**params)`` changes them, returning the
-    operator.  ``fit(basis)`` solves and stores the fitted attributes
-    ``decomposition_``, ``basis_``, ``eigenvalues_``, ``eigenvectors_``,
-    ``frequencies_`` and the applied ``shift_``; ``transform(f)`` maps grid
-    values to eigenbasis coefficients.
-    """
-
-    _PARAMS = ("potential", "shift", "check_assembly")
-
-    def __init__(self, potential: Potential | None = None, shift: int | str = 0,
-                 check_assembly: bool = False):
-        self.potential = potential
-        self.shift = shift
-        self.check_assembly = check_assembly
-
-    def get_params(self, deep: bool = True) -> dict:
-        """Constructor parameters by name; ``deep`` has no nested estimators to expand."""
-        return {name: getattr(self, name) for name in self._PARAMS}
-
-    def set_params(self, **params) -> "SchrodingerOperator":
-        """Set constructor parameters by name; unknown names raise ConfigError."""
-        unknown = sorted(set(params) - set(self._PARAMS))
-        if unknown:
-            raise ConfigError(f"unknown SchrodingerOperator parameter(s) {unknown}; "
-                              f"valid: {list(self._PARAMS)}")
-        for name, value in params.items():
-            setattr(self, name, value)
-        return self
-
-    def fit(self, basis: geometry.Basis, y=None):
-        decomp = solve(self.potential, basis, shift=self.shift,
-                       check=self.check_assembly)
-        self.decomposition_ = decomp
-        self.basis_ = basis
-        self.eigenvalues_ = decomp.eigenvalues
-        self.eigenvectors_ = decomp.eigenvectors
-        self.frequencies_ = decomp.frequencies
-        self.shift_ = decomp.shift
-        return self
-
-    def transform(self, f: np.ndarray) -> np.ndarray:
-        """Coefficients of grid functions in the eigenbasis."""
-        self._check_fitted()
-        return self.decomposition_.project(np.asarray(f))
-
-    def _check_fitted(self):
-        if not hasattr(self, "decomposition_"):
-            raise NumericError("operator is not fitted; call fit(basis) first")
-
-
-@dataclass(frozen=True)
-class MultiplierOperator:
-    """The spectral multiplier m(sqrt(H)) read off one decomposition:
-    ``fn`` is the symbol m, applied to ``decomp.frequencies``."""
-
-    decomp: SpectralDecomposition
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def transform(self, f: np.ndarray) -> np.ndarray:
-        """m(sqrt(H)) f for grid values f."""
-        return multiplier(self.decomp, self.fn, f)
-
-
-def save_decomposition(decomp: SpectralDecomposition, path: str) -> None:
-    """CSV dump: row i = eigenvalue mu_i followed by its coefficient vector."""
-    from . import estimators
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["shift", decomp.shift])
-    header = ["eigenvalue"] + [f"c{j}" for j in range(decomp.size)]
-    writer.writerow(header)
-    for i in range(decomp.size):
-        writer.writerow([repr(float(decomp.eigenvalues[i]))]
-                        + [repr(float(c)) for c in decomp.eigenvectors[:, i]])
-    estimators.atomic_write_text(path, buf.getvalue())
-
-
-def load_decomposition(path: str, basis: geometry.Basis | None = None) -> SpectralDecomposition:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    shift = int(rows[0][1])
-    data = np.array([[float(v) for v in row] for row in rows[2:]])
-    return SpectralDecomposition(eigenvalues=data[:, 0], eigenvectors=data[:, 1:].T,
-                                 basis=basis, shift=shift)

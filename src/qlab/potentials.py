@@ -390,10 +390,3 @@ def flat_ball_kato_oracle(n: int, r: float) -> float:
         return 2.0 * math.pi * (-(r ** 2 / 2.0) * math.log(r) + r ** 2 / 4.0)
     surf = geometry.sphere_volume(n - 1)
     return surf * r ** 2 / 2.0
-
-
-def positivity_shift(V: Potential, basis) -> int:
-    """Smallest integer N >= 0 with the lowest Galerkin eigenvalue of
-    H_{V+N} at the working truncation at least 1, up to round-off."""
-    from . import operator_core
-    return operator_core.solve(V, basis, shift="auto").shift

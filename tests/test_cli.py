@@ -66,13 +66,29 @@ def test_validate_truncation_too_small(tmp_path, capsys):
     assert "truncation too small" in out
 
 
+# (experiment, config line, expected diagnostic): values the run would reject
+_BAD_VALUES = [
+    ("wave-speed", "cutoff = abc", "key 'cutoff': cannot parse value 'abc'"),
+    ("strichartz", "battery = nonsense",
+     "key 'battery': cannot parse value 'nonsense'; choose from zonal-ladder, band-bound"),
+    ("multiplier", "symbol = nonsense",
+     "key 'symbol': cannot parse value 'nonsense'; choose from one, imaginary-power, bump"),
+    ("square-function", "preset = nonsense",
+     "key 'preset': cannot parse value 'nonsense'; choose from zonal-ladder, "
+     "point-concentrated, random-band"),
+    ("resolvent-probe", "p = 1.5", "p must equal 2n/(n+2) = 1.200000 for n = 3"),
+    ("resolvent-probe", "n = 2", "dimension must be >= 3 for the uniform resolvent pair"),
+]
+
+
 def test_validate_rejects_unparseable_optional_key(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[experiment]\nexperiment = wave-speed\ncutoff = abc\n")
-    rc = cli.main(["validate", "--config", str(cfg)])
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "key 'cutoff': cannot parse value 'abc'" in out
+    for experiment, line, expected in _BAD_VALUES:
+        cfg.write_text(f"[experiment]\nexperiment = {experiment}\n{line}\n")
+        rc = cli.main(["validate", "--config", str(cfg)])
+        out = capsys.readouterr().out
+        assert rc == 1, experiment
+        assert expected in out, out
 
 
 def test_empty_optional_key_is_unset():

@@ -43,9 +43,10 @@ def test_br_delta_threshold():
 
 
 def test_exponent_table_invariants():
-    table = estimators.exponent_table(3)
-    assert table.p_c == 4.0
-    assert np.all(np.isfinite(table.sigmas[:-1]))
+    pc = estimators.p_critical(3)
+    assert pc == 4.0
+    ps = np.linspace(2.0, 2 * pc, 25)
+    assert np.all(np.isfinite([estimators.sigma(p, 3) for p in ps]))
 
 
 def test_fit_exponent_exact_power_law():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlab import geometry, potentials
+from qlab import geometry, operator_core, potentials
 from qlab.errors import DomainError
 
 
@@ -107,5 +107,5 @@ def test_kato_modulus_domain_guard():
 def test_positivity_shift_zero_for_free():
     manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 2)
     basis = geometry.build_basis(manifold, 8)
-    assert potentials.positivity_shift(potentials.zero(), basis) == 1
-    assert potentials.positivity_shift(potentials.constant(-5.0), basis) == 6
+    assert operator_core.solve(potentials.zero(), basis, shift="auto").shift == 1
+    assert operator_core.solve(potentials.constant(-5.0), basis, shift="auto").shift == 6
