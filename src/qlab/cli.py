@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import math
 import os
 import subprocess
@@ -24,6 +23,7 @@ import sys
 import time
 
 from . import __version__
+from .errors import DomainError
 
 
 class CliError(Exception):
@@ -198,6 +198,7 @@ def build_config(experiment: str, raw: dict) -> dict:
 
 def validate(experiment: str, cfg: dict) -> list:
     """Semantic diagnostics beyond type checking; never mutates state."""
+    from . import geometry
     out = []
     spectral = "manifold" in cfg  # the schemas built on _COMMON solve for a decomposition
     if spectral and cfg["K"] < 2:
@@ -212,6 +213,8 @@ def validate(experiment: str, cfg: dict) -> list:
             out.append("dimension must be >= 4 for the divergent construction")
         if not 0.0 < cfg["eps"] < 0.5:
             out.append("eps must lie in (0, 1/2)")
+    if experiment == "projector-norms" and cfg["p"] < 2:
+        out.append("p must lie in [2, inf] for projector norms")
     if experiment == "wave-speed" and abs(cfg["t"]) > math.pi / 2:
         out.append("time t must satisfy |t| <= pi/2")
     if experiment == "resolvent-probe":
@@ -220,8 +223,19 @@ def validate(experiment: str, cfg: dict) -> list:
             out.append("dimension must be >= 3 for the uniform resolvent pair")
         elif p is not None and abs(p - 2.0 * n / (n + 2.0)) > 1e-9:
             out.append(f"p must equal 2n/(n+2) = {2.0 * n / (n + 2.0):.6f} for n = {n}")
-    if cfg.get("manifold") not in (None, "sphere-zonal", "sphere-full-2d", "torus"):
-        out.append(f"unknown manifold {cfg.get('manifold')!r}")
+    if spectral:
+        try:
+            geometry.ModelManifold(cfg["manifold"], cfg["n"])
+        except DomainError as exc:
+            out.append(f"key 'manifold': {exc}")
+    if "potential" in cfg:
+        try:
+            V = _resolve_potential(cfg["potential"], cfg["n"])
+        except DomainError as exc:
+            out.append(f"key 'potential': {exc}")
+        else:
+            if V is not None and cfg.get("manifold") == geometry.TORUS:
+                out.append("key 'potential': zonal potentials are not defined on the torus")
     return out
 
 
@@ -230,16 +244,22 @@ def _resolve_potential(text: str, n: int):
     'truncated-counterexample[:phi0]', 'constant:<c>', or a zonal expression."""
     from . import potentials
     text = text.strip()
+
+    def number(arg: str) -> float:
+        try:
+            return float(arg)
+        except ValueError:
+            raise DomainError(f"{arg!r} in {text!r} is not a number") from None
+
     if text in ("0", "", "none", "zero"):
         return None
     if text == "counterexample":
         return potentials.counterexample(n)
     if text.startswith("truncated-counterexample"):
         _, _, arg = text.partition(":")
-        phi0 = float(arg) if arg else 0.3
-        return potentials.truncated_counterexample(n, phi0)
+        return potentials.truncated_counterexample(n, number(arg) if arg else 0.3)
     if text.startswith("constant:"):
-        return potentials.constant(float(text.partition(":")[2]))
+        return potentials.constant(number(text.partition(":")[2]))
     return potentials.from_expression(text)
 
 
@@ -261,11 +281,11 @@ def _run_spectrum(cfg):
     rows = [[i, float(mu), float(fr)] for i, (mu, fr)
             in enumerate(zip(decomp.eigenvalues, decomp.frequencies))]
     return estimators.ExperimentReport(
-        name="spectrum", params=dict(cfg), columns=["index", "eigenvalue", "frequency"],
-        rows=rows, summary={"shift": decomp.shift,
-                            "min_eigenvalue": float(decomp.eigenvalues[0]),
-                            "max_eigenvalue": float(decomp.eigenvalues[-1]),
-                            "verdict": "ok"})
+        columns=["index", "eigenvalue", "frequency"], rows=rows,
+        summary={"shift": decomp.shift,
+                 "min_eigenvalue": float(decomp.eigenvalues[0]),
+                 "max_eigenvalue": float(decomp.eigenvalues[-1]),
+                 "verdict": "ok"})
 
 
 def _run_kato(cfg):
@@ -278,8 +298,7 @@ def _run_kato(cfg):
                "lnhalf_norm": rep.lnhalf_norm,
                "lnhalf_divergent": rep.lnhalf_divergent,
                "verdict": "ok"}
-    return estimators.ExperimentReport(name="kato", params=dict(cfg),
-                                       columns=["radius", "modulus", "converged"],
+    return estimators.ExperimentReport(columns=["radius", "modulus", "converged"],
                                        rows=rows, summary=summary)
 
 
@@ -319,8 +338,7 @@ def _run_counterexample(cfg):
     if n >= 3:
         ok = ok and not kato.lnhalf_divergent
     summary["verdict"] = "pass" if ok else "fail"
-    return estimators.ExperimentReport(name="counterexample", params=dict(cfg),
-                                       columns=["phi", "f", "V", "residual"],
+    return estimators.ExperimentReport(columns=["phi", "f", "V", "residual"],
                                        rows=rows, summary=summary)
 
 
@@ -345,7 +363,6 @@ def _run_quasimode(cfg):
         rows.append([float(lam), lam_used, float(ratio)])
     ratios = [r[2] for r in rows]
     return estimators.ExperimentReport(
-        name="quasimode", params=dict(cfg),
         columns=["lambda_requested", "lambda_used", "ratio"], rows=rows,
         summary={"p": cfg["p"], "max_ratio": max(ratios), "min_ratio": min(ratios),
                  "verdict": "ok"})
@@ -371,7 +388,6 @@ def _run_square_function(cfg):
     ratios = [r[1] for r in rows]
     ok = cfg["band_lo"] <= min(ratios) and max(ratios) <= cfg["band_hi"]
     return estimators.ExperimentReport(
-        name="square-function", params=dict(cfg),
         columns=["test_function", "l2_ratio"], rows=rows,
         summary={"min_ratio": min(ratios), "max_ratio": max(ratios),
                  "band": [cfg["band_lo"], cfg["band_hi"]],
@@ -396,8 +412,6 @@ def _run_multiplier(cfg):
     decomp = _solve(cfg)
     m = _multiplier_symbol(cfg["symbol"])
     report = dynamics.norm_equivalence_probe(decomp, rs=cfg["rs"])
-    report.name = "multiplier"
-    report.params = dict(cfg)
     lam_max = float(decomp.frequencies[-1])
     report.summary["besov_norm"] = dynamics.besov_check(
         m, cfg["besov_s"], lam_max=max(2.0, lam_max))
@@ -446,8 +460,7 @@ def _run_parametrix(cfg):
         summary["l6_verdict"] = l6.verdict
         ok = ok and l6.verdict == "pass"
     summary["verdict"] = "pass" if ok else "fail"
-    return estimators.ExperimentReport(name="parametrix", params=dict(cfg),
-                                       columns=["r", "lambda", "re_f", "im_f"],
+    return estimators.ExperimentReport(columns=["r", "lambda", "re_f", "im_f"],
                                        rows=rows, summary=summary)
 
 
@@ -468,7 +481,6 @@ def _run_divergent_quasimode(cfg):
     ok = (rep.growth > cfg["min_growth"]
           and 0.5 <= rep.normalization <= 2.0)
     return estimators.ExperimentReport(
-        name="divergent-quasimode", params=dict(cfg),
         columns=["k", "term", "partial_sum"], rows=rows,
         summary={"growth": rep.growth, "tail_l2": rep.tail_l2,
                  "normalization": rep.normalization,
@@ -603,20 +615,11 @@ def main(argv=None) -> int:
         runtime = time.perf_counter() - start
 
         report.summary.setdefault("verdict", "ok")
-        payload = report.to_dict()
-        payload["config"] = {k: (list(v) if isinstance(v, tuple) else v)
-                             for k, v in cfg.items()}
-        payload["version"] = _version()
-        payload["runtime_seconds"] = runtime
-        payload["jobs"] = args.jobs
-
-        from . import estimators
         csv_path = os.path.join(out_dir, f"{experiment}.csv")
         json_path = os.path.join(out_dir, f"{experiment}.json")
         report.write_csv(csv_path)
-        estimators.atomic_write_text(
-            json_path, json.dumps(payload, indent=2, sort_keys=True,
-                                  default=str) + "\n")
+        report.write_json(json_path, config=cfg, version=_version(),
+                          runtime_seconds=runtime, jobs=args.jobs)
 
         verdict = report.summary.get("verdict", "ok")
         print(f"{experiment}: verdict={verdict} "

@@ -42,10 +42,8 @@ def heat_report(decomp: operator_core.SpectralDecomposition, ts,
     rows = [[t, heat_kernel_sup(decomp, t)] for t in ts]
     fit = estimators.fit_exponent(ts, [r[1] for r in rows])
     summary = estimators.slope_verdict(fit, -n / 2.0, tol)
-    return estimators.ExperimentReport(name="heat",
-                                       params={"ts": ts.tolist(), "n": n,
-                                               "shift": decomp.shift},
-                                       columns=["t", "kernel_sup"], rows=rows,
+    summary["shift"] = decomp.shift
+    return estimators.ExperimentReport(columns=["t", "kernel_sup"], rows=rows,
                                        summary=summary)
 
 
@@ -147,12 +145,10 @@ def cone_leakage_trend(n: int, t: float, Ks, V=None,
     monotone = all(leaks[i + 1] < leaks[i] for i in range(len(leaks) - 1))
     ok = monotone and leaks[-1] < 1e-3
     return estimators.ExperimentReport(
-        name="wave-speed",
-        params={"n": n, "t": t, "Ks": Ks, "cutoff": cutoff,
-                "potential": getattr(V, "name", "none")},
         columns=["K", "leakage"], rows=rows,
         summary={"monotone_decreasing": monotone, "final_leakage": leaks[-1],
-                 "threshold": 1e-3, "verdict": "pass" if ok else "fail"})
+                 "threshold": 1e-3, "cutoff": cutoff,
+                 "verdict": "pass" if ok else "fail"})
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +208,7 @@ def br_norm_probe(decomp: operator_core.SpectralDecomposition, delta: float,
     else:
         summary = estimators.slope_verdict(fit, 0.0, tol)
     summary["delta"] = delta
-    return estimators.ExperimentReport(name="bochner-riesz",
-                                       params={"delta": delta, "lams": lams.tolist()},
-                                       columns=["lambda", "l1_norm"], rows=rows,
+    return estimators.ExperimentReport(columns=["lambda", "l1_norm"], rows=rows,
                                        summary=summary)
 
 
@@ -313,10 +307,7 @@ def norm_equivalence_probe(decomp: operator_core.SpectralDecomposition,
         summary[f"C_{r:g}"] = max(ratios)
     two_sided = all(summary[f"c_{r:g}"] > 0.05 and summary[f"C_{r:g}"] < 20.0 for r in rs)
     summary["verdict"] = "pass" if two_sided else "fail"
-    return estimators.ExperimentReport(name="square-function",
-                                       params={"rs": list(map(float, rs)),
-                                               "presets": list(_PRESETS)},
-                                       columns=["r", "test_function", "ratio"],
+    return estimators.ExperimentReport(columns=["r", "test_function", "ratio"],
                                        rows=rows, summary=summary)
 
 
@@ -408,10 +399,7 @@ def strichartz_report(decomp: operator_core.SpectralDecomposition,
         vals.append(ratio)
     fit = estimators.fit_exponent(used, vals)
     summary = estimators.slope_verdict(fit, 0.0, tol)
-    return estimators.ExperimentReport(name="strichartz",
-                                       params={"ks": list(map(int, ks)),
-                                               "battery": "zonal-ladder"},
-                                       columns=["k", "ratio"], rows=rows,
+    return estimators.ExperimentReport(columns=["k", "ratio"], rows=rows,
                                        summary=summary)
 
 
@@ -429,7 +417,6 @@ def band_bound_report(decomp: operator_core.SpectralDecomposition,
         vals.append(res.lower)
     fit = estimators.fit_exponent(used, vals)
     summary = estimators.slope_verdict(fit, 1.0 / pc, tol)
-    return estimators.ExperimentReport(name="strichartz-band",
-                                       params={"ks": list(map(int, ks)), "p": pc},
-                                       columns=["k", "norm_lower", "norm_upper"],
+    summary["p"] = pc
+    return estimators.ExperimentReport(columns=["k", "norm_lower", "norm_upper"],
                                        rows=rows, summary=summary)

@@ -104,12 +104,10 @@ class ExperimentReport:
     """Uniform result container: a table plus a fit/verdict summary.
 
     ``summary`` carries slope, target, tolerance, verdict and whatever else
-    the experiment wants echoed; ``params`` echoes the full configuration so
-    a report is self-describing.
+    the experiment resolved; the caller of ``write_json`` adds its own echo
+    of the inputs.
     """
 
-    name: str
-    params: dict = field(default_factory=dict)
     columns: list = field(default_factory=list)
     rows: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
@@ -117,10 +115,6 @@ class ExperimentReport:
     @property
     def verdict(self):
         return self.summary.get("verdict")
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "params": self.params, "columns": self.columns,
-                "rows": self.rows, "summary": self.summary}
 
     def write_csv(self, path: str) -> None:
         buf = io.StringIO()
@@ -131,10 +125,11 @@ class ExperimentReport:
                              else str(v) for v in row])
         atomic_write_text(path, buf.getvalue())
 
-    def write_json(self, path: str) -> None:
+    def write_json(self, path: str, **echo) -> None:
+        payload = {"columns": self.columns, "rows": self.rows,
+                   "summary": self.summary, **echo}
         atomic_write_text(
-            path,
-            json.dumps(self.to_dict(), indent=2, sort_keys=True, default=str) + "\n")
+            path, json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
 
 
 _RESIDUAL_CAP = 0.5  # RMS log-space fit residual above which no verdict is given
@@ -291,10 +286,9 @@ def projector_growth_report(decomp: operator_core.SpectralDecomposition, p: floa
     rows = []
     used_lams, vals = [], []
     for lam in lams:
-        try:
-            res = projector_norm(decomp, lam, lam + width, p)
-        except DomainError:
+        if operator_core.band_indices(decomp, lam, lam + width).size == 0:
             continue  # empty band at this lambda
+        res = projector_norm(decomp, lam, lam + width, p)
         rows.append([lam, res.lower, res.upper, res.rank, int(res.stagnation)])
         used_lams.append(lam)
         vals.append(res.lower)
@@ -303,11 +297,9 @@ def projector_growth_report(decomp: operator_core.SpectralDecomposition, p: floa
     fit = fit_exponent(used_lams, vals)
     summary = slope_verdict(fit, sigma(p, n), tol)
     summary["p"] = p
-    return ExperimentReport(name="projector-norms", params={"p": p, "width": width,
-                                               "lams": list(map(float, lams)), "n": n},
-                            columns=["lambda", "norm_lower", "norm_upper", "rank",
-                                     "stagnation"],
-                            rows=rows, summary=summary)
+    return ExperimentReport(
+        columns=["lambda", "norm_lower", "norm_upper", "rank", "stagnation"],
+        rows=rows, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +335,7 @@ def local_weyl_report(decomp: operator_core.SpectralDecomposition, point, mus,
         rows.append([mu, s, ratio])
         ratios.append(ratio)
     ok = all(band[0] <= r <= band[1] for r in ratios)
-    return ExperimentReport(name="weyl",
-                            params={"point": list(np.atleast_1d(point).astype(float)),
-                                    "mus": list(map(float, mus)), "band": list(band)},
-                            columns=["mu", "partial_sum", "ratio"],
-                            rows=rows,
+    return ExperimentReport(columns=["mu", "partial_sum", "ratio"], rows=rows,
                             summary={"ratio_min": min(ratios), "ratio_max": max(ratios),
                                      "band": list(band),
                                      "verdict": "pass" if ok else "fail"})
@@ -366,8 +354,6 @@ def harmonic_dimension(n: int, l: int):
 
 @dataclass
 class DivergentQuasimodeReport:
-    n: int
-    eps: float
     lam: float
     ks: np.ndarray
     terms: np.ndarray
@@ -429,7 +415,7 @@ def divergent_quasimode(n: int, eps: float, k_min: int = 4, k_max: int = 14,
     u_norm = float(np.sqrt(np.sum(u_l ** 2)))
     resid_full = float(np.sqrt(np.sum(gaps ** 2 * u_l ** 2)))
     return DivergentQuasimodeReport(
-        n=n, eps=eps, lam=lam_star, ks=ks, terms=terms, partial_sums=partial,
+        lam=lam_star, ks=ks, terms=terms, partial_sums=partial,
         growth=growth, tail_l2=tail_l2,
         normalization=resid_tail / lam_star + u_norm,
         normalization_full=resid_full / lam_star + u_norm)
@@ -491,8 +477,5 @@ def uniform_resolvent_probe(n: int, lams, grid_size: int | None = None,
     fit = fit_exponent(lams, vals)
     summary = slope_verdict(fit, 0.0, tol)
     summary.update({"p": p_star, "p_prime": p_dual, "grid_size": N})
-    return ExperimentReport(name="resolvent-probe",
-                            params={"n": n, "lams": lams.tolist(), "grid_size": N,
-                                    "p": p_star, "p_prime": p_dual},
-                            columns=["lambda", "norm_lower"], rows=rows,
+    return ExperimentReport(columns=["lambda", "norm_lower"], rows=rows,
                             summary=summary)

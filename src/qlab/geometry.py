@@ -317,9 +317,6 @@ class Basis:
             raise DomainError("grid function length does not match grid size")
         return self.values.T @ (self.grid.weights * f)
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.values @ np.asarray(coeffs)
-
 
 class ZonalSphereBasis(Basis):
     """Zonal (Gegenbauer/Legendre) eigenbasis on S^n, degrees 0..K."""

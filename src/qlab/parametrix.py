@@ -12,8 +12,6 @@ F_0 = e^{i(lambda+i) r} / (4 pi r) and to the recursion
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 
 import numpy as np
@@ -151,20 +149,13 @@ def lambda_slope(n: int, r: float, lams) -> estimators.PowerFit:
     return estimators.fit_exponent(lams, vals)
 
 
-def kernel_table(n: int, nu: int, rs, lams, path: str | None = None):
-    """(r, lambda, Re F, Im F) table, optionally dumped as CSV."""
+def kernel_table(n: int, nu: int, rs, lams):
+    """(r, lambda, Re F, Im F) rows over the grid lams x rs."""
     rows = []
     for lam in lams:
         for r in rs:
             val = f_nu(n, nu, float(r), float(lam))
             rows.append([float(r), float(lam), val.real, val.imag])
-    if path is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["r", "lambda", "re_f", "im_f"])
-        for row in rows:
-            writer.writerow([repr(v) for v in row])
-        estimators.atomic_write_text(path, buf.getvalue())
     return rows
 
 
@@ -201,9 +192,7 @@ def kernel_l6_check(lams) -> estimators.ExperimentReport:
     fit = estimators.fit_exponent(lams, [r[1] for r in rows])
     summary = estimators.slope_verdict(fit, -1.0 / 3.0, 0.05)
     summary["delta"] = _L6_DELTA
-    return estimators.ExperimentReport(name="parametrix-l6",
-                                       params={"lams": lams.tolist(), "delta": _L6_DELTA},
-                                       columns=["lambda", "l6_norm"], rows=rows,
+    return estimators.ExperimentReport(columns=["lambda", "l6_norm"], rows=rows,
                                        summary=summary)
 
 
@@ -269,8 +258,6 @@ def remainder_scale_check(lams) -> estimators.ExperimentReport:
     cancel = fit.slope < fit0.slope - 0.1
     verdict = "pass" if (abs(fit0.slope - target0) < 0.02 and cancel) else "fail"
     return estimators.ExperimentReport(
-        name="parametrix-remainder",
-        params={"n": 2, "delta": _REMAINDER_DELTA, "lams": lams.tolist()},
         columns=["lambda", "norm", "norm_no_phase"], rows=rows,
         summary={"slope": fit.slope, "residual": fit.residual,
                  "slope_no_phase": fit0.slope, "target_no_phase": target0,

@@ -266,13 +266,14 @@ def _ball_integral(V: Potential, n: int, center: float, r: float,
     return float(np.sum(w_phi * vabs * np.sin(phi) ** (n - 1) * surf * inner))
 
 
-def kato_modulus(V: Potential, r: float, n: int, return_status: bool = False):
-    """sup_x of the h_n-weighted integral of |V| over geodesic r-balls.
+def kato_modulus(V: Potential, r: float, n: int) -> tuple[float, bool]:
+    """(sup_x of the h_n-weighted integral of |V| over geodesic r-balls,
+    converged flag).
 
     The sup runs over the annotated singular points plus 64 evenly spaced
     candidate centers in [0.02, pi - 0.02].  Raises on r outside (0, pi/2);
-    reports a non-convergence flag (via ``return_status``) when one
-    refinement of the ball quadrature moves the value by more than 5%.
+    the flag is false when one refinement of the ball quadrature moves the
+    value by more than 5%.
     """
     if not 0.0 < r < INJECTIVITY_SCALE:
         raise DomainError(f"radius must lie in (0, {INJECTIVITY_SCALE:.4f}), got {r}")
@@ -284,10 +285,7 @@ def kato_modulus(V: Potential, r: float, n: int, return_status: bool = False):
     a_best = float(centers[int(np.argmax(vals))])
     refined = _ball_integral(V, n, a_best, r, 2 * _KATO_PER_UNIT)
     converged = abs(refined - best) <= 0.05 * max(abs(refined), 1e-300)
-    value = max(best, refined)
-    if return_status:
-        return value, converged
-    return value
+    return max(best, refined), converged
 
 
 @dataclass
@@ -335,8 +333,6 @@ INCONCLUSIVE = "inconclusive"
 class KatoReport:
     """Kato modulus across shrinking radii plus the verdict bookkeeping."""
 
-    n: int
-    potential: str
     radii: tuple[float, ...]
     moduli: tuple[float, ...]
     converged: tuple[bool, ...]
@@ -363,7 +359,7 @@ def kato_report(V: Potential, n: int,
     radii = tuple(sorted(radii, reverse=True))
     vals, flags = [], []
     for r in radii:
-        v, ok = kato_modulus(V, r, n, return_status=True)
+        v, ok = kato_modulus(V, r, n)
         vals.append(v)
         flags.append(ok)
     ratio = vals[-1] / vals[0] if vals[0] > 0 else 0.0
@@ -378,7 +374,7 @@ def kato_report(V: Potential, n: int,
     if not all(flags):
         verdict = INCONCLUSIVE
     norm = ln_half_norm(V, n)
-    return KatoReport(n=n, potential=V.name, radii=radii, moduli=tuple(vals),
+    return KatoReport(radii=radii, moduli=tuple(vals),
                       converged=tuple(flags), verdict=verdict, stagnation_ratio=ratio,
                       lnhalf_norm=norm.value, lnhalf_divergent=norm.divergent)
 

@@ -78,6 +78,15 @@ _BAD_VALUES = [
      "point-concentrated, random-band"),
     ("resolvent-probe", "p = 1.5", "p must equal 2n/(n+2) = 1.200000 for n = 3"),
     ("resolvent-probe", "n = 2", "dimension must be >= 3 for the uniform resolvent pair"),
+    ("spectrum", "potential = foo(phi", "key 'potential': invalid expression 'foo(phi'"),
+    ("spectrum", "potential = bogus(phi)", "key 'potential': disallowed construct"),
+    ("spectrum", "potential = constant:abc",
+     "key 'potential': 'abc' in 'constant:abc' is not a number"),
+    ("spectrum", "manifold = torus\npotential = counterexample",
+     "key 'potential': zonal potentials are not defined on the torus"),
+    ("spectrum", "manifold = sphere-full-2d\nn = 3",
+     "key 'manifold': sphere-full-2d requires n = 2"),
+    ("projector-norms", "p = 1", "p must lie in [2, inf] for projector norms"),
 ]
 
 
@@ -110,6 +119,17 @@ def test_docs_key_lists_match_schemas():
         if "common" in keys_line:
             documented |= set(cli._COMMON)
         assert documented == set(cli.SCHEMAS[name]), name
+
+
+def test_json_keys_match_docs(tmp_path):
+    """The `<experiment>.json` bullet in docs/configuration.md names exactly
+    the top-level keys a run writes."""
+    text = open(DOCS).read()
+    bullet = text.split("- `<experiment>.json`", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", bullet)))
+    assert cli.main(["spectrum", "--out", str(tmp_path), "--K", "4"]) == 0
+    payload = json.loads((tmp_path / "spectrum.json").read_text())
+    assert set(payload) == documented
 
 
 def test_validate_never_writes_outputs(tmp_path):

@@ -105,6 +105,12 @@ def test_projector_norm_sup_zonal_closed_form(s2_free_24):
     assert res.lower == pytest.approx(res.upper, rel=1e-12)
 
 
+def test_projector_growth_report_rejects_p_below_2(s2_free_24):
+    """An invalid exponent is reported as such, not as a run of empty bands."""
+    with pytest.raises(DomainError, match=r"p in \[2, infinity\]"):
+        estimators.projector_growth_report(s2_free_24, 1.0, (4.0, 6.0, 8.0, 10.0))
+
+
 def test_local_weyl_constant_mode(s2_free_24):
     val = estimators.local_weyl(s2_free_24, 0.7, 0.5)
     assert val == pytest.approx(1.0 / (4 * math.pi), rel=1e-12)

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qlab import parametrix
+from qlab import cli, parametrix
 from qlab.errors import ConfigError, DomainError
 
 
@@ -118,10 +118,16 @@ def test_remainder_scale_check():
     assert rep.summary["cancellation_margin"] > 0.1
 
 
+def test_kernel_table_rows():
+    assert len(parametrix.kernel_table(3, 0, [0.1, 0.5], [5.0])) == 2
+
+
 def test_kernel_table_csv(tmp_path):
-    path = str(tmp_path / "table.csv")
-    rows = parametrix.kernel_table(3, 0, [0.1, 0.5], [5.0], path=path)
-    assert len(rows) == 2
-    text = open(path).read().splitlines()
+    """The parametrix run writes the kernel table through the report's CSV
+    writer."""
+    rc = cli.main(["parametrix", "--rs", "0.1,0.5", "--lams", "5", "--l6_lams", "8",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    text = (tmp_path / "parametrix.csv").read_text().splitlines()
     assert text[0] == "r,lambda,re_f,im_f"
     assert len(text) == 3

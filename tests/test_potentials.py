@@ -58,7 +58,7 @@ def test_kato_weight_forms():
 def test_kato_modulus_flat_ball_oracle(n, r):
     """For V = 1 the modulus equals the flat-ball closed form up to O(r^2)
     curvature corrections."""
-    got = potentials.kato_modulus(potentials.constant(1.0), r, n)
+    got = potentials.kato_modulus(potentials.constant(1.0), r, n)[0]
     oracle = potentials.flat_ball_kato_oracle(n, r)
     assert got == pytest.approx(oracle, rel=5 * r ** 2 + 1e-6)
 
@@ -101,7 +101,7 @@ def test_smoothstep_range_and_monotonicity(t):
 
 def test_kato_modulus_domain_guard():
     with pytest.raises(DomainError):
-        potentials.kato_modulus(potentials.constant(1.0), 2.0, 3)
+        potentials.kato_modulus(potentials.constant(1.0), 2.0, 3)[0]
 
 
 def test_positivity_shift_zero_for_free():
