@@ -233,8 +233,7 @@ def projector_norm(decomp: operator_core.SpectralDecomposition, lo: float, hi: f
     if grid.manifold.kind == geometry.SPHERE_ZONAL:
         # zonal eigenfunctions peak at the poles, which quadrature grids
         # exclude; include them in the sup explicitly
-        pole_vals = decomp.basis.evaluate(np.array([0.0, math.pi])) \
-            @ decomp.eigenvectors[:, idx]
+        pole_vals = decomp.basis.pole_values @ decomp.eigenvectors[:, idx]
         sup_line = max(sup_line, float(np.max(np.sqrt(np.sum(pole_vals ** 2, axis=1)))))
     if math.isinf(p):
         return ProjectorNormResult(lower=sup_line, upper=sup_line, p=p, rank=int(idx.size))
@@ -260,6 +259,8 @@ def projector_norm(decomp: operator_core.SpectralDecomposition, lo: float, hi: f
             while step > 1e-12:
                 trial = c + step * grad / gnorm
                 trial /= np.linalg.norm(trial)
+                if np.array_equal(trial, c):
+                    break  # the step no longer moves c, as on every rank-1 band
                 tval = float(geometry.lp_norm(grid, U @ trial, p))
                 if tval > val:
                     c, val = trial, tval
@@ -306,15 +307,17 @@ def projector_growth_report(decomp: operator_core.SpectralDecomposition, p: floa
 # local Weyl sums
 
 
-def local_weyl(decomp: operator_core.SpectralDecomposition, point, mu: float) -> float:
-    """Partial sum of |e_j(x0)|^2 over frequencies <= mu."""
+def local_weyl(decomp: operator_core.SpectralDecomposition, point, mus) -> list:
+    """Partial sums of |e_j(x0)|^2 over frequencies <= mu, one per mu; the
+    point is evaluated once for all of them."""
     freqs = decomp.frequencies
-    if mu > freqs[-1]:
-        raise ResolutionError(f"mu={mu} exceeds the truncation frequency {freqs[-1]:.3f}")
+    if max(mus) > freqs[-1]:
+        raise ResolutionError(f"mu={max(mus)} exceeds the truncation frequency "
+                              f"{freqs[-1]:.3f}")
     basis = decomp.basis
     e0 = basis.evaluate(np.atleast_1d(np.asarray(point, dtype=float))) @ decomp.eigenvectors
-    mask = freqs <= mu
-    return float(np.sum(e0[..., mask] ** 2))
+    sq = e0 ** 2
+    return [float(np.sum(sq[..., freqs <= mu])) for mu in mus]
 
 
 def weyl_constant(n: int) -> float:
@@ -329,8 +332,7 @@ def local_weyl_report(decomp: operator_core.SpectralDecomposition, point, mus,
     c_n = weyl_constant(n)
     rows = []
     ratios = []
-    for mu in mus:
-        s = local_weyl(decomp, point, mu)
+    for mu, s in zip(mus, local_weyl(decomp, point, mus)):
         ratio = s / (c_n * mu ** n)
         rows.append([mu, s, ratio])
         ratios.append(ratio)

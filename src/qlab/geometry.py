@@ -319,7 +319,8 @@ class Basis:
 
 
 class ZonalSphereBasis(Basis):
-    """Zonal (Gegenbauer/Legendre) eigenbasis on S^n, degrees 0..K."""
+    """Zonal (Gegenbauer/Legendre) eigenbasis on S^n, degrees 0..K.  ``pole_values``
+    (rows phi = 0, pi) is computed once, read-only: do not mutate the basis."""
 
     def __init__(self, n: int, K: int, grid: QuadratureGrid):
         if grid.manifold.kind != SPHERE_ZONAL or grid.manifold.n != n:
@@ -341,6 +342,12 @@ class ZonalSphereBasis(Basis):
         x = np.cos(np.atleast_1d(np.asarray(points, dtype=float)))
         table = _gegenbauer_table(self.K, self.lam_geg, x)
         return (table / self._norms[:, None]).T
+
+    @functools.cached_property
+    def pole_values(self) -> np.ndarray:
+        values = self.evaluate(np.array([0.0, math.pi]))
+        values.flags.writeable = False
+        return values
 
 
 def _normalized_assoc_legendre(K: int, m: int, phi: np.ndarray) -> np.ndarray:

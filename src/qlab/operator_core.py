@@ -51,11 +51,13 @@ def assemble(V: Potential | None, basis: geometry.Basis, shift: int = 0,
              check: bool = False) -> np.ndarray:
     """Galerkin matrix of -Delta_g + V + shift in the given basis.
 
-    ``check=True`` reassembles the potential block on a once-refined grid
-    and raises, naming the worst entry, when any coefficient moves by more
-    than 1% (``_CHECK_TOL``) of the matrix scale.  Singular potentials
-    should be assembled on pole-refined (graded) grids; the check is the
-    guard that catches a grid that cannot resolve V.
+    ``check=True`` reassembles the potential block on a refined grid and
+    raises, naming the worst entry, when any coefficient moves by more than
+    1% (``_CHECK_TOL``) of the matrix scale.  Singular potentials should be
+    assembled on pole-refined (graded) grids; the check catches a grid whose
+    bulk cannot resolve V.  On a pole-refined grid only the bulk is refined
+    (130 -> 446 panels at K = 512): the caps are rebuilt at pole level 6, node
+    for node those of a level-6 grid, so the check never tests the cap rule.
     """
     pot = potential_matrix(V, basis)
     if check and V is not None:
@@ -102,8 +104,9 @@ class SpectralDecomposition:
     was added to the operator before diagonalizing.
 
     ``node_values()`` is computed once per decomposition, on its first call,
-    and every call returns that same read-only array.  ``eigenvectors`` and
-    ``basis`` must therefore not be mutated after that first call.
+    and every call returns that same read-only array; pole values are read
+    from the basis the same way.  ``eigenvectors`` and ``basis`` must
+    therefore not be mutated after that first call.
     """
 
     eigenvalues: np.ndarray

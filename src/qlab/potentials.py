@@ -33,7 +33,6 @@ INJECTIVITY_SCALE = math.pi / 2.0
 class Potential:
     """A real zonal potential V(phi) with singularity annotations."""
 
-    name: str
     fn: Callable[[np.ndarray], np.ndarray]
     singularities: tuple[float, ...] = ()
     smooth_bound: float | None = None
@@ -47,7 +46,7 @@ class Potential:
 
 
 def constant(c: float) -> Potential:
-    return Potential(name=f"constant({c})", fn=lambda phi: np.full_like(phi, float(c)),
+    return Potential(fn=lambda phi: np.full_like(phi, float(c)),
                      smooth_bound=abs(float(c)) + 1e-12)
 
 
@@ -104,8 +103,7 @@ def counterexample_eigenfunction_laplacian(n: int, phi):
 
 
 def counterexample(n: int) -> Potential:
-    return Potential(name=f"counterexample(n={n})",
-                     fn=lambda phi: counterexample_potential(n, np.asarray(phi)),
+    return Potential(fn=lambda phi: counterexample_potential(n, np.asarray(phi)),
                      singularities=(0.0, math.pi))
 
 
@@ -134,8 +132,7 @@ def truncated_counterexample(n: int, phi0: float = 0.3) -> Potential:
         return out
     bound = float(np.max(np.abs(counterexample_potential(
         n, np.linspace(phi0, math.pi - phi0, 4001)))))
-    return Potential(name=f"truncated-counterexample(n={n},phi0={phi0})", fn=fn,
-                     smooth_bound=bound * 1.01)
+    return Potential(fn=fn, smooth_bound=bound * 1.01)
 
 
 _ALLOWED_FUNCS = {
@@ -186,7 +183,7 @@ def parse_zonal_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def from_expression(text: str) -> Potential:
-    return Potential(name=f"expr({text})", fn=parse_zonal_expression(text))
+    return Potential(fn=parse_zonal_expression(text))
 
 
 def kato_weight(n: int, r):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -118,7 +120,7 @@ def test_strichartz_constant_mode_closed_form(s2_free_24):
     """Constant data on the unit time window: the wave solution is the
     constant itself, so the ratio collapses to vol^{1/p_c - 1/2}."""
     f = np.ones(s2_free_24.basis.grid.size)
-    ratio = dynamics.strichartz_ratio(s2_free_24, f)
+    ratio = dynamics.strichartz_ratio(dynamics.WaveSolution.from_data(s2_free_24, f))
     pc = estimators.p_critical(2)
     vol = geometry.sphere_volume(2)
     assert ratio == pytest.approx(vol ** (1 / pc - 0.5), rel=1e-10)
@@ -144,7 +146,76 @@ def test_strichartz_blocks_match_per_node_sweep(name, request):
     denom = (np.sqrt(np.sum((1.0 + freq) * sol.c0 ** 2))
              + np.sqrt(np.sum(sol.c1 ** 2 / (1.0 + freq))))
     expected = acc ** (1.0 / pc) / denom
-    assert dynamics.strichartz_ratio(decomp, f0, f1) == pytest.approx(expected, rel=1e-12)
+    assert dynamics.strichartz_ratio(sol) == pytest.approx(expected, rel=1e-12)
+
+
+def _square_function_per_piece(decomp, f, family):
+    """Reference: one project/synthesize pair per dyadic piece."""
+    c = decomp.project(f)
+    freq = decomp.frequencies
+    acc = np.zeros(decomp.basis.grid.size)
+    for beta in family:
+        acc += decomp.synthesize(np.asarray(beta(freq)) * c) ** 2
+    return np.sqrt(acc)
+
+
+@pytest.mark.parametrize("name", ["s2_free_72", "s2_kato_72"])
+@pytest.mark.parametrize("custom", [False, True])
+def test_square_function_matches_per_piece_reference(name, custom, request, monkeypatch):
+    """All pieces come from one GEMM on node_values(), with no synthesize
+    call, and equal the per-piece path."""
+    decomp = request.getfixturevalue(name)
+    psi = operator_core.lp_psi
+    family = ([lambda fr: psi(fr / 4.0), lambda fr: psi(fr / 16.0) - psi(fr / 4.0),
+               lambda fr: 1.0 - psi(fr / 16.0)] if custom
+              else dynamics.default_lp_family(float(decomp.frequencies[-1])))
+    f = np.exp(np.cos(decomp.basis.grid.nodes)) + decomp.node_values()[:, 30]
+    expected = _square_function_per_piece(decomp, f, family)
+    synth = []
+    original = operator_core.SpectralDecomposition.synthesize
+    monkeypatch.setattr(operator_core.SpectralDecomposition, "synthesize",
+                        lambda self, c: synth.append(1) or original(self, c))
+    sf = dynamics.square_function(decomp, f, family=family)
+    assert not synth
+    assert np.max(np.abs(sf - expected)) <= 1e-12 * np.max(expected)
+
+
+@pytest.mark.parametrize("name", ["s2_free_72", "s2_kato_72"])
+def test_strichartz_report_matches_grid_data(name, request):
+    """Ladder data built as eigen-coefficients (swept on their support only)
+    gives the ratios of the same data projected from grid values."""
+    decomp = request.getfixturevalue(name)
+    U = decomp.node_values()
+    freq = decomp.frequencies
+    report = dynamics.strichartz_report(decomp, ks=(4, 8, 16, 32))
+    for k, ratio in report.rows:
+        idx = np.nonzero((freq > k / 2.0) & (freq <= k + 0.75))[0]
+        idx = idx[idx > 0]
+        sol = dynamics.WaveSolution.from_data(decomp, U[:, idx].sum(axis=1))
+        assert ratio == pytest.approx(dynamics.strichartz_ratio(sol), rel=1e-12)
+
+
+def test_spectral_battery_evaluates_the_poles_once(monkeypatch):
+    """The eight probes of the spectral battery read the pole values of a
+    fresh K = 72 basis from one evaluation; the only other evaluation is the
+    Weyl point."""
+    basis = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_ZONAL, 2), 72)
+    decomp = operator_core.solve(None, basis)
+    points = []
+    original = geometry.ZonalSphereBasis.evaluate
+    monkeypatch.setattr(geometry.ZonalSphereBasis, "evaluate",
+                        lambda self, p: points.append(list(np.atleast_1d(p)))
+                        or original(self, p))
+    lams = [8.0, 12.0, 20.0, 32.0, 50.0]
+    estimators.projector_growth_report(decomp, math.inf, lams)
+    estimators.projector_growth_report(decomp, 6.0, lams)
+    dynamics.heat_report(decomp, (0.01, 0.016, 0.025, 0.04, 0.063, 0.1))
+    dynamics.br_norm_probe(decomp, 1.0, [8.0, 16.0, 32.0, 64.0])
+    dynamics.strichartz_report(decomp, ks=(4, 8, 16, 32))
+    dynamics.band_bound_report(decomp, ks=(4, 8, 16, 32, 64))
+    dynamics.norm_equivalence_probe(decomp)
+    estimators.local_weyl_report(decomp, 0.0, lams)
+    assert points == [[0.0, math.pi], [0.0]]
 
 
 def test_norm_equivalence_one_square_function_per_test_function(s2_free_72, monkeypatch):

@@ -112,13 +112,13 @@ def test_projector_growth_report_rejects_p_below_2(s2_free_24):
 
 
 def test_local_weyl_constant_mode(s2_free_24):
-    val = estimators.local_weyl(s2_free_24, 0.7, 0.5)
+    [val] = estimators.local_weyl(s2_free_24, 0.7, [0.5])
     assert val == pytest.approx(1.0 / (4 * math.pi), rel=1e-12)
 
 
 def test_local_weyl_truncation_guard(s2_free_24):
     with pytest.raises(ResolutionError):
-        estimators.local_weyl(s2_free_24, 0.0, 1e6)
+        estimators.local_weyl(s2_free_24, 0.0, [1e6])
 
 
 def test_harmonic_dimension_counts():

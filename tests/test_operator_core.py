@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlab import geometry, operator_core, potentials
 from qlab.errors import DomainError, NumericError
@@ -21,6 +23,25 @@ def test_eigensolver_matches_numpy_oracle():
     # eigenvector residuals
     R = A @ decomp.eigenvectors - decomp.eigenvectors * decomp.eigenvalues
     assert np.max(np.abs(R)) < 1e-11
+
+
+@given(size=st.integers(min_value=1, max_value=40),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       integer=st.booleans(), log_scale=st.integers(min_value=-6, max_value=6))
+@settings(max_examples=60, deadline=None)
+def test_diagonalize_contract_on_random_symmetric(size, seed, integer, log_scale):
+    """Sort, sign, residual and orthogonality on random symmetric matrices;
+    small integer entries give repeated eigenvalues."""
+    rng = np.random.default_rng(seed)
+    B = (rng.integers(-2, 3, (size, size)) if integer
+         else rng.standard_normal((size, size))) * 10.0 ** log_scale
+    A = (B + B.T) / 2
+    decomp = operator_core.diagonalize(A)
+    mu, V = decomp.eigenvalues, decomp.eigenvectors
+    assert np.all(np.diff(mu) >= 0.0)
+    assert np.all(V[np.argmax(np.abs(V), axis=0), np.arange(size)] > 0.0)
+    assert np.linalg.norm(A @ V - V * mu, 2) <= 1e-12 * np.linalg.norm(A, 2)
+    assert np.linalg.norm(V.T @ V - np.eye(size), 2) <= 1e-12
 
 
 def test_eigensolver_bit_deterministic():
