@@ -215,6 +215,12 @@ def validate(experiment: str, cfg: dict) -> list:
             out.append("eps must lie in (0, 1/2)")
     if experiment == "projector-norms" and cfg["p"] < 2:
         out.append("p must lie in [2, inf] for projector norms")
+    elif experiment == "projector-norms" and cfg["manifold"] == geometry.SPHERE_ZONAL:
+        from .estimators import p_critical
+        if cfg["n"] >= 2 and 2 < cfg["p"] < p_critical(cfg["n"]):
+            out.append(f"p = {cfg['p']:g} lies below p_c = {p_critical(cfg['n']):g}: "
+                       "zonal functions cannot reach the p < p_c regime of sigma(p); "
+                       "use p = 2 or p >= p_c")
     if experiment == "wave-speed" and abs(cfg["t"]) > math.pi / 2:
         out.append("time t must satisfy |t| <= pi/2")
     if experiment == "resolvent-probe":
@@ -376,15 +382,14 @@ def _run_bochner_riesz(cfg):
 
 
 def _run_square_function(cfg):
+    import numpy as np
     from . import dynamics, estimators, geometry
     decomp = _solve(cfg)
     grid = decomp.basis.grid
-    rows = []
-    for label, f in dynamics.test_battery(decomp, cfg["preset"], seed=cfg["seed"]):
-        sf = dynamics.square_function(decomp, f)
-        ratio = float(geometry.lp_norm(grid, sf, 2.0)
-                      / geometry.lp_norm(grid, f, 2.0))
-        rows.append([label, ratio])
+    battery = dynamics.test_battery(decomp, cfg["preset"], seed=cfg["seed"])
+    sfs = dynamics.square_function(decomp, np.column_stack([f for _, f in battery]))
+    rows = [[label, float(geometry.lp_norm(grid, sf, 2.0) / geometry.lp_norm(grid, f, 2.0))]
+            for (label, f), sf in zip(battery, sfs.T)]
     ratios = [r[1] for r in rows]
     ok = cfg["band_lo"] <= min(ratios) and max(ratios) <= cfg["band_hi"]
     return estimators.ExperimentReport(

@@ -231,7 +231,9 @@ _PARTITION_TOL = 1e-8  # allowed deviation of sum_j beta_j from 1 on the spectru
 
 def square_function(decomp: operator_core.SpectralDecomposition, f: np.ndarray,
                     family=None) -> np.ndarray:
-    """Sf = (sum_j |beta_j(sqrt(H_V)) f|^2)^{1/2} on the grid."""
+    """Sf = (sum_j |beta_j(sqrt(H_V)) f|^2)^{1/2} on the grid, for one grid
+    function or a column stack of them (one Sf column each).  The symbols and
+    their partition check are built once per call."""
     freq = decomp.frequencies
     if family is None:
         family = default_lp_family(float(freq[-1]))
@@ -241,9 +243,13 @@ def square_function(decomp: operator_core.SpectralDecomposition, f: np.ndarray,
     if float(np.max(np.abs(total - 1.0))) > _PARTITION_TOL:
         raise ConfigError("beta family is not a partition of unity on the "
                           f"spectrum (max deviation {np.max(np.abs(total - 1.0)):.2e})")
-    c = decomp.project(np.asarray(f, dtype=float))
-    pieces = decomp.node_values() @ (symbols * c[:, None])
-    return np.sqrt(np.sum(pieces ** 2, axis=1))
+    U = decomp.node_values()
+    F = np.asarray(f, dtype=float)
+    out = []
+    for g in (F.T if F.ndim == 2 else [F]):
+        pieces = U @ (symbols * decomp.project(g)[:, None])
+        out.append(np.sqrt(np.sum(pieces ** 2, axis=1)))
+    return np.column_stack(out) if F.ndim == 2 else out[0]
 
 
 _PRESETS = ("zonal-ladder", "point-concentrated", "random-band")
@@ -291,8 +297,9 @@ def norm_equivalence_probe(decomp: operator_core.SpectralDecomposition,
                            rs=(4 / 3, 2.0, 4.0)) -> estimators.ExperimentReport:
     """min/max of ||Sf||_r / ||f||_r over all three batteries, per r."""
     grid = decomp.basis.grid
-    battery = [(label, f, square_function(decomp, f))
-               for preset in _PRESETS for label, f in test_battery(decomp, preset)]
+    pairs = [pair for preset in _PRESETS for pair in test_battery(decomp, preset)]
+    sfs = square_function(decomp, np.column_stack([f for _, f in pairs]))
+    battery = [(label, f, sf) for (label, f), sf in zip(pairs, sfs.T)]
     rows = []
     summary = {}
     for r in rs:

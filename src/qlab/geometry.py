@@ -206,6 +206,11 @@ def _pole_capped_grid(n: int, bulk_panels: int, s_hi: float,
     phi_seg = np.exp(-sp)
     # d(phi) = -exp(-s) ds; volume element sin^{n-1}(phi) * vol(S^{n-1})
     w_seg = swp * phi_seg * np.sin(phi_seg) ** (n - 1) * surf
+    # from s ~ 256 on (pole level 8, n >= 3) the weight underflows to 0;
+    # drop those nodes, whose share of the integral is below the underflow
+    # threshold
+    live = w_seg > 0.0
+    phi_seg, w_seg = phi_seg[live], w_seg[live]
     # the mirrored cap pi - exp(-s) is not representable in double
     # precision beyond s ~ 35; drop those (negligible-weight) nodes
     mirror = phi_seg > 4e-15

@@ -86,8 +86,9 @@ def _refined_copy(basis: geometry.Basis) -> geometry.Basis:
         fine = geometry.zonal_grid(m.n, 2 * grid.size, pole_levels=levels)
         return geometry.ZonalSphereBasis(m.n, basis.K, fine)
     if m.kind == geometry.SPHERE_FULL_2D:
-        nphi = int(round(math.sqrt(grid.size / 2)))
-        fine = geometry.full_sphere_grid(2 * nphi + 1)
+        nphi = np.unique(grid.nodes[:, 0]).size
+        ntheta = np.unique(grid.nodes[:, 1]).size
+        fine = geometry.full_sphere_grid(2 * nphi + 1, 2 * ntheta + 2)
         return geometry.FullSphereBasis(basis.K, fine)
     per_dim = int(round(grid.size ** (1.0 / m.n)))
     fine = geometry.torus_grid(m.n, 2 * per_dim)

@@ -17,6 +17,7 @@ not vanish as the ball radius shrinks.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -217,16 +218,14 @@ _KATO_DEPTH = 30.0  # grading depth of the outer polar-angle rule
 _KATO_PER_UNIT = 0.5  # panels per unit of grading depth, doubled for the refinement
 
 
-def _ball_integral(V: Potential, n: int, center: float, r: float,
-                   per_unit: float) -> float:
-    """Integral of h_n(d(x,y)) |V(y)| over the geodesic ball B_r(x) on S^n.
-
-    Sliced along the polar angle phi (V is zonal): the outer phi grid is
-    graded toward the sphere poles (poles of V) and toward the ball center
-    (peak of h); the inner bearing integral uses the haversine form of the
-    geodesic distance, which stays accurate when y is close to x.  Both
-    rules use ``per_unit`` panels per unit of grading depth.
-    """
+@functools.lru_cache(maxsize=128)
+def _polar_rule(center: float, r: float, per_unit: float) -> tuple[np.ndarray, np.ndarray]:
+    """Outer polar-angle rule of the ball B_r(center): the phi range of the
+    ball, split at the center and at each half's midpoint, each piece
+    log-graded toward the sphere poles (poles of V) and toward the ball
+    center (peak of h).  Nodes that round onto a pole are dropped.  Cached,
+    with read-only arrays, so a center's bound and its integral share one
+    rule."""
     lo, hi = max(0.0, center - r), min(math.pi, center + r)
     pts = sorted({lo, center, hi})
     phis, wphis = [], []
@@ -241,6 +240,23 @@ def _ball_integral(V: Potential, n: int, center: float, r: float,
     # deepest graded nodes at the pi pole can round onto the pole itself
     keep = (phi > 0.0) & (phi < math.pi)
     phi, w_phi = phi[keep], w_phi[keep]
+    phi.flags.writeable = False
+    w_phi.flags.writeable = False
+    return phi, w_phi
+
+
+def _ball_integral(V: Potential, n: int, center: float, r: float,
+                   per_unit: float) -> float:
+    """Integral of h_n(d(x,y)) |V(y)| over the geodesic ball B_r(x) on S^n.
+
+    Sliced along the polar angle phi (V is zonal) on ``_polar_rule``; the
+    inner bearing integral uses the haversine form of the geodesic
+    distance, which stays accurate when y is close to x.  Both rules use
+    ``per_unit`` panels per unit of grading depth.  Every coefficient of
+    the rule is >= 0, so the value is at most max |V| over the polar nodes
+    times the same rule applied to V = 1.
+    """
+    phi, w_phi = _polar_rule(center, r, per_unit)
     if phi.size == 0:
         return 0.0
     tau, w_tau = _graded_half(0.0, 1.0, True, 25.0, per_unit)
@@ -263,21 +279,42 @@ def _ball_integral(V: Potential, n: int, center: float, r: float,
     return float(np.sum(w_phi * vabs * np.sin(phi) ** (n - 1) * surf * inner))
 
 
+_KATO_BOUND_MARGIN = 1.5  # safety factor on the per-center bound (its spread is 0.63%)
+_UNIT = constant(1.0)
+
+
 def kato_modulus(V: Potential, r: float, n: int) -> tuple[float, bool]:
     """(sup_x of the h_n-weighted integral of |V| over geodesic r-balls,
     converged flag).
 
     The sup runs over the annotated singular points plus 64 evenly spaced
-    candidate centers in [0.02, pi - 0.02].  Raises on r outside (0, pi/2);
-    the flag is false when one refinement of the ball quadrature moves the
-    value by more than 5%.
+    candidate centers in [0.02, pi - 0.02].  Only centers that can still
+    win are integrated: a center's value is at most its bound, max |V| over
+    its polar nodes times the ball integral of V = 1 (one reference call at
+    phi = pi/2, since that integral depends on r alone up to quadrature
+    error).  Centers are visited in descending order of bound, and the
+    sweep stops once ``_KATO_BOUND_MARGIN`` times the bound falls below the
+    best value so far; a non-finite bound is always integrated.  Whenever
+    the bound holds, value, argmax and flag equal the exhaustive sweep's
+    bit for bit.  Raises on r outside (0, pi/2); the flag is false when one
+    refinement of the ball quadrature at the argmax moves the value by more
+    than 5%.
     """
     if not 0.0 < r < INJECTIVITY_SCALE:
         raise DomainError(f"radius must lie in (0, {INJECTIVITY_SCALE:.4f}), got {r}")
     coarse = np.linspace(0.02, math.pi - 0.02, 64)
     sing = list(V.singularities)
     centers = np.concatenate([np.asarray(sing, dtype=float), coarse]) if sing else coarse
-    vals = np.array([_ball_integral(V, n, a, r, _KATO_PER_UNIT) for a in centers])
+    reference = _ball_integral(_UNIT, n, 0.5 * math.pi, r, _KATO_PER_UNIT)
+    vmax = [float(np.max(np.abs(V(_polar_rule(a, r, _KATO_PER_UNIT)[0])), initial=0.0))
+            for a in centers]
+    bounds = np.array([reference * v for v in vmax])  # python floats: no overflow warning
+    bounds[~np.isfinite(bounds)] = np.inf
+    vals = np.full(centers.size, -np.inf)  # skipped centers cannot win
+    for i in np.argsort(-bounds, kind="stable"):
+        if _KATO_BOUND_MARGIN * bounds[i] < np.max(vals):
+            break
+        vals[i] = _ball_integral(V, n, centers[i], r, _KATO_PER_UNIT)
     best = float(np.max(vals))
     a_best = float(centers[int(np.argmax(vals))])
     refined = _ball_integral(V, n, a_best, r, 2 * _KATO_PER_UNIT)

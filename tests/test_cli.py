@@ -87,6 +87,8 @@ _BAD_VALUES = [
     ("spectrum", "manifold = sphere-full-2d\nn = 3",
      "key 'manifold': sphere-full-2d requires n = 2"),
     ("projector-norms", "p = 1", "p must lie in [2, inf] for projector norms"),
+    ("projector-norms", "n = 3\np = 3.5",
+     "zonal functions cannot reach the p < p_c regime of sigma(p)"),
 ]
 
 
@@ -98,6 +100,18 @@ def test_validate_rejects_unparseable_optional_key(tmp_path, capsys):
         out = capsys.readouterr().out
         assert rc == 1, experiment
         assert expected in out, out
+
+
+def test_validate_projector_norms_zonal_p_range():
+    """On the zonal sphere only 2 < p < p_c is rejected; p = 2, p = p_c and
+    any p on the full S^2 pass."""
+    def diagnostics(**raw):
+        return cli.validate("projector-norms", cli.build_config("projector-norms", raw))
+
+    for n, p in (("2", "2"), ("2", "6"), ("3", "4"), ("3", "inf")):
+        assert diagnostics(n=n, p=p) == []
+    assert diagnostics(manifold="sphere-full-2d", p="4") == []
+    assert len(diagnostics(n="2", p="5.9")) == 1
 
 
 def test_empty_optional_key_is_unset():

@@ -180,6 +180,21 @@ def test_square_function_matches_per_piece_reference(name, custom, request, monk
     assert np.max(np.abs(sf - expected)) <= 1e-12 * np.max(expected)
 
 
+def test_square_function_column_stack(s2_kato_72):
+    """A column stack gives one Sf column per function, each equal bit for
+    bit to the single-function call, with each symbol evaluated once."""
+    U = s2_kato_72.node_values()
+    F = np.column_stack([U[:, 5], U[:, 12] + U[:, 40], np.cos(s2_kato_72.basis.grid.nodes)])
+    calls = []
+    family = [(lambda fr, beta=beta: calls.append(1) or beta(fr))
+              for beta in dynamics.default_lp_family(float(s2_kato_72.frequencies[-1]))]
+    sfs = dynamics.square_function(s2_kato_72, F, family=family)
+    assert len(calls) == len(family)
+    assert sfs.shape == F.shape
+    for j in range(F.shape[1]):
+        assert np.array_equal(sfs[:, j], dynamics.square_function(s2_kato_72, F[:, j]))
+
+
 @pytest.mark.parametrize("name", ["s2_free_72", "s2_kato_72"])
 def test_strichartz_report_matches_grid_data(name, request):
     """Ladder data built as eigen-coefficients (swept on their support only)
@@ -219,17 +234,19 @@ def test_spectral_battery_evaluates_the_poles_once(monkeypatch):
 
 
 def test_norm_equivalence_one_square_function_per_test_function(s2_free_72, monkeypatch):
+    """One square_function call for the whole battery, with one column per
+    test function, so the symbols and their check are built once."""
     calls = []
     original = dynamics.square_function
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(decomp, f, *args, **kwargs):
+        calls.append(np.shape(f))
+        return original(decomp, f, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "square_function", counting)
     rs = (4 / 3, 2.0, 4.0)
     report = dynamics.norm_equivalence_probe(s2_free_72, rs=rs)
-    assert len(calls) == len(report.rows) / len(rs)
+    assert calls == [(s2_free_72.basis.grid.size, len(report.rows) // len(rs))]
 
 
 def test_besov_check_identity_symbol():

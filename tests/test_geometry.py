@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -138,6 +139,37 @@ def test_zonal_grid_pole_refinement_volume():
     assert float(np.sum(grid.weights)) == pytest.approx(
         geometry.sphere_volume(3), rel=1e-12)
     assert np.all(grid.nodes > 0) and np.all(grid.nodes < math.pi)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("levels", [7, 8])
+def test_zonal_grid_deep_pole_levels(n, levels):
+    """Level 8 grades the caps out to s = 256, where sin^{n-1}(e^{-s})
+    underflows for n >= 3; those nodes are dropped, and the grid still
+    integrates 1 to the sphere volume."""
+    grid = geometry.zonal_grid(n, 144, pole_levels=levels)
+    assert np.all(grid.weights > 0)
+    vol = geometry.sphere_volume(n)
+    assert abs(float(np.sum(grid.weights)) - vol) <= 1e-13 * vol
+
+
+def test_pole_capped_grids_up_to_level_7_unchanged():
+    """SHA-256 over nodes and weights of the pole-capped grids with caps up
+    to s = 128 (zonal_grid levels 2..7, the potential_lq_norm rules), as
+    built before underflowed cap nodes were dropped."""
+    h = hashlib.sha256()
+    for n in range(2, 6):
+        for levels in range(2, 8):
+            for size in (16, 144, 1040):
+                grid = geometry.zonal_grid(n, size, pole_levels=levels)
+                h.update(grid.nodes.tobytes())
+                h.update(grid.weights.tobytes())
+        for step in range(3):
+            per_unit = 2 * 4 ** step
+            grid = geometry._pole_capped_grid(n, 8 * per_unit, 40.0 + 8.0 * step, per_unit)
+            h.update(grid.nodes.tobytes())
+            h.update(grid.weights.tobytes())
+    assert h.hexdigest() == "436520bb80ef6565ea8f0fdba45a3f7833e85c8a2b6e434607a00eb62e3630fe"
 
 
 def test_torus_and_full_sphere_volumes():

@@ -163,6 +163,22 @@ def test_assembly_refinement_check_passes_smooth():
     assert np.allclose(A, A.T, atol=0)
 
 
+@pytest.mark.parametrize("size_phi,size_theta", [(20, 30), (12, None)])
+def test_full_sphere_refined_copy_reads_both_counts(size_phi, size_theta):
+    """The refined full-S^2 grid has 2 nphi + 1 polar and 2 ntheta + 2
+    azimuthal nodes, read from the grid itself; a default-shaped grid
+    refines to full_sphere_grid(2 nphi + 1), node for node."""
+    grid = geometry.full_sphere_grid(size_phi, size_theta)
+    fine = operator_core._refined_copy(geometry.FullSphereBasis(6, grid)).grid
+    ntheta = size_theta or 2 * size_phi
+    assert np.unique(fine.nodes[:, 0]).size == 2 * size_phi + 1
+    assert np.unique(fine.nodes[:, 1]).size == 2 * ntheta + 2
+    if size_theta is None:
+        expected = geometry.full_sphere_grid(2 * size_phi + 1)
+        assert np.array_equal(fine.nodes, expected.nodes)
+        assert np.array_equal(fine.weights, expected.weights)
+
+
 def test_potential_on_torus_rejected():
     manifold = geometry.ModelManifold(geometry.TORUS, 2)
     basis = geometry.build_basis(manifold, 3)

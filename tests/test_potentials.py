@@ -63,6 +63,44 @@ def test_kato_modulus_flat_ball_oracle(n, r):
     assert got == pytest.approx(oracle, rel=5 * r ** 2 + 1e-6)
 
 
+def _exhaustive_kato_modulus(V, r, n):
+    """Reference: every candidate center integrated, then one refinement at
+    the argmax."""
+    coarse = np.linspace(0.02, math.pi - 0.02, 64)
+    centers = np.concatenate([np.asarray(V.singularities, dtype=float), coarse])
+    vals = np.array([potentials._ball_integral(V, n, a, r, 0.5) for a in centers])
+    best = float(np.max(vals))
+    refined = potentials._ball_integral(V, n, float(centers[int(np.argmax(vals))]), r, 1.0)
+    converged = abs(refined - best) <= 0.05 * max(abs(refined), 1e-300)
+    return max(best, refined), converged
+
+
+@pytest.mark.parametrize("name", ["counterexample", "truncated", "constant", "expression"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kato_modulus_pruning_matches_exhaustive_sweep(name, n):
+    """Integrating only the centers whose bound can still win gives the
+    exhaustive sweep's modulus and flag bit for bit."""
+    V = {"counterexample": lambda: potentials.counterexample(n),
+         "truncated": lambda: potentials.truncated_counterexample(n),
+         "constant": lambda: potentials.constant(-2.0),
+         "expression": lambda: potentials.from_expression("1/sin(phi) + cos(3*phi)")}[name]()
+    for r in (0.1, 0.01, 0.001):
+        assert potentials.kato_modulus(V, r, n) == _exhaustive_kato_modulus(V, r, n)
+
+
+def test_kato_report_integrates_few_balls(monkeypatch):
+    """counterexample(3) needs at most 24 ball integrals over its three
+    radii (201 for the exhaustive sweep): per radius one V = 1 reference,
+    the few centers near the poles and one refinement."""
+    calls = []
+    original = potentials._ball_integral
+    monkeypatch.setattr(potentials, "_ball_integral",
+                        lambda *args: calls.append(1) or original(*args))
+    rep = potentials.kato_report(potentials.counterexample(3), 3)
+    assert rep.verdict == potentials.NOT_IN_KATO
+    assert len(calls) <= 24
+
+
 def test_kato_report_counterexample_not_in_kato():
     rep = potentials.kato_report(potentials.counterexample(3), 3)
     assert rep.verdict == potentials.NOT_IN_KATO
