@@ -272,9 +272,8 @@ def _resolve_potential(text: str, n: int):
 def _solve(cfg: dict):
     from . import geometry, operator_core
     manifold = geometry.ModelManifold(cfg["manifold"], cfg["n"])
-    basis = geometry.build_basis(manifold, cfg["K"])
     V = _resolve_potential(cfg["potential"], cfg["n"])
-    return operator_core.solve(V, basis, shift=cfg["shift"])
+    return operator_core.solve(V, manifold, cfg["K"], shift=cfg["shift"])
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +313,7 @@ def _run_counterexample(cfg):
     from . import estimators, geometry, potentials
     n = cfg["n"]
     V = potentials.counterexample(n)
-    grid = geometry.zonal_grid(n, 2 * cfg["K"] + 16, pole_levels=6)
+    grid = geometry.zonal_grid(n, 2 * cfg["K"] + 16, pole_levels=geometry.SINGULAR_POLE_LEVELS)
     phi = grid.nodes
     f = potentials.counterexample_eigenfunction(n, phi)
     lap = potentials.counterexample_eigenfunction_laplacian(n, phi)

@@ -138,10 +138,8 @@ def cone_leakage_trend(n: int, t: float, Ks, V=None,
     same mollified propagator and the leakage trend is a genuine truncation
     convergence (rescaling the mollifier with K would be scale invariant)."""
     Ks = sorted(int(K) for K in Ks)
-    decomps = {}
-    for K in Ks:
-        basis = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_ZONAL, n), K)
-        decomps[K] = operator_core.solve(V, basis)
+    manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, n)
+    decomps = {K: operator_core.solve(V, manifold, K) for K in Ks}
     if cutoff is None:
         cutoff = float(decomps[Ks[-1]].frequencies[-1]) / 4.0
     rows = [[K, cone_leakage(decomps[K], t, cutoff=cutoff)] for K in Ks]

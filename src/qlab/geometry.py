@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,13 +66,14 @@ class QuadratureGrid:
 
     ``nodes`` has shape (N,) for zonal grids (polar angles ``phi``) and
     (N, d) for product grids (``(phi, theta)`` on S^2, angles on a torus).
-    ``weights`` sum to the manifold volume.
+    ``weights`` sum to the manifold volume.  ``pole_levels`` is the cap depth
+    a zonal grid was built with (0: no pole caps).
     """
 
     manifold: ModelManifold
     nodes: np.ndarray
     weights: np.ndarray
-    pole_refined: bool = False
+    pole_levels: int = 0
 
     def __post_init__(self):
         if self.nodes.shape[0] != self.weights.shape[0]:
@@ -183,8 +184,11 @@ def zonal_grid(n: int, size: int, pole_levels: int = 0) -> QuadratureGrid:
         phi = np.arccos(x)[::-1]
         weights = (w * sphere_volume(n - 1))[::-1].copy()
         return QuadratureGrid(ModelManifold(SPHERE_ZONAL, n), phi, weights)
-    return _pole_capped_grid(n, max(8, size // 8), float(2 ** pole_levels), 1)
+    grid = _pole_capped_grid(n, max(8, size // 8), float(2 ** pole_levels), 1)
+    return replace(grid, pole_levels=pole_levels)
 
+
+SINGULAR_POLE_LEVELS = 6  # cap depth of the grid that solves a V with poles
 
 _CAP_CUT = 0.1  # polar angle where the log-graded caps meet the bulk
 
@@ -217,8 +221,7 @@ def _pole_capped_grid(n: int, bulk_panels: int, s_hi: float,
     phi = np.concatenate([phi_seg, phi_b, np.pi - phi_seg[mirror]])
     weights = np.concatenate([w_seg, w_b, w_seg[mirror]])
     order = np.argsort(phi)
-    return QuadratureGrid(ModelManifold(SPHERE_ZONAL, n), phi[order], weights[order],
-                          pole_refined=True)
+    return QuadratureGrid(ModelManifold(SPHERE_ZONAL, n), phi[order], weights[order])
 
 
 @functools.lru_cache(maxsize=None)

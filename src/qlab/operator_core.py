@@ -53,11 +53,9 @@ def assemble(V: Potential | None, basis: geometry.Basis, shift: int = 0,
 
     ``check=True`` reassembles the potential block on a refined grid and
     raises, naming the worst entry, when any coefficient moves by more than
-    1% (``_CHECK_TOL``) of the matrix scale.  Singular potentials should be
-    assembled on pole-refined (graded) grids; the check catches a grid whose
-    bulk cannot resolve V.  On a pole-refined grid only the bulk is refined
-    (130 -> 446 panels at K = 512): the caps are rebuilt at pole level 6, node
-    for node those of a level-6 grid, so the check never tests the cap rule.
+    1% (``_CHECK_TOL``) of the matrix scale; otherwise it returns the refined
+    matrix.  A pole-capped zonal grid keeps its caps (its ``pole_levels``) node
+    for node and refines only the bulk, so the check never tests the cap rule.
     """
     pot = potential_matrix(V, basis)
     if check and V is not None:
@@ -82,8 +80,7 @@ def _refined_copy(basis: geometry.Basis) -> geometry.Basis:
     grid = basis.grid
     m = grid.manifold
     if m.kind == geometry.SPHERE_ZONAL:
-        levels = 6 if grid.pole_refined else 0
-        fine = geometry.zonal_grid(m.n, 2 * grid.size, pole_levels=levels)
+        fine = geometry.zonal_grid(m.n, 2 * grid.size, pole_levels=grid.pole_levels)
         return geometry.ZonalSphereBasis(m.n, basis.K, fine)
     if m.kind == geometry.SPHERE_FULL_2D:
         nphi = np.unique(grid.nodes[:, 0]).size
@@ -187,23 +184,26 @@ def _positivity_shift(mu: np.ndarray) -> int:
     return max(0, int(math.ceil(1.0 - float(mu[0]) - slack)))
 
 
-def solve(V: Potential | None, basis: geometry.Basis, shift: int | str = 0,
-          check: bool = False) -> SpectralDecomposition:
-    """Assemble and diagonalize H_V (+ shift) in one step.
-
-    ``shift='auto'`` picks the smallest integer N >= 0 making the lowest
-    Galerkin eigenvalue of H_{V+N} at least 1, up to round-off.
+def solve(V: Potential | None, manifold: geometry.ModelManifold, K: int,
+          shift: int | str = 0) -> SpectralDecomposition:
+    """Assemble and diagonalize H_V (+ shift) truncated at K, on a grid chosen
+    for V: the pole-capped grid of depth ``geometry.SINGULAR_POLE_LEVELS`` when
+    V has annotated singularities (``V.singular``), else the default grid.
+    Every V other than None is assembled with ``check=True``, so a grid that
+    cannot resolve V raises NumericError.  ``shift='auto'`` picks the smallest
+    integer N >= 0 making the lowest Galerkin eigenvalue of H_{V+N} at least
+    1, up to round-off.
     """
-    if shift == "auto":
-        base = diagonalize(assemble(V, basis, shift=0, check=check), basis, 0)
-        n_shift = _positivity_shift(base.eigenvalues)
-        if n_shift == 0:
-            return base
-        return SpectralDecomposition(eigenvalues=base.eigenvalues + n_shift,
-                                     eigenvectors=base.eigenvectors,
-                                     basis=basis, shift=n_shift)
-    matrix = assemble(V, basis, shift=int(shift), check=check)
-    return diagonalize(matrix, basis, int(shift))
+    levels = geometry.SINGULAR_POLE_LEVELS if V is not None and V.singular else 0
+    basis = geometry.build_basis(manifold, K,
+                                 geometry.default_grid(manifold, K, pole_levels=levels))
+    fixed = 0 if shift == "auto" else int(shift)
+    decomp = diagonalize(assemble(V, basis, shift=fixed, check=True), basis, fixed)
+    n_shift = _positivity_shift(decomp.eigenvalues) if shift == "auto" else 0
+    if n_shift == 0:
+        return decomp
+    return SpectralDecomposition(eigenvalues=decomp.eigenvalues + n_shift,
+                                 eigenvectors=decomp.eigenvectors, basis=basis, shift=n_shift)
 
 
 def multiplier(decomp: SpectralDecomposition, fn: Callable[[np.ndarray], np.ndarray],

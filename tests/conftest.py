@@ -4,9 +4,7 @@ from qlab import geometry, operator_core, potentials
 
 
 def _zonal_decomp(n, K, V=None):
-    manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, n)
-    basis = geometry.build_basis(manifold, K)
-    return operator_core.solve(V, basis)
+    return operator_core.solve(V, geometry.ModelManifold(geometry.SPHERE_ZONAL, n), K)
 
 
 @pytest.fixture(scope="session")

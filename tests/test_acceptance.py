@@ -27,7 +27,7 @@ def _report(idx, label, ok):
 @pytest.fixture(scope="module")
 def s2_free_512():
     manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 2)
-    return operator_core.solve(None, geometry.build_basis(manifold, 512))
+    return operator_core.solve(None, manifold, 512)
 
 
 def test_criterion_1_exponent_algebra():
@@ -106,7 +106,7 @@ def test_criterion_6_strichartz(s2_free_40, s2_kato_40):
 
 def test_criterion_7_heat_smoothing():
     manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 2)
-    decomp = operator_core.solve(None, geometry.build_basis(manifold, 128))
+    decomp = operator_core.solve(None, manifold, 128)
     ts = (0.01, 0.016, 0.025, 0.04, 0.063, 0.1)
     rep = dynamics.heat_report(decomp, ts)
     ok = abs(rep.summary["slope"] + 1.0) <= 0.1

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qlab import cli
 
@@ -120,6 +122,58 @@ def test_empty_optional_key_is_unset():
     assert cli.build_config("resolvent-probe", {"grid_size": "40"})["grid_size"] == 40
 
 
+_INTS = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+_FLOATS = st.floats(allow_nan=False)
+# parser -> (strategy of typed values, their config text)
+_TYPED = {
+    cli._to_int: (_INTS, repr),
+    cli._to_float: (_FLOATS, repr),
+    cli._to_floats: (st.lists(_FLOATS, max_size=4).map(tuple),
+                     lambda v: ", ".join(map(repr, v))),
+    cli._to_ints: (st.lists(_INTS, max_size=4).map(tuple),
+                   lambda v: ",".join(map(repr, v))),
+    cli._to_shift: (st.one_of(st.just("auto"), _INTS), str),
+    cli._to_str: (st.text(min_size=1).map(str.strip), lambda v: f" {v} "),
+}
+
+
+def _typed_key(parser, default):
+    """(strategy, formatter) for one schema key; an optional key may be unset."""
+    if hasattr(parser, "choices"):
+        values, fmt = st.sampled_from(parser.choices), str
+    else:
+        values, fmt = _TYPED[parser]
+    if default is None:
+        return st.one_of(st.none(), values), lambda v: "" if v is None else fmt(v)
+    return values, fmt
+
+
+@pytest.mark.parametrize("experiment", sorted(cli.SCHEMAS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_build_config_typed_round_trip(experiment, data):
+    """Every key of every schema parses the text of a typed value back to that
+    value; keys left out keep their defaults."""
+    schema = cli.SCHEMAS[experiment]
+    typed = {key: _typed_key(*spec) for key, spec in schema.items()}
+    values = data.draw(st.fixed_dictionaries(
+        {}, optional={key: strategy for key, (strategy, _) in typed.items()}))
+    cfg = cli.build_config(experiment, {key: typed[key][1](v) for key, v in values.items()})
+    assert cfg.pop("experiment") == experiment
+    assert cfg == {key: values.get(key, default) for key, (_, default) in schema.items()}
+
+
+@settings(max_examples=50, deadline=None)
+@given(experiment=st.sampled_from(sorted(cli.SCHEMAS)),
+       key=st.text(alphabet="abcdefghijklmnopqrstuvwxyzK_", min_size=1, max_size=12),
+       value=st.text(max_size=8))
+def test_build_config_rejects_unknown_keys(experiment, key, value):
+    assume(key not in cli.SCHEMAS[experiment])
+    with pytest.raises(cli.CliError) as exc:
+        cli.build_config(experiment, {key: value})
+    assert exc.value.diagnostics == [f"unknown key {key!r} for experiment {experiment!r}"]
+
+
 def test_docs_key_lists_match_schemas():
     """Each experiment's `Keys:` line in docs/configuration.md names exactly
     its schema keys; "common" stands for the common keys."""
@@ -177,6 +231,37 @@ def test_counterexample_json_contents(tmp_path):
     assert payload["summary"]["residual_rel_max"] <= 1e-8
     assert payload["summary"]["kato_classification"] == "not-in-Kato"
     assert payload["summary"]["verdict"] == "pass"
+
+
+def test_spectrum_counterexample_on_pole_capped_grid(tmp_path):
+    """The critical potential is solved on the checked pole-capped grid; the
+    default grid would report mu_0 = 0.0629 at n = 3, K = 64."""
+    rc = cli.main(["spectrum", "--out", str(tmp_path), "--potential", "counterexample",
+                   "--n", "3", "--K", "64"])
+    assert rc == 0
+    rows = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)
+    assert rows[0, 1] == pytest.approx(0.023618, abs=1e-5)
+
+
+@pytest.mark.parametrize("args", [
+    ["--manifold", "sphere-full-2d", "--potential", "truncated-counterexample",
+     "--K", "16"],
+    ["--potential", "cos(phi)/sin(phi)", "--K", "48"],
+])
+def test_spectrum_unresolved_potential_stops(tmp_path, capsys, args):
+    """A grid that cannot resolve V stops the run with exit 1 and no CSV."""
+    assert cli.main(["spectrum", "--out", str(tmp_path)] + args) == 1
+    assert "potential assembly not converged" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
+def test_spectrum_constant_auto_shift(tmp_path):
+    rc = cli.main(["spectrum", "--out", str(tmp_path), "--potential", "constant:-5",
+                   "--shift", "auto", "--K", "8"])
+    assert rc == 0
+    payload = json.loads((tmp_path / "spectrum.json").read_text())
+    assert payload["summary"]["shift"] == 6
+    assert payload["summary"]["min_eigenvalue"] >= 1.0
 
 
 def test_repeat_runs_byte_identical(tmp_path):

@@ -214,8 +214,7 @@ def test_spectral_battery_evaluates_the_poles_once(monkeypatch):
     """The eight probes of the spectral battery read the pole values of a
     fresh K = 72 basis from one evaluation; the only other evaluation is the
     Weyl point."""
-    basis = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_ZONAL, 2), 72)
-    decomp = operator_core.solve(None, basis)
+    decomp = operator_core.solve(None, geometry.ModelManifold(geometry.SPHERE_ZONAL, 2), 72)
     points = []
     original = geometry.ZonalSphereBasis.evaluate
     monkeypatch.setattr(geometry.ZonalSphereBasis, "evaluate",

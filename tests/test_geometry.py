@@ -135,7 +135,7 @@ def test_zonal_grid_volume(n, size):
 
 def test_zonal_grid_pole_refinement_volume():
     grid = geometry.zonal_grid(3, 64, pole_levels=6)
-    assert grid.pole_refined
+    assert grid.pole_levels == 6
     assert float(np.sum(grid.weights)) == pytest.approx(
         geometry.sphere_volume(3), rel=1e-12)
     assert np.all(grid.nodes > 0) and np.all(grid.nodes < math.pi)

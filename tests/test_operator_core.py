@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,18 +83,16 @@ def test_positivity_shift_forgives_round_off():
 
 def test_free_zonal_s3_spectrum_exact():
     manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 3)
-    basis = geometry.build_basis(manifold, 64)
     ks = np.arange(65.0)
-    assert np.array_equal(operator_core.solve(None, basis).eigenvalues, ks * (ks + 2))
+    assert np.array_equal(operator_core.solve(None, manifold, 64).eigenvalues, ks * (ks + 2))
 
 
 def test_node_values_cached_read_only():
-    basis = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_ZONAL, 2), 24)
-    decomp = operator_core.solve(None, basis)
+    decomp = operator_core.solve(None, geometry.ModelManifold(geometry.SPHERE_ZONAL, 2), 24)
     first = decomp.node_values()
     assert decomp.node_values() is first
     assert not first.flags.writeable
-    assert np.array_equal(first, basis.values @ decomp.eigenvectors)
+    assert np.array_equal(first, decomp.basis.values @ decomp.eigenvectors)
 
 
 def test_free_sphere_spectrum(s2_free_24):
@@ -102,22 +102,18 @@ def test_free_sphere_spectrum(s2_free_24):
 
 def test_counterexample_zero_eigenvalue():
     """The singular potential has the explicit zero mode f: the lowest
-    Galerkin eigenvalue sits near 0 and decreases with truncation."""
+    Galerkin eigenvalue on the checked pole-capped grid sits near 0 and
+    roughly halves with each doubling of the truncation."""
     manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 3)
     V = potentials.counterexample(3)
-    lows = []
-    for K in (32, 128):
-        basis = geometry.build_basis(manifold, K)
-        decomp = operator_core.solve(V, basis)
-        lows.append(float(decomp.eigenvalues[0]))
-    assert lows[-1] <= 0.05
-    assert abs(lows[1]) <= abs(lows[0]) + 1e-9
+    lows = [float(operator_core.solve(V, manifold, K).eigenvalues[0]) for K in (32, 128)]
+    assert lows[0] == pytest.approx(0.0430, abs=1e-4)
+    assert lows[1] == pytest.approx(0.0126, abs=1e-4)
 
 
 def test_auto_shift(s2_free_24):
     manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 2)
-    basis = geometry.build_basis(manifold, 8)
-    decomp = operator_core.solve(potentials.constant(-5.0), basis, shift="auto")
+    decomp = operator_core.solve(potentials.constant(-5.0), manifold, 8, shift="auto")
     assert decomp.shift == 6
     assert decomp.eigenvalues[0] >= 1.0
 
@@ -161,6 +157,24 @@ def test_assembly_refinement_check_passes_smooth():
     A = operator_core.assemble(V, basis, check=True)
     assert A.shape == (13, 13)
     assert np.allclose(A, A.T, atol=0)
+
+
+@pytest.mark.parametrize("levels", [3, 6, 8])
+def test_zonal_refined_copy_keeps_cap_depth(levels):
+    """The refined copy of a pole-capped grid rebuilds both caps at the
+    grid's own depth, node for node, and doubles the bulk; at level 6 it is
+    the level-6 grid of twice the node count, as before."""
+    grid = geometry.zonal_grid(3, 2 * 64 + 16, pole_levels=levels)
+    fine = operator_core._refined_copy(geometry.ZonalSphereBasis(3, 64, grid)).grid
+    for cap in (lambda phi: phi < 0.1, lambda phi: phi > math.pi - 0.1):
+        assert np.array_equal(fine.nodes[cap(fine.nodes)], grid.nodes[cap(grid.nodes)])
+        assert np.array_equal(fine.weights[cap(fine.nodes)], grid.weights[cap(grid.nodes)])
+    bulk = (grid.nodes >= 0.1) & (grid.nodes <= math.pi - 0.1)
+    fine_bulk = (fine.nodes >= 0.1) & (fine.nodes <= math.pi - 0.1)
+    assert np.count_nonzero(fine_bulk) >= 2 * np.count_nonzero(bulk)
+    expected = geometry.zonal_grid(3, 2 * grid.size, pole_levels=levels)
+    assert np.array_equal(fine.nodes, expected.nodes)
+    assert np.array_equal(fine.weights, expected.weights)
 
 
 @pytest.mark.parametrize("size_phi,size_theta", [(20, 30), (12, None)])

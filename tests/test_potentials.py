@@ -144,6 +144,5 @@ def test_kato_modulus_domain_guard():
 
 def test_positivity_shift_zero_for_free():
     manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 2)
-    basis = geometry.build_basis(manifold, 8)
-    assert operator_core.solve(potentials.zero(), basis, shift="auto").shift == 1
-    assert operator_core.solve(potentials.constant(-5.0), basis, shift="auto").shift == 6
+    assert operator_core.solve(potentials.zero(), manifold, 8, shift="auto").shift == 1
+    assert operator_core.solve(potentials.constant(-5.0), manifold, 8, shift="auto").shift == 6
