@@ -136,7 +136,7 @@ SCHEMAS = {
                             "seed": (_to_int, 20240801)},
     "resolvent-probe": {"n": (_to_int, 3),
                         "lams": (_to_floats, (8.0, 11.0, 16.0, 22.0, 32.0)),
-                        "grid_size": (_to_int, None), "p": (_to_float, None),
+                        "grid_size": (_to_int, None),
                         "tol": (_to_float, 0.15), "seed": (_to_int, 20240801)},
 }
 
@@ -223,12 +223,8 @@ def validate(experiment: str, cfg: dict) -> list:
                        "use p = 2 or p >= p_c")
     if experiment == "wave-speed" and abs(cfg["t"]) > math.pi / 2:
         out.append("time t must satisfy |t| <= pi/2")
-    if experiment == "resolvent-probe":
-        n, p = cfg["n"], cfg["p"]
-        if n < 3:
-            out.append("dimension must be >= 3 for the uniform resolvent pair")
-        elif p is not None and abs(p - 2.0 * n / (n + 2.0)) > 1e-9:
-            out.append(f"p must equal 2n/(n+2) = {2.0 * n / (n + 2.0):.6f} for n = {n}")
+    if experiment == "resolvent-probe" and cfg["n"] < 3:
+        out.append("dimension must be >= 3 for the uniform resolvent pair")
     if spectral:
         try:
             geometry.ModelManifold(cfg["manifold"], cfg["n"])
@@ -496,8 +492,7 @@ def _run_divergent_quasimode(cfg):
 def _run_resolvent_probe(cfg):
     from . import estimators
     return estimators.uniform_resolvent_probe(cfg["n"], cfg["lams"],
-                                              grid_size=cfg["grid_size"], p=cfg["p"],
-                                              tol=cfg["tol"])
+                                              grid_size=cfg["grid_size"], tol=cfg["tol"])
 
 
 RUNNERS = {

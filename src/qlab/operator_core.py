@@ -47,9 +47,9 @@ def potential_matrix(V: Potential | None, basis: geometry.Basis) -> np.ndarray:
 _CHECK_TOL = 0.01  # largest entry move under refinement, relative to the matrix scale
 
 
-def assemble(V: Potential | None, basis: geometry.Basis, shift: int = 0,
+def assemble(V: Potential | None, basis: geometry.Basis,
              check: bool = False) -> np.ndarray:
-    """Galerkin matrix of -Delta_g + V + shift in the given basis.
+    """Galerkin matrix of -Delta_g + V in the given basis.
 
     ``check=True`` reassembles the potential block on a refined grid and
     raises, naming the worst entry, when any coefficient moves by more than
@@ -68,11 +68,12 @@ def assemble(V: Potential | None, basis: geometry.Basis, shift: int = 0,
             raise NumericError(
                 f"potential assembly not converged: entry ({j}, {k}) moved by "
                 f"{diff[j, k]:.3e} (scale {scale:.3e}) under grid refinement; "
-                "use a finer or pole-refined grid")
+                "this grid cannot resolve the potential (see 'Potential "
+                "references' in docs/configuration.md)")
         pot = pot_fine
     # every model Laplace eigenvalue is an integer (k(k+n-1), l(l+1), |m|^2);
     # rounding keeps the free spectrum exact where sqrt(.)**2 misses by an ulp
-    M = np.diag(np.rint(basis.freqs ** 2) + float(shift)) + pot
+    M = np.diag(np.rint(basis.freqs ** 2)) + pot
     return 0.5 * (M + M.T)
 
 
@@ -99,7 +100,7 @@ class SpectralDecomposition:
     ``eigenvalues`` are the (shifted) Galerkin eigenvalues mu_i,
     ``eigenvectors`` their coefficient columns in the basis, and
     ``frequencies`` sqrt(max(mu_i, 0)); ``shift`` records the constant that
-    was added to the operator before diagonalizing.
+    ``solve`` added to the eigenvalues of H_V.
 
     ``node_values()`` is computed once per decomposition, on its first call,
     and every call returns that same read-only array; pole values are read
@@ -145,8 +146,8 @@ class SpectralDecomposition:
         return self.eigenvectors.T @ self.basis.project(f)
 
 
-def diagonalize(matrix: np.ndarray, basis: geometry.Basis | None = None,
-                shift: int = 0) -> SpectralDecomposition:
+def diagonalize(matrix: np.ndarray,
+                basis: geometry.Basis | None = None) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix via LAPACK ``eigh``.
 
     Eigenvalues ascend (stable sort) and each eigenvector has its
@@ -171,8 +172,7 @@ def diagonalize(matrix: np.ndarray, basis: geometry.Basis | None = None,
     signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
     signs[signs == 0.0] = 1.0
     vecs = vecs * signs
-    return SpectralDecomposition(eigenvalues=mu, eigenvectors=vecs,
-                                 basis=basis, shift=shift)
+    return SpectralDecomposition(eigenvalues=mu, eigenvectors=vecs, basis=basis)
 
 
 def _positivity_shift(mu: np.ndarray) -> int:
@@ -186,20 +186,19 @@ def _positivity_shift(mu: np.ndarray) -> int:
 
 def solve(V: Potential | None, manifold: geometry.ModelManifold, K: int,
           shift: int | str = 0) -> SpectralDecomposition:
-    """Assemble and diagonalize H_V (+ shift) truncated at K, on a grid chosen
-    for V: the pole-capped grid of depth ``geometry.SINGULAR_POLE_LEVELS`` when
-    V has annotated singularities (``V.singular``), else the default grid.
-    Every V other than None is assembled with ``check=True``, so a grid that
-    cannot resolve V raises NumericError.  ``shift='auto'`` picks the smallest
-    integer N >= 0 making the lowest Galerkin eigenvalue of H_{V+N} at least
-    1, up to round-off.
+    """Assemble and diagonalize H_V truncated at K, on a grid chosen for V:
+    the pole-capped grid of depth ``geometry.SINGULAR_POLE_LEVELS`` when V has
+    annotated singularities (``V.singular``), else the default grid.  Every V
+    other than None is assembled with ``check=True``, so a grid that cannot
+    resolve V raises NumericError.  The shift N is added to the eigenvalues
+    of H_V; ``shift='auto'`` picks the smallest integer N >= 0 making the
+    lowest of them at least 1, up to round-off.
     """
     levels = geometry.SINGULAR_POLE_LEVELS if V is not None and V.singular else 0
     basis = geometry.build_basis(manifold, K,
                                  geometry.default_grid(manifold, K, pole_levels=levels))
-    fixed = 0 if shift == "auto" else int(shift)
-    decomp = diagonalize(assemble(V, basis, shift=fixed, check=True), basis, fixed)
-    n_shift = _positivity_shift(decomp.eigenvalues) if shift == "auto" else 0
+    decomp = diagonalize(assemble(V, basis, check=True), basis)
+    n_shift = _positivity_shift(decomp.eigenvalues) if shift == "auto" else int(shift)
     if n_shift == 0:
         return decomp
     return SpectralDecomposition(eigenvalues=decomp.eigenvalues + n_shift,

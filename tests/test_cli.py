@@ -1,9 +1,12 @@
+import ast
 import glob
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -78,7 +81,7 @@ _BAD_VALUES = [
     ("square-function", "preset = nonsense",
      "key 'preset': cannot parse value 'nonsense'; choose from zonal-ladder, "
      "point-concentrated, random-band"),
-    ("resolvent-probe", "p = 1.5", "p must equal 2n/(n+2) = 1.200000 for n = 3"),
+    ("resolvent-probe", "p = 1.5", "unknown key 'p' for experiment 'resolvent-probe'"),
     ("resolvent-probe", "n = 2", "dimension must be >= 3 for the uniform resolvent pair"),
     ("spectrum", "potential = foo(phi", "key 'potential': invalid expression 'foo(phi'"),
     ("spectrum", "potential = bogus(phi)", "key 'potential': disallowed construct"),
@@ -117,8 +120,8 @@ def test_validate_projector_norms_zonal_p_range():
 
 
 def test_empty_optional_key_is_unset():
-    cfg = cli.build_config("resolvent-probe", {"grid_size": "", "p": " "})
-    assert cfg["grid_size"] is None and cfg["p"] is None
+    for text in ("", " "):
+        assert cli.build_config("resolvent-probe", {"grid_size": text})["grid_size"] is None
     assert cli.build_config("resolvent-probe", {"grid_size": "40"})["grid_size"] == 40
 
 
@@ -189,6 +192,29 @@ def test_docs_key_lists_match_schemas():
         assert documented == set(cli.SCHEMAS[name]), name
 
 
+def _cfg_keys_read(fn) -> set:
+    """The string subscripts of `cfg` in the source of ``fn``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg" and isinstance(node.slice, ast.Constant)}
+
+
+def test_every_schema_key_is_read():
+    """Every key an experiment accepts is read by its runner, or by `_solve`
+    for runners that call it.  `seed` is the one exception: every experiment
+    accepts it, so a script can pass one seed to any run, and only the
+    randomized square-function battery reads it."""
+    solve_keys = _cfg_keys_read(cli._solve)
+    for experiment, runner in cli.RUNNERS.items():
+        read = _cfg_keys_read(runner)
+        if "_solve" in runner.__code__.co_names:
+            read |= solve_keys
+        unread = set(cli.SCHEMAS[experiment]) - read - {"seed"}
+        assert not unread, (experiment, unread)
+    assert "seed" in _cfg_keys_read(cli.RUNNERS["square-function"])
+
+
 def test_json_keys_match_docs(tmp_path):
     """The `<experiment>.json` bullet in docs/configuration.md names exactly
     the top-level keys a run writes."""
@@ -251,7 +277,10 @@ def test_spectrum_counterexample_on_pole_capped_grid(tmp_path):
 def test_spectrum_unresolved_potential_stops(tmp_path, capsys, args):
     """A grid that cannot resolve V stops the run with exit 1 and no CSV."""
     assert cli.main(["spectrum", "--out", str(tmp_path)] + args) == 1
-    assert "potential assembly not converged" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "potential assembly not converged" in err
+    assert "this grid cannot resolve the potential" in err
+    assert "'Potential references' in docs/configuration.md" in err
     assert not (tmp_path / "spectrum.csv").exists()
 
 

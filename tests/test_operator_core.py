@@ -118,6 +118,17 @@ def test_auto_shift(s2_free_24):
     assert decomp.eigenvalues[0] >= 1.0
 
 
+def test_fixed_shift_adds_to_eigenvalues():
+    """A fixed shift N is added to the eigenvalues of H_V, as `auto` adds its N."""
+    manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 2)
+    V = potentials.constant(-5.0)
+    base = operator_core.solve(V, manifold, 8)
+    shifted = operator_core.solve(V, manifold, 8, shift=3)
+    assert base.shift == 0 and shifted.shift == 3
+    assert np.array_equal(shifted.eigenvalues, base.eigenvalues + 3)
+    assert np.array_equal(shifted.eigenvectors, base.eigenvectors)
+
+
 def test_multiplier_identity(s2_free_24):
     f = s2_free_24.node_values()[:, 3] + 0.5 * s2_free_24.node_values()[:, 7]
 
