@@ -87,8 +87,7 @@ _COMMON = {
     "seed": (_to_int, 20240801),
 }
 
-# experiment name -> schema of {key: (parser, default)}; a key whose default
-# is None is optional, and an empty value leaves it unset (None)
+# experiment name -> schema of {key: (parser, default)}
 SCHEMAS = {
     "spectrum": dict(_COMMON),
     "kato": {"n": (_to_int, 3), "potential": (_to_str, "counterexample"),
@@ -98,46 +97,40 @@ SCHEMAS = {
     "projector-norms": {**_COMMON, "K": (_to_int, 72),
                         "p": (_to_float, math.inf),
                         "lams": (_to_floats, (10.0, 14.0, 20.0, 28.0, 40.0, 56.0)),
-                        "width": (_to_float, 1.0), "tol": (_to_float, 0.1)},
+                        "width": (_to_float, 1.0)},
     "quasimode": {**_COMMON, "p": (_to_float, 6.0),
                   "lams": (_to_floats, (8.0, 12.0, 16.0, 24.0, 32.0, 40.0))},
     "bochner-riesz": {**_COMMON, "K": (_to_int, 512),
                       "delta": (_to_float, 0.6),
-                      "lams": (_to_floats, (32.0, 64.0, 128.0, 256.0, 512.0)),
-                      "tol": (_to_float, 0.15), "min_growth": (_to_float, None)},
+                      "lams": (_to_floats, (32.0, 64.0, 128.0, 256.0, 512.0))},
     "square-function": {**_COMMON, "K": (_to_int, 64),
                         "preset": (_choice("zonal-ladder", "point-concentrated",
-                                           "random-band"), "zonal-ladder"),
-                        "band_lo": (_to_float, 0.2), "band_hi": (_to_float, 5.0)},
+                                           "random-band"), "zonal-ladder")},
     "multiplier": {**_COMMON,
                    "symbol": (_choice("one", "imaginary-power", "bump"), "imaginary-power"),
                    "rs": (_to_floats, (4.0 / 3.0, 2.0, 4.0)),
                    "besov_s": (_to_float, 1.0)},
     "heat": {**_COMMON, "K": (_to_int, 128),
-             "ts": (_to_floats, (0.01, 0.016, 0.025, 0.04, 0.063, 0.1)),
-             "tol": (_to_float, 0.1)},
+             "ts": (_to_floats, (0.01, 0.016, 0.025, 0.04, 0.063, 0.1))},
     "wave-speed": {"n": (_to_int, 2), "potential": (_to_str, "0"),
                    "t": (_to_float, 0.5), "Ks": (_to_ints, (64, 128, 256)),
-                   "cutoff": (_to_float, None), "seed": (_to_int, 20240801)},
+                   "seed": (_to_int, 20240801)},
     "strichartz": {**_COMMON, "K": (_to_int, 40),
                    "battery": (_choice("zonal-ladder", "band-bound"), "zonal-ladder"),
-                   "ks": (_to_ints, (4, 8, 16, 32)), "tol": (_to_float, 0.1)},
+                   "ks": (_to_ints, (4, 8, 16, 32))},
     "parametrix": {"n": (_to_int, 3), "nu": (_to_int, 0),
                    "lams": (_to_floats, (5.0, 50.0)),
                    "rs": (_to_floats, tuple(0.05 + 0.05 * i for i in range(20))),
                    "l6_lams": (_to_floats, (8.0, 16.0, 32.0, 64.0, 128.0, 256.0)),
                    "seed": (_to_int, 20240801)},
     "weyl": {**_COMMON, "point": (_to_float, 0.0),
-             "mus": (_to_floats, (10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)),
-             "band_lo": (_to_float, 0.9), "band_hi": (_to_float, 1.1)},
+             "mus": (_to_floats, (10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0))},
     "divergent-quasimode": {"n": (_to_int, 4), "eps": (_to_float, 0.25),
                             "k_min": (_to_int, 4), "k_max": (_to_int, 14),
-                            "lam": (_to_float, None), "min_growth": (_to_float, 0.6),
                             "seed": (_to_int, 20240801)},
     "resolvent-probe": {"n": (_to_int, 3),
                         "lams": (_to_floats, (8.0, 11.0, 16.0, 22.0, 32.0)),
-                        "grid_size": (_to_int, None),
-                        "tol": (_to_float, 0.15), "seed": (_to_int, 20240801)},
+                        "seed": (_to_int, 20240801)},
 }
 
 
@@ -181,9 +174,7 @@ def build_config(experiment: str, raw: dict) -> dict:
         if key not in schema:
             diagnostics.append(f"unknown key {key!r} for experiment {experiment!r}")
             continue
-        parser, default = schema[key]
-        if default is None and not value.strip():
-            continue
+        parser = schema[key][0]
         try:
             cfg[key] = parser(value)
         except (ValueError, TypeError):
@@ -230,6 +221,9 @@ def validate(experiment: str, cfg: dict) -> list:
             geometry.ModelManifold(cfg["manifold"], cfg["n"])
         except DomainError as exc:
             out.append(f"key 'manifold': {exc}")
+        if experiment in ("bochner-riesz", "weyl") and cfg["manifold"] != geometry.SPHERE_ZONAL:
+            out.append(f"key 'manifold': {experiment} evaluates zonal modes at a polar "
+                       "angle, so it runs on sphere-zonal only")
     if "potential" in cfg:
         try:
             V = _resolve_potential(cfg["potential"], cfg["n"])
@@ -347,7 +341,7 @@ def _run_projector_norms(cfg):
     from . import estimators
     decomp = _solve(cfg)
     return estimators.projector_growth_report(decomp, cfg["p"], cfg["lams"],
-                                              width=cfg["width"], tol=cfg["tol"])
+                                              width=cfg["width"])
 
 
 def _run_quasimode(cfg):
@@ -372,8 +366,10 @@ def _run_quasimode(cfg):
 def _run_bochner_riesz(cfg):
     from . import dynamics
     decomp = _solve(cfg)
-    return dynamics.br_norm_probe(decomp, cfg["delta"], cfg["lams"],
-                                  tol=cfg["tol"], min_growth=cfg["min_growth"])
+    return dynamics.br_norm_probe(decomp, cfg["delta"], cfg["lams"])
+
+
+_SQUARE_FUNCTION_BAND = (0.2, 5.0)  # the verdict's bounds on ||Sf||_2 / ||f||_2
 
 
 def _run_square_function(cfg):
@@ -386,11 +382,12 @@ def _run_square_function(cfg):
     rows = [[label, float(geometry.lp_norm(grid, sf, 2.0) / geometry.lp_norm(grid, f, 2.0))]
             for (label, f), sf in zip(battery, sfs.T)]
     ratios = [r[1] for r in rows]
-    ok = cfg["band_lo"] <= min(ratios) and max(ratios) <= cfg["band_hi"]
+    lo, hi = _SQUARE_FUNCTION_BAND
+    ok = lo <= min(ratios) and max(ratios) <= hi
     return estimators.ExperimentReport(
         columns=["test_function", "l2_ratio"], rows=rows,
         summary={"min_ratio": min(ratios), "max_ratio": max(ratios),
-                 "band": [cfg["band_lo"], cfg["band_hi"]],
+                 "band": [lo, hi],
                  "verdict": "pass" if ok else "fail"})
 
 
@@ -421,22 +418,21 @@ def _run_multiplier(cfg):
 def _run_heat(cfg):
     from . import dynamics
     decomp = _solve(cfg)
-    return dynamics.heat_report(decomp, cfg["ts"], tol=cfg["tol"])
+    return dynamics.heat_report(decomp, cfg["ts"])
 
 
 def _run_wave_speed(cfg):
     from . import dynamics
     V = _resolve_potential(cfg["potential"], cfg["n"])
-    return dynamics.cone_leakage_trend(cfg["n"], cfg["t"], cfg["Ks"], V=V,
-                                       cutoff=cfg["cutoff"])
+    return dynamics.cone_leakage_trend(cfg["n"], cfg["t"], cfg["Ks"], V=V)
 
 
 def _run_strichartz(cfg):
     from . import dynamics
     decomp = _solve(cfg)
     if cfg["battery"] == "zonal-ladder":
-        return dynamics.strichartz_report(decomp, ks=cfg["ks"], tol=cfg["tol"])
-    return dynamics.band_bound_report(decomp, ks=cfg["ks"], tol=cfg["tol"])
+        return dynamics.strichartz_report(decomp, ks=cfg["ks"])
+    return dynamics.band_bound_report(decomp, ks=cfg["ks"])
 
 
 def _run_parametrix(cfg):
@@ -467,32 +463,32 @@ def _run_parametrix(cfg):
 def _run_weyl(cfg):
     from . import estimators
     decomp = _solve(cfg)
-    return estimators.local_weyl_report(decomp, cfg["point"], cfg["mus"],
-                                        band=(cfg["band_lo"], cfg["band_hi"]))
+    return estimators.local_weyl_report(decomp, cfg["point"], cfg["mus"])
+
+
+_MIN_GROWTH = 0.6  # partial-sum growth the divergent ladder must exceed
 
 
 def _run_divergent_quasimode(cfg):
     from . import estimators
     rep = estimators.divergent_quasimode(cfg["n"], cfg["eps"],
-                                         k_min=cfg["k_min"], k_max=cfg["k_max"],
-                                         lam=cfg["lam"])
+                                         k_min=cfg["k_min"], k_max=cfg["k_max"])
     rows = [[int(k), float(t), float(s)]
             for k, t, s in zip(rep.ks, rep.terms, rep.partial_sums)]
-    ok = (rep.growth > cfg["min_growth"]
+    ok = (rep.growth > _MIN_GROWTH
           and 0.5 <= rep.normalization <= 2.0)
     return estimators.ExperimentReport(
         columns=["k", "term", "partial_sum"], rows=rows,
         summary={"growth": rep.growth, "tail_l2": rep.tail_l2,
                  "normalization": rep.normalization,
                  "normalization_full": rep.normalization_full,
-                 "lam": rep.lam, "min_growth": cfg["min_growth"],
+                 "lam": rep.lam, "min_growth": _MIN_GROWTH,
                  "verdict": "pass" if ok else "fail"})
 
 
 def _run_resolvent_probe(cfg):
     from . import estimators
-    return estimators.uniform_resolvent_probe(cfg["n"], cfg["lams"],
-                                              grid_size=cfg["grid_size"], tol=cfg["tol"])
+    return estimators.uniform_resolvent_probe(cfg["n"], cfg["lams"])
 
 
 RUNNERS = {

@@ -1,7 +1,7 @@
 """Hadamard parametrix kernels in the flat model: modified Bessel functions
 K_m of complex argument, the radial kernels F_nu(r, lambda), and the kernel
-size/oscillation checks (small-r and large-r regimes, the n=2 L^6 bound,
-and the oscillatory remainder scale probe).
+size/oscillation checks (small-r and large-r regimes and the n=2 L^6
+bound).
 
 Branch convention: z = -(lambda+i)^2 with sqrt(z) = 1 - i lambda, so the
 Bessel argument sqrt(z) r always has positive real part.  The normalization
@@ -24,7 +24,6 @@ _STITCH_AT = 1.0
 _TRAPEZOID_TOL = 1e-10
 _MAX_DOUBLINGS = 22
 _L6_DELTA = 0.5  # radius of the ball of the L^6 kernel check
-_REMAINDER_DELTA = 0.5  # outer radius of the remainder probe's annulus bump
 
 
 def bessel_k_integral(m: float, z: complex) -> complex:
@@ -195,71 +194,3 @@ def kernel_l6_check(lams) -> estimators.ExperimentReport:
     return estimators.ExperimentReport(columns=["lambda", "l6_norm"], rows=rows,
                                        summary=summary)
 
-
-# ---------------------------------------------------------------------------
-# oscillatory remainder scale probe
-
-
-def annulus_bump(d, delta: float) -> np.ndarray:
-    """Smooth bump in the geodesic distance, supported in [delta/2, delta]."""
-    from .potentials import _smoothstep
-    d = np.asarray(d, dtype=float)
-    t = (d - delta / 2.0) / (delta / 2.0)
-    return _smoothstep(4.0 * t) * _smoothstep(4.0 * (1.0 - t))
-
-
-def remainder_operator_norm(lam: float, with_phase: bool) -> float:
-    """L^2 -> L^2 norm of the model remainder kernel
-    r_lambda(x, y) = lam^{1/2} e^{-i lam d(x,y)} c(d(x,y)) on S^2, with c the
-    annulus bump supported in [1/4, 1/2] (the phase is dropped when
-    ``with_phase`` is false).
-
-    Distance kernels diagonalize over spherical harmonics (Funk-Hecke), so
-    the norm is the max over degrees of |2 pi int k(theta) P_k(cos theta)
-    sin(theta) d(theta)|, computed with phase-resolving quadrature.
-    """
-    panels = max(24, int(math.ceil(lam)))  # >= 6 nodes per wavelength
-    th, w = geometry._panel_gauss(0.0, math.pi, panels, 8)
-    amp = lam ** 0.5 * annulus_bump(th, _REMAINDER_DELTA)
-    kern = amp * (np.exp(-1j * lam * th) if with_phase else 1.0)
-    k_max = int(math.ceil(3.0 * lam)) + 16
-    x = np.cos(th)
-    # Legendre recurrence across all quadrature nodes
-    best = 0.0
-    p_prev = np.ones_like(x)
-    p_cur = x.copy()
-    base = 2.0 * math.pi * w * np.sin(th) * kern
-    best = abs(np.sum(base * p_prev))
-    best = max(best, abs(np.sum(base * p_cur)))
-    for k in range(2, k_max + 1):
-        p_next = ((2 * k - 1) * x * p_cur - (k - 1) * p_prev) / k
-        best = max(best, abs(np.sum(base * p_next)))
-        p_prev, p_cur = p_cur, p_next
-    return float(best)
-
-
-def remainder_scale_check(lams) -> estimators.ExperimentReport:
-    """Slope of the model remainder norm on S^2 against lambda, with the
-    phase-removed control (exact slope 1/2) alongside."""
-    lams = np.asarray(lams, dtype=float)
-    if lams.size < 4:
-        raise ConfigError("need at least 4 lambda points")
-    rows = []
-    with_p, without_p = [], []
-    for lam in lams:
-        a = remainder_operator_norm(lam, with_phase=True)
-        b = remainder_operator_norm(lam, with_phase=False)
-        rows.append([lam, a, b])
-        with_p.append(a)
-        without_p.append(b)
-    fit = estimators.fit_exponent(lams, with_p)
-    fit0 = estimators.fit_exponent(lams, without_p)
-    target0 = 0.5
-    cancel = fit.slope < fit0.slope - 0.1
-    verdict = "pass" if (abs(fit0.slope - target0) < 0.02 and cancel) else "fail"
-    return estimators.ExperimentReport(
-        columns=["lambda", "norm", "norm_no_phase"], rows=rows,
-        summary={"slope": fit.slope, "residual": fit.residual,
-                 "slope_no_phase": fit0.slope, "target_no_phase": target0,
-                 "cancellation_margin": fit0.slope - fit.slope,
-                 "verdict": verdict})

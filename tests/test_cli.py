@@ -73,7 +73,19 @@ def test_validate_truncation_too_small(tmp_path, capsys):
 
 # (experiment, config line, expected diagnostic): values the run would reject
 _BAD_VALUES = [
-    ("wave-speed", "cutoff = abc", "key 'cutoff': cannot parse value 'abc'"),
+    ("wave-speed", "cutoff = abc", "unknown key 'cutoff' for experiment 'wave-speed'"),
+    ("heat", "tol = 10", "unknown key 'tol' for experiment 'heat'"),
+    ("weyl", "band_lo = 0.5", "unknown key 'band_lo' for experiment 'weyl'"),
+    ("bochner-riesz", "min_growth = 0.1",
+     "unknown key 'min_growth' for experiment 'bochner-riesz'"),
+    ("resolvent-probe", "grid_size = 40",
+     "unknown key 'grid_size' for experiment 'resolvent-probe'"),
+    ("bochner-riesz", "manifold = torus", "bochner-riesz evaluates zonal modes at a polar "
+     "angle, so it runs on sphere-zonal only"),
+    ("bochner-riesz", "manifold = sphere-full-2d", "runs on sphere-zonal only"),
+    ("weyl", "manifold = torus", "weyl evaluates zonal modes at a polar angle, "
+     "so it runs on sphere-zonal only"),
+    ("weyl", "manifold = sphere-full-2d", "runs on sphere-zonal only"),
     ("strichartz", "battery = nonsense",
      "key 'battery': cannot parse value 'nonsense'; choose from zonal-ladder, band-bound"),
     ("multiplier", "symbol = nonsense",
@@ -119,12 +131,6 @@ def test_validate_projector_norms_zonal_p_range():
     assert len(diagnostics(n="2", p="5.9")) == 1
 
 
-def test_empty_optional_key_is_unset():
-    for text in ("", " "):
-        assert cli.build_config("resolvent-probe", {"grid_size": text})["grid_size"] is None
-    assert cli.build_config("resolvent-probe", {"grid_size": "40"})["grid_size"] == 40
-
-
 _INTS = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
 _FLOATS = st.floats(allow_nan=False)
 # parser -> (strategy of typed values, their config text)
@@ -140,15 +146,11 @@ _TYPED = {
 }
 
 
-def _typed_key(parser, default):
-    """(strategy, formatter) for one schema key; an optional key may be unset."""
+def _typed_key(parser):
+    """(strategy, formatter) for one schema key."""
     if hasattr(parser, "choices"):
-        values, fmt = st.sampled_from(parser.choices), str
-    else:
-        values, fmt = _TYPED[parser]
-    if default is None:
-        return st.one_of(st.none(), values), lambda v: "" if v is None else fmt(v)
-    return values, fmt
+        return st.sampled_from(parser.choices), str
+    return _TYPED[parser]
 
 
 @pytest.mark.parametrize("experiment", sorted(cli.SCHEMAS))
@@ -158,7 +160,7 @@ def test_build_config_typed_round_trip(experiment, data):
     """Every key of every schema parses the text of a typed value back to that
     value; keys left out keep their defaults."""
     schema = cli.SCHEMAS[experiment]
-    typed = {key: _typed_key(*spec) for key, spec in schema.items()}
+    typed = {key: _typed_key(parser) for key, (parser, _) in schema.items()}
     values = data.draw(st.fixed_dictionaries(
         {}, optional={key: strategy for key, (strategy, _) in typed.items()}))
     cfg = cli.build_config(experiment, {key: typed[key][1](v) for key, v in values.items()})
@@ -303,12 +305,14 @@ def test_repeat_runs_byte_identical(tmp_path):
 
 
 def test_failed_verdict_exit_code(tmp_path):
-    # an impossibly tight heat tolerance forces a fail verdict -> exit 2
-    rc = cli.main(["heat", "--out", str(tmp_path), "--K", "32",
-                   "--ts", "0.2,0.3,0.4,0.5", "--tol", "1e-9"])
+    # delta = 0.3 lies below the critical index 1/2, so the L^1 norms grow
+    # (slope 0.306) and the bounded verdict (0 +- 0.15) fails -> exit 2
+    rc = cli.main(["bochner-riesz", "--out", str(tmp_path), "--K", "128",
+                   "--lams", "16,32,64,128", "--delta", "0.3"])
     assert rc == 2
-    payload = json.loads((tmp_path / "heat.json").read_text())
+    payload = json.loads((tmp_path / "bochner-riesz.json").read_text())
     assert payload["summary"]["verdict"] == "fail"
+    assert payload["summary"]["slope"] > 0.15
 
 
 def test_cli_import_leaves_numpy_unloaded():

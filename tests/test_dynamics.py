@@ -71,6 +71,13 @@ def test_bochner_riesz_delta_zero_is_sharp_cutoff(s2_free_24):
     assert np.allclose(br, operator_core.multiplier(s2_free_24, chi, f), atol=1e-10)
 
 
+@pytest.mark.parametrize("kind", [geometry.TORUS, geometry.SPHERE_FULL_2D])
+def test_br_l1_row_norm_needs_zonal_sector(kind):
+    decomp = operator_core.solve(None, geometry.ModelManifold(kind, 2), 4)
+    with pytest.raises(DomainError, match="zonal sector"):
+        dynamics.br_l1_row_norm(decomp, 3.0, 0.6)
+
+
 def test_br_l1_row_norm_is_exact_for_projector(s2_free_24):
     """delta = 0, lam below the first nonzero frequency: the kernel is the
     constant mode, |K| = 1/(4 pi), L^1 row integral = 1."""

@@ -101,23 +101,6 @@ def test_kernel_l6_grid_guard():
         parametrix.kernel_l6_check([8.0, 16.0])
 
 
-def test_annulus_bump_support():
-    d = np.linspace(0.0, 1.0, 101)
-    c = parametrix.annulus_bump(d, 0.5)
-    assert np.all(c[d < 0.25] == 0.0)
-    assert np.all(c[d > 0.5] == 0.0)
-    assert np.max(c) > 0.5
-
-
-def test_remainder_scale_check():
-    rep = parametrix.remainder_scale_check(np.geomspace(8.0, 128.0, 7))
-    assert rep.verdict == "pass"
-    # phase-removed control is exactly the amplitude power (n-1)/2
-    assert rep.summary["slope_no_phase"] == pytest.approx(0.5, abs=0.02)
-    # oscillation buys strict decay relative to the control
-    assert rep.summary["cancellation_margin"] > 0.1
-
-
 def test_kernel_table_rows():
     assert len(parametrix.kernel_table(3, 0, [0.1, 0.5], [5.0])) == 2
 

@@ -1,13 +1,17 @@
-"""Every public top-level function or class in ``src/qlab`` has a caller.
+"""Every public top-level function or class in ``src/qlab``, and every public
+method of a public class, has a caller.
 
 A name counts as used when ``src/qlab`` refers to it (as a name or an
 attribute) outside its own definition, or when ``bench/`` refers to it.
 Tests do not count: a function only its own tests call is dead surface.
+Methods are matched by name, so a method counts as used when any attribute
+of that name is read.
 """
 
 import ast
 import glob
 import os
+from collections import Counter
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -17,36 +21,51 @@ ALLOWED = {
     "br_delta": "critical Bochner-Riesz index, the exponent algebra beside sigma and p_c",
     "small_r_slope": "parametrix small-r kernel slope, read by acceptance criterion 8",
     "lambda_slope": "parametrix frequency slope, read by acceptance criterion 8",
-    "remainder_scale_check": "parametrix remainder-norm slope, one of the parametrix checks",
     "flat_ball_kato_oracle": "closed-form oracle for the Kato ball integral",
+    "WaveSolution.from_data": "grid-data constructor, the reference harness of the "
+                              "Strichartz sweep test",
+    "WaveSolution.energy": "conserved energy, the oracle that checks _wave_coefficients",
 }
 
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-def _references(tree: ast.AST):
-    """(enclosing top-level definition or None, referenced name) pairs."""
+
+def _definitions(tree: ast.AST):
+    """(qualified name, node) of each public top-level function or class and
+    of each public method of a public top-level class."""
     for stmt in tree.body:
-        owner = stmt.name if isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                yield owner, node.id
-            elif isinstance(node, ast.Attribute):
-                yield owner, node.attr
+        if isinstance(stmt, _FUNCS + (ast.ClassDef,)) and not stmt.name.startswith("_"):
+            yield stmt.name, stmt
+            if isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    if isinstance(item, _FUNCS) and not item.name.startswith("_"):
+                        yield f"{stmt.name}.{item.name}", item
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is referenced (as a name or an attribute) in ``node``."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+    return out
 
 
 def test_every_public_definition_has_a_caller():
     defined = {}
-    used = set()
+    used = Counter()
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "qlab", "*.py"))):
         tree = ast.parse(open(path).read(), filename=path)
-        for stmt in tree.body:
-            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not stmt.name.startswith("_")):
-                defined[stmt.name] = os.path.basename(path)
-        used |= {name for owner, name in _references(tree) if owner != name}
+        used += _references(tree)
+        for qualname, node in _definitions(tree):
+            defined[qualname] = (os.path.basename(path), node)
     for path in sorted(glob.glob(os.path.join(ROOT, "bench", "*.py"))):
-        used |= {name for _, name in _references(ast.parse(open(path).read()))}
-    unused = sorted(f"{module}:{name}" for name, module in defined.items()
-                    if name not in used and name not in ALLOWED)
+        used += _references(ast.parse(open(path).read()))
+    unused = sorted(
+        f"{module}:{qualname}" for qualname, (module, node) in defined.items()
+        if qualname not in ALLOWED
+        and used[qualname.rpartition(".")[2]] <= _references(node)[node.name])
     assert not unused, f"public definitions nothing calls: {unused}"
     assert set(ALLOWED) <= set(defined), sorted(set(ALLOWED) - set(defined))
