@@ -187,6 +187,43 @@ def build_config(experiment: str, raw: dict) -> dict:
     return cfg
 
 
+_TORUS_BASIS_BYTES = 2 ** 30  # largest dense N x J torus basis a config may ask for
+
+
+def _lattice_points(n: int, r2: int) -> int:
+    """Number of m in Z^n with |m|^2 <= r2, the mode count of a torus basis."""
+    top = math.isqrt(r2)
+    if n == 1:
+        return 2 * top + 1
+    return _lattice_points(n - 1, r2) + 2 * sum(_lattice_points(n - 1, r2 - x * x)
+                                                for x in range(1, top + 1))
+
+
+def _size_diagnostics(experiment: str, cfg: dict) -> list:
+    """Truncations a valid manifold cannot run: a torus basis too large to
+    hold densely, or a zonal-ladder rung above the free top frequency (V
+    moves that frequency, so the run can still stop)."""
+    from . import geometry
+    out = []
+    K, n, torus = cfg["K"], cfg["n"], cfg["manifold"] == geometry.TORUS
+    if torus and K >= 0:
+        nodes = (2 * K + 2) ** n  # default_grid's torus grid
+        size, exact = 8 * nodes, False  # one column: a lower bound
+        if size <= _TORUS_BASIS_BYTES:  # then counting the modes is cheap
+            size, exact = size * _lattice_points(n, K * K), True
+        if size > _TORUS_BASIS_BYTES:
+            out.append(f"key 'K': the dense torus basis at K={K} ({nodes} nodes per mode) "
+                       f"needs {'' if exact else 'at least '}{size / 2 ** 30:.3g} GiB, "
+                       f"above the {_TORUS_BASIS_BYTES / 2 ** 30:g} GiB limit; lower K")
+    if experiment == "strichartz" and cfg["battery"] == "zonal-ladder" and K >= 0:
+        top = K if torus else math.sqrt(K * (K + n - 1))
+        short = [k for k in cfg["ks"] if top < k + 0.75]
+        if short:
+            out.append(f"truncation frequency {top:.1f} (K={K}) below battery rung "
+                       f"k={short[0]}, which needs frequencies up to k + 3/4")
+    return out
+
+
 def validate(experiment: str, cfg: dict) -> list:
     """Semantic diagnostics beyond type checking; never mutates state."""
     from . import geometry
@@ -221,6 +258,8 @@ def validate(experiment: str, cfg: dict) -> list:
             geometry.ModelManifold(cfg["manifold"], cfg["n"])
         except DomainError as exc:
             out.append(f"key 'manifold': {exc}")
+        else:
+            out += _size_diagnostics(experiment, cfg)
         if experiment in ("bochner-riesz", "weyl") and cfg["manifold"] != geometry.SPHERE_ZONAL:
             out.append(f"key 'manifold': {experiment} evaluates zonal modes at a polar "
                        "angle, so it runs on sphere-zonal only")

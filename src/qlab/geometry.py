@@ -336,12 +336,14 @@ class ZonalSphereBasis(Basis):
         self.lam_geg = (n - 1) / 2.0
         x = np.cos(grid.nodes)
         table = _gegenbauer_table(K, self.lam_geg, x)
-        norms = np.sqrt(np.sum(grid.weights * table ** 2, axis=1))
+        work = np.square(table)
+        work *= grid.weights
+        norms = np.sqrt(np.sum(work, axis=1))
         if np.any(norms <= 0) or not np.all(np.isfinite(norms)):
             raise ResolutionError(f"grid of {grid.size} nodes cannot normalize degree {K}; "
                                   f"need at least {K + 8} Gauss nodes")
         self._norms = norms
-        values = (table / norms[:, None]).T
+        values = np.divide(table, norms[:, None], out=work).T
         degrees = np.arange(K + 1)
         freqs = np.sqrt(degrees * (degrees + n - 1.0))
         super().__init__(grid.manifold, K, grid, freqs, values)
@@ -397,18 +399,22 @@ class FullSphereBasis(Basis):
 
     def _eval_modes(self, points: np.ndarray) -> np.ndarray:
         phi, theta = points[:, 0], points[:, 1]
-        K = max(k for k, _, _ in self.modes)
-        ptab = {m: _normalized_assoc_legendre(K, m, phi) for m in range(K + 1)}
-        cols = []
-        for k, m, parity in self.modes:
-            radial = ptab[m][k - m]
+        degrees = np.array([k for k, _, _ in self.modes])
+        orders = np.array([m for _, m, _ in self.modes])
+        sine = np.array([parity == "s" for _, _, parity in self.modes])
+        K = int(degrees.max())
+        out = np.empty((points.shape[0], len(self.modes)))
+        for m in range(K + 1):
+            radial = _normalized_assoc_legendre(K, m, phi)
             if m == 0:
-                cols.append(radial)
-            elif parity == "c":
-                cols.append(math.sqrt(2.0) * radial * np.cos(m * theta))
-            else:
-                cols.append(math.sqrt(2.0) * radial * np.sin(m * theta))
-        return np.column_stack(cols)
+                cols = np.flatnonzero(orders == 0)
+                out[:, cols] = radial[degrees[cols]].T
+                continue
+            scaled = math.sqrt(2.0) * radial
+            for trig, parity in ((np.cos, ~sine), (np.sin, sine)):
+                cols = np.flatnonzero((orders == m) & parity)
+                out[:, cols] = scaled[degrees[cols] - m].T * trig(m * theta)[:, None]
+        return out
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         return self._eval_modes(np.atleast_2d(np.asarray(points, dtype=float)))

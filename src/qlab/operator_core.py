@@ -37,11 +37,29 @@ def _potential_values(V: Potential | None, grid: geometry.QuadratureGrid) -> np.
 
 
 def potential_matrix(V: Potential | None, basis: geometry.Basis) -> np.ndarray:
-    """Galerkin matrix <V e_j, e_k> on the basis quadrature grid."""
-    vals = _potential_values(V, basis.grid)
-    E = basis.values
-    M = E.T @ (E * (basis.grid.weights * vals)[:, None])
-    return 0.5 * (M + M.T)
+    """Galerkin matrix <V e_j, e_k> on the basis quadrature grid, exactly
+    symmetric: S+^T S+ - S-^T S-, where S+- are the basis rows of the nodes
+    with +-w V > 0 scaled by sqrt(+-w V), each product a rank-k update (SYRK).
+    V = None gives the zero matrix.  Raises NumericError naming the first
+    node where w V is not finite."""
+    J = basis.size
+    if V is None:
+        return np.zeros((J, J))
+    wv = basis.grid.weights * _potential_values(V, basis.grid)
+    bad = np.flatnonzero(~np.isfinite(wv))
+    if bad.size:
+        i = int(bad[0])
+        raise NumericError(f"potential not finite at node {i} of {basis.grid.size} "
+                           f"(coordinates {basis.grid.nodes[i]}): w*V = {float(wv[i])}; "
+                           "V must be finite on the quadrature grid")
+    Et = basis.values.T
+
+    def gram(keep: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        S = np.compress(keep, Et, axis=1)
+        S *= np.sqrt(weight[keep])
+        return S @ S.T  # numpy sends S @ S.T to SYRK: exactly symmetric
+
+    return gram(wv > 0.0, wv) - gram(wv < 0.0, -wv)
 
 
 _CHECK_TOL = 0.01  # largest entry move under refinement, relative to the matrix scale
@@ -73,8 +91,7 @@ def assemble(V: Potential | None, basis: geometry.Basis,
         pot = pot_fine
     # every model Laplace eigenvalue is an integer (k(k+n-1), l(l+1), |m|^2);
     # rounding keeps the free spectrum exact where sqrt(.)**2 misses by an ulp
-    M = np.diag(np.rint(basis.freqs ** 2)) + pot
-    return 0.5 * (M + M.T)
+    return np.diag(np.rint(basis.freqs ** 2)) + pot
 
 
 def _refined_copy(basis: geometry.Basis) -> geometry.Basis:
@@ -151,13 +168,28 @@ def diagonalize(matrix: np.ndarray,
     """Full eigendecomposition of a symmetric matrix via LAPACK ``eigh``.
 
     Eigenvalues ascend (stable sort) and each eigenvector has its
-    largest-magnitude component positive.  Raises DomainError for a
-    non-square or non-symmetric matrix and NumericError when the solver
-    does not converge.
+    largest-magnitude component positive.  A diagonal matrix with a finite,
+    non-decreasing diagonal skips ``eigh`` and returns its output bit for
+    bit: the diagonal, the identity, and as node values a C-contiguous copy
+    of the basis values.  Raises DomainError for a non-square or
+    non-symmetric matrix and NumericError when the solver does not converge.
     """
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError("matrix must be square")
+    d = np.diagonal(A)
+    if (np.count_nonzero(A) == np.count_nonzero(d) and np.all(np.isfinite(d))
+            and np.all(d[1:] >= d[:-1])):
+        # diagonal and ascending, as every free Galerkin matrix is: eigh
+        # returns exactly (d, I) here, so skip it
+        decomp = SpectralDecomposition(eigenvalues=d.copy(),
+                                       eigenvectors=np.eye(A.shape[0]), basis=basis)
+        if basis is not None:
+            # what basis.values @ I gives: C order, and +0.0 for each -0.0
+            values = np.add(basis.values, 0.0, order="C")
+            values.flags.writeable = False
+            decomp._node_values = values
+        return decomp
     if not np.allclose(A, A.T, atol=1e-10 * max(1.0, float(np.max(np.abs(A))))):
         raise DomainError("matrix must be symmetric")
     try:

@@ -106,6 +106,12 @@ _BAD_VALUES = [
     ("projector-norms", "p = 1", "p must lie in [2, inf] for projector norms"),
     ("projector-norms", "n = 3\np = 3.5",
      "zonal functions cannot reach the p < p_c regime of sigma(p)"),
+    ("strichartz", "K = 12", "truncation frequency 12.5 (K=12) below battery rung k=16"),
+    ("strichartz", "manifold = torus\nK = 20", "truncation frequency 20.0 (K=20) below "
+     "battery rung k=32"),
+    ("heat", "manifold = torus\nK = 64", "the dense torus basis at K=64 (16900 nodes per "
+     "mode) needs 1.62 GiB, above the 1 GiB limit"),
+    ("spectrum", "manifold = torus\nn = 3\nK = 1000", "needs at least 59.8 GiB"),
 ]
 
 
@@ -117,6 +123,22 @@ def test_validate_rejects_unparseable_optional_key(tmp_path, capsys):
         out = capsys.readouterr().out
         assert rc == 1, experiment
         assert expected in out, out
+
+
+def test_validate_size_limits_pass_at_the_edge():
+    """A torus basis of 112 MB and a zonal ladder whose top rung fits pass;
+    the band-bound battery has no rung check."""
+    def diagnostics(experiment, **raw):
+        return cli.validate(experiment, cli.build_config(experiment, raw))
+
+    assert diagnostics("heat", manifold="torus", K="32") == []
+    assert diagnostics("strichartz", K="33") == []  # sqrt(33 * 34) = 33.5 >= 32.75
+    assert diagnostics("strichartz", K="32") != []  # sqrt(32 * 33) = 32.5
+    assert diagnostics("strichartz", manifold="torus", K="33") == []
+    assert diagnostics("strichartz", manifold="torus", K="32") != []
+    assert diagnostics("strichartz", K="12", battery="band-bound") == []
+    assert cli._lattice_points(2, 64 * 64) == 12853
+    assert cli._lattice_points(3, 2) == 19
 
 
 def test_validate_projector_norms_zonal_p_range():
@@ -283,6 +305,19 @@ def test_spectrum_unresolved_potential_stops(tmp_path, capsys, args):
     assert "potential assembly not converged" in err
     assert "this grid cannot resolve the potential" in err
     assert "'Potential references' in docs/configuration.md" in err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
+def test_spectrum_non_finite_potential_stops(tmp_path, capsys):
+    """log(phi - 1) is NaN below phi = 1: the run stops at assembly with the
+    first such node, exit 1 and no CSV."""
+    with np.errstate(all="ignore"):
+        rc = cli.main(["spectrum", "--config", os.path.join(CONFIG_DIR, "spectrum.ini"),
+                       "--out", str(tmp_path), "--potential", "log(phi-1)", "--K", "8"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "NumericError: potential not finite at node 0 of 32" in err
+    assert "w*V = nan" in err
     assert not (tmp_path / "spectrum.csv").exists()
 
 

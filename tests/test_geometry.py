@@ -221,3 +221,44 @@ def test_bad_manifold_rejected():
         geometry.ModelManifold("klein-bottle", 2)
     with pytest.raises(DomainError):
         geometry.ModelManifold(geometry.SPHERE_ZONAL, 1)
+
+
+def _full_sphere_reference(basis, points):
+    """One column per mode, as FullSphereBasis evaluated before its
+    per-order vectorization."""
+    phi, theta = points[:, 0], points[:, 1]
+    K = max(k for k, _, _ in basis.modes)
+    ptab = {m: geometry._normalized_assoc_legendre(K, m, phi) for m in range(K + 1)}
+    cols = []
+    for k, m, parity in basis.modes:
+        radial = ptab[m][k - m]
+        if m == 0:
+            cols.append(radial)
+        elif parity == "c":
+            cols.append(math.sqrt(2.0) * radial * np.cos(m * theta))
+        else:
+            cols.append(math.sqrt(2.0) * radial * np.sin(m * theta))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("K", [0, 1, 5, 16])
+def test_full_sphere_values_match_per_mode_loop(K):
+    """The per-order evaluation reproduces the per-mode loop bit for bit,
+    signed zeros included, on the grid and at off-grid points."""
+    basis = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2), K)
+    ref = _full_sphere_reference(basis, basis.grid.nodes)
+    assert basis.values.flags.c_contiguous
+    assert basis.values.tobytes() == ref.tobytes()
+    points = np.array([[0.0, 0.0], [0.3, 1.7], [math.pi, 4.0]])
+    assert basis.evaluate(points).tobytes() == _full_sphere_reference(basis, points).tobytes()
+
+
+@pytest.mark.parametrize("n,K,levels", [(2, 64, 0), (3, 32, 6)])
+def test_zonal_values_match_normalized_table(n, K, levels):
+    """Zonal values are the Gegenbauer table divided by its quadrature norms,
+    bit for bit."""
+    manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, n)
+    basis = geometry.build_basis(manifold, K, geometry.default_grid(manifold, K, levels))
+    table = geometry._gegenbauer_table(K, (n - 1) / 2.0, np.cos(basis.grid.nodes))
+    norms = np.sqrt(np.sum(basis.grid.weights * table ** 2, axis=1))
+    assert basis.values.tobytes() == (table / norms[:, None]).T.tobytes()

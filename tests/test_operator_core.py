@@ -46,6 +46,60 @@ def test_diagonalize_contract_on_random_symmetric(size, seed, integer, log_scale
     assert np.linalg.norm(V.T @ V - np.eye(size), 2) <= 1e-12
 
 
+def _eigh_reference(A, values):
+    """diagonalize's eigh path: eigh, stable sort, sign rule, then the node
+    values as one GEMM."""
+    mu, vecs = np.linalg.eigh(0.5 * (A + A.T))
+    order = np.argsort(mu, kind="stable")
+    mu, vecs = mu[order], vecs[:, order]
+    signs = np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])])
+    signs[signs == 0.0] = 1.0
+    vecs = vecs * signs
+    return mu, vecs, values @ vecs
+
+
+_DIAGONAL_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 6.0, -3.5]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+
+
+@given(diag=st.lists(_DIAGONAL_ENTRIES, min_size=1, max_size=30),
+       ascending=st.booleans(), fortran=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_diagonalize_diagonal_matches_eigh_bit_for_bit(diag, ascending, fortran, seed):
+    """On diagonal matrices (repeated, negative and -0.0 entries included),
+    ascending or not, diagonalize returns the eigh path's eigenvalues,
+    eigenvectors and C-contiguous node values bit for bit."""
+    d = np.sort(diag, kind="stable") if ascending else np.array(diag)
+    A = np.diag(d)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((d.size + 5, d.size))
+    if fortran:  # the zonal basis stores its values in F order
+        values = np.asfortranarray(values)
+    basis = geometry.Basis(None, 0, None, np.zeros(d.size), values)
+    decomp = operator_core.diagonalize(A, basis)
+    mu, vecs, nodes = _eigh_reference(A, values)
+    assert decomp.eigenvalues.tobytes() == mu.tobytes()
+    assert decomp.eigenvectors.tobytes() == vecs.tobytes()
+    node_values = decomp.node_values()
+    assert node_values.flags.c_contiguous and not node_values.flags.writeable
+    assert node_values.tobytes() == nodes.tobytes()
+    assert not np.shares_memory(node_values, values)
+
+
+def test_diagonalize_free_matrices_skip_eigh(monkeypatch):
+    """Every free Galerkin matrix is diagonal and ascending, so none reaches
+    eigh; the free spectra stay exact."""
+    def fail(a):
+        raise AssertionError("eigh called on a free matrix")
+    monkeypatch.setattr(operator_core.np.linalg, "eigh", fail)
+    for kind, n, K in ((geometry.SPHERE_ZONAL, 2, 64), (geometry.SPHERE_FULL_2D, 2, 8),
+                       (geometry.TORUS, 2, 6), (geometry.TORUS, 3, 3)):
+        decomp = operator_core.solve(None, geometry.ModelManifold(kind, n), K)
+        assert np.array_equal(decomp.eigenvalues, np.rint(decomp.basis.freqs ** 2))
+
+
 def test_eigensolver_bit_deterministic():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((30, 30))
@@ -69,7 +123,7 @@ def test_diagonalize_maps_solver_failure_to_numeric_error(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     monkeypatch.setattr(operator_core.np.linalg, "eigh", fail)
     with pytest.raises(NumericError, match="did not converge"):
-        operator_core.diagonalize(np.eye(3))
+        operator_core.diagonalize(np.array([[2.0, 1.0], [1.0, 2.0]]))
 
 
 def test_positivity_shift_forgives_round_off():
@@ -159,6 +213,44 @@ def test_littlewood_paley_partition():
     for j in range(1, 12):
         total = total + operator_core.lp_beta(j, xi)
     assert np.max(np.abs(total - 1.0)) < 1e-12
+
+
+def _gemm_potential(V, basis):
+    """The potential block as the symmetrized full GEMM E^T (w V E)."""
+    wv = basis.grid.weights * operator_core._potential_values(V, basis.grid)
+    M = basis.values.T @ (basis.values * wv[:, None])
+    return 0.5 * (M + M.T)
+
+
+@pytest.mark.parametrize("n,V,levels", [
+    (2, potentials.constant(-2.0), 0),
+    (2, potentials.from_expression("cos(phi)"), 0),
+    (3, potentials.truncated_counterexample(3, 0.3), 0),
+    (3, potentials.counterexample(3), 6),
+])
+def test_potential_matrix_sign_split_matches_gemm(n, V, levels):
+    """The sign-split rank-k update is exactly symmetric and within 1e-13 of
+    the GEMM formula, relative to the largest entry."""
+    manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, n)
+    basis = geometry.build_basis(manifold, 48, geometry.default_grid(manifold, 48, levels))
+    M = operator_core.potential_matrix(V, basis)
+    assert np.array_equal(M, M.T)
+    ref = _gemm_potential(V, basis)
+    assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
+    A = operator_core.assemble(V, basis)
+    assert np.array_equal(A, A.T)
+
+
+@pytest.mark.parametrize("expr,bad", [("log(phi-1)", "nan"), ("1/(phi-phi)", "inf")])
+def test_assemble_rejects_non_finite_potential(expr, bad):
+    """A V that is not finite on the grid stops at assembly, naming the first
+    such node, before a NaN row could be dropped by the sign split."""
+    basis = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_ZONAL, 2), 8)
+    V = potentials.from_expression(expr)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match=f"not finite at node 0 of {basis.grid.size} "
+                           rf"\(coordinates .*\): w\*V = {bad}"):
+            operator_core.assemble(V, basis, check=True)
 
 
 def test_assembly_refinement_check_passes_smooth():
