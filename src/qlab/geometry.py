@@ -215,13 +215,38 @@ def _pole_capped_grid(n: int, bulk_panels: int, s_hi: float,
     # threshold
     live = w_seg > 0.0
     phi_seg, w_seg = phi_seg[live], w_seg[live]
-    # the mirrored cap pi - exp(-s) is not representable in double
-    # precision beyond s ~ 35; drop those (negligible-weight) nodes
+    # the mirrored cap pi - exp(-s) keeps almost no bits of exp(-s) from
+    # s ~ 33 on and is not representable beyond s ~ 36; drop the nodes with
+    # exp(-s) <= 4e-15 (s >= 33.2).  Their weight is tiny, but at n = 2 the
+    # critical w V decays only like 2/s^2, so an even V is assembled on
+    # ``hemisphere``, which reads the whole north cap instead
     mirror = phi_seg > 4e-15
     phi = np.concatenate([phi_seg, phi_b, np.pi - phi_seg[mirror]])
     weights = np.concatenate([w_seg, w_b, w_seg[mirror]])
     order = np.argsort(phi)
     return QuadratureGrid(ModelManifold(SPHERE_ZONAL, n), phi[order], weights[order])
+
+
+def hemisphere(grid: QuadratureGrid) -> QuadratureGrid:
+    """The zonal rule folded onto the northern hemisphere: the nodes
+    phi < pi/2 with weight 2w, plus a node at exactly phi = pi/2 (odd Gauss
+    sizes) with its own weight w.  These nodes are a prefix of the ascending
+    grid, so a basis on ``grid`` has the rows ``values[:size]`` there.
+
+    For an integrand even about the equator, f(pi - phi) = f(phi), the fold
+    reproduces the full rule when the grid is mirror-symmetric.  Every grid
+    that ``zonal_grid`` builds is: the Gauss rule is mirrored exactly, and the
+    pole caps are mirror images.  The full pole-capped grid drops the south
+    cap's nodes beyond s ~ 33.2, where pi - exp(-s) is barely representable;
+    the fold uses the whole north cap there, which is what that south cap
+    would have held."""
+    if grid.manifold.kind != SPHERE_ZONAL:
+        raise DomainError("only a zonal grid folds onto a hemisphere")
+    h = int(np.searchsorted(grid.nodes, math.pi / 2.0))
+    weights = 2.0 * grid.weights[:h]
+    if h < grid.size and grid.nodes[h] == math.pi / 2.0:
+        weights = np.append(weights, grid.weights[h])
+    return replace(grid, nodes=grid.nodes[:weights.size], weights=weights)
 
 
 @functools.lru_cache(maxsize=None)

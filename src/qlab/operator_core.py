@@ -36,30 +36,65 @@ def _potential_values(V: Potential | None, grid: geometry.QuadratureGrid) -> np.
     return np.asarray(V(nodes), dtype=float)
 
 
-def potential_matrix(V: Potential | None, basis: geometry.Basis) -> np.ndarray:
-    """Galerkin matrix <V e_j, e_k> on the basis quadrature grid, exactly
-    symmetric: S+^T S+ - S-^T S-, where S+- are the basis rows of the nodes
-    with +-w V > 0 scaled by sqrt(+-w V), each product a rank-k update (SYRK).
-    V = None gives the zero matrix.  Raises NumericError naming the first
-    node where w V is not finite."""
-    J = basis.size
-    if V is None:
-        return np.zeros((J, J))
-    wv = basis.grid.weights * _potential_values(V, basis.grid)
+def _weighted_potential(V: Potential, grid: geometry.QuadratureGrid,
+                        full: geometry.QuadratureGrid) -> np.ndarray:
+    """w V on ``grid``, whose nodes are a prefix of ``full`` (the grid itself,
+    or its hemisphere fold).  Raises NumericError naming the first node, by
+    its index and coordinates in ``full``, where w V is not finite."""
+    wv = grid.weights * _potential_values(V, grid)
     bad = np.flatnonzero(~np.isfinite(wv))
     if bad.size:
         i = int(bad[0])
-        raise NumericError(f"potential not finite at node {i} of {basis.grid.size} "
-                           f"(coordinates {basis.grid.nodes[i]}): w*V = {float(wv[i])}; "
+        raise NumericError(f"potential not finite at node {i} of {full.size} "
+                           f"(coordinates {full.nodes[i]}): w*V = {float(wv[i])}; "
                            "V must be finite on the quadrature grid")
-    Et = basis.values.T
+    return wv
 
+
+def _sign_split(Et: np.ndarray, wv: np.ndarray) -> np.ndarray:
+    """Et diag(wv) Et^T as S+ S+^T - S- S-^T, S+- the columns of Et where
+    +-wv > 0 scaled by sqrt(+-wv)."""
     def gram(keep: np.ndarray, weight: np.ndarray) -> np.ndarray:
         S = np.compress(keep, Et, axis=1)
         S *= np.sqrt(weight[keep])
         return S @ S.T  # numpy sends S @ S.T to SYRK: exactly symmetric
 
     return gram(wv > 0.0, wv) - gram(wv < 0.0, -wv)
+
+
+def _parity_blocks(V: Potential, values: np.ndarray, half: geometry.QuadratureGrid,
+                   full: geometry.QuadratureGrid) -> np.ndarray:
+    """Galerkin matrix of an even V in the zonal modes ``values`` (rows at
+    the nodes of the hemisphere rule ``half`` of ``full``): the even-degree
+    and the odd-degree block by the sign split, exact zeros across parity."""
+    wv = _weighted_potential(V, half, full)
+    J = values.shape[1]
+    M = np.zeros((J, J))
+    for p in (0, 1):
+        M[p::2, p::2] = _sign_split(values[:, p::2].T, wv)
+    return M
+
+
+def _folds(V: Potential, basis: geometry.Basis) -> bool:
+    return V.even and basis.manifold.kind == geometry.SPHERE_ZONAL
+
+
+def potential_matrix(V: Potential | None, basis: geometry.Basis) -> np.ndarray:
+    """Galerkin matrix <V e_j, e_k> on the basis quadrature grid, exactly
+    symmetric: S+^T S+ - S-^T S-, where S+- are the basis rows of the nodes
+    with +-w V > 0 scaled by sqrt(+-w V), each product a rank-k update (SYRK).
+    An even V (``V.even``) on a zonal basis couples only degrees of equal
+    parity: its two parity blocks are computed that way on the hemisphere
+    rule, and every entry across parity is exactly 0.  V = None gives the
+    zero matrix.  Raises NumericError naming the first node where w V is not
+    finite."""
+    J = basis.size
+    if V is None:
+        return np.zeros((J, J))
+    if _folds(V, basis):
+        half = geometry.hemisphere(basis.grid)
+        return _parity_blocks(V, basis.values[:half.size], half, basis.grid)
+    return _sign_split(basis.values.T, _weighted_potential(V, basis.grid, basis.grid))
 
 
 _CHECK_TOL = 0.01  # largest entry move under refinement, relative to the matrix scale
@@ -74,11 +109,18 @@ def assemble(V: Potential | None, basis: geometry.Basis,
     1% (``_CHECK_TOL``) of the matrix scale; otherwise it returns the refined
     matrix.  A pole-capped zonal grid keeps its caps (its ``pole_levels``) node
     for node and refines only the bulk, so the check never tests the cap rule.
+    An even V on a zonal basis is reassembled on the hemisphere fold of the
+    refined grid, so the refined basis is evaluated on those nodes only.
     """
     pot = potential_matrix(V, basis)
     if check and V is not None:
-        fine = _refined_copy(basis)
-        pot_fine = potential_matrix(V, fine)
+        if _folds(V, basis):
+            fine_grid = _refined_grid(basis.grid)
+            half = geometry.hemisphere(fine_grid)
+            fine = geometry.ZonalSphereBasis(basis.manifold.n, basis.K, half)
+            pot_fine = _parity_blocks(V, fine.values, half, fine_grid)
+        else:
+            pot_fine = potential_matrix(V, _refined_copy(basis))
         scale = max(float(np.max(np.abs(pot_fine))), 1e-300)
         diff = np.abs(pot_fine - pot)
         j, k = np.unravel_index(int(np.argmax(diff)), diff.shape)
@@ -94,20 +136,20 @@ def assemble(V: Potential | None, basis: geometry.Basis,
     return np.diag(np.rint(basis.freqs ** 2)) + pot
 
 
-def _refined_copy(basis: geometry.Basis) -> geometry.Basis:
-    grid = basis.grid
+def _refined_grid(grid: geometry.QuadratureGrid) -> geometry.QuadratureGrid:
     m = grid.manifold
     if m.kind == geometry.SPHERE_ZONAL:
-        fine = geometry.zonal_grid(m.n, 2 * grid.size, pole_levels=grid.pole_levels)
-        return geometry.ZonalSphereBasis(m.n, basis.K, fine)
+        return geometry.zonal_grid(m.n, 2 * grid.size, pole_levels=grid.pole_levels)
     if m.kind == geometry.SPHERE_FULL_2D:
         nphi = np.unique(grid.nodes[:, 0]).size
         ntheta = np.unique(grid.nodes[:, 1]).size
-        fine = geometry.full_sphere_grid(2 * nphi + 1, 2 * ntheta + 2)
-        return geometry.FullSphereBasis(basis.K, fine)
+        return geometry.full_sphere_grid(2 * nphi + 1, 2 * ntheta + 2)
     per_dim = int(round(grid.size ** (1.0 / m.n)))
-    fine = geometry.torus_grid(m.n, 2 * per_dim)
-    return geometry.TorusBasis(m.n, basis.K, fine)
+    return geometry.torus_grid(m.n, 2 * per_dim)
+
+
+def _refined_copy(basis: geometry.Basis) -> geometry.Basis:
+    return geometry.build_basis(basis.manifold, basis.K, _refined_grid(basis.grid))
 
 
 @dataclass
@@ -163,6 +205,13 @@ class SpectralDecomposition:
         return self.eigenvectors.T @ self.basis.project(f)
 
 
+def _eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver did not converge: {exc}") from exc
+
+
 def diagonalize(matrix: np.ndarray,
                 basis: geometry.Basis | None = None) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix via LAPACK ``eigh``.
@@ -171,15 +220,19 @@ def diagonalize(matrix: np.ndarray,
     largest-magnitude component positive.  A diagonal matrix with a finite,
     non-decreasing diagonal skips ``eigh`` and returns its output bit for
     bit: the diagonal, the identity, and as node values a C-contiguous copy
-    of the basis values.  Raises DomainError for a non-square or
+    of the basis values.  A non-diagonal matrix whose entries between even
+    and odd indices are all exactly 0 (the Galerkin matrix of an even zonal
+    V) is solved as its two parity blocks, one ``eigh`` each; the merged
+    eigenvalues are sorted stably with the even block first, so ties list
+    even-index eigenvectors first.  Raises DomainError for a non-square or
     non-symmetric matrix and NumericError when the solver does not converge.
     """
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError("matrix must be square")
     d = np.diagonal(A)
-    if (np.count_nonzero(A) == np.count_nonzero(d) and np.all(np.isfinite(d))
-            and np.all(d[1:] >= d[:-1])):
+    diagonal = np.count_nonzero(A) == np.count_nonzero(d)
+    if diagonal and np.all(np.isfinite(d)) and np.all(d[1:] >= d[:-1]):
         # diagonal and ascending, as every free Galerkin matrix is: eigh
         # returns exactly (d, I) here, so skip it
         decomp = SpectralDecomposition(eigenvalues=d.copy(),
@@ -192,10 +245,18 @@ def diagonalize(matrix: np.ndarray,
         return decomp
     if not np.allclose(A, A.T, atol=1e-10 * max(1.0, float(np.max(np.abs(A))))):
         raise DomainError("matrix must be symmetric")
-    try:
-        mu, vecs = np.linalg.eigh(0.5 * (A + A.T))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver did not converge: {exc}") from exc
+    A = 0.5 * (A + A.T)
+    # a diagonal matrix stays on the full path: LAPACK orders its repeated
+    # eigenvalues in its own way, which the blocks would not reproduce
+    if diagonal or np.any(A[0::2, 1::2]):
+        mu, vecs = _eigh(A)
+    else:
+        (mu_e, vec_e), (mu_o, vec_o) = _eigh(A[0::2, 0::2]), _eigh(A[1::2, 1::2])
+        ne = mu_e.size
+        mu = np.concatenate([mu_e, mu_o])
+        vecs = np.zeros(A.shape)
+        vecs[0::2, :ne] = vec_e
+        vecs[1::2, ne:] = vec_o
     order = np.argsort(mu, kind="stable")
     mu = mu[order]
     vecs = vecs[:, order]

@@ -32,11 +32,21 @@ INJECTIVITY_SCALE = math.pi / 2.0
 
 @dataclass(frozen=True)
 class Potential:
-    """A real zonal potential V(phi) with singularity annotations."""
+    """A real zonal potential V(phi) with annotations of facts about V.
+
+    ``singularities`` lists the polar angles where V blows up (these select
+    the pole-capped grid), ``smooth_bound`` bounds |V| when V is bounded, and
+    ``even`` states the equatorial symmetry V(pi - phi) = V(phi).  An even V
+    couples only zonal modes of equal degree parity, so ``operator_core``
+    assembles it on the folded hemisphere rule, as two parity blocks.  Only
+    the two counterexample potentials set it; an expression, and a constant,
+    leave it False.
+    """
 
     fn: Callable[[np.ndarray], np.ndarray]
     singularities: tuple[float, ...] = ()
     smooth_bound: float | None = None
+    even: bool = False
 
     def __call__(self, phi):
         return self.fn(np.asarray(phi, dtype=float))
@@ -105,7 +115,7 @@ def counterexample_eigenfunction_laplacian(n: int, phi):
 
 def counterexample(n: int) -> Potential:
     return Potential(fn=lambda phi: counterexample_potential(n, np.asarray(phi)),
-                     singularities=(0.0, math.pi))
+                     singularities=(0.0, math.pi), even=True)
 
 
 def _smoothstep(t):
@@ -133,7 +143,7 @@ def truncated_counterexample(n: int, phi0: float = 0.3) -> Potential:
         return out
     bound = float(np.max(np.abs(counterexample_potential(
         n, np.linspace(phi0, math.pi - phi0, 4001)))))
-    return Potential(fn=fn, smooth_bound=bound * 1.01)
+    return Potential(fn=fn, smooth_bound=bound * 1.01, even=True)
 
 
 _ALLOWED_FUNCS = {

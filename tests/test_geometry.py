@@ -262,3 +262,30 @@ def test_zonal_values_match_normalized_table(n, K, levels):
     table = geometry._gegenbauer_table(K, (n - 1) / 2.0, np.cos(basis.grid.nodes))
     norms = np.sqrt(np.sum(basis.grid.weights * table ** 2, axis=1))
     assert basis.values.tobytes() == (table / norms[:, None]).T.tobytes()
+
+
+@pytest.mark.parametrize("n,size,levels", [(2, 7, 0), (3, 8, 0), (3, 31, 0), (5, 144, 0),
+                                           (3, 144, 6), (2, 272, 6)])
+def test_hemisphere_folds_even_integrands(n, size, levels):
+    """The fold is a prefix of the grid with doubled weights (an equator node
+    keeps its own), and integrates even integrands as the full rule does."""
+    grid = geometry.zonal_grid(n, size, pole_levels=levels)
+    half = geometry.hemisphere(grid)
+    h = half.size
+    assert np.array_equal(half.nodes, grid.nodes[:h])
+    assert half.pole_levels == grid.pole_levels
+    assert np.all(grid.nodes[h:] > math.pi / 2)
+    equator = half.nodes[-1] == math.pi / 2
+    assert equator == (levels == 0 and size % 2 == 1)
+    north = h - int(equator)
+    assert np.array_equal(half.weights[:north], 2.0 * grid.weights[:north])
+    if equator:
+        assert half.weights[-1] == grid.weights[h - 1]
+    for f in (lambda phi: np.ones_like(phi), lambda phi: np.cos(phi) ** 4 + np.sin(phi)):
+        full = grid.integrate(f(grid.nodes))
+        assert abs(half.integrate(f(half.nodes)) - full) <= 1e-14 * abs(full)
+
+
+def test_hemisphere_rejects_product_grids():
+    with pytest.raises(DomainError, match="zonal"):
+        geometry.hemisphere(geometry.full_sphere_grid(8))

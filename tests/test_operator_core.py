@@ -100,6 +100,62 @@ def test_diagonalize_free_matrices_skip_eigh(monkeypatch):
         assert np.array_equal(decomp.eigenvalues, np.rint(decomp.basis.freqs ** 2))
 
 
+@given(size=st.integers(min_value=3, max_value=40),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       integer=st.booleans(), shared=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_diagonalize_parity_blocks_contract(size, seed, integer, shared):
+    """A non-diagonal symmetric matrix with exact zeros between even and odd
+    indices is solved by parity blocks: eigenvalues ascend, the sign rule holds,
+    residual and orthogonality stay below 1e-12, every eigenvector lives on
+    one parity, and within a tie the even ones come first.  ``shared`` gives
+    the odd block the even block's leading part, so eigenvalues repeat
+    exactly across the blocks."""
+    rng = np.random.default_rng(seed)
+    B = (rng.integers(-2, 3, (size, size)) if integer
+         else rng.standard_normal((size, size))).astype(float)
+    A = (B + B.T) / 2
+    A[0::2, 1::2] = 0.0
+    A[1::2, 0::2] = 0.0
+    if A[0, 2] == 0.0:  # a diagonal matrix takes the full eigh path
+        A[0, 2] = A[2, 0] = 1.0
+    if shared:
+        no = A[1::2, 1::2].shape[0]
+        A[1::2, 1::2] = A[0::2, 0::2][:no, :no]
+    decomp = operator_core.diagonalize(A)
+    mu, V = decomp.eigenvalues, decomp.eigenvectors
+    assert np.all(np.diff(mu) >= 0.0)
+    assert np.all(V[np.argmax(np.abs(V), axis=0), np.arange(size)] > 0.0)
+    scale = max(np.linalg.norm(A, 2), 1e-300)
+    assert np.linalg.norm(A @ V - V * mu, 2) <= 1e-12 * scale
+    assert np.linalg.norm(V.T @ V - np.eye(size), 2) <= 1e-12
+    even = ~np.any(V[1::2], axis=0)
+    assert np.all(even | ~np.any(V[0::2], axis=0))
+    tie = mu[1:] == mu[:-1]
+    assert not np.any(tie & ~even[:-1] & even[1:])
+
+
+def test_checked_critical_solve_calls_eigh_on_parity_blocks(monkeypatch):
+    """The checked critical solve at n = 3, K = 64 (J = 65) runs eigh on the
+    33- and 32-mode parity blocks only, never on the J x J matrix, and
+    returns the full-matrix eigenvalues."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def record(a):
+        shapes.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(operator_core.np.linalg, "eigh", record)
+    decomp = operator_core.solve(potentials.counterexample(3),
+                                 geometry.ModelManifold(geometry.SPHERE_ZONAL, 3), 64)
+    assert sorted(shapes) == [(32, 32), (33, 33)]
+    monkeypatch.undo()
+    A = operator_core.assemble(potentials.counterexample(3), decomp.basis, check=True)
+    ref = np.linalg.eigvalsh(A)
+    assert np.max(np.abs(decomp.eigenvalues - ref)) <= 1e-13 * np.linalg.norm(A, 2)
+
+
 def test_eigensolver_bit_deterministic():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((30, 30))
@@ -239,6 +295,63 @@ def test_potential_matrix_sign_split_matches_gemm(n, V, levels):
     assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
     A = operator_core.assemble(V, basis)
     assert np.array_equal(A, A.T)
+
+
+_EVEN_POTENTIALS = [(n, V) for n in (2, 3, 4, 5)
+                    for V in (potentials.counterexample(n),
+                              potentials.truncated_counterexample(n, 0.3))]
+
+
+@pytest.mark.parametrize("n,V", _EVEN_POTENTIALS)
+def test_even_potential_matrix_parity_blocks_match_full_grid(n, V):
+    """An even V on the Gauss grid: the entries across degree parity are
+    exactly 0, and the two blocks, summed on the hemisphere, are within
+    1e-13 of the full-grid GEMM relative to its largest entry."""
+    manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, n)
+    basis = geometry.build_basis(manifold, 48)
+    M = operator_core.potential_matrix(V, basis)
+    assert np.array_equal(M, M.T)
+    assert not np.any(M[0::2, 1::2])
+    ref = _gemm_potential(V, basis)
+    assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_even_checked_assembly_matches_unfolded(n):
+    """The check of an even V reassembles on the fold of the refined grid;
+    it returns the refined full-grid matrix of the same V without the
+    annotation to 1e-13, with exact zeros across parity."""
+    V = potentials.truncated_counterexample(n, 0.3)
+    plain = potentials.Potential(fn=V.fn, smooth_bound=V.smooth_bound)
+    basis = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_ZONAL, n), 32)
+    A = operator_core.assemble(V, basis, check=True)
+    ref = operator_core.assemble(plain, basis, check=True)
+    assert not np.any(A[0::2, 1::2])
+    assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_n2_critical_cross_parity_block_is_exactly_zero():
+    """The level-6 grid drops the south cap from s ~ 33.2 on, which at n = 2
+    (w V ~ 2/s^2) used to leave cross-parity entries of 4e-4 of the largest
+    entry; the fold integrates both caps as the full north cap."""
+    manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 2)
+    grid = geometry.default_grid(manifold, 64, pole_levels=geometry.SINGULAR_POLE_LEVELS)
+    basis = geometry.build_basis(manifold, 64, grid)
+    A = operator_core.assemble(potentials.counterexample(2), basis, check=True)
+    assert np.array_equal(A, A.T)
+    assert not np.any(A[0::2, 1::2])
+    assert np.all(np.diagonal(A[1::2, 1::2]) != 0.0)
+
+
+def test_even_non_finite_potential_names_full_grid_node():
+    """For an even V only the hemisphere is evaluated, and the error names
+    the node by its index and coordinates in the full grid."""
+    basis = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_ZONAL, 2), 8)
+    V = potentials.Potential(fn=lambda phi: np.where(phi > 1.0, np.nan, 1.0), even=True)
+    i = int(np.flatnonzero(basis.grid.nodes > 1.0)[0])
+    with pytest.raises(NumericError, match=f"not finite at node {i} of {basis.grid.size} "
+                       rf"\(coordinates {basis.grid.nodes[i]}\)"):
+        operator_core.assemble(V, basis, check=True)
 
 
 @pytest.mark.parametrize("expr,bad", [("log(phi-1)", "nan"), ("1/(phi-phi)", "inf")])

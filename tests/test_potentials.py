@@ -146,3 +146,23 @@ def test_positivity_shift_zero_for_free():
     manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 2)
     assert operator_core.solve(potentials.zero(), manifold, 8, shift="auto").shift == 1
     assert operator_core.solve(potentials.constant(-5.0), manifold, 8, shift="auto").shift == 6
+
+
+@pytest.mark.parametrize("V", [potentials.counterexample(n) for n in (2, 3, 4, 5)]
+                         + [potentials.truncated_counterexample(n, phi0)
+                            for n in (2, 3, 5) for phi0 in (0.25, 0.3, 0.35)])
+def test_even_potentials_are_mirror_symmetric(V):
+    """Every potential annotated even satisfies V(pi - phi) = V(phi) to 1e-12
+    relative on the bulk nodes of a Gauss grid."""
+    assert V.even
+    phi = geometry.zonal_grid(3, 200).nodes
+    phi = phi[(phi >= 0.1) & (phi <= math.pi - 0.1)]
+    v = V(phi)
+    np.testing.assert_allclose(V(math.pi - phi), v, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(v)))
+
+
+def test_only_the_counterexamples_are_annotated_even():
+    assert not potentials.constant(-5.0).even
+    assert not potentials.zero().even
+    assert not potentials.from_expression("cos(phi)**2").even
