@@ -23,7 +23,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import DomainError
+from .errors import ConfigError, DomainError, QlabError, ResolutionError
 
 
 class CliError(Exception):
@@ -40,8 +40,8 @@ class CliError(Exception):
 # typed config values
 
 
-def _to_int(text: str) -> int:
-    return int(text)
+_to_int = int
+_to_str = str.strip
 
 
 def _to_float(text: str) -> float:
@@ -56,10 +56,6 @@ def _to_floats(text: str):
 
 def _to_ints(text: str):
     return tuple(int(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
-
-
-def _to_str(text: str) -> str:
-    return text.strip()
 
 
 def _to_shift(text: str):
@@ -187,7 +183,27 @@ def build_config(experiment: str, raw: dict) -> dict:
     return cfg
 
 
-_TORUS_BASIS_BYTES = 2 ** 30  # largest dense N x J torus basis a config may ask for
+# ---------------------------------------------------------------------------
+# plans: each takes the typed config, checks every precondition of the run
+# without computing, and returns the run, which returns an ExperimentReport
+
+
+def _key(key: str, check, *args):
+    """check(*args), with a DomainError reported against config key ``key``."""
+    try:
+        return check(*args)
+    except DomainError as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from None
+
+
+_ARRAY_BYTES = 2 ** 30  # the largest array a config may ask for
+
+
+def _check_bytes(size: int, what: str, key: str, exact: bool = True) -> None:
+    if size > _ARRAY_BYTES:
+        raise ResolutionError(f"key {key!r}: {what} needs {'' if exact else 'at least '}"
+                              f"{size / 2 ** 30:.3g} GiB, above the "
+                              f"{_ARRAY_BYTES / 2 ** 30:g} GiB limit; lower {key}")
 
 
 def _lattice_points(n: int, r2: int) -> int:
@@ -199,354 +215,343 @@ def _lattice_points(n: int, r2: int) -> int:
                                                 for x in range(1, top + 1))
 
 
-def _size_diagnostics(experiment: str, cfg: dict) -> list:
-    """Truncations a valid manifold cannot run: a torus basis too large to
-    hold densely, or a zonal-ladder rung above the free top frequency (V
-    moves that frequency, so the run can still stop)."""
-    from . import geometry
-    out = []
-    K, n, torus = cfg["K"], cfg["n"], cfg["manifold"] == geometry.TORUS
-    if torus and K >= 0:
-        nodes = (2 * K + 2) ** n  # default_grid's torus grid
-        size, exact = 8 * nodes, False  # one column: a lower bound
-        if size <= _TORUS_BASIS_BYTES:  # then counting the modes is cheap
-            size, exact = size * _lattice_points(n, K * K), True
-        if size > _TORUS_BASIS_BYTES:
-            out.append(f"key 'K': the dense torus basis at K={K} ({nodes} nodes per mode) "
-                       f"needs {'' if exact else 'at least '}{size / 2 ** 30:.3g} GiB, "
-                       f"above the {_TORUS_BASIS_BYTES / 2 ** 30:g} GiB limit; lower K")
-    if experiment == "strichartz" and cfg["battery"] == "zonal-ladder" and K >= 0:
-        top = K if torus else math.sqrt(K * (K + n - 1))
-        short = [k for k in cfg["ks"] if top < k + 0.75]
-        if short:
-            out.append(f"truncation frequency {top:.1f} (K={K}) below battery rung "
-                       f"k={short[0]}, which needs frequencies up to k + 3/4")
-    return out
+def _decomposition(cfg: dict, top: float = 0.0):
+    """Plan of the solve of a spectral experiment: resolves the manifold and V,
+    checks the truncation (K >= 2 and K >= ``top``) and the size of the dense
+    N x J basis, and returns the solve with the frequencies of H_0 + shift.
+    The plans check what a run reads of the spectrum against these; V moves
+    them, so the run checks again."""
+    import numpy as np
+
+    from . import geometry, operator_core, potentials
+    n, K = cfg["n"], cfg["K"]
+    manifold = _key("manifold", geometry.ModelManifold, cfg["manifold"], n)
+    V = _key("potential", potentials.from_reference, cfg["potential"], n)
+    _key("potential", operator_core._check_potential, V, manifold)
+    if K < 2:
+        raise ConfigError("truncation too small (K must be at least 2)")
+    if K < top:
+        raise ConfigError(f"truncation too small (K={K} below the largest "
+                          f"requested frequency {top:g})")
+    full, torus = manifold.kind == geometry.SPHERE_FULL_2D, manifold.kind == geometry.TORUS
+    # N of geometry.default_grid; J is K + 1, (K + 1)^2 or the lattice count
+    nodes = (2 * K + 2) ** n if torus else (K + 9) * (2 * K + 4) if full else 2 * K + 16
+    what = f"the dense {manifold.kind} basis at K={K} ({nodes} nodes per mode)"
+    if torus:  # one column bounds the basis and keeps the lattice count cheap
+        _check_bytes(8 * nodes, what, "K", exact=False)
+    _check_bytes(8 * nodes * (_lattice_points(n, K * K) if torus else (K + 1) ** (1 + full)),
+                 what, "K")
+    if torus:
+        mu = sum(np.meshgrid(*[np.arange(-K, K + 1) ** 2] * n, sparse=True)).ravel()
+        mu = np.sort(mu[mu <= K * K]).astype(float)
+    else:
+        k = np.arange(K + 1)
+        mu = np.repeat(k * (k + n - 1.0), 2 * k + 1 if full else 1)
+    shift = operator_core._positivity_shift(mu) if cfg["shift"] == "auto" else cfg["shift"]
+    return (lambda: operator_core.solve(V, manifold, K, shift=cfg["shift"]),
+            np.sqrt(np.maximum(mu + shift, 0.0)))
 
 
-def validate(experiment: str, cfg: dict) -> list:
-    """Semantic diagnostics beyond type checking; never mutates state."""
-    from . import geometry
-    out = []
-    spectral = "manifold" in cfg  # the schemas built on _COMMON solve for a decomposition
-    if spectral and cfg["K"] < 2:
-        out.append("truncation too small (K must be at least 2)")
-    if "lams" in cfg:
-        lam_max = max(cfg["lams"]) if cfg["lams"] else 0.0
-        if spectral and cfg["K"] < lam_max:
-            out.append(f"truncation too small (K={cfg.get('K')} below the "
-                       f"largest requested frequency {lam_max:g})")
-    if experiment == "divergent-quasimode":
-        if cfg["n"] < 4:
-            out.append("dimension must be >= 4 for the divergent construction")
-        if not 0.0 < cfg["eps"] < 0.5:
-            out.append("eps must lie in (0, 1/2)")
-    if experiment == "projector-norms" and cfg["p"] < 2:
-        out.append("p must lie in [2, inf] for projector norms")
-    elif experiment == "projector-norms" and cfg["manifold"] == geometry.SPHERE_ZONAL:
-        from .estimators import p_critical
-        if cfg["n"] >= 2 and 2 < cfg["p"] < p_critical(cfg["n"]):
-            out.append(f"p = {cfg['p']:g} lies below p_c = {p_critical(cfg['n']):g}: "
-                       "zonal functions cannot reach the p < p_c regime of sigma(p); "
-                       "use p = 2 or p >= p_c")
-    if experiment == "wave-speed" and abs(cfg["t"]) > math.pi / 2:
-        out.append("time t must satisfy |t| <= pi/2")
-    if experiment == "resolvent-probe" and cfg["n"] < 3:
-        out.append("dimension must be >= 3 for the uniform resolvent pair")
-    if spectral:
-        try:
-            geometry.ModelManifold(cfg["manifold"], cfg["n"])
-        except DomainError as exc:
-            out.append(f"key 'manifold': {exc}")
-        else:
-            out += _size_diagnostics(experiment, cfg)
-        if experiment in ("bochner-riesz", "weyl") and cfg["manifold"] != geometry.SPHERE_ZONAL:
-            out.append(f"key 'manifold': {experiment} evaluates zonal modes at a polar "
-                       "angle, so it runs on sphere-zonal only")
-    if "potential" in cfg:
-        try:
-            V = _resolve_potential(cfg["potential"], cfg["n"])
-        except DomainError as exc:
-            out.append(f"key 'potential': {exc}")
-        else:
-            if V is not None and cfg.get("manifold") == geometry.TORUS:
-                out.append("key 'potential': zonal potentials are not defined on the torus")
-    return out
-
-
-def _resolve_potential(text: str, n: int):
-    """Potential reference: '0', 'counterexample',
-    'truncated-counterexample[:phi0]', 'constant:<c>', or a zonal expression."""
-    from . import potentials
-    text = text.strip()
-
-    def number(arg: str) -> float:
-        try:
-            return float(arg)
-        except ValueError:
-            raise DomainError(f"{arg!r} in {text!r} is not a number") from None
-
-    if text in ("0", "", "none", "zero"):
-        return None
-    if text == "counterexample":
-        return potentials.counterexample(n)
-    if text.startswith("truncated-counterexample"):
-        _, _, arg = text.partition(":")
-        return potentials.truncated_counterexample(n, number(arg) if arg else 0.3)
-    if text.startswith("constant:"):
-        return potentials.constant(number(text.partition(":")[2]))
-    return potentials.from_expression(text)
-
-
-def _solve(cfg: dict):
-    from . import geometry, operator_core
-    manifold = geometry.ModelManifold(cfg["manifold"], cfg["n"])
-    V = _resolve_potential(cfg["potential"], cfg["n"])
-    return operator_core.solve(V, manifold, cfg["K"], shift=cfg["shift"])
-
-
-# ---------------------------------------------------------------------------
-# runners: each takes the typed config and returns an ExperimentReport
-
-
-def _run_spectrum(cfg):
+def _plan_spectrum(cfg):
     from . import estimators
-    decomp = _solve(cfg)
-    rows = [[i, float(mu), float(fr)] for i, (mu, fr)
-            in enumerate(zip(decomp.eigenvalues, decomp.frequencies))]
-    return estimators.ExperimentReport(
-        columns=["index", "eigenvalue", "frequency"], rows=rows,
-        summary={"shift": decomp.shift,
-                 "min_eigenvalue": float(decomp.eigenvalues[0]),
-                 "max_eigenvalue": float(decomp.eigenvalues[-1]),
-                 "verdict": "ok"})
+    solve, _ = _decomposition(cfg)
+
+    def run():
+        decomp = solve()
+        rows = [[i, float(mu), float(fr)] for i, (mu, fr)
+                in enumerate(zip(decomp.eigenvalues, decomp.frequencies))]
+        return estimators.ExperimentReport(
+            columns=["index", "eigenvalue", "frequency"], rows=rows,
+            summary={"shift": decomp.shift,
+                     "min_eigenvalue": float(decomp.eigenvalues[0]),
+                     "max_eigenvalue": float(decomp.eigenvalues[-1]),
+                     "verdict": "ok"})
+    return run
 
 
-def _run_kato(cfg):
-    from . import estimators, potentials
-    V = _resolve_potential(cfg["potential"], cfg["n"]) or potentials.zero()
-    rep = potentials.kato_report(V, cfg["n"], radii=tuple(cfg["radii"]))
-    rows = [[r, m, int(c)] for r, m, c in zip(rep.radii, rep.moduli, rep.converged)]
-    summary = {"classification": rep.verdict,
-               "stagnation_ratio": rep.stagnation_ratio,
-               "lnhalf_norm": rep.lnhalf_norm,
-               "lnhalf_divergent": rep.lnhalf_divergent,
-               "verdict": "ok"}
-    return estimators.ExperimentReport(columns=["radius", "modulus", "converged"],
-                                       rows=rows, summary=summary)
+def _plan_kato(cfg):
+    from . import estimators, geometry, potentials
+    n, radii = cfg["n"], tuple(cfg["radii"])
+    _key("n", geometry.ModelManifold, geometry.SPHERE_ZONAL, n)
+    V = _key("potential", potentials.from_reference, cfg["potential"], n) or potentials.zero()
+    potentials._check_radii(radii)
+
+    def run():
+        rep = potentials.kato_report(V, n, radii=radii)
+        rows = [[r, m, int(c)] for r, m, c in zip(rep.radii, rep.moduli, rep.converged)]
+        summary = {"classification": rep.verdict,
+                   "stagnation_ratio": rep.stagnation_ratio,
+                   "lnhalf_norm": rep.lnhalf_norm, "lnhalf_divergent": rep.lnhalf_divergent,
+                   "verdict": "ok"}
+        return estimators.ExperimentReport(columns=["radius", "modulus", "converged"],
+                                           rows=rows, summary=summary)
+    return run
 
 
-def _run_counterexample(cfg):
+def _plan_counterexample(cfg):
     import numpy as np
 
     from . import estimators, geometry, potentials
     n = cfg["n"]
-    V = potentials.counterexample(n)
-    grid = geometry.zonal_grid(n, 2 * cfg["K"] + 16, pole_levels=geometry.SINGULAR_POLE_LEVELS)
-    phi = grid.nodes
-    f = potentials.counterexample_eigenfunction(n, phi)
-    lap = potentials.counterexample_eigenfunction_laplacian(n, phi)
-    vv = V.fn(phi)
-    residual = np.abs(-lap + vv * f)
-    bound = 1e-8 * (1.0 + np.abs(lap))
-    rows = [[float(a), float(b), float(c), float(d)]
-            for a, b, c, d in zip(phi, f, vv, residual)]
-    coarse = geometry.zonal_grid(n, 2 * cfg["K"] + 16, pole_levels=3)
-    pole_growth = float(np.max(f) / np.max(
-        potentials.counterexample_eigenfunction(n, coarse.nodes)))
-    kato = potentials.kato_report(V, n)
-    summary = {
-        # near the poles the absolute residual is rounding noise of the huge
-        # |V f|, so the verdict bounds it relative to 1 + |Delta f|
-        "residual_rel_max": float(np.max(residual / (1.0 + np.abs(lap)))),
-        "residual_within_bound": bool(np.all(residual <= bound)),
-        "l2_norm": float(geometry.lp_norm(grid, f, 2.0)),
-        "pole_growth_3_to_6": pole_growth,
-        "kato_classification": kato.verdict,
-        "kato_stagnation_ratio": kato.stagnation_ratio,
-        "lnhalf_norm": kato.lnhalf_norm,
-        "lnhalf_divergent": kato.lnhalf_divergent,
-    }
-    ok = (summary["residual_within_bound"] and pole_growth >= 2.0
-          and kato.verdict == potentials.NOT_IN_KATO)
-    if n >= 3:
-        ok = ok and not kato.lnhalf_divergent
-    summary["verdict"] = "pass" if ok else "fail"
-    return estimators.ExperimentReport(columns=["phi", "f", "V", "residual"],
-                                       rows=rows, summary=summary)
+    _key("n", geometry.ModelManifold, geometry.SPHERE_ZONAL, n)
+
+    def run():
+        V = potentials.counterexample(n)
+        grid = geometry.zonal_grid(n, 2 * cfg["K"] + 16,
+                                   pole_levels=geometry.SINGULAR_POLE_LEVELS)
+        phi = grid.nodes
+        f = potentials.counterexample_eigenfunction(n, phi)
+        lap = potentials.counterexample_eigenfunction_laplacian(n, phi)
+        vv = V.fn(phi)
+        residual = np.abs(-lap + vv * f)
+        bound = 1e-8 * (1.0 + np.abs(lap))
+        rows = [[float(a), float(b), float(c), float(d)]
+                for a, b, c, d in zip(phi, f, vv, residual)]
+        coarse = geometry.zonal_grid(n, 2 * cfg["K"] + 16, pole_levels=3)
+        pole_growth = float(np.max(f) / np.max(
+            potentials.counterexample_eigenfunction(n, coarse.nodes)))
+        kato = potentials.kato_report(V, n)
+        summary = {
+            # near the poles the absolute residual is rounding noise of the huge
+            # |V f|, so the verdict bounds it relative to 1 + |Delta f|
+            "residual_rel_max": float(np.max(residual / (1.0 + np.abs(lap)))),
+            "residual_within_bound": bool(np.all(residual <= bound)),
+            "l2_norm": float(geometry.lp_norm(grid, f, 2.0)),
+            "pole_growth_3_to_6": pole_growth,
+            "kato_classification": kato.verdict,
+            "kato_stagnation_ratio": kato.stagnation_ratio,
+            "lnhalf_norm": kato.lnhalf_norm,
+            "lnhalf_divergent": kato.lnhalf_divergent,
+        }
+        ok = (summary["residual_within_bound"] and pole_growth >= 2.0
+              and kato.verdict == potentials.NOT_IN_KATO)
+        if n >= 3:
+            ok = ok and not kato.lnhalf_divergent
+        summary["verdict"] = "pass" if ok else "fail"
+        return estimators.ExperimentReport(columns=["phi", "f", "V", "residual"],
+                                           rows=rows, summary=summary)
+    return run
 
 
-def _run_projector_norms(cfg):
+def _plan_projector_norms(cfg):
+    from . import estimators, geometry
+    n, p, lams, width = cfg["n"], cfg["p"], cfg["lams"], cfg["width"]
+    solve, free = _decomposition(cfg, top=max(lams, default=0.0))
+    estimators.sigma(p, n)  # the verdict's target: p in [2, inf]
+    if cfg["manifold"] == geometry.SPHERE_ZONAL and 2 < p < estimators.p_critical(n):
+        raise ConfigError(f"p = {p:g} lies below p_c = {estimators.p_critical(n):g}: "
+                          "zonal functions cannot reach the p < p_c regime of sigma(p); "
+                          "use p = 2 or p >= p_c")
+    estimators._check_fit_points(estimators._projector_lams(free, lams, width))
+    return lambda: estimators.projector_growth_report(solve(), p, lams, width=width)
+
+
+def _plan_quasimode(cfg):
     from . import estimators
-    decomp = _solve(cfg)
-    return estimators.projector_growth_report(decomp, cfg["p"], cfg["lams"],
-                                              width=cfg["width"])
+    p, lams = cfg["p"], cfg["lams"]
+    solve, free = _decomposition(cfg, top=max(lams, default=0.0))
+    estimators.sigma(p, cfg["n"])  # the exponent of the ratio: p in [2, inf]
+    estimators._quasimode_modes(free, lams)
+    return lambda: estimators.quasimode_report(solve(), p, lams)
 
 
-def _run_quasimode(cfg):
-    import numpy as np
-
-    from . import estimators
-    decomp = _solve(cfg)
-    rows = []
-    for lam in cfg["lams"]:
-        i = int(np.argmin(np.abs(decomp.frequencies - lam)))
-        lam_used = float(decomp.frequencies[i])
-        u = decomp.node_values()[:, i]
-        ratio = estimators.quasimode_ratio(decomp, u, lam_used, cfg["p"])
-        rows.append([float(lam), lam_used, float(ratio)])
-    ratios = [r[2] for r in rows]
-    return estimators.ExperimentReport(
-        columns=["lambda_requested", "lambda_used", "ratio"], rows=rows,
-        summary={"p": cfg["p"], "max_ratio": max(ratios), "min_ratio": min(ratios),
-                 "verdict": "ok"})
-
-
-def _run_bochner_riesz(cfg):
-    from . import dynamics
-    decomp = _solve(cfg)
-    return dynamics.br_norm_probe(decomp, cfg["delta"], cfg["lams"])
+def _plan_bochner_riesz(cfg):
+    from . import dynamics, estimators, geometry
+    delta, lams = cfg["delta"], cfg["lams"]
+    _key("manifold", geometry._require_zonal, cfg["manifold"], "the Bochner-Riesz row norm")
+    solve, free = _decomposition(cfg, top=max(lams, default=0.0))
+    # a row norm is positive iff the falling symbol is positive at the lowest frequency
+    estimators._check_fit_points(lams, [dynamics.bochner_riesz(lam, delta)(free[:1])[0]
+                                        for lam in lams])
+    return lambda: dynamics.br_norm_probe(solve(), delta, lams)
 
 
 _SQUARE_FUNCTION_BAND = (0.2, 5.0)  # the verdict's bounds on ||Sf||_2 / ||f||_2
 
 
-def _run_square_function(cfg):
+def _plan_square_function(cfg):
     import numpy as np
+
     from . import dynamics, estimators, geometry
-    decomp = _solve(cfg)
-    grid = decomp.basis.grid
-    battery = dynamics.test_battery(decomp, cfg["preset"], seed=cfg["seed"])
-    sfs = dynamics.square_function(decomp, np.column_stack([f for _, f in battery]))
-    rows = [[label, float(geometry.lp_norm(grid, sf, 2.0) / geometry.lp_norm(grid, f, 2.0))]
-            for (label, f), sf in zip(battery, sfs.T)]
-    ratios = [r[1] for r in rows]
-    lo, hi = _SQUARE_FUNCTION_BAND
-    ok = lo <= min(ratios) and max(ratios) <= hi
-    return estimators.ExperimentReport(
-        columns=["test_function", "l2_ratio"], rows=rows,
-        summary={"min_ratio": min(ratios), "max_ratio": max(ratios),
-                 "band": [lo, hi],
-                 "verdict": "pass" if ok else "fail"})
+    solve, free = _decomposition(cfg)
+    dynamics._battery_modes(free, cfg["preset"])
+
+    def run():
+        decomp = solve()
+        grid = decomp.basis.grid
+        battery = dynamics.test_battery(decomp, cfg["preset"], seed=cfg["seed"])
+        sfs = dynamics.square_function(decomp, np.column_stack([f for _, f in battery]))
+        rows = [[label, float(geometry.lp_norm(grid, sf, 2.0)
+                              / geometry.lp_norm(grid, f, 2.0))]
+                for (label, f), sf in zip(battery, sfs.T)]
+        ratios = [r[1] for r in rows]
+        lo, hi = _SQUARE_FUNCTION_BAND
+        ok = lo <= min(ratios) and max(ratios) <= hi
+        return estimators.ExperimentReport(
+            columns=["test_function", "l2_ratio"], rows=rows,
+            summary={"min_ratio": min(ratios), "max_ratio": max(ratios),
+                     "band": [lo, hi],
+                     "verdict": "pass" if ok else "fail"})
+    return run
 
 
-def _multiplier_symbol(name: str):
+def _imaginary_power(s):
     import numpy as np
-    if name == "one":
-        return lambda s: np.ones_like(np.asarray(s, dtype=float))
-    if name == "imaginary-power":
-        def imaginary_power(s):
-            s = np.asarray(s, dtype=complex)
-            return np.where(s != 0, np.where(s != 0, s, 1.0) ** 1j, 1.0)
-        return imaginary_power
-    from . import operator_core
-    return operator_core.lp_profile
+    s = np.asarray(s, dtype=complex)
+    return np.where(s != 0, np.where(s != 0, s, 1.0) ** 1j, 1.0)
 
 
-def _run_multiplier(cfg):
-    from . import dynamics
-    decomp = _solve(cfg)
-    m = _multiplier_symbol(cfg["symbol"])
-    report = dynamics.norm_equivalence_probe(decomp, rs=cfg["rs"])
-    lam_max = float(decomp.frequencies[-1])
-    report.summary["besov_norm"] = dynamics.besov_check(
-        m, cfg["besov_s"], lam_max=max(2.0, lam_max))
-    return report
+def _plan_multiplier(cfg):
+    import numpy as np
+
+    from . import dynamics, geometry, operator_core
+    rs, besov_s = cfg["rs"], cfg["besov_s"]
+    symbol = {"one": lambda s: np.ones_like(np.asarray(s, dtype=float)),
+              "imaginary-power": _imaginary_power,
+              "bump": operator_core.lp_profile}[cfg["symbol"]]
+    solve, free = _decomposition(cfg)
+    for preset in dynamics._PRESETS:
+        dynamics._battery_modes(free, preset)
+    for r in rs:
+        geometry._check_exponent(r)
+    dynamics._check_sobolev(besov_s)
+
+    def run():
+        decomp = solve()
+        report = dynamics.norm_equivalence_probe(decomp, rs=rs)
+        report.summary["besov_norm"] = dynamics.besov_check(
+            symbol, besov_s, lam_max=max(2.0, float(decomp.frequencies[-1])))
+        return report
+    return run
 
 
-def _run_heat(cfg):
-    from . import dynamics
-    decomp = _solve(cfg)
-    return dynamics.heat_report(decomp, cfg["ts"])
+def _plan_heat(cfg):
+    from . import dynamics, estimators
+    solve, _ = _decomposition(cfg)
+    estimators._check_fit_points(cfg["ts"])  # the fit of the sups in t, so each t > 0
+    return lambda: dynamics.heat_report(solve(), cfg["ts"])
 
 
-def _run_wave_speed(cfg):
-    from . import dynamics
-    V = _resolve_potential(cfg["potential"], cfg["n"])
-    return dynamics.cone_leakage_trend(cfg["n"], cfg["t"], cfg["Ks"], V=V)
+def _plan_wave_speed(cfg):
+    from . import dynamics, geometry, potentials
+    n, t, Ks = cfg["n"], cfg["t"], sorted(cfg["Ks"])
+    _key("n", geometry.ModelManifold, geometry.SPHERE_ZONAL, n)
+    V = _key("potential", potentials.from_reference, cfg["potential"], n)
+    if not Ks or Ks[0] < 2:
+        raise ConfigError("key 'Ks': truncation too small (K must be at least 2)")
+    nodes = 2 * Ks[-1] + 16  # the default zonal grid
+    _check_bytes(8 * nodes ** 2, f"the leakage kernel at K={Ks[-1]} ({nodes} nodes)", "Ks")
+    # the free top frequencies; the cutoff is held at a quarter of the largest
+    tops = [math.sqrt(K * (K + n - 1.0)) for K in Ks]
+    for top in tops:
+        dynamics._check_leakage(t, tops[-1] / 4.0, top)
+    return lambda: dynamics.cone_leakage_trend(n, t, Ks, V=V)
 
 
-def _run_strichartz(cfg):
-    from . import dynamics
-    decomp = _solve(cfg)
+def _plan_strichartz(cfg):
+    from . import dynamics, estimators
+    ks = cfg["ks"]
+    solve, free = _decomposition(cfg)
     if cfg["battery"] == "zonal-ladder":
-        return dynamics.strichartz_report(decomp, ks=cfg["ks"])
-    return dynamics.band_bound_report(decomp, ks=cfg["ks"])
+        for k in ks:
+            dynamics._ladder_rung(free, k)
+        estimators._check_fit_points(ks)
+        return lambda: dynamics.strichartz_report(solve(), ks=ks)
+    for k in ks:
+        estimators._band(free, k - 0.5, k + 0.5)
+    estimators._check_fit_points([1.0 + k for k in ks])
+    return lambda: dynamics.band_bound_report(solve(), ks=ks)
 
 
-def _run_parametrix(cfg):
+def _plan_parametrix(cfg):
     from . import estimators, parametrix
-    n, nu = cfg["n"], cfg["nu"]
-    rows = parametrix.kernel_table(n, nu, cfg["rs"], cfg["lams"])
-    summary = {}
-    lam_mid = float(sorted(cfg["lams"])[len(cfg["lams"]) // 2])
-    summary["recursion_residual"] = parametrix.recursion_residual(n, lam_mid)
-    ok = summary["recursion_residual"] <= 1e-4
-    if n == 3 and nu == 0:
-        err = max(abs(parametrix.f_nu(3, 0, r, lam)
-                      - parametrix.f0_closed_form_3d(r, lam))
-                  / abs(parametrix.f0_closed_form_3d(r, lam))
-                  for lam in cfg["lams"] for r in cfg["rs"])
-        summary["closed_form_max_rel_error"] = float(err)
-        ok = ok and err <= 1e-8
-    if len(cfg["l6_lams"]) >= 4:
-        l6 = parametrix.kernel_l6_check(cfg["l6_lams"])
-        summary["l6_slope"] = l6.summary["slope"]
-        summary["l6_verdict"] = l6.verdict
-        ok = ok and l6.verdict == "pass"
-    summary["verdict"] = "pass" if ok else "fail"
-    return estimators.ExperimentReport(columns=["r", "lambda", "re_f", "im_f"],
-                                       rows=rows, summary=summary)
+    n, nu, lams, rs, l6_lams = cfg["n"], cfg["nu"], cfg["lams"], cfg["rs"], cfg["l6_lams"]
+    parametrix._check_kernel(nu, rs, lams)
+    if len(l6_lams) >= 4:
+        estimators._check_fit_points(l6_lams)
+    return lambda: parametrix.kernel_report(n, nu, rs, lams, l6_lams)
 
 
-def _run_weyl(cfg):
-    from . import estimators
-    decomp = _solve(cfg)
-    return estimators.local_weyl_report(decomp, cfg["point"], cfg["mus"])
+def _plan_weyl(cfg):
+    from . import estimators, geometry
+    point, mus = cfg["point"], cfg["mus"]
+    _key("manifold", geometry._require_zonal, cfg["manifold"], "the local Weyl sum")
+    solve, free = _decomposition(cfg)
+    estimators._check_weyl(mus, float(free[-1]), least=1.0)
+    return lambda: estimators.local_weyl_report(solve(), point, mus)
 
 
 _MIN_GROWTH = 0.6  # partial-sum growth the divergent ladder must exceed
 
 
-def _run_divergent_quasimode(cfg):
+def _plan_divergent_quasimode(cfg):
     from . import estimators
-    rep = estimators.divergent_quasimode(cfg["n"], cfg["eps"],
-                                         k_min=cfg["k_min"], k_max=cfg["k_max"])
-    rows = [[int(k), float(t), float(s)]
-            for k, t, s in zip(rep.ks, rep.terms, rep.partial_sums)]
-    ok = (rep.growth > _MIN_GROWTH
-          and 0.5 <= rep.normalization <= 2.0)
-    return estimators.ExperimentReport(
-        columns=["k", "term", "partial_sum"], rows=rows,
-        summary={"growth": rep.growth, "tail_l2": rep.tail_l2,
-                 "normalization": rep.normalization,
-                 "normalization_full": rep.normalization_full,
-                 "lam": rep.lam, "min_growth": _MIN_GROWTH,
-                 "verdict": "pass" if ok else "fail"})
+    n, eps, k_min, k_max = cfg["n"], cfg["eps"], cfg["k_min"], cfg["k_max"]
+    estimators._check_divergent(n, eps, k_min, k_max)
+    # the rungs x degrees table of dyadic bumps; exponents beyond 64 are far
+    # above the limit, and are capped so that the estimate stays cheap
+    _check_bytes(8 * (2 ** min(k_max + 1, 64) + 9) * (k_max - k_min + 1),
+                 f"the ladder of 2^{k_max + 1} + 9 degrees x {k_max - k_min + 1} rungs",
+                 "k_max", exact=k_max < 64)
+
+    def run():
+        rep = estimators.divergent_quasimode(n, eps, k_min=k_min, k_max=k_max)
+        rows = [[int(k), float(t), float(s)]
+                for k, t, s in zip(rep.ks, rep.terms, rep.partial_sums)]
+        ok = rep.growth > _MIN_GROWTH and 0.5 <= rep.normalization <= 2.0
+        return estimators.ExperimentReport(
+            columns=["k", "term", "partial_sum"], rows=rows,
+            summary={"growth": rep.growth, "tail_l2": rep.tail_l2,
+                     "normalization": rep.normalization,
+                     "normalization_full": rep.normalization_full,
+                     "lam": rep.lam, "min_growth": _MIN_GROWTH,
+                     "verdict": "pass" if ok else "fail"})
+    return run
 
 
-def _run_resolvent_probe(cfg):
+# complex N^n arrays uniform_resolvent_probe holds at its peak (112 bytes per
+# grid point measured at n = 3 and 4)
+_RESOLVENT_GRIDS = 7
+
+
+def _plan_resolvent_probe(cfg):
     from . import estimators
-    return estimators.uniform_resolvent_probe(cfg["n"], cfg["lams"])
+    n, lams = cfg["n"], cfg["lams"]
+    estimators.sobolev_dual_pair(n)
+    estimators._check_fit_points(lams)
+    N = estimators._resolvent_grid(lams)
+    _check_bytes(16 * _RESOLVENT_GRIDS * N ** n,
+                 f"the resolvent probe on {N}^{n} FFT points", "n")
+    return lambda: estimators.uniform_resolvent_probe(n, lams)
 
 
 RUNNERS = {
-    "spectrum": _run_spectrum,
-    "kato": _run_kato,
-    "counterexample": _run_counterexample,
-    "projector-norms": _run_projector_norms,
-    "quasimode": _run_quasimode,
-    "bochner-riesz": _run_bochner_riesz,
-    "square-function": _run_square_function,
-    "multiplier": _run_multiplier,
-    "heat": _run_heat,
-    "wave-speed": _run_wave_speed,
-    "strichartz": _run_strichartz,
-    "parametrix": _run_parametrix,
-    "weyl": _run_weyl,
-    "divergent-quasimode": _run_divergent_quasimode,
-    "resolvent-probe": _run_resolvent_probe,
+    "spectrum": _plan_spectrum,
+    "kato": _plan_kato,
+    "counterexample": _plan_counterexample,
+    "projector-norms": _plan_projector_norms,
+    "quasimode": _plan_quasimode,
+    "bochner-riesz": _plan_bochner_riesz,
+    "square-function": _plan_square_function,
+    "multiplier": _plan_multiplier,
+    "heat": _plan_heat,
+    "wave-speed": _plan_wave_speed,
+    "strichartz": _plan_strichartz,
+    "parametrix": _plan_parametrix,
+    "weyl": _plan_weyl,
+    "divergent-quasimode": _plan_divergent_quasimode,
+    "resolvent-probe": _plan_resolvent_probe,
 }
+
+
+def validate(experiment: str, cfg: dict) -> list:
+    """The error of the run's own plan as a diagnostic, [] when the run would
+    start; computes nothing and writes nothing."""
+    try:
+        RUNNERS[experiment](cfg)
+    except QlabError as exc:
+        return [str(exc)]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -626,26 +631,20 @@ def main(argv=None) -> int:
             if not args.config:
                 raise CliError("validate requires --config FILE")
             try:
-                cfg = build_config(experiment, raw)
-                diagnostics = validate(experiment, cfg)
+                diagnostics = validate(experiment, build_config(experiment, raw))
             except CliError as exc:
                 diagnostics = exc.diagnostics
-            for line in diagnostics:
-                print(line)
-            if not diagnostics:
-                print("ok")
+            print("\n".join(diagnostics) or "ok")
             return 1 if diagnostics else 0
 
         cfg = build_config(experiment, raw)
-        diagnostics = validate(experiment, cfg)
-        if diagnostics:
-            raise CliError(diagnostics)
+        run = RUNNERS[experiment](cfg)
 
         out_dir = args.out or os.environ.get("QLAB_OUT") or "."
         os.makedirs(out_dir, exist_ok=True)
 
         start = time.perf_counter()
-        report = RUNNERS[experiment](cfg)
+        report = run()
         runtime = time.perf_counter() - start
 
         report.summary.setdefault("verdict", "ok")

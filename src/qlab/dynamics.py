@@ -93,6 +93,16 @@ class WaveSolution:
                      + np.sum(self.velocity_coefficients(t) ** 2))
 
 
+def _check_leakage(t: float, cutoff: float, lam_max: float) -> None:
+    """|t| within pi/2 and, for t != 0, a mollifier scale ``cutoff`` that a
+    truncation with top frequency ``lam_max`` resolves."""
+    if abs(t) > math.pi / 2:
+        raise DomainError("|t| must stay within the injectivity scale pi/2")
+    if t != 0.0 and (cutoff <= 0 or 4.0 / cutoff > math.pi / 4 or cutoff > lam_max):
+        raise ResolutionError("truncation too small for the mollifier scale; "
+                              "increase K")
+
+
 def cone_leakage(decomp: operator_core.SpectralDecomposition, t: float,
                  cutoff: float | None = None) -> float:
     """L^2 kernel-mass fraction of the mollified cosine propagator outside
@@ -103,19 +113,14 @@ def cone_leakage(decomp: operator_core.SpectralDecomposition, t: float,
     cone margin 4/cutoff absorbs the mollifier width.  For zonal modes the
     rotation-orbit distance between polar angles is |phi_x - phi_y|.
     """
-    if abs(t) > math.pi / 2:
-        raise DomainError("|t| must stay within the injectivity scale pi/2")
-    if t == 0.0:
-        return 0.0
     grid = decomp.basis.grid
-    if grid.manifold.kind != geometry.SPHERE_ZONAL:
-        raise DomainError("cone leakage is implemented on the zonal sector")
+    geometry._require_zonal(grid.manifold.kind, "cone leakage")
     lam_max = float(decomp.frequencies[-1])
     if cutoff is None:
         cutoff = lam_max / 4.0
-    if cutoff <= 0 or 4.0 / cutoff > math.pi / 4 or cutoff > lam_max:
-        raise ResolutionError("truncation too small for the mollifier scale; "
-                              "increase K")
+    _check_leakage(t, cutoff, lam_max)
+    if t == 0.0:
+        return 0.0
     margin = 4.0 / cutoff
     kernel = operator_core.multiplier_kernel(
         decomp, lambda fr: np.cos(t * fr) * np.exp(-(fr / cutoff) ** 2))
@@ -184,8 +189,7 @@ def br_l1_row_norm(decomp: operator_core.SpectralDecomposition, lam: float,
     L^1 -> L^1 operator norm on the full sphere (the kernel is a function of
     geodesic distance, so all rows integrate identically).
     """
-    if decomp.basis.grid.manifold.kind != geometry.SPHERE_ZONAL:
-        raise DomainError("the Bochner-Riesz row norm is implemented on the zonal sector")
+    geometry._require_zonal(decomp.basis.manifold.kind, "the Bochner-Riesz row norm")
     weights = bochner_riesz(lam, delta)(decomp.frequencies)
     pole = (decomp.basis.pole_values[:1] @ decomp.eigenvectors)[0]
     row = decomp.node_values() @ (weights * pole)
@@ -245,41 +249,45 @@ def square_function(decomp: operator_core.SpectralDecomposition, f: np.ndarray,
 _PRESETS = ("zonal-ladder", "point-concentrated", "random-band")
 
 
+def _battery_modes(freq: np.ndarray, preset: str) -> list:
+    """(label, mode indices) of each function of a battery preset, from the
+    frequencies alone; raises ResolutionError when the battery is empty."""
+    top = float(freq[-1])
+    if preset == "zonal-ladder":
+        bands = [(f"ladder-{k}", k / 2.0, k + 0.75) for k in (4, 8, 16, 32) if top >= k]
+    elif preset == "point-concentrated":
+        bands = [(f"point-{frac}", -np.inf, frac * top) for frac in (0.25, 0.5, 0.9)]
+    elif preset == "random-band":
+        bands = [(f"band-{j}", lo, hi)
+                 for j, (lo, hi) in enumerate(((2, 8), (8, 24), (24, top)))]
+    else:
+        raise ConfigError(f"unknown battery preset {preset!r}; choose from "
+                          + ", ".join(_PRESETS))
+    out = []
+    for label, lo, hi in bands:
+        idx = operator_core.band_indices(freq, lo, hi)
+        if preset == "zonal-ladder":
+            idx = idx[idx > 0]  # the rungs leave out the constant mode
+        if idx.size:
+            out.append((label, idx))
+    if not out:
+        raise ResolutionError(f"battery {preset!r} is empty at this truncation")
+    return out
+
+
 def test_battery(decomp: operator_core.SpectralDecomposition, preset: str,
                  seed: int = 20240801) -> list:
     """Deterministic test-function batteries, by preset name."""
     U = decomp.node_values()
-    freq = decomp.frequencies
-    K = decomp.size
+    rng = np.random.default_rng(seed)
     out = []
-    if preset == "zonal-ladder":
-        for k in (4, 8, 16, 32):
-            idx = np.nonzero((freq > k / 2.0) & (freq <= k + 0.75))[0]
-            idx = idx[idx > 0]
-            if idx.size == 0 or float(freq[-1]) < k:
-                continue
-            f = U[:, idx].sum(axis=1)
-            out.append((f"ladder-{k}", f))
-    elif preset == "point-concentrated":
-        for frac in (0.25, 0.5, 0.9):
-            cut = frac * float(freq[-1])
-            c = (freq <= cut).astype(float)
-            f = decomp.synthesize(c)
-            out.append((f"point-{frac}", f))
-    elif preset == "random-band":
-        rng = np.random.default_rng(seed)
-        for j, (lo, hi) in enumerate(((2, 8), (8, 24), (24, float(freq[-1])))):
-            idx = np.nonzero((freq > lo) & (freq <= hi))[0]
-            if idx.size == 0:
-                continue
-            c = np.zeros(K)
-            c[idx] = rng.standard_normal(idx.size)
-            out.append((f"band-{j}", decomp.synthesize(c)))
-    else:
-        raise ConfigError(f"unknown battery preset {preset!r}; choose from "
-                          + ", ".join(_PRESETS))
-    if not out:
-        raise ResolutionError(f"battery {preset!r} is empty at this truncation")
+    for label, idx in _battery_modes(decomp.frequencies, preset):
+        if preset == "zonal-ladder":
+            out.append((label, U[:, idx].sum(axis=1)))
+            continue
+        c = np.zeros(decomp.size)
+        c[idx] = rng.standard_normal(idx.size) if preset == "random-band" else 1.0
+        out.append((label, decomp.synthesize(c)))
     return out
 
 
@@ -313,6 +321,11 @@ def norm_equivalence_probe(decomp: operator_core.SpectralDecomposition,
 # Hörmander multipliers
 
 
+def _check_sobolev(s: float) -> None:
+    if s < 0:
+        raise DomainError("Sobolev order must be nonnegative")
+
+
 def besov_check(m, s: float, lam_max: float = 256.0, samples: int = 4096) -> float:
     """sup over dyadic mu <= lam_max of ||beta(.) m(mu .)||_{H^s(R)}.
 
@@ -320,8 +333,7 @@ def besov_check(m, s: float, lam_max: float = 256.0, samples: int = 4096) -> flo
     norm is computed by FFT on a fine periodic grid that contains the
     support with padding.
     """
-    if s < 0:
-        raise DomainError("Sobolev order must be nonnegative")
+    _check_sobolev(s)
     L = 4.0
     xi = np.linspace(0.0, L, samples, endpoint=False)
     window = operator_core.lp_profile(xi)
@@ -379,22 +391,29 @@ def strichartz_ratio(sol: WaveSolution) -> float:
     return acc ** (1.0 / pc) / denom
 
 
+def _ladder_rung(freq: np.ndarray, k: float) -> np.ndarray:
+    """Mode indices of zonal-ladder rung k, the modes in (k/2, k + 3/4] but
+    the first; raises when the truncation stops below k + 3/4 or there are none."""
+    if float(freq[-1]) < k + 0.75:
+        raise ResolutionError(f"truncation frequency {freq[-1]:.1f} below "
+                              f"battery rung k={k}")
+    idx = operator_core.band_indices(freq, k / 2.0, k + 0.75)
+    idx = idx[idx > 0]
+    if idx.size == 0:
+        raise DomainError(f"battery rung k={k} holds no mode")
+    return idx
+
+
 def strichartz_report(decomp: operator_core.SpectralDecomposition,
                       ks=(4, 8, 16, 32)) -> estimators.ExperimentReport:
     """Zonal-ladder battery: no growth trend of the Strichartz ratio in k
     (verdict: slope within 0.1 of 0).  Each rung sums the modes in
     (k/2, k + 3/4]: its coefficients are their indicator."""
-    freq = decomp.frequencies
     rows = []
     used, vals = [], []
     for k in ks:
-        if float(freq[-1]) < k + 0.75:
-            raise ResolutionError(f"truncation frequency {freq[-1]:.1f} below "
-                                  f"battery rung k={k}")
-        idx = np.nonzero((freq > k / 2.0) & (freq <= k + 0.75))[0]
-        idx = idx[idx > 0]
         c0 = np.zeros(decomp.size)
-        c0[idx] = 1.0
+        c0[_ladder_rung(decomp.frequencies, k)] = 1.0
         ratio = strichartz_ratio(WaveSolution(decomp, c0, np.zeros_like(c0)))
         rows.append([k, ratio])
         used.append(k)

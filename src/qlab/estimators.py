@@ -85,14 +85,23 @@ class PowerFit:
     residual: float  # RMS deviation in log space
 
 
+def _check_fit_points(lams, values=(1.0,)) -> None:
+    """The points ``fit_exponent`` accepts: 4 or more at two or more finite
+    abscissae, all positive."""
+    lams = np.asarray(lams, dtype=float)
+    if lams.size < 4:
+        raise DomainError("need at least 4 points for an exponent fit")
+    if np.min(lams) == np.max(lams):
+        raise DomainError("exponent fits need two distinct abscissae")
+    if not np.all(np.isfinite(lams) & (lams > 0)) or np.any(np.asarray(values) <= 0):
+        raise DomainError("exponent fits need finite positive abscissae and positive values")
+
+
 def fit_exponent(lams, values) -> PowerFit:
     """Least-squares slope of log(value) against log(lambda)."""
     lams = np.asarray(lams, dtype=float)
     values = np.asarray(values, dtype=float)
-    if lams.size < 4:
-        raise DomainError("need at least 4 points for an exponent fit")
-    if np.any(lams <= 0) or np.any(values <= 0):
-        raise DomainError("exponent fits need positive abscissae and values")
+    _check_fit_points(lams, values)
     x, y = np.log(lams), np.log(values)
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
@@ -153,6 +162,11 @@ def slope_verdict(fit: PowerFit, target: float, tol: float) -> dict:
 # quasimode ratio
 
 
+def _check_lambda(lam: float) -> None:
+    if lam < 1:
+        raise DomainError("lambda must be at least 1")
+
+
 def quasimode_ratio(decomp: operator_core.SpectralDecomposition, u: np.ndarray,
                     lam: float, p: float) -> float:
     """||u||_p / (lam^{sigma-1} ||(H - (lam+i)^2) u||_2 + lam^sigma ||u||_2).
@@ -160,8 +174,7 @@ def quasimode_ratio(decomp: operator_core.SpectralDecomposition, u: np.ndarray,
     The operator acts spectrally on the Galerkin projection of u, with the
     complex spectral parameter (lam + i)^2; the ratio is scale invariant.
     """
-    if lam < 1:
-        raise DomainError("lambda must be at least 1")
+    _check_lambda(lam)
     basis = decomp.basis
     n = basis.grid.manifold.n
     c = decomp.project(np.asarray(u, dtype=float))
@@ -174,6 +187,34 @@ def quasimode_ratio(decomp: operator_core.SpectralDecomposition, u: np.ndarray,
     norm_p = float(geometry.lp_norm(basis.grid, u_span, p))
     s = sigma(p, n)
     return norm_p / (lam ** (s - 1.0) * resid + lam ** s * norm2)
+
+
+def _quasimode_modes(freq: np.ndarray, lams) -> list:
+    """Index of the frequency nearest each lambda, the eigenfunction a
+    quasimode row reads; each of these frequencies must be at least 1."""
+    if len(lams) == 0:
+        raise DomainError("need at least one lambda")
+    modes = [int(np.argmin(np.abs(freq - lam))) for lam in lams]
+    for i in modes:
+        _check_lambda(freq[i])
+    return modes
+
+
+def quasimode_report(decomp: operator_core.SpectralDecomposition, p: float,
+                     lams) -> ExperimentReport:
+    """Quasimode ratios of the eigenfunction nearest each lambda; verdict
+    `ok`, with the smallest and largest ratio in the summary."""
+    rows = []
+    for lam, i in zip(lams, _quasimode_modes(decomp.frequencies, lams)):
+        lam_used = float(decomp.frequencies[i])
+        u = decomp.node_values()[:, i]
+        ratio = quasimode_ratio(decomp, u, lam_used, p)
+        rows.append([float(lam), lam_used, float(ratio)])
+    ratios = [r[2] for r in rows]
+    return ExperimentReport(
+        columns=["lambda_requested", "lambda_used", "ratio"], rows=rows,
+        summary={"p": p, "max_ratio": max(ratios), "min_ratio": min(ratios),
+                 "verdict": "ok"})
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +254,14 @@ def _ascent_starts(num_modes: int) -> list:
     return starts[:_ASCENT_RESTARTS]
 
 
+def _band(freq: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Indices of the frequencies in (lo, hi]; raises DomainError if none."""
+    idx = operator_core.band_indices(freq, lo, hi)
+    if idx.size == 0:
+        raise DomainError(f"no eigenvalues with frequency in ({lo}, {hi}]")
+    return idx
+
+
 def projector_norm(decomp: operator_core.SpectralDecomposition, lo: float, hi: float,
                    p: float) -> ProjectorNormResult:
     """L^2 -> L^p norm of the spectral projector onto frequencies in (lo, hi].
@@ -225,9 +274,7 @@ def projector_norm(decomp: operator_core.SpectralDecomposition, lo: float, hi: f
     """
     if p < 2:
         raise DomainError("projector norms are probed for p in [2, infinity]")
-    idx = operator_core.band_indices(decomp, lo, hi)
-    if idx.size == 0:
-        raise DomainError(f"no eigenvalues with frequency in ({lo}, {hi}]")
+    idx = _band(decomp.frequencies, lo, hi)
     U = decomp.node_values()[:, idx]
     grid = decomp.basis.grid
     sup_line = float(np.max(np.sqrt(np.sum(U ** 2, axis=1))))
@@ -266,22 +313,25 @@ def projector_norm(decomp: operator_core.SpectralDecomposition, lo: float, hi: f
                                rank=int(idx.size), stagnation=all_stagnated)
 
 
+def _projector_lams(freq: np.ndarray, lams, width: float) -> list:
+    """The lambdas whose band (lambda, lambda + width] holds a frequency."""
+    used = [lam for lam in lams if operator_core.band_indices(freq, lam, lam + width).size]
+    if len(used) < 4:
+        raise ResolutionError("fewer than 4 nonempty bands; increase K or widen bands")
+    return used
+
+
 def projector_growth_report(decomp: operator_core.SpectralDecomposition, p: float,
                             lams, width: float = 1.0) -> ExperimentReport:
     """Fit the growth of ||chi_lambda||_{2->p} over a frequency grid; verdict:
     slope within 0.1 of sigma(p)."""
     n = decomp.basis.grid.manifold.n
-    rows = []
-    used_lams, vals = [], []
-    for lam in lams:
-        if operator_core.band_indices(decomp, lam, lam + width).size == 0:
-            continue  # empty band at this lambda
+    used_lams = _projector_lams(decomp.frequencies, lams, width)
+    rows, vals = [], []
+    for lam in used_lams:
         res = projector_norm(decomp, lam, lam + width, p)
         rows.append([lam, res.lower, res.upper, res.rank, int(res.stagnation)])
-        used_lams.append(lam)
         vals.append(res.lower)
-    if len(used_lams) < 4:
-        raise ResolutionError("fewer than 4 nonempty bands; increase K or widen bands")
     fit = fit_exponent(used_lams, vals)
     summary = slope_verdict(fit, sigma(p, n), 0.1)
     summary["p"] = p
@@ -294,14 +344,23 @@ def projector_growth_report(decomp: operator_core.SpectralDecomposition, p: floa
 # local Weyl sums
 
 
+def _check_weyl(mus, top: float, least: float = -math.inf) -> None:
+    """At least one mu, none below ``least`` or above the top frequency ``top``."""
+    if len(mus) == 0:
+        raise DomainError("local Weyl sums need at least one mu")
+    if min(mus) < least:
+        raise DomainError(f"local Weyl ratios need mu >= {least:g}")
+    if max(mus) > top:
+        raise ResolutionError(f"mu={max(mus)} exceeds the truncation frequency {top:.3f}")
+
+
 def local_weyl(decomp: operator_core.SpectralDecomposition, point, mus) -> list:
     """Partial sums of |e_j(x0)|^2 over frequencies <= mu, one per mu; the
     point is evaluated once for all of them."""
     freqs = decomp.frequencies
-    if max(mus) > freqs[-1]:
-        raise ResolutionError(f"mu={max(mus)} exceeds the truncation frequency "
-                              f"{freqs[-1]:.3f}")
     basis = decomp.basis
+    geometry._require_zonal(basis.manifold.kind, "the local Weyl sum")
+    _check_weyl(mus, float(freqs[-1]))
     e0 = basis.evaluate(np.atleast_1d(np.asarray(point, dtype=float))) @ decomp.eigenvectors
     sq = e0 ** 2
     return [float(np.sum(sq[..., freqs <= mu])) for mu in mus]
@@ -315,7 +374,9 @@ def weyl_constant(n: int) -> float:
 
 def local_weyl_report(decomp: operator_core.SpectralDecomposition, point,
                       mus) -> ExperimentReport:
-    """Local Weyl sums against c_n mu^n; verdict: every ratio in [0.9, 1.1]."""
+    """Local Weyl sums against c_n mu^n, for mu >= 1; verdict: every ratio in
+    [0.9, 1.1]."""
+    _check_weyl(mus, float(decomp.frequencies[-1]), least=1.0)
     n = decomp.basis.grid.manifold.n
     c_n = weyl_constant(n)
     rows = []
@@ -354,6 +415,15 @@ class DivergentQuasimodeReport:
     normalization_full: float  # same with the full residual including e_lam
 
 
+def _check_divergent(n: int, eps: float, k_min: int, k_max: int) -> None:
+    if n < 4:
+        raise DomainError("the construction diverges only for n >= 4")
+    if not 0.0 < eps < 0.5:
+        raise DomainError("eps must lie in (0, 1/2)")
+    if k_min < 1 or k_max <= k_min:
+        raise DomainError("need 1 <= k_min < k_max")
+
+
 def divergent_quasimode(n: int, eps: float, k_min: int = 4,
                         k_max: int = 14) -> DivergentQuasimodeReport:
     """Partial sums of the pointwise-divergent quasimode correction at x0,
@@ -369,12 +439,7 @@ def divergent_quasimode(n: int, eps: float, k_min: int = 4,
     full residual by construction, which is recorded separately as
     ``normalization_full``.
     """
-    if n < 4:
-        raise DomainError("the construction diverges only for n >= 4")
-    if not 0.0 < eps < 0.5:
-        raise DomainError("eps must lie in (0, 1/2)")
-    if k_min < 1 or k_max <= k_min:
-        raise DomainError("need 1 <= k_min < k_max")
+    _check_divergent(n, eps, k_min, k_max)
     vol = geometry.sphere_volume(n)
     l_max = 2 ** (k_max + 1) + 8
     ls = np.arange(l_max + 1)
@@ -420,6 +485,10 @@ def sobolev_dual_pair(n: int) -> tuple[float, float]:
     return 2.0 * n / (n + 2.0), 2.0 * n / (n - 2.0)
 
 
+def _resolvent_grid(lams) -> int:  # points per axis of the FFT grid
+    return max(32, 2 * int(max(lams) + 4))
+
+
 def uniform_resolvent_probe(n: int, lams) -> ExperimentReport:
     """Lower bounds on ||(-Delta - (lam+i)^2)^{-1}||_{L^p -> L^p'} on T^n.
 
@@ -433,7 +502,7 @@ def uniform_resolvent_probe(n: int, lams) -> ExperimentReport:
     if lams.size < 4:
         raise ConfigError("need at least 4 lambda points")
     p_star, p_dual = sobolev_dual_pair(n)
-    N = max(32, 2 * int(lams.max() + 4))
+    N = _resolvent_grid(lams)
     freqs = np.fft.fftfreq(N, d=1.0 / N)
     ksq = sum(np.meshgrid(*([freqs ** 2] * n), indexing="ij", sparse=True))
     cell = (2.0 * math.pi / N) ** n

@@ -291,15 +291,24 @@ def torus_grid(n: int, size: int) -> QuadratureGrid:
     return QuadratureGrid(ModelManifold(TORUS, n), nodes, weights)
 
 
+def _require_zonal(kind: str, what: str) -> None:
+    if kind != SPHERE_ZONAL:
+        raise DomainError(f"{what} is implemented on the zonal sector")
+
+
+def _check_exponent(p: float) -> None:
+    if p < 1:
+        raise DomainError(f"p must be >= 1 or inf, got {p}")
+
+
 def lp_norm(grid: QuadratureGrid, f: np.ndarray, p: float) -> float:
     """L^p norm of a grid function; p = inf gives the grid sup norm."""
     f = np.asarray(f)
     if f.shape[0] != grid.size:
         raise DomainError("grid function length does not match grid size")
+    _check_exponent(p)
     if math.isinf(p):
         return float(np.max(np.abs(f)))
-    if p < 1:
-        raise DomainError(f"p must be >= 1 or inf, got {p}")
     return float(np.sum(grid.weights * np.abs(f) ** p) ** (1.0 / p))
 
 

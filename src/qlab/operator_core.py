@@ -24,16 +24,19 @@ from .errors import DomainError, NumericError
 from .potentials import Potential
 
 
+def _check_potential(V: Potential | None, manifold: geometry.ModelManifold) -> None:
+    if V is not None and manifold.kind == geometry.TORUS:
+        raise DomainError("zonal potentials are not defined on the torus; "
+                          "pass V=None or assemble on a sphere")
+
+
 def _potential_values(V: Potential | None, grid: geometry.QuadratureGrid) -> np.ndarray:
     if V is None:
         return np.zeros(grid.size)
+    _check_potential(V, grid.manifold)
     nodes = grid.nodes
-    if nodes.ndim == 2 and grid.manifold.kind == geometry.SPHERE_FULL_2D:
-        return np.asarray(V(nodes[:, 0]), dtype=float)
-    if nodes.ndim == 2:
-        raise DomainError("zonal potentials are not defined on the torus; "
-                          "pass V=None or assemble on a sphere")
-    return np.asarray(V(nodes), dtype=float)
+    # on the full S^2 a zonal V reads the polar angle of each (phi, theta) node
+    return np.asarray(V(nodes[:, 0] if nodes.ndim == 2 else nodes), dtype=float)
 
 
 def _weighted_potential(V: Potential, grid: geometry.QuadratureGrid,
@@ -212,17 +215,26 @@ def _eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericError(f"eigensolver did not converge: {exc}") from exc
 
 
+# LAPACK's dsyevd rescales a matrix whose largest |entry| lies outside
+# [sqrt(tiny/u), sqrt(u/tiny)] (u = eps/2; about [1.5e-146, 6.7e145]), which
+# may move the last bits of its eigenvalues
+_EIGH_UNSCALED = (math.sqrt(np.finfo(float).tiny / (np.finfo(float).eps / 2)),
+                  math.sqrt(np.finfo(float).eps / 2 / np.finfo(float).tiny))
+
+
 def diagonalize(matrix: np.ndarray,
                 basis: geometry.Basis | None = None) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix via LAPACK ``eigh``.
 
     Eigenvalues ascend (stable sort) and each eigenvector has its
-    largest-magnitude component positive.  A diagonal matrix with a finite,
-    non-decreasing diagonal skips ``eigh`` and returns its output bit for
-    bit: the diagonal, the identity, and as node values a C-contiguous copy
-    of the basis values.  A non-diagonal matrix whose entries between even
-    and odd indices are all exactly 0 (the Galerkin matrix of an even zonal
-    V) is solved as its two parity blocks, one ``eigh`` each; the merged
+    largest-magnitude component positive.  A diagonal matrix with a
+    non-decreasing diagonal whose largest |entry| is 0 or lies in the range
+    where ``eigh`` does not rescale (``_EIGH_UNSCALED``) skips ``eigh`` and
+    returns its output bit for bit: the diagonal, the identity, and as node
+    values a C-contiguous copy of the basis values.  A non-diagonal matrix
+    whose entries between even and odd indices are all exactly 0 (the
+    Galerkin matrix of an even zonal V) is solved as its two parity blocks,
+    one ``eigh`` each; the merged
     eigenvalues are sorted stably with the even block first, so ties list
     even-index eigenvectors first.  Raises DomainError for a non-square or
     non-symmetric matrix and NumericError when the solver does not converge.
@@ -232,9 +244,11 @@ def diagonalize(matrix: np.ndarray,
         raise DomainError("matrix must be square")
     d = np.diagonal(A)
     diagonal = np.count_nonzero(A) == np.count_nonzero(d)
-    if diagonal and np.all(np.isfinite(d)) and np.all(d[1:] >= d[:-1]):
-        # diagonal and ascending, as every free Galerkin matrix is: eigh
-        # returns exactly (d, I) here, so skip it
+    top = float(np.max(np.abs(d), initial=0.0))
+    unscaled = top == 0.0 or _EIGH_UNSCALED[0] <= top <= _EIGH_UNSCALED[1]
+    if diagonal and unscaled and np.all(d[1:] >= d[:-1]):
+        # diagonal and ascending, as every free Galerkin matrix is, and in the
+        # range eigh does not rescale: eigh returns exactly (d, I) here, so skip it
         decomp = SpectralDecomposition(eigenvalues=d.copy(),
                                        eigenvectors=np.eye(A.shape[0]), basis=basis)
         if basis is not None:
@@ -314,8 +328,8 @@ def multiplier_kernel(decomp: SpectralDecomposition,
     return (U * weights[None, :]) @ U.T
 
 
-def band_indices(decomp: SpectralDecomposition, lo: float, hi: float) -> np.ndarray:
-    freq = decomp.frequencies
+def band_indices(freq: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Indices of the frequencies ``freq`` in (lo, hi]."""
     return np.nonzero((freq > lo) & (freq <= hi))[0]
 
 

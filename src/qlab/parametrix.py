@@ -94,15 +94,23 @@ def c_nu(n: int, nu: int) -> float:
     return 2.0 ** (-nu) * (2.0 * math.pi) ** (-n / 2.0)
 
 
+def _check_kernel(nu: int, rs, lams) -> None:
+    """At least one radius and one lambda, each radius positive, each lambda
+    at least 1, and nu >= 0."""
+    if len(rs) == 0 or len(lams) == 0:
+        raise DomainError("the kernel grid needs at least one radius and one lambda")
+    if min(rs) <= 0:
+        raise DomainError("radius must be positive")
+    for lam in lams:
+        estimators._check_lambda(lam)
+    if nu < 0:
+        raise DomainError("order nu must be nonnegative")
+
+
 def f_nu(n: int, nu: int, r: float, lam: float) -> complex:
     """Radial parametrix kernel
     F_nu = c_nu r^{1+nu-n/2} (sqrt z)^{n/2-nu-1} K_{n/2-nu-1}(sqrt(z) r)."""
-    if r <= 0:
-        raise DomainError("radius must be positive")
-    if lam < 1:
-        raise DomainError("lambda must be at least 1")
-    if nu < 0:
-        raise DomainError("order nu must be nonnegative")
+    _check_kernel(nu, (r,), (lam,))
     w = complex(1.0, -lam)  # sqrt(z) for z = -(lambda+i)^2, Re > 0
     order = n / 2.0 - nu - 1.0
     return c_nu(n, nu) * r ** (-n / 2.0 + nu + 1.0) * w ** order \
@@ -179,6 +187,32 @@ def kernel_l6_value(lam: float, delta: float) -> float:
     wd = w * d
     integrand = t_lambda_model(lam, d) ** 6 * 2.0 * math.pi * d
     return float(np.sum(wd * integrand)) ** (1.0 / 6.0)
+
+
+def kernel_report(n: int, nu: int, rs, lams, l6_lams) -> estimators.ExperimentReport:
+    """F_nu(r, lambda) over the grid lams x rs; verdict: the recursion
+    residual at the middle lambda at most 1e-4, the n = 3, nu = 0 closed-form
+    error at most 1e-8, and, given 4 or more ``l6_lams``, the L^6 check."""
+    _check_kernel(nu, rs, lams)
+    rows = kernel_table(n, nu, rs, lams)
+    summary = {}
+    lam_mid = float(sorted(lams)[len(lams) // 2])
+    summary["recursion_residual"] = recursion_residual(n, lam_mid)
+    ok = summary["recursion_residual"] <= 1e-4
+    if n == 3 and nu == 0:
+        err = max(abs(f_nu(3, 0, r, lam) - f0_closed_form_3d(r, lam))
+                  / abs(f0_closed_form_3d(r, lam))
+                  for lam in lams for r in rs)
+        summary["closed_form_max_rel_error"] = float(err)
+        ok = ok and err <= 1e-8
+    if len(l6_lams) >= 4:
+        l6 = kernel_l6_check(l6_lams)
+        summary["l6_slope"] = l6.summary["slope"]
+        summary["l6_verdict"] = l6.verdict
+        ok = ok and l6.verdict == "pass"
+    summary["verdict"] = "pass" if ok else "fail"
+    return estimators.ExperimentReport(columns=["r", "lambda", "re_f", "im_f"],
+                                       rows=rows, summary=summary)
 
 
 def kernel_l6_check(lams) -> estimators.ExperimentReport:

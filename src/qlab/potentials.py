@@ -197,6 +197,30 @@ def from_expression(text: str) -> Potential:
     return Potential(fn=parse_zonal_expression(text))
 
 
+def from_reference(text: str, n: int) -> Potential | None:
+    """The potential a config names: '0' (None, the free operator),
+    'counterexample', 'truncated-counterexample[:phi0]', 'constant:<c>', or a
+    zonal expression in phi."""
+    text = text.strip()
+
+    def number(arg: str) -> float:
+        try:
+            return float(arg)
+        except ValueError:
+            raise DomainError(f"{arg!r} in {text!r} is not a number") from None
+
+    if text in ("0", "", "none", "zero"):
+        return None
+    if text == "counterexample":
+        return counterexample(n)
+    if text.startswith("truncated-counterexample"):
+        _, _, arg = text.partition(":")
+        return truncated_counterexample(n, number(arg) if arg else 0.3)
+    if text.startswith("constant:"):
+        return constant(number(text.partition(":")[2]))
+    return from_expression(text)
+
+
 def kato_weight(n: int, r):
     """h_n(r): |log r| for n = 2, r^(2-n) for n >= 3."""
     r = np.asarray(r, dtype=float)
@@ -238,7 +262,7 @@ def _polar_rule(center: float, r: float, per_unit: float) -> tuple[np.ndarray, n
     rule."""
     lo, hi = max(0.0, center - r), min(math.pi, center + r)
     pts = sorted({lo, center, hi})
-    phis, wphis = [], []
+    phis, wphis = [np.empty(0)], [np.empty(0)]  # no piece if r is below the float spacing
     for p, q in zip(pts, pts[1:]):
         mid = 0.5 * (p + q)
         for a, b, toward_a in ((p, mid, True), (mid, q, False)):
@@ -293,6 +317,14 @@ _KATO_BOUND_MARGIN = 1.5  # safety factor on the per-center bound (its spread is
 _UNIT = constant(1.0)
 
 
+def _check_radii(radii) -> None:
+    if len(radii) == 0:
+        raise DomainError("need at least one ball radius")
+    for r in radii:
+        if not 0.0 < r < INJECTIVITY_SCALE:
+            raise DomainError(f"radius must lie in (0, {INJECTIVITY_SCALE:.4f}), got {r}")
+
+
 def kato_modulus(V: Potential, r: float, n: int) -> tuple[float, bool]:
     """(sup_x of the h_n-weighted integral of |V| over geodesic r-balls,
     converged flag).
@@ -310,8 +342,7 @@ def kato_modulus(V: Potential, r: float, n: int) -> tuple[float, bool]:
     refinement of the ball quadrature at the argmax moves the value by more
     than 5%.
     """
-    if not 0.0 < r < INJECTIVITY_SCALE:
-        raise DomainError(f"radius must lie in (0, {INJECTIVITY_SCALE:.4f}), got {r}")
+    _check_radii((r,))
     coarse = np.linspace(0.02, math.pi - 0.02, 64)
     sing = list(V.singularities)
     centers = np.concatenate([np.asarray(sing, dtype=float), coarse]) if sing else coarse
@@ -400,6 +431,7 @@ def kato_report(V: Potential, n: int,
     ``_IN_KATO_RATIO`` times the largest-radius value; ``not-in-Kato`` when it
     stagnates above ``_NOT_IN_KATO_RATIO`` of it across at least three radii.
     """
+    _check_radii(radii)
     radii = tuple(sorted(radii, reverse=True))
     vals, flags = [], []
     for r in radii:

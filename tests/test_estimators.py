@@ -109,7 +109,7 @@ def _line_search_ascent(decomp, lo, hi, p):
     """Reference: projected-gradient ascent with a halving and doubling line
     search from the same starts; returns the best ||Uc||_p and whether every
     start stagnated."""
-    U = decomp.node_values()[:, operator_core.band_indices(decomp, lo, hi)]
+    U = decomp.node_values()[:, operator_core.band_indices(decomp.frequencies, lo, hi)]
     grid = decomp.basis.grid
     best, all_stagnated = 0.0, True
     for c in estimators._ascent_starts(U.shape[1]):

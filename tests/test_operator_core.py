@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlab import geometry, operator_core, potentials
@@ -67,6 +67,9 @@ _DIAGONAL_ENTRIES = st.one_of(
        ascending=st.booleans(), fortran=st.booleans(),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=80, deadline=None)
+# eigh rescales a matrix whose largest |entry| is below about 1.4e-146 and is
+# then off by an ulp, so the diagonal shortcut must not take this one
+@example(diag=[0.0, 5.339253999904105e-154], ascending=False, fortran=False, seed=0)
 def test_diagonalize_diagonal_matches_eigh_bit_for_bit(diag, ascending, fortran, seed):
     """On diagonal matrices (repeated, negative and -0.0 entries included),
     ascending or not, diagonalize returns the eigh path's eigenvalues,
@@ -257,7 +260,7 @@ def test_band_projector_idempotent(s2_free_24):
     once = operator_core.multiplier(s2_free_24, chi, f)
     twice = operator_core.multiplier(s2_free_24, chi, once)
     assert np.allclose(once, twice, atol=1e-10)
-    idx = operator_core.band_indices(s2_free_24, 5.0, 9.0)
+    idx = operator_core.band_indices(s2_free_24.frequencies, 5.0, 9.0)
     assert np.all(s2_free_24.frequencies[idx] > 5.0)
     assert np.all(s2_free_24.frequencies[idx] <= 9.0)
 
