@@ -228,6 +228,8 @@ def _decomposition(cfg: dict, top: float = 0.0):
     manifold = _key("manifold", geometry.ModelManifold, cfg["manifold"], n)
     V = _key("potential", potentials.from_reference, cfg["potential"], n)
     _key("potential", operator_core._check_potential, V, manifold)
+    if manifold.kind == geometry.SPHERE_ZONAL and (V is None or not V.singular):
+        _key("n", geometry._check_gauss_alpha, (n - 2) / 2.0)  # the default Gauss grid
     if K < 2:
         raise ConfigError("truncation too small (K must be at least 2)")
     if K < top:
@@ -437,6 +439,8 @@ def _plan_wave_speed(cfg):
     n, t, Ks = cfg["n"], cfg["t"], sorted(cfg["Ks"])
     _key("n", geometry.ModelManifold, geometry.SPHERE_ZONAL, n)
     V = _key("potential", potentials.from_reference, cfg["potential"], n)
+    if V is None or not V.singular:
+        _key("n", geometry._check_gauss_alpha, (n - 2) / 2.0)  # the default Gauss grid
     if not Ks or Ks[0] < 2:
         raise ConfigError("key 'Ks': truncation too small (K must be at least 2)")
     nodes = 2 * Ks[-1] + 16  # the default zonal grid
@@ -466,7 +470,7 @@ def _plan_strichartz(cfg):
 def _plan_parametrix(cfg):
     from . import estimators, parametrix
     n, nu, lams, rs, l6_lams = cfg["n"], cfg["nu"], cfg["lams"], cfg["rs"], cfg["l6_lams"]
-    parametrix._check_kernel(nu, rs, lams)
+    parametrix._check_kernel(n, nu, rs, lams)
     if len(l6_lams) >= 4:
         estimators._check_fit_points(l6_lams)
     return lambda: parametrix.kernel_report(n, nu, rs, lams, l6_lams)

@@ -41,11 +41,8 @@ def heat_report(decomp: operator_core.SpectralDecomposition,
     ts = np.asarray(ts, dtype=float)
     n = decomp.basis.grid.manifold.n
     rows = [[t, heat_kernel_sup(decomp, t)] for t in ts]
-    fit = estimators.fit_exponent(ts, [r[1] for r in rows])
-    summary = estimators.slope_verdict(fit, -n / 2.0, 0.1)
-    summary["shift"] = decomp.shift
-    return estimators.ExperimentReport(columns=["t", "kernel_sup"], rows=rows,
-                                       summary=summary)
+    return estimators.slope_report(["t", "kernel_sup"], rows, ts, [r[1] for r in rows],
+                                   -n / 2.0, 0.1, shift=decomp.shift)
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +200,8 @@ def br_norm_probe(decomp: operator_core.SpectralDecomposition, delta: float,
     index.  A delta below it grows and fails (the negative control)."""
     lams = np.asarray(lams, dtype=float)
     rows = [[lam, br_l1_row_norm(decomp, lam, delta)] for lam in lams]
-    fit = estimators.fit_exponent(lams, [r[1] for r in rows])
-    summary = estimators.slope_verdict(fit, 0.0, 0.15)
-    summary["delta"] = delta
-    return estimators.ExperimentReport(columns=["lambda", "l1_norm"], rows=rows,
-                                       summary=summary)
+    return estimators.slope_report(["lambda", "l1_norm"], rows, lams, [r[1] for r in rows],
+                                   0.0, 0.15, delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +404,11 @@ def strichartz_report(decomp: operator_core.SpectralDecomposition,
     (verdict: slope within 0.1 of 0).  Each rung sums the modes in
     (k/2, k + 3/4]: its coefficients are their indicator."""
     rows = []
-    used, vals = [], []
     for k in ks:
         c0 = np.zeros(decomp.size)
         c0[_ladder_rung(decomp.frequencies, k)] = 1.0
-        ratio = strichartz_ratio(WaveSolution(decomp, c0, np.zeros_like(c0)))
-        rows.append([k, ratio])
-        used.append(k)
-        vals.append(ratio)
-    fit = estimators.fit_exponent(used, vals)
-    summary = estimators.slope_verdict(fit, 0.0, 0.1)
-    return estimators.ExperimentReport(columns=["k", "ratio"], rows=rows,
-                                       summary=summary)
+        rows.append([k, strichartz_ratio(WaveSolution(decomp, c0, np.zeros_like(c0)))])
+    return estimators.slope_report(["k", "ratio"], rows, ks, [r[1] for r in rows], 0.0, 0.1)
 
 
 def band_bound_report(decomp: operator_core.SpectralDecomposition,
@@ -431,14 +418,8 @@ def band_bound_report(decomp: operator_core.SpectralDecomposition,
     1/p_c."""
     n = decomp.basis.grid.manifold.n
     pc = estimators.p_critical(n)
-    rows, used, vals = [], [], []
-    for k in ks:
-        res = estimators.projector_norm(decomp, k - 0.5, k + 0.5, pc)
-        rows.append([k, res.lower, res.upper])
-        used.append(1.0 + k)
-        vals.append(res.lower)
-    fit = estimators.fit_exponent(used, vals)
-    summary = estimators.slope_verdict(fit, 1.0 / pc, 0.1)
-    summary["p"] = pc
-    return estimators.ExperimentReport(columns=["k", "norm_lower", "norm_upper"],
-                                       rows=rows, summary=summary)
+    norms = [estimators.projector_norm(decomp, k - 0.5, k + 0.5, pc) for k in ks]
+    rows = [[k, res.lower, res.upper] for k, res in zip(ks, norms)]
+    return estimators.slope_report(["k", "norm_lower", "norm_upper"], rows,
+                                   [1.0 + k for k in ks], [r[1] for r in rows],
+                                   1.0 / pc, 0.1, p=pc)

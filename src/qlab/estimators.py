@@ -144,18 +144,21 @@ class ExperimentReport:
 _RESIDUAL_CAP = 0.5  # RMS log-space fit residual above which no verdict is given
 
 
-def slope_verdict(fit: PowerFit, target: float, tol: float) -> dict:
-    """Shared verdict rule: pass iff |slope - target| <= tol and the fit
-    residual is below the declared cap (otherwise no verdict is emitted)."""
-    ok_resid = fit.residual < _RESIDUAL_CAP
-    verdict = "pass" if (ok_resid and abs(fit.slope - target) <= tol) else "fail"
-    out = {"slope": fit.slope, "intercept": fit.intercept, "residual": fit.residual,
-           "target": target, "tolerance": tol, "residual_cap": _RESIDUAL_CAP,
-           "verdict": verdict}
-    if not ok_resid:
-        out["verdict"] = "no-verdict"
-        out["reason"] = "fit residual above cap"
-    return out
+def slope_report(columns, rows, x, y, target: float, tol: float,
+                 **summary) -> ExperimentReport:
+    """The report of a slope verdict, the one rule of every fitted exponent:
+    fit log y against log x and pass iff |slope - target| <= tol, or give
+    "no-verdict" with its reason when the fit residual reaches ``_RESIDUAL_CAP``.
+    The summary holds the fit, the rule and the experiment's ``summary`` keys."""
+    fit = fit_exponent(x, y)
+    verdict = {"verdict": "pass" if abs(fit.slope - target) <= tol else "fail"}
+    if not fit.residual < _RESIDUAL_CAP:
+        verdict = {"verdict": "no-verdict", "reason": "fit residual above cap"}
+    return ExperimentReport(
+        columns=columns, rows=rows,
+        summary={"slope": fit.slope, "intercept": fit.intercept, "residual": fit.residual,
+                 "target": target, "tolerance": tol, "residual_cap": _RESIDUAL_CAP,
+                 **verdict, **summary})
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +176,7 @@ def quasimode_ratio(decomp: operator_core.SpectralDecomposition, u: np.ndarray,
 
     The operator acts spectrally on the Galerkin projection of u, with the
     complex spectral parameter (lam + i)^2; the ratio is scale invariant.
+    On the zonal sector the sup norm (p = inf) includes the two poles.
     """
     _check_lambda(lam)
     basis = decomp.basis
@@ -183,8 +187,10 @@ def quasimode_ratio(decomp: operator_core.SpectralDecomposition, u: np.ndarray,
         raise DomainError("quasimode ratio of the zero function")
     z = (lam + 1j) ** 2
     resid = float(np.sqrt(np.sum(np.abs(decomp.eigenvalues - z) ** 2 * c ** 2)))
-    u_span = decomp.synthesize(c)
-    norm_p = float(geometry.lp_norm(basis.grid, u_span, p))
+    norm_p = float(geometry.lp_norm(basis.grid, decomp.synthesize(c), p))
+    if math.isinf(p) and basis.manifold.kind == geometry.SPHERE_ZONAL:
+        pole = basis.pole_values @ (decomp.eigenvectors @ c)
+        norm_p = max(norm_p, float(np.max(np.abs(pole))))
     s = sigma(p, n)
     return norm_p / (lam ** (s - 1.0) * resid + lam ** s * norm2)
 
@@ -327,17 +333,11 @@ def projector_growth_report(decomp: operator_core.SpectralDecomposition, p: floa
     slope within 0.1 of sigma(p)."""
     n = decomp.basis.grid.manifold.n
     used_lams = _projector_lams(decomp.frequencies, lams, width)
-    rows, vals = [], []
-    for lam in used_lams:
-        res = projector_norm(decomp, lam, lam + width, p)
-        rows.append([lam, res.lower, res.upper, res.rank, int(res.stagnation)])
-        vals.append(res.lower)
-    fit = fit_exponent(used_lams, vals)
-    summary = slope_verdict(fit, sigma(p, n), 0.1)
-    summary["p"] = p
-    return ExperimentReport(
-        columns=["lambda", "norm_lower", "norm_upper", "rank", "stagnation"],
-        rows=rows, summary=summary)
+    norms = [projector_norm(decomp, lam, lam + width, p) for lam in used_lams]
+    rows = [[lam, res.lower, res.upper, res.rank, int(res.stagnation)]
+            for lam, res in zip(used_lams, norms)]
+    return slope_report(["lambda", "norm_lower", "norm_upper", "rank", "stagnation"],
+                        rows, used_lams, [r[1] for r in rows], sigma(p, n), 0.1, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +513,7 @@ def uniform_resolvent_probe(n: int, lams) -> ExperimentReport:
     # the point-concentrated test function (a unit mass at the origin, whose
     # DFT is identically 1) has L^p norm cell^{1/p} exactly
     fp_pt = cell ** (1.0 / p_star)
-    rows, vals = [], []
+    rows = []
     for lam in lams:
         mult = 1.0 / (ksq - (lam + 1j) ** 2)
         g_pt = np.fft.ifftn(mult)
@@ -525,9 +525,5 @@ def uniform_resolvent_probe(n: int, lams) -> ExperimentReport:
         if fp_sh > 0:
             lower = max(lower, norm(g_sh, p_dual) / fp_sh)
         rows.append([float(lam), lower])
-        vals.append(lower)
-    fit = fit_exponent(lams, vals)
-    summary = slope_verdict(fit, 0.0, 0.15)
-    summary.update({"p": p_star, "p_prime": p_dual, "grid_size": N})
-    return ExperimentReport(columns=["lambda", "norm_lower"], rows=rows,
-                            summary=summary)
+    return slope_report(["lambda", "norm_lower"], rows, lams, [r[1] for r in rows],
+                        0.0, 0.15, p=p_star, p_prime=p_dual, grid_size=N)

@@ -96,6 +96,7 @@ class QuadratureGrid:
 
 _NEWTON_STEPS = 10  # alpha <= 10 (S^n with n <= 22) takes at most 9
 _NEWTON_TOL = 4.0 * np.finfo(float).eps  # absolute, since |x| <= 1
+_ALPHA_MAX = 10.5  # Newton settles every rule up to S^23; at alpha = 11 every m >= 13 fails
 
 
 def _recurrence(x: np.ndarray, b: list[float], christoffel: bool = False):
@@ -116,6 +117,14 @@ def _recurrence(x: np.ndarray, b: list[float], christoffel: bool = False):
     return total if christoffel else (p0, p1)
 
 
+def _check_gauss_alpha(alpha: float) -> None:
+    """-1 < alpha <= ``_ALPHA_MAX``: an integrable weight whose rules Newton settles."""
+    if not -1.0 < alpha <= _ALPHA_MAX:
+        raise DomainError(f"no Gauss rule for the weight (1-x^2)^alpha at alpha = {alpha:g} "
+                          f"(S^{2 * alpha + 2:g}): need -1 < alpha <= {_ALPHA_MAX:g}, "
+                          "the zonal S^n with n <= 23")
+
+
 def gauss_gegenbauer(m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes/weights for the weight (1-x^2)^alpha on [-1, 1].
 
@@ -123,16 +132,14 @@ def gauss_gegenbauer(m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     the non-negative nodes, which are then mirrored: the rule is exactly
     symmetric and an odd m has its centre node at exactly 0.  The weights are
     the Christoffel numbers mu_0 / sum_{k<m} p_k(x_i)^2.  O(m^2) flops and O(m)
-    memory.  Raises NumericError if Newton has not settled to a few ulps
-    within a fixed number of steps or has missed a node; this happens from
-    about alpha = 11 on.  alpha = 0 recovers Gauss-Legendre; on S^n the polar
-    volume element needs alpha = (n-2)/2.
+    memory.  Raises DomainError unless -1 < alpha <= 10.5, and NumericError if
+    Newton has not settled to a few ulps within a fixed number of steps or has
+    missed a node.  alpha = 0 recovers Gauss-Legendre; on S^n the polar volume
+    element needs alpha = (n-2)/2.
     """
     if m < 1:
         raise DomainError("need at least one quadrature node")
-    if not alpha > -1.0:
-        raise DomainError(f"weight (1-x^2)^alpha is not integrable for alpha = {alpha}; "
-                          "need alpha > -1")
+    _check_gauss_alpha(alpha)
     k = np.arange(1, m + 1)
     a = alpha
     num = 4.0 * k * (k + a) * (k + a) * (k + 2 * a)

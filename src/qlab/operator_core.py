@@ -305,11 +305,10 @@ def solve(V: Potential | None, manifold: geometry.ModelManifold, K: int,
     basis = geometry.build_basis(manifold, K,
                                  geometry.default_grid(manifold, K, pole_levels=levels))
     decomp = diagonalize(assemble(V, basis, check=True), basis)
-    n_shift = _positivity_shift(decomp.eigenvalues) if shift == "auto" else int(shift)
-    if n_shift == 0:
-        return decomp
-    return SpectralDecomposition(eigenvalues=decomp.eigenvalues + n_shift,
-                                 eigenvectors=decomp.eigenvectors, basis=basis, shift=n_shift)
+    decomp.shift = _positivity_shift(decomp.eigenvalues) if shift == "auto" else int(shift)
+    if decomp.shift:  # a shift moves only the eigenvalues: the node values stay
+        decomp.eigenvalues = decomp.eigenvalues + decomp.shift
+    return decomp
 
 
 def multiplier(decomp: SpectralDecomposition, fn: Callable[[np.ndarray], np.ndarray],

@@ -79,10 +79,20 @@ def bessel_k(m: float, z: complex) -> complex:
 
     Integral representation for |z| below the stitch point, exact
     asymptotic-symbol representation above; K_{-m} = K_m by construction.
+    An order |m| >= 2 runs the upward recurrence K_{v+1} = K_{v-1} + (2v/z) K_v,
+    stable for K, from the two lowest orders of its fractional part; there
+    the integral's terms dwarf K_m and cancel to about 1e-8 only.
     """
     z = complex(z)
     if z.real <= 0:
         raise DomainError("bessel_k needs Re z > 0")
+    m = abs(float(m))
+    if m >= 2.0:
+        frac = m - math.floor(m)
+        lo, hi = bessel_k(frac, z), bessel_k(frac + 1.0, z)
+        for k in range(1, int(m - frac)):
+            lo, hi = hi, lo + 2.0 * (frac + k) / z * hi
+        return hi
     if abs(z) < _STITCH_AT:
         return bessel_k_integral(m, z)
     return bessel_k_asymptotic(m, z)
@@ -94,9 +104,10 @@ def c_nu(n: int, nu: int) -> float:
     return 2.0 ** (-nu) * (2.0 * math.pi) ** (-n / 2.0)
 
 
-def _check_kernel(nu: int, rs, lams) -> None:
+def _check_kernel(n: int, nu: int, rs, lams) -> None:
     """At least one radius and one lambda, each radius positive, each lambda
-    at least 1, and nu >= 0."""
+    at least 1, nu >= 0, and a K_m within the double range at the smallest |z|:
+    its small-argument size Gamma(|m|)/2 (2/|z|)^|m| at most 1e300."""
     if len(rs) == 0 or len(lams) == 0:
         raise DomainError("the kernel grid needs at least one radius and one lambda")
     if min(rs) <= 0:
@@ -105,12 +116,16 @@ def _check_kernel(nu: int, rs, lams) -> None:
         estimators._check_lambda(lam)
     if nu < 0:
         raise DomainError("order nu must be nonnegative")
+    m, z = abs(n / 2.0 - nu - 1.0), min(rs) * math.hypot(1.0, min(lams))
+    if m >= 2.0 and math.lgamma(m) + m * math.log(2.0 / z) > math.log(2e300):
+        raise DomainError(f"K_{m:g} at |z| = {z:.3g} (the smallest r and lambda) leaves "
+                          f"the double range at nu = {nu}; lower nu")
 
 
 def f_nu(n: int, nu: int, r: float, lam: float) -> complex:
     """Radial parametrix kernel
     F_nu = c_nu r^{1+nu-n/2} (sqrt z)^{n/2-nu-1} K_{n/2-nu-1}(sqrt(z) r)."""
-    _check_kernel(nu, (r,), (lam,))
+    _check_kernel(n, nu, (r,), (lam,))
     w = complex(1.0, -lam)  # sqrt(z) for z = -(lambda+i)^2, Re > 0
     order = n / 2.0 - nu - 1.0
     return c_nu(n, nu) * r ** (-n / 2.0 + nu + 1.0) * w ** order \
@@ -193,7 +208,7 @@ def kernel_report(n: int, nu: int, rs, lams, l6_lams) -> estimators.ExperimentRe
     """F_nu(r, lambda) over the grid lams x rs; verdict: the recursion
     residual at the middle lambda at most 1e-4, the n = 3, nu = 0 closed-form
     error at most 1e-8, and, given 4 or more ``l6_lams``, the L^6 check."""
-    _check_kernel(nu, rs, lams)
+    _check_kernel(n, nu, rs, lams)
     rows = kernel_table(n, nu, rs, lams)
     summary = {}
     lam_mid = float(sorted(lams)[len(lams) // 2])
@@ -222,9 +237,6 @@ def kernel_l6_check(lams) -> estimators.ExperimentReport:
     if lams.size < 4:
         raise ConfigError("need at least 4 lambda points")
     rows = [[lam, kernel_l6_value(lam, _L6_DELTA)] for lam in lams]
-    fit = estimators.fit_exponent(lams, [r[1] for r in rows])
-    summary = estimators.slope_verdict(fit, -1.0 / 3.0, 0.05)
-    summary["delta"] = _L6_DELTA
-    return estimators.ExperimentReport(columns=["lambda", "l6_norm"], rows=rows,
-                                       summary=summary)
+    return estimators.slope_report(["lambda", "l6_norm"], rows, lams, [r[1] for r in rows],
+                                   -1.0 / 3.0, 0.05, delta=_L6_DELTA)
 

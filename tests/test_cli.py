@@ -151,6 +151,11 @@ _BAD_VALUES = [
      "202 GiB, above the 1 GiB limit"),
     ("resolvent-probe", "n = 5\nlams = 1,2,3,4", "the resolvent probe on 32^5 FFT "
      "points needs 3.5 GiB"),
+    # the default zonal Gauss grid stops at S^23
+    ("spectrum", "n = 24", "key 'n': no Gauss rule for the weight (1-x^2)^alpha at "
+     "alpha = 11 (S^24): need -1 < alpha <= 10.5, the zonal S^n with n <= 23"),
+    ("wave-speed", "n = 24", "key 'n': no Gauss rule for the weight (1-x^2)^alpha at "
+     "alpha = 11 (S^24)"),
 ]
 
 
@@ -181,6 +186,24 @@ def test_validate_size_limits_pass_at_the_edge():
     assert diagnostics("strichartz", K="33", battery="band-bound") == []
     assert cli._lattice_points(2, 64 * 64) == 12853
     assert cli._lattice_points(3, 2) == 19
+
+
+def test_zonal_gauss_limit_and_parametrix_orders(tmp_path):
+    """S^23 is the last zonal sphere with a default Gauss grid, and a V with
+    poles, solved on Gauss-Legendre panels, passes at any n; parametrix runs
+    orders whose Bessel integral cancels (nu = 11, 12) and rejects the nu
+    whose K_m leaves the double range."""
+    def diagnostics(experiment, **raw):
+        return cli.validate(experiment, cli.build_config(experiment, raw))
+
+    assert diagnostics("spectrum", n="24", potential="counterexample") == []
+    assert diagnostics("wave-speed", n="24", potential="counterexample") == []
+    assert cli.main(["spectrum", "--n", "23", "--K", "8", "--out", str(tmp_path)]) == 0
+    for nu in ("11", "12"):
+        assert cli.main(["parametrix", "--nu", nu, "--l6_lams", "",
+                         "--out", str(tmp_path)]) == 0
+    assert diagnostics("parametrix", nu="119") == []
+    assert "leaves the double range at nu = 120" in diagnostics("parametrix", nu="120")[0]
 
 
 def test_validate_projector_norms_zonal_p_range():

@@ -87,6 +87,17 @@ def test_quasimode_ratio_eigenfunction_closed_form(s2_free_24):
     assert got == pytest.approx(norm_p / denom, rel=1e-10)
 
 
+def test_quasimode_sup_includes_the_poles(s2_free_72):
+    """At p = inf the eigenfunction nearest lambda has its sup at the pole,
+    sqrt((2l+1)/(4 pi)), which the grid leaves out; the ratio reads it."""
+    report = estimators.quasimode_report(s2_free_72, math.inf, [8.0, 40.0])
+    for (_, lam, ratio), l in zip(report.rows, (8, 40)):
+        assert lam == pytest.approx(math.sqrt(l * (l + 1)), rel=1e-15)
+        denom = lam ** -0.5 * abs(1.0 - 2.0j * lam) + lam ** 0.5  # sigma(inf, 2) = 1/2
+        assert ratio == pytest.approx(math.sqrt((2 * l + 1) / (4 * math.pi)) / denom,
+                                      rel=1e-10)
+
+
 def test_projector_norm_p2_and_bounds(s2_free_24):
     res = estimators.projector_norm(s2_free_24, 10.0, 11.0, 2.0)
     assert res.lower == pytest.approx(1.0, abs=1e-12)

@@ -105,11 +105,22 @@ def test_gauss_gegenbauer_rejects_non_integrable_weight(alpha):
 
 @pytest.mark.parametrize("m,alpha,reason", [(16, 11.0, "did not converge"),
                                             (40, 12.0, "repeated or out-of-range")])
-def test_gauss_gegenbauer_newton_failure_raises(m, alpha, reason):
-    # far beyond the alpha = (n-2)/2 of any sphere the lab uses, the node
-    # estimates are too rough; the rule must fail loudly, not return wrong nodes
+def test_gauss_gegenbauer_newton_failure_raises(m, alpha, reason, monkeypatch):
+    # beyond the alpha bound the node estimates are too rough; with the bound
+    # lifted, the rule must fail loudly, not return wrong nodes
+    monkeypatch.setattr(geometry, "_ALPHA_MAX", math.inf)
     with pytest.raises(NumericError, match=reason):
         geometry.gauss_gegenbauer(m, alpha)
+
+
+def test_gauss_gegenbauer_alpha_bound():
+    """alpha = 10.5 (S^23) is the largest weight with a rule; alpha = 11 (S^24)
+    is rejected before Newton starts, at every size."""
+    x, w = geometry.gauss_gegenbauer(200, 10.5)
+    assert np.all(np.diff(x) > 0) and math.fsum(w) == pytest.approx(_mu0(10.5), rel=1e-13)
+    for m in (1, 12, 32):
+        with pytest.raises(DomainError, match="n <= 23"):
+            geometry.gauss_gegenbauer(m, 11.0)
 
 
 def test_panel_gauss_cache_is_read_only():

@@ -242,6 +242,17 @@ def test_fixed_shift_adds_to_eigenvalues():
     assert np.array_equal(shifted.eigenvectors, base.eigenvectors)
 
 
+def test_shifted_free_solve_keeps_node_values():
+    """A shift moves only the eigenvalues: a free shifted solve keeps the node
+    values the diagonal shortcut set, bit for bit, and computes none."""
+    manifold = geometry.ModelManifold(geometry.TORUS, 2)
+    base = operator_core.solve(None, manifold, 6)
+    shifted = operator_core.solve(None, manifold, 6, shift=1)
+    assert shifted._node_values is not None
+    assert np.array_equal(shifted.node_values(), base.node_values())
+    assert np.array_equal(shifted.eigenvalues, base.eigenvalues + 1)
+
+
 def test_multiplier_identity(s2_free_24):
     f = s2_free_24.node_values()[:, 3] + 0.5 * s2_free_24.node_values()[:, 7]
 

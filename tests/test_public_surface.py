@@ -69,3 +69,24 @@ def test_every_public_definition_has_a_caller():
         and used[qualname.rpartition(".")[2]] <= _references(node)[node.name])
     assert not unused, f"public definitions nothing calls: {unused}"
     assert set(ALLOWED) <= set(defined), sorted(set(ALLOWED) - set(defined))
+
+
+def test_every_slope_verdict_comes_from_slope_report():
+    """One slope rule: no ``slope_verdict`` is defined or referenced in
+    ``src/qlab`` or ``bench/``, and the only functions that call
+    ``fit_exponent`` are ``slope_report`` and the two parametrix slopes that
+    return the bare fit."""
+    callers = set()
+    paths = glob.glob(os.path.join(ROOT, "src", "qlab", "*.py")) \
+        + glob.glob(os.path.join(ROOT, "bench", "*.py"))
+    for path in sorted(paths):
+        tree = ast.parse(open(path).read(), filename=path)
+        assert _references(tree)["slope_verdict"] == 0, path
+        for func in ast.walk(tree):
+            if not isinstance(func, _FUNCS):
+                continue
+            assert func.name != "slope_verdict", path
+            for sub in ast.walk(func):
+                if isinstance(sub, ast.Call) and "fit_exponent" in _references(sub.func):
+                    callers.add(func.name)
+    assert callers == {"slope_report", "small_r_slope", "lambda_slope"}
