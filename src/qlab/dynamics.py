@@ -22,13 +22,14 @@ from .errors import ConfigError, DomainError, ResolutionError
 
 
 def heat_kernel_sup(decomp: operator_core.SpectralDecomposition, t: float) -> float:
-    """sup over the grid of the on-diagonal heat kernel sum_i e^{-t mu_i} v_i(x)^2."""
+    """sup over the grid, and the poles of a sphere, of the on-diagonal heat
+    kernel sum_i e^{-t mu_i} v_i(x)^2."""
     if t <= 0:
         raise DomainError("heat time must be positive")
     U = decomp.node_values()
     diag = (U ** 2) @ np.exp(-t * decomp.eigenvalues)
     sup = float(np.max(diag))
-    if decomp.basis.grid.manifold.kind == geometry.SPHERE_ZONAL:
+    if decomp.basis.grid.manifold.kind != geometry.TORUS:
         pole = decomp.basis.pole_values @ decomp.eigenvectors
         sup = max(sup, float(np.max((pole ** 2) @ np.exp(-t * decomp.eigenvalues))))
     return sup

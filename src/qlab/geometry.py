@@ -325,14 +325,18 @@ def _gegenbauer_table(kmax: int, lam: float, x: np.ndarray) -> np.ndarray:
     Three-term recurrence; stable for the degrees used here (k <= ~512,
     lam <= 5/2).
     """
-    c = np.zeros((kmax + 1, x.shape[0]))
+    c = np.empty((kmax + 1, x.shape[0]))
     c[0] = 1.0
     if kmax >= 1:
         c[1] = 2.0 * lam * x
+    tmp = np.empty_like(c[0])
     for k in range(2, kmax + 1):
         a = 2.0 * (k + lam - 1.0) / k
         b = (k + 2.0 * lam - 2.0) / k
-        c[k] = a * x * c[k - 1] - b * c[k - 2]
+        # a * x * c[k-1] - b * c[k-2], the same operations in place
+        np.multiply(x, a, out=c[k])
+        c[k] *= c[k - 1]
+        c[k] -= np.multiply(c[k - 2], b, out=tmp)
     return c
 
 
@@ -367,6 +371,10 @@ class Basis:
         return self.values.T @ (self.grid.weights * f)
 
 
+# degree rows squared at a time when ZonalSphereBasis sums its norms
+_NORM_ROWS = 32
+
+
 class ZonalSphereBasis(Basis):
     """Zonal (Gegenbauer/Legendre) eigenbasis on S^n, degrees 0..K.  ``pole_values``
     (rows phi = 0, pi) is computed once, read-only: do not mutate the basis."""
@@ -377,14 +385,18 @@ class ZonalSphereBasis(Basis):
         self.lam_geg = (n - 1) / 2.0
         x = np.cos(grid.nodes)
         table = _gegenbauer_table(K, self.lam_geg, x)
-        work = np.square(table)
-        work *= grid.weights
-        norms = np.sqrt(np.sum(work, axis=1))
+        norms = np.empty(K + 1)
+        for lo in range(0, K + 1, _NORM_ROWS):
+            block = np.square(table[lo:lo + _NORM_ROWS])
+            block *= grid.weights
+            np.sum(block, axis=1, out=norms[lo:lo + _NORM_ROWS])
+        np.sqrt(norms, out=norms)
         if np.any(norms <= 0) or not np.all(np.isfinite(norms)):
             raise ResolutionError(f"grid of {grid.size} nodes cannot normalize degree {K}; "
                                   f"need at least {K + 8} Gauss nodes")
         self._norms = norms
-        values = np.divide(table, norms[:, None], out=work).T
+        table /= norms[:, None]
+        values = table.T
         degrees = np.arange(K + 1)
         freqs = np.sqrt(degrees * (degrees + n - 1.0))
         super().__init__(grid.manifold, K, grid, freqs, values)
@@ -419,7 +431,9 @@ def _normalized_assoc_legendre(K: int, m: int, phi: np.ndarray) -> np.ndarray:
 
 
 class FullSphereBasis(Basis):
-    """Real spherical harmonics on S^2, degrees 0..K, all orders."""
+    """Real spherical harmonics on S^2, degrees 0..K, all orders.  ``pole_values``
+    (rows at the poles (phi, theta) = (0, 0), (pi, 0)) is computed once,
+    read-only: do not mutate the basis."""
 
     def __init__(self, K: int, grid: QuadratureGrid):
         if grid.manifold.kind != SPHERE_FULL_2D:
@@ -459,6 +473,12 @@ class FullSphereBasis(Basis):
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         return self._eval_modes(np.atleast_2d(np.asarray(points, dtype=float)))
+
+    @functools.cached_property
+    def pole_values(self) -> np.ndarray:
+        values = self.evaluate(np.array([[0.0, 0.0], [math.pi, 0.0]]))
+        values.flags.writeable = False
+        return values
 
 
 class TorusBasis(Basis):

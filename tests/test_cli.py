@@ -147,10 +147,10 @@ _BAD_VALUES = [
     ("weyl", "K = 39", "mu=40.0 exceeds the truncation frequency 39.497"),
     ("multiplier", "K = 3", "battery 'zonal-ladder' is empty at this truncation"),
     ("square-function", "K = 3", "battery 'zonal-ladder' is empty at this truncation"),
-    ("resolvent-probe", "n = 5", "key 'n': the resolvent probe on 72^5 FFT points needs "
-     "202 GiB, above the 1 GiB limit"),
-    ("resolvent-probe", "n = 5\nlams = 1,2,3,4", "the resolvent probe on 32^5 FFT "
-     "points needs 3.5 GiB"),
+    ("resolvent-probe", "n = 5", "key 'n': the resolvent probe on the 37^5 half cube of "
+     "the 72^5 grid needs 4.65 GiB, above the 1 GiB limit"),
+    ("resolvent-probe", "n = 6\nlams = 1,2,3,4", "the resolvent probe on the 17^6 half "
+     "cube of the 32^6 grid needs 1.62 GiB"),
     # the default zonal Gauss grid stops at S^23
     ("spectrum", "n = 24", "key 'n': no Gauss rule for the weight (1-x^2)^alpha at "
      "alpha = 11 (S^24): need -1 < alpha <= 10.5, the zonal S^n with n <= 23"),
@@ -204,6 +204,19 @@ def test_zonal_gauss_limit_and_parametrix_orders(tmp_path):
                          "--out", str(tmp_path)]) == 0
     assert diagnostics("parametrix", nu="119") == []
     assert "leaves the double range at nu = 120" in diagnostics("parametrix", nu="120")[0]
+
+
+def test_resolvent_probe_budget_follows_the_half_cube(tmp_path):
+    """The budget counts the (N/2 + 1)^n half cube: n = 4 at the default lams
+    (37^4 points) and n = 5 below lambda = 13 (17^5 points) pass validate,
+    and the latter runs to a verdict."""
+    def diagnostics(**raw):
+        return cli.validate("resolvent-probe", cli.build_config("resolvent-probe", raw))
+
+    assert diagnostics(n="4") == []
+    assert diagnostics(n="5", lams="1,2,3,4") == []
+    assert cli.main(["resolvent-probe", "--n", "5", "--lams", "1,2,3,4",
+                     "--out", str(tmp_path)]) in (0, 2)
 
 
 def test_validate_projector_norms_zonal_p_range():

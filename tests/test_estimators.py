@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,19 @@ def test_quasimode_sup_includes_the_poles(s2_free_72):
         denom = lam ** -0.5 * abs(1.0 - 2.0j * lam) + lam ** 0.5  # sigma(inf, 2) = 1/2
         assert ratio == pytest.approx(math.sqrt((2 * l + 1) / (4 * math.pi)) / denom,
                                       rel=1e-10)
+
+
+def test_full_sphere_quasimode_sup_includes_the_poles():
+    """On the full S^2 the eigenfunction nearest lambda = 24 is the degree-24
+    m = 0 harmonic, whose sup sqrt(49/(4 pi)) = 1.9748 sits at the poles; the
+    grid alone reads 0.781."""
+    decomp = operator_core.solve(None, geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2), 24)
+    (_, lam, ratio), = estimators.quasimode_report(decomp, math.inf, [24.0]).rows
+    i = int(np.argmin(np.abs(decomp.frequencies - 24.0)))
+    assert decomp.basis.modes[i] == (24, 0, "c")
+    assert lam == pytest.approx(math.sqrt(24 * 25), rel=1e-15)
+    denom = lam ** -0.5 * abs(1.0 - 2.0j * lam) + lam ** 0.5  # sigma(inf, 2) = 1/2
+    assert ratio * denom == pytest.approx(math.sqrt(49 / (4 * math.pi)), rel=1e-12)
 
 
 def test_projector_norm_p2_and_bounds(s2_free_24):
@@ -222,3 +236,79 @@ def test_sobolev_dual_pair():
 def test_resolvent_probe_wrong_p_rejected():
     with pytest.raises(ConfigError):
         estimators.uniform_resolvent_probe(3, (4.0, 6.0))
+
+
+def _fft_reference(n, lams):
+    """The probe's rows by np.fft.ifftn on the full N^n grid."""
+    p_star, p_dual = estimators.sobolev_dual_pair(n)
+    N = estimators._resolvent_grid(lams)
+    freqs = np.fft.fftfreq(N, d=1.0 / N)
+    ksq = sum(np.meshgrid(*([freqs ** 2] * n), indexing="ij", sparse=True))
+    cell = (2.0 * math.pi / N) ** n
+
+    def norm(f, q):
+        return (np.sum(np.abs(f) ** q) * cell) ** (1.0 / q)
+
+    fp_pt = cell ** (1.0 / p_star)
+    rows = []
+    for lam in lams:
+        mult = 1.0 / (ksq - (lam + 1j) ** 2)
+        shell = (np.abs(np.sqrt(ksq) - lam) <= 1.0).astype(float)
+        fp_sh = norm(np.fft.ifftn(shell), p_star)
+        lower = max(0.0, norm(np.fft.ifftn(mult), p_dual) / fp_pt)
+        if fp_sh > 0:
+            lower = max(lower, norm(np.fft.ifftn(shell * mult), p_dual) / fp_sh)
+        rows.append([float(lam), lower])
+    return rows
+
+
+@pytest.mark.parametrize("n,lams", [(3, (8.0, 11.0, 16.0, 22.0, 32.0)),
+                                    (4, (1.0, 2.0, 3.0, 4.0))])
+def test_resolvent_probe_matches_fft_reference(n, lams, monkeypatch):
+    """The half-cube cosine transform reproduces the full-grid FFT rows, and
+    the probe calls no FFT."""
+    expected = _fft_reference(n, lams)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("uniform_resolvent_probe called np.fft")
+
+    for name in np.fft.__all__:
+        monkeypatch.setattr(np.fft, name, no_fft)
+    rows = estimators.uniform_resolvent_probe(n, lams).rows
+    assert [r[0] for r in rows] == [r[0] for r in expected]
+    for (_, got), (_, want) in zip(rows, expected):
+        assert abs(got - want) <= 1e-13 * want
+
+
+@given(n=st.integers(min_value=1, max_value=4),
+       N=st.integers(min_value=2, max_value=20).map(lambda m: 2 * m),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_even_inverse_dft_is_the_fft(n, N, seed):
+    """For a complex spectrum even in every coordinate, the half-cube cosine
+    transform is np.fft.ifftn on the points {0..N/2}^n, and the fold-weighted
+    sums of |g|^q are the full-grid sums."""
+    rng = np.random.default_rng(seed)
+    h = N // 2 + 1
+    half = rng.standard_normal((h,) * n) + 1j * rng.standard_normal((h,) * n)
+    mirror = np.minimum(np.arange(N), N - np.arange(N))  # k and N - k share a value
+    full = np.fft.ifftn(half[np.ix_(*[mirror] * n)])
+    got = estimators._even_inverse_dft(half, N)
+    scale = float(np.max(np.abs(full)))
+    assert np.max(np.abs(got - full[(slice(0, h),) * n])) <= 1e-13 * scale
+    folds = estimators._half_axis_folds(N)
+    for q in (1.2, 2.0, 6.0):
+        want = float(np.sum(np.abs(full) ** q))
+        assert abs(estimators._folded_sum(np.abs(got) ** q, folds) - want) <= 1e-13 * want
+
+
+def test_resolvent_probe_memory():
+    """The shipped probe works on the 37^3 half cube of its 72^3 grid: its
+    peak allocation (3.3 MB) stays far below that of one 72^3 pass."""
+    tracemalloc.start()
+    try:
+        estimators.uniform_resolvent_probe(3, (8, 11, 16, 22, 32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2 ** 20

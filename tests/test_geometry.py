@@ -275,6 +275,21 @@ def test_zonal_values_match_normalized_table(n, K, levels):
     assert basis.values.tobytes() == (table / norms[:, None]).T.tobytes()
 
 
+def test_zonal_bases_unchanged():
+    """SHA-256 over the values and norms of zonal bases at n = 2..5, K up to
+    512, on Gauss and pole-capped grids, recorded from the out-of-place
+    recurrence a * x * c[k-1] - b * c[k-2] and a full N x J normalization."""
+    h = hashlib.sha256()
+    for n in (2, 3, 4, 5):
+        for K in (0, 1, 2, 7, 64, 512):
+            for levels in (0, 6):
+                grid = geometry.zonal_grid(n, 2 * K + 16, pole_levels=levels)
+                basis = geometry.ZonalSphereBasis(n, K, grid)
+                h.update(np.ascontiguousarray(basis.values).tobytes())
+                h.update(basis._norms.tobytes())
+    assert h.hexdigest() == "04fb28ec69721716971ba0f836270049a7ae0fd4340c6c40f5e826d05e2d8178"
+
+
 @pytest.mark.parametrize("n,size,levels", [(2, 7, 0), (3, 8, 0), (3, 31, 0), (5, 144, 0),
                                            (3, 144, 6), (2, 272, 6)])
 def test_hemisphere_folds_even_integrands(n, size, levels):
