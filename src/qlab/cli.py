@@ -196,14 +196,26 @@ def _key(key: str, check, *args):
         raise ConfigError(f"key {key!r}: {exc}") from None
 
 
-_ARRAY_BYTES = 2 ** 30  # the largest array a config may ask for
+_RUN_BYTES = 2 ** 30  # the largest working set a config may ask for
 
 
 def _check_bytes(size: int, what: str, key: str, exact: bool = True) -> None:
-    if size > _ARRAY_BYTES:
+    """Rejects a run whose working set, ``size`` bytes as its plan charges
+    it, exceeds the limit; tests/test_memory.py holds the tracemalloc peak
+    of each charged run to at most 1.25x its charge."""
+    if size > _RUN_BYTES:
+        # rounded up to 3 digits, so a size just above the limit never reads as 1
+        scale = 10.0 ** (2 - math.floor(math.log10(size / 2 ** 30)))
         raise ResolutionError(f"key {key!r}: {what} needs {'' if exact else 'at least '}"
-                              f"{size / 2 ** 30:.3g} GiB, above the "
-                              f"{_ARRAY_BYTES / 2 ** 30:g} GiB limit; lower {key}")
+                              f"{math.ceil(size / 2 ** 30 * scale) / scale:g} GiB, above "
+                              f"the {_RUN_BYTES / 2 ** 30:g} GiB limit; lower {key}")
+
+
+def _solve_bytes(nodes: int, modes: int) -> int:
+    """Peak bytes of a free solve and its node values: the N x J basis and
+    its node-value copy, and two J x J matrices (the identity and the
+    Galerkin matrix; within 3% of the tracemalloc peak on every manifold)."""
+    return 16 * modes * (nodes + modes)
 
 
 def _lattice_points(n: int, r2: int) -> int:
@@ -217,8 +229,9 @@ def _lattice_points(n: int, r2: int) -> int:
 
 def _decomposition(cfg: dict, top: float = 0.0):
     """Plan of the solve of a spectral experiment: resolves the manifold and V,
-    checks the truncation (K >= 2 and K >= ``top``) and the size of the dense
-    N x J basis, and returns the solve with the frequencies of H_0 + shift.
+    checks the truncation (K >= 2 and K >= ``top``) and the working set of a
+    free solve on the dense N x J basis (``_solve_bytes``), and returns the
+    solve with the frequencies of H_0 + shift.
     The plans check what a run reads of the spectrum against these; V moves
     them, so the run checks again."""
     import numpy as np
@@ -238,11 +251,11 @@ def _decomposition(cfg: dict, top: float = 0.0):
     full, torus = manifold.kind == geometry.SPHERE_FULL_2D, manifold.kind == geometry.TORUS
     # N of geometry.default_grid; J is K + 1, (K + 1)^2 or the lattice count
     nodes = (2 * K + 2) ** n if torus else (K + 9) * (2 * K + 4) if full else 2 * K + 16
-    what = f"the dense {manifold.kind} basis at K={K} ({nodes} nodes per mode)"
-    if torus:  # one column bounds the basis and keeps the lattice count cheap
-        _check_bytes(8 * nodes, what, "K", exact=False)
-    _check_bytes(8 * nodes * (_lattice_points(n, K * K) if torus else (K + 1) ** (1 + full)),
-                 what, "K")
+    what = f"the solve on the dense {manifold.kind} basis at K={K} ({nodes} nodes per mode)"
+    if torus:  # one mode bounds the solve and keeps the lattice count cheap
+        _check_bytes(_solve_bytes(nodes, 1), what, "K", exact=False)
+    _check_bytes(_solve_bytes(nodes, _lattice_points(n, K * K) if torus
+                              else (K + 1) ** (1 + full)), what, "K")
     if torus:
         mu = sum(np.meshgrid(*[np.arange(-K, K + 1) ** 2] * n, sparse=True)).ravel()
         mu = np.sort(mu[mu <= K * K]).astype(float)
@@ -443,8 +456,11 @@ def _plan_wave_speed(cfg):
         _key("n", geometry._check_gauss_alpha, (n - 2) / 2.0)  # the default Gauss grid
     if not Ks or Ks[0] < 2:
         raise ConfigError("key 'Ks': truncation too small (K must be at least 2)")
-    nodes = 2 * Ks[-1] + 16  # the default zonal grid
-    _check_bytes(8 * nodes ** 2, f"the leakage kernel at K={Ks[-1]} ({nodes} nodes)", "Ks")
+    # every solve is held, and the leakage at the largest K holds its N x N
+    # kernel (then distances), mass, cone mask and mass[outside] (default grid)
+    nodes = 2 * Ks[-1] + 16
+    _check_bytes(sum(_solve_bytes(2 * K + 16, K + 1) for K in set(Ks)) + 25 * nodes ** 2,
+                 f"the leakage run up to K={Ks[-1]} ({nodes} nodes)", "Ks")
     # the free top frequencies; the cutoff is held at a quarter of the largest
     tops = [math.sqrt(K * (K + n - 1.0)) for K in Ks]
     for top in tops:
@@ -492,9 +508,10 @@ def _plan_divergent_quasimode(cfg):
     from . import estimators
     n, eps, k_min, k_max = cfg["n"], cfg["eps"], cfg["k_min"], cfg["k_max"]
     estimators._check_divergent(n, eps, k_min, k_max)
-    # the rungs x degrees table of dyadic bumps; exponents beyond 64 are far
-    # above the limit, and are capped so that the estimate stays cheap
-    _check_bytes(8 * (2 ** min(k_max + 1, 64) + 9) * (k_max - k_min + 1),
+    # the rungs x degrees table of dyadic bumps and 9 vectors over the degrees
+    # (the tracemalloc peak at k_max = 14 and 17); exponents beyond 64 are
+    # far above the limit, and are capped so that the estimate stays cheap
+    _check_bytes(8 * (2 ** min(k_max + 1, 64) + 9) * (k_max - k_min + 1 + 9),
                  f"the ladder of 2^{k_max + 1} + 9 degrees x {k_max - k_min + 1} rungs",
                  "k_max", exact=k_max < 64)
 

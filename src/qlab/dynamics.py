@@ -124,11 +124,16 @@ def cone_leakage(decomp: operator_core.SpectralDecomposition, t: float,
         decomp, lambda fr: np.cos(t * fr) * np.exp(-(fr / cutoff) ** 2))
     phi = grid.nodes
     w = grid.weights
-    mass = w[:, None] * w[None, :] * kernel ** 2
-    outside = np.abs(phi[:, None] - phi[None, :]) > abs(t) + margin
+    # the kernel is squared in place, and its buffer, free once mass exists,
+    # then takes the distances |phi_i - phi_j|
+    np.square(kernel, out=kernel)
+    mass = np.multiply.outer(w, w)
+    mass *= kernel
     total = float(np.sum(mass))
     if total == 0.0:
         return 0.0
+    dist = np.subtract.outer(phi, phi, out=kernel)
+    outside = np.abs(dist, out=dist) > abs(t) + margin
     return float(np.sum(mass[outside]) / total)
 
 

@@ -443,12 +443,18 @@ def divergent_quasimode(n: int, eps: float, k_min: int = 4,
     vol = geometry.sphere_volume(n)
     l_max = 2 ** (k_max + 1) + 8
     ls = np.arange(l_max + 1)
-    dims = np.array([harmonic_dimension(n, int(l)) for l in ls], dtype=float)
+    dims = np.fromiter((harmonic_dimension(n, l) for l in range(l_max + 1)),
+                       dtype=float, count=l_max + 1)
     freqs = np.sqrt(ls * (ls + n - 1.0))
     lam = float(2 ** k_min)
     ks = np.arange(k_min, k_max + 1)
     amps = 2.0 ** (-(n / 2.0 + 2.0) * ks) * ks ** (-0.5 - eps)
-    beta_lk = operator_core.lp_profile(freqs[None, :] / 2.0 ** ks[:, None])
+    # row k is the bump beta(freqs / 2^k), written only on its support
+    # 2^(k-1) < freq < 2^(k+1): lp_profile is exactly +0.0 elsewhere
+    beta_lk = np.zeros((ks.size, freqs.size))
+    for row, k in zip(beta_lk, ks):
+        lo, hi = np.searchsorted(freqs, [2.0 ** (k - 1), 2.0 ** (k + 1)], side="right")
+        row[lo:hi] = operator_core.lp_profile(freqs[lo:hi] / 2.0 ** k)
     terms = amps * (beta_lk @ dims) / vol
     partial = np.cumsum(terms)
     growth = float(partial[-1] / partial[0] - 1.0)

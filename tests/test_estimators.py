@@ -227,6 +227,24 @@ def test_divergent_quasimode_n5_partial_sums_bounded():
     assert r5.growth > r4.growth > 0.0
 
 
+@pytest.mark.parametrize("n, k_min, k_max", [(4, 4, 14), (5, 1, 9), (9, 2, 12)])
+def test_divergent_quasimode_matches_the_dense_bump_table(n, k_min, k_max):
+    """Writing each bump only on its support 2^(k-1) < freq < 2^(k+1) gives
+    the terms of the full rungs x degrees table bit for bit."""
+    ls = np.arange(2 ** (k_max + 1) + 9)
+    dims = np.array([estimators.harmonic_dimension(n, int(l)) for l in ls], dtype=float)
+    freqs = np.sqrt(ls * (ls + n - 1.0))
+    ks = np.arange(k_min, k_max + 1)
+    beta = operator_core.lp_profile(freqs[None, :] / 2.0 ** ks[:, None])
+    amps = 2.0 ** (-(n / 2.0 + 2.0) * ks) * ks ** (-0.5 - 0.25)
+    vol = geometry.sphere_volume(n)
+    terms = amps * (beta @ dims) / vol
+    tail_l2 = float(np.sqrt(np.sum(((amps @ beta) * np.sqrt(dims / vol)) ** 2)))
+    rep = estimators.divergent_quasimode(n, 0.25, k_min=k_min, k_max=k_max)
+    assert rep.terms.tobytes() == terms.tobytes()
+    assert rep.tail_l2 == tail_l2
+
+
 def test_sobolev_dual_pair():
     assert estimators.sobolev_dual_pair(3) == (1.2, 6.0)
     with pytest.raises(DomainError):

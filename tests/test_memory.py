@@ -1,0 +1,70 @@
+"""Every size check of a plan in qlab.cli charges the working set of its run:
+the tracemalloc peak of the run stays within 1.25x of the bytes the plan
+passed to ``cli._check_bytes``, and above half of them."""
+
+import ast
+import inspect
+import tracemalloc
+
+import pytest
+
+from qlab import cli
+
+# caller of cli._check_bytes -> the configs its rows plan; a _decomposition
+# row runs the free solve and its node values, every other row the plan's run
+_ROWS = {
+    "_plan_divergent_quasimode": [("divergent-quasimode", {"k_max": "14"}),
+                                  ("divergent-quasimode", {"k_max": "17"})],
+    "_plan_wave_speed": [("wave-speed", {"Ks": "64"}), ("wave-speed", {"Ks": "128"}),
+                         ("wave-speed", {"Ks": "256"})],
+    "_decomposition": [("spectrum", {"K": "512"}),
+                       ("spectrum", {"manifold": "sphere-full-2d", "K": "24"}),
+                       ("spectrum", {"manifold": "torus", "K": "16"}),
+                       ("spectrum", {"manifold": "torus", "n": "3", "K": "5"})],
+    "_plan_resolvent_probe": [("resolvent-probe", {})],
+}
+
+
+def test_every_size_check_has_a_row():
+    """A plan that charges bytes without a row here would go unmeasured."""
+    callers = {node.name for node in ast.walk(ast.parse(inspect.getsource(cli)))
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                       and call.func.id == "_check_bytes" for call in ast.walk(node))}
+    assert callers == set(_ROWS)
+
+
+def _row_id(value):
+    if isinstance(value, dict):
+        return ",".join(f"{k}={x}" for k, x in value.items()) or "defaults"
+    return value
+
+
+@pytest.mark.parametrize("caller, experiment, raw",
+                         [(caller, *row) for caller, rows in _ROWS.items() for row in rows],
+                         ids=_row_id)
+def test_peak_within_the_charge(caller, experiment, raw, monkeypatch):
+    charged = []
+    check = cli._check_bytes
+
+    def record(size, *args, **kw):
+        charged.append(size)
+        check(size, *args, **kw)
+
+    monkeypatch.setattr(cli, "_check_bytes", record)
+    cfg = cli.build_config(experiment, raw)
+    if caller == "_decomposition":
+        solve, _ = cli._decomposition(cfg)
+
+        def run():
+            solve().node_values()
+    else:
+        run = cli.RUNNERS[experiment](cfg)
+    assert charged
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.5 * max(charged) <= peak <= 1.25 * max(charged)

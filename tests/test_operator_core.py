@@ -177,6 +177,22 @@ def test_diagonalize_rejects_non_square_and_non_symmetric():
         operator_core.diagonalize(A)
 
 
+def test_near_symmetric_matrix_is_symmetrized():
+    """A matrix symmetric to rounding is solved as 0.5 (A + A^T); one that
+    holds NaN is rejected as non-symmetric."""
+    rng = np.random.default_rng(5)
+    S = rng.standard_normal((24, 24))
+    S = S + S.T
+    B = S + 1e-14 * rng.standard_normal(S.shape)
+    d1 = operator_core.diagonalize(B)
+    d2 = operator_core.diagonalize(0.5 * (B + B.T))
+    assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
+    assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+    S[3, 3] = np.nan
+    with pytest.raises(DomainError, match="symmetric"):
+        operator_core.diagonalize(S)
+
+
 def test_diagonalize_maps_solver_failure_to_numeric_error(monkeypatch):
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
