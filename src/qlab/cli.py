@@ -99,9 +99,6 @@ SCHEMAS = {
     "bochner-riesz": {**_COMMON, "K": (_to_int, 512),
                       "delta": (_to_float, 0.6),
                       "lams": (_to_floats, (32.0, 64.0, 128.0, 256.0, 512.0))},
-    "square-function": {**_COMMON, "K": (_to_int, 64),
-                        "preset": (_choice("zonal-ladder", "point-concentrated",
-                                           "random-band"), "zonal-ladder")},
     "multiplier": {**_COMMON,
                    "symbol": (_choice("one", "imaginary-power", "bump"), "imaginary-power"),
                    "rs": (_to_floats, (4.0 / 3.0, 2.0, 4.0)),
@@ -111,9 +108,7 @@ SCHEMAS = {
     "wave-speed": {"n": (_to_int, 2), "potential": (_to_str, "0"),
                    "t": (_to_float, 0.5), "Ks": (_to_ints, (64, 128, 256)),
                    "seed": (_to_int, 20240801)},
-    "strichartz": {**_COMMON, "K": (_to_int, 40),
-                   "battery": (_choice("zonal-ladder", "band-bound"), "zonal-ladder"),
-                   "ks": (_to_ints, (4, 8, 16, 32))},
+    "strichartz": {**_COMMON, "K": (_to_int, 40), "ks": (_to_ints, (4, 8, 16, 32))},
     "parametrix": {"n": (_to_int, 3), "nu": (_to_int, 0),
                    "lams": (_to_floats, (5.0, 50.0)),
                    "rs": (_to_floats, tuple(0.05 + 0.05 * i for i in range(20))),
@@ -211,11 +206,28 @@ def _check_bytes(size: int, what: str, key: str, exact: bool = True) -> None:
                               f"the {_RUN_BYTES / 2 ** 30:g} GiB limit; lower {key}")
 
 
-def _solve_bytes(nodes: int, modes: int) -> int:
-    """Peak bytes of a free solve and its node values: the N x J basis and
-    its node-value copy, and two J x J matrices (the identity and the
-    Galerkin matrix; within 3% of the tracemalloc peak on every manifold)."""
-    return 16 * modes * (nodes + modes)
+def _solve_bytes(nodes: int, modes: int, fine: int = 0) -> int:
+    """Peak bytes of a solve and its node values on N nodes and J modes.  A
+    free one holds the basis, its node-value copy, the identity and the J x J
+    Galerkin matrix (within 3% of the tracemalloc peak); a V != 0 one peaks in
+    its check on ``fine`` refined nodes: the basis, the refined basis, up to
+    two copies of it in the sign split and two J x J matrices (0.72x-0.99x)."""
+    return 8 * modes * (nodes + (3 * fine if fine else nodes) + 2 * modes)
+
+
+def _checked_nodes(manifold, V, K: int, nodes: int) -> tuple[int, int]:
+    """(N, F) of the checked solve of V != 0 on a sphere: N is ``nodes`` of the
+    default grid, or of the pole-capped grid of a zonal V with poles (cheap to
+    build), and F the refined nodes of its check (the hemisphere fold for an
+    even zonal V)."""
+    from . import geometry, operator_core
+    if manifold.kind == geometry.SPHERE_FULL_2D:  # both axes doubled
+        return nodes, (2 * K + 19) * (4 * K + 10)
+    if not V.singular:  # twice the Gauss nodes
+        return nodes, nodes if V.even else 2 * nodes
+    grid = geometry.default_grid(manifold, K, geometry.SINGULAR_POLE_LEVELS)
+    refined = operator_core._refined_grid(grid)
+    return grid.size, (geometry.hemisphere(refined) if V.even else refined).size
 
 
 def _lattice_points(n: int, r2: int) -> int:
@@ -229,9 +241,9 @@ def _lattice_points(n: int, r2: int) -> int:
 
 def _decomposition(cfg: dict, top: float = 0.0):
     """Plan of the solve of a spectral experiment: resolves the manifold and V,
-    checks the truncation (K >= 2 and K >= ``top``) and the working set of a
-    free solve on the dense N x J basis (``_solve_bytes``), and returns the
-    solve with the frequencies of H_0 + shift.
+    checks the truncation (K >= 2 and K >= ``top``) and the working set of the
+    solve on the dense N x J basis (``_solve_bytes``), and returns the solve
+    with the frequencies of H_0 + shift.
     The plans check what a run reads of the spectrum against these; V moves
     them, so the run checks again."""
     import numpy as np
@@ -254,8 +266,13 @@ def _decomposition(cfg: dict, top: float = 0.0):
     what = f"the solve on the dense {manifold.kind} basis at K={K} ({nodes} nodes per mode)"
     if torus:  # one mode bounds the solve and keeps the lattice count cheap
         _check_bytes(_solve_bytes(nodes, 1), what, "K", exact=False)
-    _check_bytes(_solve_bytes(nodes, _lattice_points(n, K * K) if torus
-                              else (K + 1) ** (1 + full)), what, "K")
+    modes = _lattice_points(n, K * K) if torus else (K + 1) ** (1 + full)
+    _check_bytes(_solve_bytes(nodes, modes), what, "K")
+    if V is not None:  # past the free bound, so the grids built here are small
+        nodes, fine = _checked_nodes(manifold, V, K, nodes)
+        _check_bytes(_solve_bytes(nodes, modes, fine), f"the checked solve on the dense "
+                     f"{manifold.kind} basis at K={K} ({nodes} nodes per mode, {fine} in "
+                     "the check)", "K")
     if torus:
         mu = sum(np.meshgrid(*[np.arange(-K, K + 1) ** 2] * n, sparse=True)).ravel()
         mu = np.sort(mu[mu <= K * K]).astype(float)
@@ -381,35 +398,6 @@ def _plan_bochner_riesz(cfg):
     return lambda: dynamics.br_norm_probe(solve(), delta, lams)
 
 
-_SQUARE_FUNCTION_BAND = (0.2, 5.0)  # the verdict's bounds on ||Sf||_2 / ||f||_2
-
-
-def _plan_square_function(cfg):
-    import numpy as np
-
-    from . import dynamics, estimators, geometry
-    solve, free = _decomposition(cfg)
-    dynamics._battery_modes(free, cfg["preset"])
-
-    def run():
-        decomp = solve()
-        grid = decomp.basis.grid
-        battery = dynamics.test_battery(decomp, cfg["preset"], seed=cfg["seed"])
-        sfs = dynamics.square_function(decomp, np.column_stack([f for _, f in battery]))
-        rows = [[label, float(geometry.lp_norm(grid, sf, 2.0)
-                              / geometry.lp_norm(grid, f, 2.0))]
-                for (label, f), sf in zip(battery, sfs.T)]
-        ratios = [r[1] for r in rows]
-        lo, hi = _SQUARE_FUNCTION_BAND
-        ok = lo <= min(ratios) and max(ratios) <= hi
-        return estimators.ExperimentReport(
-            columns=["test_function", "l2_ratio"], rows=rows,
-            summary={"min_ratio": min(ratios), "max_ratio": max(ratios),
-                     "band": [lo, hi],
-                     "verdict": "pass" if ok else "fail"})
-    return run
-
-
 def _imaginary_power(s):
     import numpy as np
     s = np.asarray(s, dtype=complex)
@@ -433,7 +421,7 @@ def _plan_multiplier(cfg):
 
     def run():
         decomp = solve()
-        report = dynamics.norm_equivalence_probe(decomp, rs=rs)
+        report = dynamics.norm_equivalence_probe(decomp, rs=rs, seed=cfg["seed"])
         report.summary["besov_norm"] = dynamics.besov_check(
             symbol, besov_s, lam_max=max(2.0, float(decomp.frequencies[-1])))
         return report
@@ -450,17 +438,24 @@ def _plan_heat(cfg):
 def _plan_wave_speed(cfg):
     from . import dynamics, geometry, potentials
     n, t, Ks = cfg["n"], cfg["t"], sorted(cfg["Ks"])
-    _key("n", geometry.ModelManifold, geometry.SPHERE_ZONAL, n)
+    manifold = _key("n", geometry.ModelManifold, geometry.SPHERE_ZONAL, n)
     V = _key("potential", potentials.from_reference, cfg["potential"], n)
     if V is None or not V.singular:
         _key("n", geometry._check_gauss_alpha, (n - 2) / 2.0)  # the default Gauss grid
     if not Ks or Ks[0] < 2:
         raise ConfigError("key 'Ks': truncation too small (K must be at least 2)")
-    # every solve is held, and the leakage at the largest K holds its N x N
-    # kernel (then distances), mass, cone mask and mass[outside] (default grid)
-    nodes = 2 * Ks[-1] + 16
-    _check_bytes(sum(_solve_bytes(2 * K + 16, K + 1) for K in set(Ks)) + 25 * nodes ** 2,
-                 f"the leakage run up to K={Ks[-1]} ({nodes} nodes)", "Ks")
+
+    def check(sizes):  # K -> (N, F) of each solve, as _solve_bytes takes them
+        # every solve is held, and the leakage at the largest K holds its N x N
+        # kernel (then distances), mass, cone mask and mass[outside]
+        nodes = sizes[Ks[-1]][0]
+        _check_bytes(sum(_solve_bytes(N, K + 1, F) for K, (N, F) in sizes.items())
+                     + 25 * nodes ** 2, f"the leakage run up to K={Ks[-1]} ({nodes} nodes)",
+                     "Ks")
+    sizes = {K: (2 * K + 16, 0) for K in set(Ks)}
+    check(sizes)
+    if V is not None:  # past the free bound, so the grids built here are small
+        check({K: _checked_nodes(manifold, V, K, N) for K, (N, _) in sizes.items()})
     # the free top frequencies; the cutoff is held at a quarter of the largest
     tops = [math.sqrt(K * (K + n - 1.0)) for K in Ks]
     for top in tops:
@@ -472,15 +467,10 @@ def _plan_strichartz(cfg):
     from . import dynamics, estimators
     ks = cfg["ks"]
     solve, free = _decomposition(cfg)
-    if cfg["battery"] == "zonal-ladder":
-        for k in ks:
-            dynamics._ladder_rung(free, k)
-        estimators._check_fit_points(ks)
-        return lambda: dynamics.strichartz_report(solve(), ks=ks)
     for k in ks:
-        estimators._band(free, k - 0.5, k + 0.5)
-    estimators._check_fit_points([1.0 + k for k in ks])
-    return lambda: dynamics.band_bound_report(solve(), ks=ks)
+        dynamics._ladder_rung(free, k)
+    estimators._check_fit_points(ks)
+    return lambda: dynamics.strichartz_report(solve(), ks=ks)
 
 
 def _plan_parametrix(cfg):
@@ -554,7 +544,6 @@ RUNNERS = {
     "projector-norms": _plan_projector_norms,
     "quasimode": _plan_quasimode,
     "bochner-riesz": _plan_bochner_riesz,
-    "square-function": _plan_square_function,
     "multiplier": _plan_multiplier,
     "heat": _plan_heat,
     "wave-speed": _plan_wave_speed,

@@ -150,10 +150,12 @@ def test_criterion_9_weyl_and_divergent_quasimode(s2_free_40):
 
 def test_criterion_10_determinism(tmp_path):
     configs = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.ini")))
-    assert len(configs) == 15
+    names = [os.path.splitext(os.path.basename(path))[0] for path in configs]
+    # one shipped config per experiment, each naming its own
+    assert set(names) == set(cli.SCHEMAS)
     ok = True
-    for path in configs:
-        name = os.path.splitext(os.path.basename(path))[0]
+    for name, path in zip(names, configs):
+        assert cli._load_config_file(path)["experiment"] == name, path
         outs = []
         for tag in ("a", "b"):
             out = tmp_path / f"{name}-{tag}"

@@ -54,10 +54,19 @@ def test_spectrum_run_exact_eigenvalues(tmp_path):
     assert "version" in payload and "runtime_seconds" in payload
 
 
-def test_validate_shipped_configs(capsys):
+def shipped_configs():
+    """The shipped configs, checked to be one per experiment: each file's stem
+    is an experiment of `cli.SCHEMAS`, named again by its `experiment` key."""
     configs = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.ini")))
-    assert len(configs) == 15
-    for path in configs:
+    stems = [os.path.splitext(os.path.basename(path))[0] for path in configs]
+    assert set(stems) == set(cli.SCHEMAS)
+    for stem, path in zip(stems, configs):
+        assert cli._load_config_file(path)["experiment"] == stem, path
+    return configs
+
+
+def test_validate_shipped_configs(capsys):
+    for path in shipped_configs():
         rc = cli.main(["validate", "--config", path])
         out = capsys.readouterr()
         assert rc == 0, f"{path}: {out.out or out.err}"
@@ -88,13 +97,10 @@ _BAD_VALUES = [
     ("weyl", "manifold = torus", "key 'manifold': the local Weyl sum is implemented on "
      "the zonal sector"),
     ("weyl", "manifold = sphere-full-2d", "is implemented on the zonal sector"),
-    ("strichartz", "battery = nonsense",
-     "key 'battery': cannot parse value 'nonsense'; choose from zonal-ladder, band-bound"),
+    ("strichartz", "battery = zonal-ladder",
+     "unknown key 'battery' for experiment 'strichartz'"),
     ("multiplier", "symbol = nonsense",
      "key 'symbol': cannot parse value 'nonsense'; choose from one, imaginary-power, bump"),
-    ("square-function", "preset = nonsense",
-     "key 'preset': cannot parse value 'nonsense'; choose from zonal-ladder, "
-     "point-concentrated, random-band"),
     ("resolvent-probe", "p = 1.5", "unknown key 'p' for experiment 'resolvent-probe'"),
     ("resolvent-probe", "n = 2", "the uniform resolvent pair needs n >= 3"),
     ("spectrum", "potential = foo(phi", "key 'potential': invalid expression 'foo(phi'"),
@@ -125,6 +131,18 @@ _BAD_VALUES = [
      "sphere-full-2d basis at K=67 (10488 nodes per mode) needs 1.05 GiB"),
     ("spectrum", "K = 4727", "the solve on the dense sphere-zonal basis at K=4727 (9470 "
      "nodes per mode) needs 1.01 GiB"),
+    # the first truncations whose checked V != 0 solve exceeds the limit
+    ("spectrum", "potential = sin(phi)\nK = 2893", "the checked solve on the dense "
+     "sphere-zonal basis at K=2893 (5802 nodes per mode, 11604 in the check) needs 1.01 GiB"),
+    ("spectrum", "potential = truncated-counterexample\nK = 3660", "the checked solve on the "
+     "dense sphere-zonal basis at K=3660 (7336 nodes per mode, 7336 in the check) needs "
+     "1.01 GiB"),
+    ("spectrum", "n = 3\npotential = counterexample\nK = 3444", "the checked solve on the "
+     "dense sphere-zonal basis at K=3444 (7648 nodes per mode, 8144 in the check) needs "
+     "1.01 GiB"),
+    ("spectrum", "manifold = sphere-full-2d\npotential = constant:1\nK = 44", "the checked "
+     "solve on the dense sphere-full-2d basis at K=44 (4876 nodes per mode, 19902 in the "
+     "check) needs 1.04 GiB"),
     ("divergent-quasimode", "k_max = 22", "key 'k_max': the ladder of 2^23 + 9 degrees x "
      "19 rungs needs 1.76 GiB, above the 1 GiB limit"),
     ("wave-speed", "Ks = 2688", "key 'Ks': the leakage run up to K=2688 (5392 nodes) "
@@ -150,8 +168,6 @@ _BAD_VALUES = [
     ("bochner-riesz", "lams = 32,64", "need at least 4 points for an exponent fit"),
     ("multiplier", "rs = 0.5", "p must be >= 1 or inf, got 0.5"),
     ("strichartz", "ks = 4", "need at least 4 points for an exponent fit"),
-    ("strichartz", "battery = band-bound\nK = 12", "no eigenvalues with frequency "
-     "in (15.5, 16.5]"),
     ("resolvent-probe", "lams = 8,11", "need at least 4 points for an exponent fit"),
     ("resolvent-probe", "lams = 8,11,16,inf", "need finite positive abscissae"),
     ("weyl", "mus = 0,10,20,30", "local Weyl ratios need mu >= 1"),
@@ -159,7 +175,6 @@ _BAD_VALUES = [
     ("weyl", "K = 3", "mu=40.0 exceeds the truncation frequency 3.464"),
     ("weyl", "K = 39", "mu=40.0 exceeds the truncation frequency 39.497"),
     ("multiplier", "K = 3", "battery 'zonal-ladder' is empty at this truncation"),
-    ("square-function", "K = 3", "battery 'zonal-ladder' is empty at this truncation"),
     ("resolvent-probe", "n = 5", "key 'n': the resolvent probe on the 37^5 half cube of "
      "the 72^5 grid needs 4.65 GiB, above the 1 GiB limit"),
     ("resolvent-probe", "n = 6\nlams = 1,2,3,4", "the resolvent probe on the 17^6 half "
@@ -183,10 +198,9 @@ def test_validate_rejects_unparseable_optional_key(tmp_path, capsys):
 
 
 def test_validate_size_limits_pass_at_the_edge():
-    """The last truncations whose free solve fits the 1 GiB working set pass
-    (the next ones are rows of _BAD_VALUES), as do the largest ladder and
-    leakage run; a zonal ladder passes when its top rung fits, and a
-    band-bound battery when each band (k - 1/2, k + 1/2] holds a frequency."""
+    """The last truncations whose free or checked solve fits the 1 GiB working
+    set pass (the next ones are rows of _BAD_VALUES), as do the largest ladder
+    and leakage run; a zonal ladder passes when its top rung fits."""
     def diagnostics(experiment, **raw):
         return cli.validate(experiment, cli.build_config(experiment, raw))
 
@@ -195,15 +209,17 @@ def test_validate_size_limits_pass_at_the_edge():
     assert diagnostics("spectrum", manifold="torus", n="3", K="10") == []
     assert diagnostics("spectrum", manifold="sphere-full-2d", K="66") == []
     assert diagnostics("spectrum", K="4726") == []
+    assert diagnostics("spectrum", potential="sin(phi)", K="2892") == []
+    assert diagnostics("spectrum", potential="truncated-counterexample", K="3659") == []
+    assert diagnostics("spectrum", n="3", potential="counterexample", K="3443") == []
+    assert diagnostics("spectrum", manifold="sphere-full-2d", potential="constant:1",
+                       K="43") == []
     assert diagnostics("divergent-quasimode", k_max="21") == []
     assert diagnostics("wave-speed", Ks="2687") == []
     assert diagnostics("strichartz", K="33") == []  # sqrt(33 * 34) = 33.5 >= 32.75
     assert diagnostics("strichartz", K="32") != []  # sqrt(32 * 33) = 32.5
     assert diagnostics("strichartz", manifold="torus", K="33") == []
     assert diagnostics("strichartz", manifold="torus", K="32") != []
-    assert diagnostics("strichartz", K="12", battery="band-bound") == [
-        "no eigenvalues with frequency in (15.5, 16.5]"]
-    assert diagnostics("strichartz", K="33", battery="band-bound") == []
     assert cli._lattice_points(2, 64 * 64) == 12853
     assert cli._lattice_points(3, 2) == 19
 
@@ -327,8 +343,8 @@ def test_every_schema_key_is_read():
     """Every key an experiment accepts is read by its plan (the source
     includes the run it returns), or by `_decomposition` for plans that call
     it.  `seed` is the one exception: every experiment accepts it, so a script
-    can pass one seed to any run, and only the randomized square-function
-    battery reads it."""
+    can pass one seed to any run, and only multiplier's randomized
+    `random-band` battery reads it."""
     solve_keys = _cfg_keys_read(cli._decomposition)
     for experiment, plan in cli.RUNNERS.items():
         read = _cfg_keys_read(plan)
@@ -336,7 +352,7 @@ def test_every_schema_key_is_read():
             read |= solve_keys
         unread = set(cli.SCHEMAS[experiment]) - read - {"seed"}
         assert not unread, (experiment, unread)
-    assert "seed" in _cfg_keys_read(cli.RUNNERS["square-function"])
+    assert "seed" in _cfg_keys_read(cli.RUNNERS["multiplier"])
 
 
 def test_json_keys_match_docs(tmp_path):
@@ -434,9 +450,23 @@ def test_repeat_runs_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         out.mkdir()
-        assert cli.main(["square-function", "--out", str(out), "--K", "32"]) == 0
-    assert (a / "square-function.csv").read_bytes() == \
-        (b / "square-function.csv").read_bytes()
+        assert cli.main(["multiplier", "--out", str(out), "--K", "32", "--seed", "7"]) == 0
+    assert (a / "multiplier.csv").read_bytes() == (b / "multiplier.csv").read_bytes()
+
+
+def test_multiplier_seed_moves_only_the_random_band_rows(tmp_path):
+    """`seed` draws the random-band battery: two seeds give other `band-*`
+    ratios, and every other row of the CSV stays byte-identical."""
+    rows = {}
+    for seed in ("20240801", "7"):
+        out = tmp_path / seed
+        assert cli.main(["multiplier", "--out", str(out), "--K", "32", "--seed", seed]) == 0
+        rows[seed] = (out / "multiplier.csv").read_text().splitlines()
+    a, b = rows.values()
+    assert len(a) == len(b)
+    band = [x.split(",")[1].startswith("band-") for x in a]
+    assert any(band)
+    assert all((x == y) != moved for x, y, moved in zip(a, b, band))
 
 
 def test_failed_verdict_exit_code(tmp_path):
@@ -494,14 +524,12 @@ _SMALL = {
     "lams": _listed(_reals(1.0, 8.0), _reals(-1.0, 1.0), min_size=4),
     "width": _either(_reals(0.5, 2.0), _reals(-1.0, 0.5)),
     "delta": _either(_reals(0.0, 1.5), _reals(-0.5, 0.0)),
-    "preset": st.sampled_from(["zonal-ladder", "point-concentrated", "random-band"]),
     "symbol": st.sampled_from(["one", "imaginary-power", "bump"]),
     "rs": _listed(_reals(1.0, 4.0), _reals(0.5, 1.0), max_size=3),
     "besov_s": _either(_reals(0.0, 2.0), _reals(-0.5, 0.0)),
     "ts": _listed(_reals(0.005, 0.2), _reals(-0.02, 0.0), min_size=4),
     "t": st.one_of(st.just(0.0), _reals(-1.5, 1.5), _reals(1.6, 2.0)),
     "Ks": _listed(_ints(2, 32), _ints(-1, 1), max_size=3),
-    "battery": st.sampled_from(["zonal-ladder", "band-bound"]),
     "ks": _listed(_ints(1, 12), _ints(-1, 0), min_size=4),
     "point": _reals(0.0, math.pi),
     "radii": _listed(_reals(1e-3, 1.5), _reals(-0.5, 0.0) | _reals(1.58, 2.0), max_size=3),

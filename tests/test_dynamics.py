@@ -105,14 +105,26 @@ def test_square_function_partition_guard(s2_free_24):
 
 
 def test_battery_presets(s2_free_24):
-    from qlab import cli
-    # the config schema offers exactly the presets the battery builds
-    assert cli.SCHEMAS["square-function"]["preset"][0].choices == dynamics._PRESETS
     for preset in ("zonal-ladder", "point-concentrated", "random-band"):
         battery = dynamics.test_battery(s2_free_24, preset)
         assert battery
     with pytest.raises(ConfigError):
         dynamics.test_battery(s2_free_24, "nonsense")
+
+
+@pytest.mark.parametrize("name", ["s2_free_72", "s2_kato_72"])
+def test_square_function_plancherel_band(name, request):
+    """The beta_j are >= 0, at most two overlap and they sum to 1, so
+    1/2 <= sum_j beta_j^2 <= 1 and ||Sf||_2 / ||f||_2 lies in [2^{-1/2}, 1]
+    for every function of the three batteries."""
+    decomp = request.getfixturevalue(name)
+    grid = decomp.basis.grid
+    battery = [f for preset in dynamics._PRESETS
+               for _, f in dynamics.test_battery(decomp, preset)]
+    sfs = dynamics.square_function(decomp, np.column_stack(battery))
+    for f, sf in zip(battery, sfs.T):
+        ratio = geometry.lp_norm(grid, sf, 2.0) / geometry.lp_norm(grid, f, 2.0)
+        assert 2.0 ** -0.5 - 1e-12 <= ratio <= 1.0 + 1e-12
 
 
 def test_random_band_battery_seed_determinism(s2_free_24):

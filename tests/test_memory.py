@@ -16,18 +16,28 @@ _ROWS = {
     "_plan_divergent_quasimode": [("divergent-quasimode", {"k_max": "14"}),
                                   ("divergent-quasimode", {"k_max": "17"})],
     "_plan_wave_speed": [("wave-speed", {"Ks": "64"}), ("wave-speed", {"Ks": "128"}),
-                         ("wave-speed", {"Ks": "256"})],
+                         ("wave-speed", {"Ks": "256"}),
+                         ("wave-speed", {"Ks": "64,128,256", "potential": "counterexample"})],
     "_decomposition": [("spectrum", {"K": "512"}),
                        ("spectrum", {"manifold": "sphere-full-2d", "K": "24"}),
                        ("spectrum", {"manifold": "torus", "K": "16"}),
-                       ("spectrum", {"manifold": "torus", "n": "3", "K": "5"})],
+                       ("spectrum", {"manifold": "torus", "n": "3", "K": "5"}),
+                       # checked V != 0 solves: pole caps, the fold and the full S^2
+                       ("spectrum", {"n": "3", "K": "256", "potential": "counterexample"}),
+                       ("spectrum", {"n": "3", "K": "512", "potential": "counterexample"}),
+                       ("spectrum", {"K": "256", "potential": "sin(phi)"}),
+                       ("spectrum", {"n": "3", "K": "256",
+                                     "potential": "truncated-counterexample"}),
+                       ("spectrum", {"manifold": "sphere-full-2d", "K": "24",
+                                     "potential": "constant:1"})],
     "_plan_resolvent_probe": [("resolvent-probe", {})],
 }
 
 
 def test_every_size_check_has_a_row():
-    """A plan that charges bytes without a row here would go unmeasured."""
-    callers = {node.name for node in ast.walk(ast.parse(inspect.getsource(cli)))
+    """A plan that charges bytes without a row here would go unmeasured; a
+    call in a nested function counts for the module function around it."""
+    callers = {node.name for node in ast.parse(inspect.getsource(cli)).body
                if isinstance(node, ast.FunctionDef)
                and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                        and call.func.id == "_check_bytes" for call in ast.walk(node))}
@@ -67,4 +77,4 @@ def test_peak_within_the_charge(caller, experiment, raw, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0.5 * max(charged) <= peak <= 1.25 * max(charged)
+    assert 0.5 * max(charged) <= peak <= 1.25 * max(charged), peak / max(charged)
