@@ -210,9 +210,13 @@ def _solve_bytes(nodes: int, modes: int, fine: int = 0) -> int:
     """Peak bytes of a solve and its node values on N nodes and J modes.  A
     free one holds the basis, its node-value copy, the identity and the J x J
     Galerkin matrix (within 3% of the tracemalloc peak); a V != 0 one peaks in
-    its check on ``fine`` refined nodes: the basis, the refined basis, up to
-    two copies of it in the sign split and two J x J matrices (0.72x-0.99x)."""
-    return 8 * modes * (nodes + (3 * fine if fine else nodes) + 2 * modes)
+    its check on ``fine`` refined nodes: the basis, the refined basis (whose
+    rows the sign split does not copy) and three J x J matrices, which cover
+    the Galerkin matrix, the split's blocks and the transients of building the
+    refined basis (0.84x-1.02x)."""
+    if fine:
+        return 8 * modes * (nodes + fine + 3 * modes)
+    return 16 * modes * (nodes + modes)
 
 
 def _checked_nodes(manifold, V, K: int, nodes: int) -> tuple[int, int]:

@@ -14,7 +14,7 @@ produce bit-identical decompositions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -58,11 +58,13 @@ def _sign_split(Et: np.ndarray, wv: np.ndarray) -> np.ndarray:
     """Et diag(wv) Et^T as S+ S+^T - S- S-^T, S+- the columns of Et where
     +-wv > 0 scaled by sqrt(+-wv)."""
     def gram(keep: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        S = np.compress(keep, Et, axis=1)
+        S = Et[:, keep]  # reads strided rows in place: one copy, of the kept columns
         S *= np.sqrt(weight[keep])
         return S @ S.T  # numpy sends S @ S.T to SYRK: exactly symmetric
 
-    return gram(wv > 0.0, wv) - gram(wv < 0.0, -wv)
+    M = gram(wv > 0.0, wv)
+    M -= gram(wv < 0.0, -wv)
+    return M
 
 
 def _parity_blocks(V: Potential, values: np.ndarray, half: geometry.QuadratureGrid,
@@ -112,20 +114,19 @@ def assemble(V: Potential | None, basis: geometry.Basis,
     1% (``_CHECK_TOL``) of the matrix scale; otherwise it returns the refined
     matrix.  A pole-capped zonal grid keeps its caps (its ``pole_levels``) node
     for node and refines only the bulk, so the check never tests the cap rule.
-    An even V on a zonal basis is reassembled on the hemisphere fold of the
-    refined grid, so the refined basis is evaluated on those nodes only.
+    The check's working set is the basis, one refined basis and a few J x J
+    matrices: no row of the refined basis is copied (``_refined_matrix``).  An even V on a
+    zonal basis is reassembled on the hemisphere fold of the refined grid, so
+    the refined basis is evaluated on those nodes only.  w V is checked on the
+    basis grid before any refined work, so the NumericError for a V that is
+    not finite names a node of that grid.
     """
-    pot = potential_matrix(V, basis)
+    pot = potential_matrix(V, basis)  # checks w V on this grid first
     if check and V is not None:
-        if _folds(V, basis):
-            fine_grid = _refined_grid(basis.grid)
-            half = geometry.hemisphere(fine_grid)
-            fine = geometry.ZonalSphereBasis(basis.manifold.n, basis.K, half)
-            pot_fine = _parity_blocks(V, fine.values, half, fine_grid)
-        else:
-            pot_fine = potential_matrix(V, _refined_copy(basis))
-        scale = max(float(np.max(np.abs(pot_fine))), 1e-300)
-        diff = np.abs(pot_fine - pot)
+        pot_fine = _refined_matrix(V, basis)
+        scale = max(float(np.max(pot_fine)), -float(np.min(pot_fine)), 1e-300)
+        diff = np.subtract(pot_fine, pot, out=pot)
+        np.abs(diff, out=diff)
         j, k = np.unravel_index(int(np.argmax(diff)), diff.shape)
         if diff[j, k] > _CHECK_TOL * scale:
             raise NumericError(
@@ -140,19 +141,47 @@ def assemble(V: Potential | None, basis: geometry.Basis,
 
 
 def _refined_grid(grid: geometry.QuadratureGrid) -> geometry.QuadratureGrid:
+    """The grid of the check on a sphere (no potential lives on the torus)."""
     m = grid.manifold
     if m.kind == geometry.SPHERE_ZONAL:
         return geometry.zonal_grid(m.n, 2 * grid.size, pole_levels=grid.pole_levels)
-    if m.kind == geometry.SPHERE_FULL_2D:
-        nphi = np.unique(grid.nodes[:, 0]).size
-        ntheta = np.unique(grid.nodes[:, 1]).size
-        return geometry.full_sphere_grid(2 * nphi + 1, 2 * ntheta + 2)
-    per_dim = int(round(grid.size ** (1.0 / m.n)))
-    return geometry.torus_grid(m.n, 2 * per_dim)
+    nphi = np.unique(grid.nodes[:, 0]).size
+    ntheta = np.unique(grid.nodes[:, 1]).size
+    return geometry.full_sphere_grid(2 * nphi + 1, 2 * ntheta + 2)
 
 
-def _refined_copy(basis: geometry.Basis) -> geometry.Basis:
-    return geometry.build_basis(basis.manifold, basis.K, _refined_grid(basis.grid))
+def _refined_matrix(V: Potential, basis: geometry.Basis) -> np.ndarray:
+    """Potential matrix of V on the refined grid of a sphere basis (on its
+    hemisphere fold for an even zonal V, by parity blocks as
+    ``_parity_blocks``).  The refined basis is private, so it is built on the
+    nodes stably partitioned into w V > 0, then < 0, then = 0, and its rows
+    are scaled by sqrt(|w V|) in place: S+- of each block are views of its
+    values, and the sign split copies no row.  The values are freed before
+    the J x J matrix is formed.  A zonal basis sums its norms in the
+    partitioned order, which moves the matrix by about 1e-17 of its largest
+    entry; where w V > 0 at every node the order is the grid's own."""
+    fine_grid = _refined_grid(basis.grid)
+    folds = _folds(V, basis)
+    grid = geometry.hemisphere(fine_grid) if folds else fine_grid
+    wv = _weighted_potential(V, grid, fine_grid)
+    plus, minus = np.flatnonzero(wv > 0.0), np.flatnonzero(wv < 0.0)
+    order = np.concatenate([plus, minus, np.flatnonzero(wv == 0.0)])
+    pos, neg = slice(0, plus.size), slice(plus.size, plus.size + minus.size)
+    wv = wv[order]
+    E = geometry.build_basis(basis.manifold, basis.K, replace(
+        grid, nodes=grid.nodes[order], weights=grid.weights[order])).values
+    E[pos] *= np.sqrt(wv[pos])[:, None]
+    E[neg] *= np.sqrt(-wv[neg])[:, None]
+    cols = (slice(0, None, 2), slice(1, None, 2)) if folds else (slice(None),)
+    blocks = []
+    for c in cols:  # numpy sends S.T @ S of these views to SYRK: exactly symmetric
+        blocks.append(E[pos, c].T @ E[pos, c])
+        blocks[-1] -= E[neg, c].T @ E[neg, c]
+    del E
+    M = np.zeros((basis.size, basis.size))
+    for c, block in zip(cols, blocks):
+        M[c, c] = block
+    return M
 
 
 @dataclass
@@ -259,27 +288,42 @@ def diagonalize(matrix: np.ndarray,
         return decomp
     if not np.allclose(A, A.T, atol=1e-10 * max(1.0, float(np.max(np.abs(A))))):
         raise DomainError("matrix must be symmetric")
-    A = 0.5 * (A + A.T)
+    A = A + A.T
+    A *= 0.5
     # a diagonal matrix stays on the full path: LAPACK orders its repeated
     # eigenvalues in its own way, which the blocks would not reproduce
     if diagonal or np.any(A[0::2, 1::2]):
         mu, vecs = _eigh(A)
+        order = np.argsort(mu, kind="stable")
+        mu = mu[order]
+        vecs = vecs[:, order]
+        signs = _signs(vecs)
     else:
         (mu_e, vec_e), (mu_o, vec_o) = _eigh(A[0::2, 0::2]), _eigh(A[1::2, 1::2])
+        del A
         ne = mu_e.size
         mu = np.concatenate([mu_e, mu_o])
-        vecs = np.zeros(A.shape)
-        vecs[0::2, :ne] = vec_e
-        vecs[1::2, ne:] = vec_o
-    order = np.argsort(mu, kind="stable")
-    mu = mu[order]
-    vecs = vecs[:, order]
-    # fixed sign convention: largest-magnitude component positive
+        order = np.argsort(mu, kind="stable")
+        mu = mu[order]
+        # each block's eigenvectors go straight to their sorted columns; a
+        # column's largest component lies in its block (first on ties too)
+        column = np.empty_like(order)
+        column[order] = np.arange(order.size)
+        vecs = np.zeros((order.size, order.size))
+        vecs[0::2, column[:ne]] = vec_e
+        vecs[1::2, column[ne:]] = vec_o
+        signs = np.concatenate([_signs(vec_e), _signs(vec_o)])[order]
+    vecs *= signs  # on the whole matrix: the other parity's zeros take the sign too
+    return SpectralDecomposition(eigenvalues=mu, eigenvectors=vecs, basis=basis)
+
+
+def _signs(vecs: np.ndarray) -> np.ndarray:
+    """The fixed sign convention: the sign of each column's largest-magnitude
+    component (the first on ties), 1 for a zero column."""
     idx = np.argmax(np.abs(vecs), axis=0)
     signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
     signs[signs == 0.0] = 1.0
-    vecs = vecs * signs
-    return SpectralDecomposition(eigenvalues=mu, eigenvectors=vecs, basis=basis)
+    return signs
 
 
 def _positivity_shift(mu: np.ndarray) -> int:

@@ -132,17 +132,17 @@ _BAD_VALUES = [
     ("spectrum", "K = 4727", "the solve on the dense sphere-zonal basis at K=4727 (9470 "
      "nodes per mode) needs 1.01 GiB"),
     # the first truncations whose checked V != 0 solve exceeds the limit
-    ("spectrum", "potential = sin(phi)\nK = 2893", "the checked solve on the dense "
-     "sphere-zonal basis at K=2893 (5802 nodes per mode, 11604 in the check) needs 1.01 GiB"),
-    ("spectrum", "potential = truncated-counterexample\nK = 3660", "the checked solve on the "
-     "dense sphere-zonal basis at K=3660 (7336 nodes per mode, 7336 in the check) needs "
+    ("spectrum", "potential = sin(phi)\nK = 3859", "the checked solve on the dense "
+     "sphere-zonal basis at K=3859 (7734 nodes per mode, 15468 in the check) needs 1.01 GiB"),
+    ("spectrum", "potential = truncated-counterexample\nK = 4376", "the checked solve on the "
+     "dense sphere-zonal basis at K=4376 (8768 nodes per mode, 8768 in the check) needs "
      "1.01 GiB"),
-    ("spectrum", "n = 3\npotential = counterexample\nK = 3444", "the checked solve on the "
-     "dense sphere-zonal basis at K=3444 (7648 nodes per mode, 8144 in the check) needs "
+    ("spectrum", "n = 3\npotential = counterexample\nK = 4237", "the checked solve on the "
+     "dense sphere-zonal basis at K=4237 (9232 nodes per mode, 9728 in the check) needs "
      "1.01 GiB"),
-    ("spectrum", "manifold = sphere-full-2d\npotential = constant:1\nK = 44", "the checked "
-     "solve on the dense sphere-full-2d basis at K=44 (4876 nodes per mode, 19902 in the "
-     "check) needs 1.04 GiB"),
+    ("spectrum", "manifold = sphere-full-2d\npotential = constant:1\nK = 54", "the checked "
+     "solve on the dense sphere-full-2d basis at K=54 (7056 nodes per mode, 28702 in the "
+     "check) needs 1.02 GiB"),
     ("divergent-quasimode", "k_max = 22", "key 'k_max': the ladder of 2^23 + 9 degrees x "
      "19 rungs needs 1.76 GiB, above the 1 GiB limit"),
     ("wave-speed", "Ks = 2688", "key 'Ks': the leakage run up to K=2688 (5392 nodes) "
@@ -209,11 +209,11 @@ def test_validate_size_limits_pass_at_the_edge():
     assert diagnostics("spectrum", manifold="torus", n="3", K="10") == []
     assert diagnostics("spectrum", manifold="sphere-full-2d", K="66") == []
     assert diagnostics("spectrum", K="4726") == []
-    assert diagnostics("spectrum", potential="sin(phi)", K="2892") == []
-    assert diagnostics("spectrum", potential="truncated-counterexample", K="3659") == []
-    assert diagnostics("spectrum", n="3", potential="counterexample", K="3443") == []
+    assert diagnostics("spectrum", potential="sin(phi)", K="3858") == []
+    assert diagnostics("spectrum", potential="truncated-counterexample", K="4375") == []
+    assert diagnostics("spectrum", n="3", potential="counterexample", K="4236") == []
     assert diagnostics("spectrum", manifold="sphere-full-2d", potential="constant:1",
-                       K="43") == []
+                       K="53") == []
     assert diagnostics("divergent-quasimode", k_max="21") == []
     assert diagnostics("wave-speed", Ks="2687") == []
     assert diagnostics("strichartz", K="33") == []  # sqrt(33 * 34) = 33.5 >= 32.75

@@ -1,6 +1,7 @@
 """Every size check of a plan in qlab.cli charges the working set of its run:
 the tracemalloc peak of the run stays within 1.25x of the bytes the plan
-passed to ``cli._check_bytes``, and above half of them."""
+passed to ``cli._check_bytes``, and above half of them.  The checked assembly
+of a singular V holds no copy of refined basis rows."""
 
 import ast
 import inspect
@@ -8,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from qlab import cli
+from qlab import cli, geometry, operator_core, potentials
 
 # caller of cli._check_bytes -> the configs its rows plan; a _decomposition
 # row runs the free solve and its node values, every other row the plan's run
@@ -78,3 +79,23 @@ def test_peak_within_the_charge(caller, experiment, raw, monkeypatch):
     finally:
         tracemalloc.stop()
     assert 0.5 * max(charged) <= peak <= 1.25 * max(charged), peak / max(charged)
+
+
+def test_checked_assembly_copies_no_basis_row():
+    """The checked assembly of the critical V at n = 3 on the level-6 grid at
+    K = 256 peaks, basis build included, within the basis, one refined table
+    and 6 J x J matrices; a sign split that copies basis rows exceeds that
+    (the np.compress split peaked at 10.5 MB, the bound is 9.4 MB)."""
+    manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 3)
+    grid = geometry.default_grid(manifold, 256, geometry.SINGULAR_POLE_LEVELS)
+    fine = geometry.hemisphere(operator_core._refined_grid(grid)).size
+    V = potentials.counterexample(3)
+    tracemalloc.start()
+    try:
+        basis = geometry.build_basis(manifold, 256, grid)
+        operator_core.assemble(V, basis, check=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    J = basis.size
+    assert peak <= basis.values.nbytes + 8 * J * fine + 6 * 8 * J * J

@@ -136,6 +136,26 @@ def test_diagonalize_parity_blocks_contract(size, seed, integer, shared):
     assert np.all(even | ~np.any(V[0::2], axis=0))
     tie = mu[1:] == mu[:-1]
     assert not np.any(tie & ~even[:-1] & even[1:])
+    mu_ref, V_ref = _parity_reference(A)
+    assert mu.tobytes() == mu_ref.tobytes()
+    assert V.tobytes() == V_ref.tobytes()  # signed zeros included
+
+
+def _parity_reference(A):
+    """The parity path as first written: both blocks merged into a zero J x J
+    matrix, sorted by a column copy, then the sign rule on the whole matrix."""
+    A = 0.5 * (A + A.T)
+    (mu_e, vec_e), (mu_o, vec_o) = np.linalg.eigh(A[0::2, 0::2]), np.linalg.eigh(A[1::2, 1::2])
+    ne = mu_e.size
+    mu = np.concatenate([mu_e, mu_o])
+    vecs = np.zeros(A.shape)
+    vecs[0::2, :ne] = vec_e
+    vecs[1::2, ne:] = vec_o
+    order = np.argsort(mu, kind="stable")
+    mu, vecs = mu[order], vecs[:, order]
+    signs = np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])])
+    signs[signs == 0.0] = 1.0
+    return mu, vecs * signs
 
 
 def test_checked_critical_solve_calls_eigh_on_parity_blocks(monkeypatch):
@@ -346,6 +366,69 @@ def test_even_potential_matrix_parity_blocks_match_full_grid(n, V):
     assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _compress_sign_split(Et, wv):
+    """The sign split as first written: np.compress copies the kept columns."""
+    def gram(keep, weight):
+        S = np.compress(keep, Et, axis=1)
+        S *= np.sqrt(weight[keep])
+        return S @ S.T
+
+    return gram(wv > 0.0, wv) - gram(wv < 0.0, -wv)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sign_split_matches_compress_bit_for_bit(seed):
+    """Gathering the kept columns in place gives the np.compress formula's
+    matrix bit for bit: on the strided parity rows of a zonal basis and on the
+    transposed values of a full-S^2 basis, for random signs with zeros (and
+    for all-positive, all-negative and all-zero w V)."""
+    rng = np.random.default_rng(seed)
+    manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 3)
+    zonal = geometry.build_basis(manifold, 40, geometry.default_grid(manifold, 40, 6)).values
+    full = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2), 8).values
+    for Et in (zonal[:, 0::2].T, zonal[:, 1::2].T, zonal.T, full.T):
+        size = Et.shape[1]
+        signs = (rng.integers(-1, 2, size), np.ones(size), -np.ones(size), np.zeros(size))
+        for sign in signs:
+            wv = sign * rng.exponential(size=size)
+            M = operator_core._sign_split(Et, wv)
+            assert M.tobytes() == _compress_sign_split(Et, wv).tobytes()
+
+
+@pytest.mark.parametrize("n,V", _EVEN_POTENTIALS)
+def test_partitioned_check_matches_unpartitioned(n, V):
+    """The check's refined matrix, built on the nodes partitioned by the sign
+    of w V, is within 1e-15 of the unpartitioned parity blocks relative to its
+    largest entry, with exact zeros across parity; the critical V at n = 2 is
+    positive everywhere, so there it is the same bit for bit."""
+    manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, n)
+    levels = geometry.SINGULAR_POLE_LEVELS if V.singular else 0
+    basis = geometry.build_basis(manifold, 48, geometry.default_grid(manifold, 48, levels))
+    fine_grid = operator_core._refined_grid(basis.grid)
+    half = geometry.hemisphere(fine_grid)
+    ref = operator_core._parity_blocks(V, geometry.ZonalSphereBasis(n, 48, half).values,
+                                       half, fine_grid)
+    M = operator_core._refined_matrix(V, basis)
+    assert np.array_equal(M, M.T)
+    assert not np.any(M[0::2, 1::2])
+    assert np.max(np.abs(M - ref)) <= 1e-15 * np.max(np.abs(ref))
+    if n == 2 and V.singular:
+        assert M.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("expr", ["1", "cos(phi)", "cos(phi)**2 - 0.3"])
+def test_full_sphere_check_matches_refined_basis(expr):
+    """On the full S^2 the check's partitioned refined basis gives the sign
+    split on the refined basis in grid order bit for bit (its harmonics carry
+    no summed norms), also where w V changes sign."""
+    manifold = geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2)
+    basis = geometry.build_basis(manifold, 10)
+    V = potentials.from_expression(expr)
+    fine = geometry.build_basis(manifold, 10, operator_core._refined_grid(basis.grid))
+    ref = operator_core.potential_matrix(V, fine)
+    assert operator_core._refined_matrix(V, basis).tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_even_checked_assembly_matches_unfolded(n):
     """The check of an even V reassembles on the fold of the refined grid;
@@ -407,11 +490,11 @@ def test_assembly_refinement_check_passes_smooth():
 
 @pytest.mark.parametrize("levels", [3, 6, 8])
 def test_zonal_refined_copy_keeps_cap_depth(levels):
-    """The refined copy of a pole-capped grid rebuilds both caps at the
+    """The refined grid of a pole-capped grid rebuilds both caps at the
     grid's own depth, node for node, and doubles the bulk; at level 6 it is
     the level-6 grid of twice the node count, as before."""
     grid = geometry.zonal_grid(3, 2 * 64 + 16, pole_levels=levels)
-    fine = operator_core._refined_copy(geometry.ZonalSphereBasis(3, 64, grid)).grid
+    fine = operator_core._refined_grid(grid)
     for cap in (lambda phi: phi < 0.1, lambda phi: phi > math.pi - 0.1):
         assert np.array_equal(fine.nodes[cap(fine.nodes)], grid.nodes[cap(grid.nodes)])
         assert np.array_equal(fine.weights[cap(fine.nodes)], grid.weights[cap(grid.nodes)])
@@ -429,7 +512,7 @@ def test_full_sphere_refined_copy_reads_both_counts(size_phi, size_theta):
     azimuthal nodes, read from the grid itself; a default-shaped grid
     refines to full_sphere_grid(2 nphi + 1), node for node."""
     grid = geometry.full_sphere_grid(size_phi, size_theta)
-    fine = operator_core._refined_copy(geometry.FullSphereBasis(6, grid)).grid
+    fine = operator_core._refined_grid(grid)
     ntheta = size_theta or 2 * size_phi
     assert np.unique(fine.nodes[:, 0]).size == 2 * size_phi + 1
     assert np.unique(fine.nodes[:, 1]).size == 2 * ntheta + 2
