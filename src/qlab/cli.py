@@ -210,10 +210,10 @@ def _solve_bytes(nodes: int, modes: int, fine: int = 0) -> int:
     """Peak bytes of a solve and its node values on N nodes and J modes.  A
     free one holds the basis, its node-value copy, the identity and the J x J
     Galerkin matrix (within 3% of the tracemalloc peak); a V != 0 one peaks in
-    its check on ``fine`` refined nodes: the basis, the refined basis (whose
-    rows the sign split does not copy) and three J x J matrices, which cover
-    the Galerkin matrix, the split's blocks and the transients of building the
-    refined basis (0.84x-1.02x)."""
+    its check on ``fine`` refined nodes: the basis, the refined basis (which
+    ``operator_core._split_gram`` takes whole, copying no row) and three
+    J x J matrices, which cover the Galerkin matrix, the split's blocks and
+    the transients of building the refined basis (0.84x-1.02x)."""
     if fine:
         return 8 * modes * (nodes + fine + 3 * modes)
     return 16 * modes * (nodes + modes)
@@ -448,6 +448,9 @@ def _plan_wave_speed(cfg):
         _key("n", geometry._check_gauss_alpha, (n - 2) / 2.0)  # the default Gauss grid
     if not Ks or Ks[0] < 2:
         raise ConfigError("key 'Ks': truncation too small (K must be at least 2)")
+    if t == 0.0:
+        raise ConfigError("key 't': t must be non-zero (at t = 0 every leakage is exactly "
+                          "0, so the leakage cannot decrease with K)")
 
     def check(sizes):  # K -> (N, F) of each solve, as _solve_bytes takes them
         # every solve is held, and the leakage at the largest K holds its N x N

@@ -39,11 +39,19 @@ def _potential_values(V: Potential | None, grid: geometry.QuadratureGrid) -> np.
     return np.asarray(V(nodes[:, 0] if nodes.ndim == 2 else nodes), dtype=float)
 
 
-def _weighted_potential(V: Potential, grid: geometry.QuadratureGrid,
-                        full: geometry.QuadratureGrid) -> np.ndarray:
-    """w V on ``grid``, whose nodes are a prefix of ``full`` (the grid itself,
-    or its hemisphere fold).  Raises NumericError naming the first node, by
+def _folds(V: Potential, basis: geometry.Basis) -> bool:
+    return V.even and basis.manifold.kind == geometry.SPHERE_ZONAL
+
+
+def _signed_nodes(V: Potential, basis: geometry.Basis, full: geometry.QuadratureGrid
+                  ) -> tuple[geometry.QuadratureGrid, np.ndarray, np.ndarray, int, int]:
+    """The nodes where V is summed for ``basis`` on ``full`` (all of it, or
+    its hemisphere fold for an even V on a zonal basis) ordered w V > 0, then
+    < 0, then = 0, each in grid order: the grid in that order, w V in that
+    order, the order as indices of the grid, and the number of nodes with
+    w V > 0 and with w V < 0.  Raises NumericError naming the first node, by
     its index and coordinates in ``full``, where w V is not finite."""
+    grid = geometry.hemisphere(full) if _folds(V, basis) else full
     wv = grid.weights * _potential_values(V, grid)
     bad = np.flatnonzero(~np.isfinite(wv))
     if bad.size:
@@ -51,55 +59,62 @@ def _weighted_potential(V: Potential, grid: geometry.QuadratureGrid,
         raise NumericError(f"potential not finite at node {i} of {full.size} "
                            f"(coordinates {full.nodes[i]}): w*V = {float(wv[i])}; "
                            "V must be finite on the quadrature grid")
-    return wv
+    plus, minus = np.flatnonzero(wv > 0.0), np.flatnonzero(wv < 0.0)
+    order = np.concatenate([plus, minus, np.flatnonzero(wv == 0.0)])
+    grid = replace(grid, nodes=grid.nodes[order], weights=grid.weights[order])
+    return grid, wv[order], order, plus.size, minus.size
 
 
-def _sign_split(Et: np.ndarray, wv: np.ndarray) -> np.ndarray:
-    """Et diag(wv) Et^T as S+ S+^T - S- S-^T, S+- the columns of Et where
-    +-wv > 0 scaled by sqrt(+-wv)."""
-    def gram(keep: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        S = Et[:, keep]  # reads strided rows in place: one copy, of the kept columns
-        S *= np.sqrt(weight[keep])
-        return S @ S.T  # numpy sends S @ S.T to SYRK: exactly symmetric
-
-    M = gram(wv > 0.0, wv)
-    M -= gram(wv < 0.0, -wv)
-    return M
+# the degree-parity pair: the blocks of the Galerkin matrix of an even zonal V
+_PARITY = (slice(0, None, 2), slice(1, None, 2))
 
 
-def _parity_blocks(V: Potential, values: np.ndarray, half: geometry.QuadratureGrid,
-                   full: geometry.QuadratureGrid) -> np.ndarray:
-    """Galerkin matrix of an even V in the zonal modes ``values`` (rows at
-    the nodes of the hemisphere rule ``half`` of ``full``): the even-degree
-    and the odd-degree block by the sign split, exact zeros across parity."""
-    wv = _weighted_potential(V, half, full)
-    J = values.shape[1]
+def _split_gram(E: np.ndarray, wv: np.ndarray, npos: int, nneg: int,
+                parity: bool) -> np.ndarray:
+    """E^T diag(wv) E as S+^T S+ - S-^T S-, exactly symmetric.  ``E`` holds
+    rows private to the call, at nodes ordered w V > 0 (the first ``npos``),
+    then < 0 (the next ``nneg``), then = 0, and ``wv`` is w V in that order
+    (entries past the first npos + nneg are not read).  The rows are scaled
+    by sqrt(|w V|) in place, so S+- are views of E and numpy sends each
+    S^T S to SYRK, a rank-k update.  With ``parity`` only the blocks of
+    ``_PARITY`` are formed and every entry across parity is exactly 0.  E is
+    freed before the J x J matrix is allocated."""
+    pos, neg = slice(0, npos), slice(npos, npos + nneg)
+    E[pos] *= np.sqrt(wv[pos])[:, None]
+    E[neg] *= np.sqrt(-wv[neg])[:, None]
+    J = E.shape[1]
+    cols = _PARITY if parity else (slice(None),)
+    blocks = []
+    for c in cols:
+        blocks.append(E[pos, c].T @ E[pos, c])
+        blocks[-1] -= E[neg, c].T @ E[neg, c]
+    del E
+    if not parity:
+        return blocks[0]
     M = np.zeros((J, J))
-    for p in (0, 1):
-        M[p::2, p::2] = _sign_split(values[:, p::2].T, wv)
+    for c, block in zip(cols, blocks):
+        M[c, c] = block
     return M
-
-
-def _folds(V: Potential, basis: geometry.Basis) -> bool:
-    return V.even and basis.manifold.kind == geometry.SPHERE_ZONAL
 
 
 def potential_matrix(V: Potential | None, basis: geometry.Basis) -> np.ndarray:
     """Galerkin matrix <V e_j, e_k> on the basis quadrature grid, exactly
-    symmetric: S+^T S+ - S-^T S-, where S+- are the basis rows of the nodes
-    with +-w V > 0 scaled by sqrt(+-w V), each product a rank-k update (SYRK).
-    An even V (``V.even``) on a zonal basis couples only degrees of equal
-    parity: its two parity blocks are computed that way on the hemisphere
-    rule, and every entry across parity is exactly 0.  V = None gives the
-    zero matrix.  Raises NumericError naming the first node where w V is not
-    finite."""
+    symmetric: ``_split_gram`` of the basis rows where w V != 0, gathered in
+    sign order into a private copy.  An even V (``V.even``) on a zonal basis
+    couples only degrees of equal parity: it is summed on the hemisphere
+    rule, its two parity blocks are formed apart, and every entry across
+    parity is exactly 0.  V = None gives the zero matrix.  Raises
+    NumericError naming the first node where w V is not finite."""
     J = basis.size
     if V is None:
         return np.zeros((J, J))
-    if _folds(V, basis):
-        half = geometry.hemisphere(basis.grid)
-        return _parity_blocks(V, basis.values[:half.size], half, basis.grid)
-    return _sign_split(basis.values.T, _weighted_potential(V, basis.grid, basis.grid))
+    _, wv, order, npos, nneg = _signed_nodes(V, basis, basis.grid)
+    rows, folds = order[:npos + nneg], _folds(V, basis)
+    # the parity views need column-major rows: np.take on the transposed
+    # zonal table gathers them so (on a row-major full-S^2 basis it would
+    # first copy the whole basis)
+    return _split_gram(np.take(basis.values.T, rows, axis=1).T if folds
+                       else basis.values[rows], wv, npos, nneg, folds)
 
 
 _CHECK_TOL = 0.01  # largest entry move under refinement, relative to the matrix scale
@@ -114,12 +129,13 @@ def assemble(V: Potential | None, basis: geometry.Basis,
     1% (``_CHECK_TOL``) of the matrix scale; otherwise it returns the refined
     matrix.  A pole-capped zonal grid keeps its caps (its ``pole_levels``) node
     for node and refines only the bulk, so the check never tests the cap rule.
-    The check's working set is the basis, one refined basis and a few J x J
-    matrices: no row of the refined basis is copied (``_refined_matrix``).  An even V on a
-    zonal basis is reassembled on the hemisphere fold of the refined grid, so
-    the refined basis is evaluated on those nodes only.  w V is checked on the
-    basis grid before any refined work, so the NumericError for a V that is
-    not finite names a node of that grid.
+    Both matrices come from one routine, ``_split_gram``; the check hands it
+    the refined basis whole, so its working set is the basis, one refined
+    basis and a few J x J matrices.  An even V on a zonal basis is
+    reassembled on the hemisphere fold of the refined grid, so the refined
+    basis is evaluated on those nodes only.  w V is checked on the basis grid
+    before any refined work, so the NumericError for a V that is not finite
+    names a node of that grid.
     """
     pot = potential_matrix(V, basis)  # checks w V on this grid first
     if check and V is not None:
@@ -152,36 +168,14 @@ def _refined_grid(grid: geometry.QuadratureGrid) -> geometry.QuadratureGrid:
 
 def _refined_matrix(V: Potential, basis: geometry.Basis) -> np.ndarray:
     """Potential matrix of V on the refined grid of a sphere basis (on its
-    hemisphere fold for an even zonal V, by parity blocks as
-    ``_parity_blocks``).  The refined basis is private, so it is built on the
-    nodes stably partitioned into w V > 0, then < 0, then = 0, and its rows
-    are scaled by sqrt(|w V|) in place: S+- of each block are views of its
-    values, and the sign split copies no row.  The values are freed before
-    the J x J matrix is formed.  A zonal basis sums its norms in the
-    partitioned order, which moves the matrix by about 1e-17 of its largest
-    entry; where w V > 0 at every node the order is the grid's own."""
-    fine_grid = _refined_grid(basis.grid)
-    folds = _folds(V, basis)
-    grid = geometry.hemisphere(fine_grid) if folds else fine_grid
-    wv = _weighted_potential(V, grid, fine_grid)
-    plus, minus = np.flatnonzero(wv > 0.0), np.flatnonzero(wv < 0.0)
-    order = np.concatenate([plus, minus, np.flatnonzero(wv == 0.0)])
-    pos, neg = slice(0, plus.size), slice(plus.size, plus.size + minus.size)
-    wv = wv[order]
-    E = geometry.build_basis(basis.manifold, basis.K, replace(
-        grid, nodes=grid.nodes[order], weights=grid.weights[order])).values
-    E[pos] *= np.sqrt(wv[pos])[:, None]
-    E[neg] *= np.sqrt(-wv[neg])[:, None]
-    cols = (slice(0, None, 2), slice(1, None, 2)) if folds else (slice(None),)
-    blocks = []
-    for c in cols:  # numpy sends S.T @ S of these views to SYRK: exactly symmetric
-        blocks.append(E[pos, c].T @ E[pos, c])
-        blocks[-1] -= E[neg, c].T @ E[neg, c]
-    del E
-    M = np.zeros((basis.size, basis.size))
-    for c, block in zip(cols, blocks):
-        M[c, c] = block
-    return M
+    hemisphere fold for an even zonal V).  The refined basis is private to
+    the check, so it is built on the nodes in sign order and handed to
+    ``_split_gram`` whole: no row is copied.  A zonal basis sums its norms in
+    that order, which moves the matrix by about 1e-17 of its largest entry;
+    where w V > 0 at every node the order is the grid's own."""
+    grid, wv, _, npos, nneg = _signed_nodes(V, basis, _refined_grid(basis.grid))
+    return _split_gram(geometry.build_basis(basis.manifold, basis.K, grid).values,
+                       wv, npos, nneg, _folds(V, basis))
 
 
 @dataclass
@@ -292,14 +286,15 @@ def diagonalize(matrix: np.ndarray,
     A *= 0.5
     # a diagonal matrix stays on the full path: LAPACK orders its repeated
     # eigenvalues in its own way, which the blocks would not reproduce
-    if diagonal or np.any(A[0::2, 1::2]):
+    even, odd = _PARITY
+    if diagonal or np.any(A[even, odd]):
         mu, vecs = _eigh(A)
         order = np.argsort(mu, kind="stable")
         mu = mu[order]
         vecs = vecs[:, order]
         signs = _signs(vecs)
     else:
-        (mu_e, vec_e), (mu_o, vec_o) = _eigh(A[0::2, 0::2]), _eigh(A[1::2, 1::2])
+        (mu_e, vec_e), (mu_o, vec_o) = _eigh(A[even, even]), _eigh(A[odd, odd])
         del A
         ne = mu_e.size
         mu = np.concatenate([mu_e, mu_o])
@@ -310,8 +305,8 @@ def diagonalize(matrix: np.ndarray,
         column = np.empty_like(order)
         column[order] = np.arange(order.size)
         vecs = np.zeros((order.size, order.size))
-        vecs[0::2, column[:ne]] = vec_e
-        vecs[1::2, column[ne:]] = vec_o
+        vecs[even, column[:ne]] = vec_e
+        vecs[odd, column[ne:]] = vec_o
         signs = np.concatenate([_signs(vec_e), _signs(vec_o)])[order]
     vecs *= signs  # on the whole matrix: the other parity's zeros take the sign too
     return SpectralDecomposition(eigenvalues=mu, eigenvectors=vecs, basis=basis)

@@ -85,6 +85,7 @@ def test_validate_truncation_too_small(tmp_path, capsys):
 # (experiment, config line, expected diagnostic): values the run would reject
 _BAD_VALUES = [
     ("wave-speed", "cutoff = abc", "unknown key 'cutoff' for experiment 'wave-speed'"),
+    ("wave-speed", "t = 0", "key 't': t must be non-zero"),
     ("heat", "tol = 10", "unknown key 'tol' for experiment 'heat'"),
     ("weyl", "band_lo = 0.5", "unknown key 'band_lo' for experiment 'weyl'"),
     ("bochner-riesz", "min_growth = 0.1",

@@ -84,8 +84,10 @@ def test_peak_within_the_charge(caller, experiment, raw, monkeypatch):
 def test_checked_assembly_copies_no_basis_row():
     """The checked assembly of the critical V at n = 3 on the level-6 grid at
     K = 256 peaks, basis build included, within the basis, one refined table
-    and 6 J x J matrices; a sign split that copies basis rows exceeds that
-    (the np.compress split peaked at 10.5 MB, the bound is 9.4 MB)."""
+    and 3 J x J matrices (7.77 MB against a bound of 7.84 MB); a sign split
+    that copies refined rows exceeds that (a contiguous copy of each
+    parity's positive rows, the first held while the second is made, peaked
+    at 8.37 MB, and the np.compress split at 10.5 MB)."""
     manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 3)
     grid = geometry.default_grid(manifold, 256, geometry.SINGULAR_POLE_LEVELS)
     fine = geometry.hemisphere(operator_core._refined_grid(grid)).size
@@ -98,4 +100,4 @@ def test_checked_assembly_copies_no_basis_row():
     finally:
         tracemalloc.stop()
     J = basis.size
-    assert peak <= basis.values.nbytes + 8 * J * fine + 6 * 8 * J * J
+    assert peak <= basis.values.nbytes + 8 * J * fine + 3 * 8 * J * J

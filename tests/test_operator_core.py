@@ -321,10 +321,13 @@ def test_littlewood_paley_partition():
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
-def _gemm_potential(V, basis):
-    """The potential block as the symmetrized full GEMM E^T (w V E)."""
-    wv = basis.grid.weights * operator_core._potential_values(V, basis.grid)
-    M = basis.values.T @ (basis.values * wv[:, None])
+def _gemm_potential(V, basis, grid=None):
+    """The potential block as the symmetrized full GEMM E^T (w V E), on the
+    basis grid or on ``grid``, a prefix of it (its hemisphere fold)."""
+    grid = basis.grid if grid is None else grid
+    E = basis.values[:grid.size]
+    wv = grid.weights * operator_core._potential_values(V, grid)
+    M = E.T @ (E * wv[:, None])
     return 0.5 * (M + M.T)
 
 
@@ -366,54 +369,79 @@ def test_even_potential_matrix_parity_blocks_match_full_grid(n, V):
     assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def _compress_sign_split(Et, wv):
-    """The sign split as first written: np.compress copies the kept columns."""
-    def gram(keep, weight):
-        S = np.compress(keep, Et, axis=1)
-        S *= np.sqrt(weight[keep])
-        return S @ S.T
+def _assert_split_matches_gemm(M, ref, parity):
+    """Exactly symmetric and within 1e-13 of the GEMM ``ref`` relative to its
+    largest entry; where the block is split by parity, exactly 0 across
+    parity and compared with the parity blocks of ``ref`` (on a hemisphere
+    the GEMM's cross-parity entries do not cancel)."""
+    assert np.array_equal(M, M.T)
+    if parity:
+        assert not np.any(M[0::2, 1::2])
+        ref = ref.copy()
+        ref[0::2, 1::2] = ref[1::2, 0::2] = 0.0
+    assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    return gram(wv > 0.0, wv) - gram(wv < 0.0, -wv)
+
+# w V of each sign pattern, every one even about the equator; "mixed" is
+# exactly 0 wherever |cos(2 phi)| <= 0.3 and takes both signs elsewhere
+_SIGN_PATTERNS = {
+    "mixed": lambda phi: (np.maximum(np.cos(2.0 * phi) - 0.3, 0.0) ** 3
+                          - np.maximum(-np.cos(2.0 * phi) - 0.3, 0.0) ** 3),
+    "positive": lambda phi: 2.0 + np.cos(phi) ** 2,
+    "negative": lambda phi: -2.0 - np.cos(phi) ** 2,
+    "zero": lambda phi: 0.0 * phi,
+}
+# whether w V > 0, w V < 0 and w V = 0 occur on the grid, by pattern
+_SIGNS_PRESENT = {"mixed": (True, True, True), "positive": (True, False, False),
+                  "negative": (False, True, False), "zero": (False, False, True)}
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_sign_split_matches_compress_bit_for_bit(seed):
-    """Gathering the kept columns in place gives the np.compress formula's
-    matrix bit for bit: on the strided parity rows of a zonal basis and on the
-    transposed values of a full-S^2 basis, for random signs with zeros (and
-    for all-positive, all-negative and all-zero w V)."""
-    rng = np.random.default_rng(seed)
-    manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 3)
-    zonal = geometry.build_basis(manifold, 40, geometry.default_grid(manifold, 40, 6)).values
-    full = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2), 8).values
-    for Et in (zonal[:, 0::2].T, zonal[:, 1::2].T, zonal.T, full.T):
-        size = Et.shape[1]
-        signs = (rng.integers(-1, 2, size), np.ones(size), -np.ones(size), np.zeros(size))
-        for sign in signs:
-            wv = sign * rng.exponential(size=size)
-            M = operator_core._sign_split(Et, wv)
-            assert M.tobytes() == _compress_sign_split(Et, wv).tobytes()
+@pytest.mark.parametrize("signs", sorted(_SIGN_PATTERNS))
+@pytest.mark.parametrize("kind,levels,even", [
+    (geometry.SPHERE_ZONAL, 0, True), (geometry.SPHERE_ZONAL, 6, True),
+    (geometry.SPHERE_ZONAL, 0, False), (geometry.SPHERE_ZONAL, 6, False),
+    (geometry.SPHERE_FULL_2D, 0, False)])
+def test_split_gram_matches_gemm(kind, levels, even, signs):
+    """potential_matrix and the checked assembly match the GEMM on the grid
+    they sum on: the basis grid, or its hemisphere fold for an even V on a
+    zonal basis (the parity views of the gathered rows), and the refined grid
+    of the check, or its fold, for assemble(check=True), which adds the
+    refined block to the free diagonal.  Both are exactly symmetric with
+    exact zeros across parity on the fold, for w V of mixed signs with zeros,
+    all positive, all negative and all zero."""
+    manifold = geometry.ModelManifold(kind, 3 if kind == geometry.SPHERE_ZONAL else 2)
+    basis = geometry.build_basis(manifold, 24, geometry.default_grid(manifold, 24, levels))
+    V = potentials.Potential(fn=_SIGN_PATTERNS[signs], even=even)
+    parity = even and kind == geometry.SPHERE_ZONAL
+    fold = geometry.hemisphere if parity else (lambda grid: grid)
+    M = operator_core.potential_matrix(V, basis)
+    _assert_split_matches_gemm(M, _gemm_potential(V, basis, fold(basis.grid)), parity)
+    fine = fold(operator_core._refined_grid(basis.grid))
+    fine_basis = geometry.build_basis(manifold, 24, fine)
+    pot_fine = operator_core._refined_matrix(V, basis)
+    _assert_split_matches_gemm(pot_fine, _gemm_potential(V, fine_basis), parity)
+    A = operator_core.assemble(V, basis, check=True)
+    assert A.tobytes() == (np.diag(np.rint(basis.freqs ** 2)) + pot_fine).tobytes()
+    _, wv, _, npos, nneg = operator_core._signed_nodes(V, basis, basis.grid)
+    assert (npos > 0, nneg > 0, npos + nneg < wv.size) == _SIGNS_PRESENT[signs]
 
 
 @pytest.mark.parametrize("n,V", _EVEN_POTENTIALS)
 def test_partitioned_check_matches_unpartitioned(n, V):
-    """The check's refined matrix, built on the nodes partitioned by the sign
-    of w V, is within 1e-15 of the unpartitioned parity blocks relative to its
-    largest entry, with exact zeros across parity; the critical V at n = 2 is
-    positive everywhere, so there it is the same bit for bit."""
+    """The check of an even V builds its refined basis on the fold of the
+    refined grid partitioned by the sign of w V; its matrix matches the GEMM
+    on the unpartitioned fold (grid order), with exact zeros across parity.
+    The critical V at n = 2 is positive at every node, so there the
+    partition is the grid's own order."""
     manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, n)
     levels = geometry.SINGULAR_POLE_LEVELS if V.singular else 0
     basis = geometry.build_basis(manifold, 48, geometry.default_grid(manifold, 48, levels))
     fine_grid = operator_core._refined_grid(basis.grid)
     half = geometry.hemisphere(fine_grid)
-    ref = operator_core._parity_blocks(V, geometry.ZonalSphereBasis(n, 48, half).values,
-                                       half, fine_grid)
-    M = operator_core._refined_matrix(V, basis)
-    assert np.array_equal(M, M.T)
-    assert not np.any(M[0::2, 1::2])
-    assert np.max(np.abs(M - ref)) <= 1e-15 * np.max(np.abs(ref))
-    if n == 2 and V.singular:
-        assert M.tobytes() == ref.tobytes()
+    ref = _gemm_potential(V, geometry.ZonalSphereBasis(n, 48, half))
+    _assert_split_matches_gemm(operator_core._refined_matrix(V, basis), ref, True)
+    order = operator_core._signed_nodes(V, basis, fine_grid)[2]
+    assert np.array_equal(order, np.arange(half.size)) == (n == 2 and V.singular)
 
 
 @pytest.mark.parametrize("expr", ["1", "cos(phi)", "cos(phi)**2 - 0.3"])

@@ -90,3 +90,25 @@ def test_every_slope_verdict_comes_from_slope_report():
                 if isinstance(sub, ast.Call) and "fit_exponent" in _references(sub.func):
                     callers.add(func.name)
     assert callers == {"slope_report", "small_r_slope", "lambda_slope"}
+
+
+def test_one_sign_split_for_the_potential_block():
+    """One path for S+^T S+ - S-^T S-: no ``_sign_split`` or
+    ``_parity_blocks`` is defined or referenced in ``src/qlab`` or
+    ``bench/``, and the only functions that call ``_split_gram`` are the
+    coarse assembly and the refinement check."""
+    callers = set()
+    paths = glob.glob(os.path.join(ROOT, "src", "qlab", "*.py")) \
+        + glob.glob(os.path.join(ROOT, "bench", "*.py"))
+    for path in sorted(paths):
+        tree = ast.parse(open(path).read(), filename=path)
+        refs = _references(tree)
+        assert refs["_sign_split"] == refs["_parity_blocks"] == 0, path
+        for func in ast.walk(tree):
+            if not isinstance(func, _FUNCS):
+                continue
+            assert func.name not in ("_sign_split", "_parity_blocks"), path
+            for sub in ast.walk(func):
+                if isinstance(sub, ast.Call) and "_split_gram" in _references(sub.func):
+                    callers.add(func.name)
+    assert callers == {"potential_matrix", "_refined_matrix"}
