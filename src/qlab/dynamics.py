@@ -21,18 +21,30 @@ from .errors import ConfigError, DomainError, ResolutionError
 # heat semigroup
 
 
+def _heat_sups(decomp: operator_core.SpectralDecomposition, ts) -> list:
+    """sup over the grid, and the poles of a sphere, of the on-diagonal heat
+    kernel sum_i e^{-t mu_i} v_i(x)^2, for each t in ``ts``; the squared
+    values are formed once for all of them."""
+    if any(t <= 0 for t in ts):
+        raise DomainError("heat time must be positive")
+    values = decomp.node_values() ** 2
+    pole = None
+    if decomp.basis.grid.manifold.kind != geometry.TORUS:
+        pole = (decomp.basis.pole_values @ decomp.eigenvectors) ** 2
+    sups = []
+    for t in ts:
+        decay = np.exp(-t * decomp.eigenvalues)
+        sup = float(np.max(values @ decay))
+        if pole is not None:
+            sup = max(sup, float(np.max(pole @ decay)))
+        sups.append(sup)
+    return sups
+
+
 def heat_kernel_sup(decomp: operator_core.SpectralDecomposition, t: float) -> float:
     """sup over the grid, and the poles of a sphere, of the on-diagonal heat
     kernel sum_i e^{-t mu_i} v_i(x)^2."""
-    if t <= 0:
-        raise DomainError("heat time must be positive")
-    U = decomp.node_values()
-    diag = (U ** 2) @ np.exp(-t * decomp.eigenvalues)
-    sup = float(np.max(diag))
-    if decomp.basis.grid.manifold.kind != geometry.TORUS:
-        pole = decomp.basis.pole_values @ decomp.eigenvectors
-        sup = max(sup, float(np.max((pole ** 2) @ np.exp(-t * decomp.eigenvalues))))
-    return sup
+    return _heat_sups(decomp, [t])[0]
 
 
 def heat_report(decomp: operator_core.SpectralDecomposition,
@@ -41,7 +53,7 @@ def heat_report(decomp: operator_core.SpectralDecomposition,
     of -n/2."""
     ts = np.asarray(ts, dtype=float)
     n = decomp.basis.grid.manifold.n
-    rows = [[t, heat_kernel_sup(decomp, t)] for t in ts]
+    rows = [[t, sup] for t, sup in zip(ts, _heat_sups(decomp, ts))]
     return estimators.slope_report(["t", "kernel_sup"], rows, ts, [r[1] for r in rows],
                                    -n / 2.0, 0.1, shift=decomp.shift)
 
@@ -358,10 +370,11 @@ def besov_check(m, s: float, lam_max: float = 256.0, samples: int = 4096) -> flo
 _TIME_BLOCK = 64
 
 
-def _time_quadrature(lam_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss panels on [0, 1], at least 8 nodes per period of the
-    fastest mode."""
-    periods = lam_max / (2.0 * math.pi)
+def _time_quadrature(omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss panels on [0, 1] for an integrand whose fastest
+    oscillation has angular frequency ``omega``: at least 8 nodes per period
+    and 32 nodes in all."""
+    periods = omega / (2.0 * math.pi)
     needed = max(32.0, 8.0 * periods)
     panels = int(math.ceil(needed / 8.0)) + 1
     return geometry._panel_gauss(0.0, 1.0, panels, 8)
@@ -369,8 +382,10 @@ def _time_quadrature(lam_max: float) -> tuple[np.ndarray, np.ndarray]:
 
 def strichartz_ratio(sol: WaveSolution) -> float:
     """||u||_{L^{p_c}([0,1] x M)} over the shifted-Sobolev data norm
-    ||(I+P)^{1/2} f0||_2 + ||(I+P)^{-1/2} f1||_2; the time sweep reads only
-    the modes on the support of (c0, c1)."""
+    ||(I+P)^{1/2} f0||_2 + ||(I+P)^{-1/2} f1||_2.  The time sweep reads only
+    the modes on the support of (c0, c1); u oscillates at most as fast as the
+    largest frequency there, so |u|^{p_c} at p_c times it, which sizes the
+    time rule."""
     decomp = sol.decomp
     n = decomp.basis.grid.manifold.n
     pc = estimators.p_critical(n)
@@ -379,10 +394,10 @@ def strichartz_ratio(sol: WaveSolution) -> float:
     denom += float(np.sqrt(np.sum(sol.c1 ** 2 / (1.0 + freq))))
     if denom == 0.0:
         raise DomainError("zero initial data")
-    ts, wts = _time_quadrature(float(freq[-1]))
     support = np.flatnonzero((sol.c0 != 0.0) | (sol.c1 != 0.0))
     U = decomp.node_values()[:, support]
     freq, c0, c1 = freq[support], sol.c0[support], sol.c1[support]
+    ts, wts = _time_quadrature(pc * float(np.max(freq)))
     w = decomp.basis.grid.weights
     acc = 0.0
     # one GEMM per block of time nodes; the block size bounds the N x block temporaries

@@ -33,3 +33,9 @@ def s2_free_40():
 @pytest.fixture(scope="session")
 def s2_kato_40():
     return _zonal_decomp(2, 40, potentials.truncated_counterexample(2))
+
+
+@pytest.fixture(scope="session")
+def s3_free_40():
+    """V = 0 on the zonal 3-sphere (p_c = 4), truncation K = 40."""
+    return _zonal_decomp(3, 40)

@@ -147,9 +147,11 @@ def test_strichartz_constant_mode_closed_form(s2_free_24):
 
 @pytest.mark.parametrize("name", ["s2_free_72", "s2_kato_72"])
 def test_strichartz_blocks_match_per_node_sweep(name, request):
-    """The blocked time sweep equals the per-time-node sum; K = 72 gives 104
-    time nodes, so the last block is partial, and the data carries the
-    constant mode (the zero-frequency limit t * f1 on the free sphere)."""
+    """The blocked time sweep equals the per-time-node sum.  The rule is sized
+    by p_c times the top frequency on the support of the data (projected from
+    grid values, so every mode carries at least rounding), which gives a
+    partial last block, and the data carries the constant mode (the
+    zero-frequency limit t * f1 on the free sphere)."""
     decomp = request.getfixturevalue(name)
     U = decomp.node_values()
     f0 = U[:, 0] + np.sum(U[:, 3:12], axis=1)
@@ -158,14 +160,69 @@ def test_strichartz_blocks_match_per_node_sweep(name, request):
     pc = estimators.p_critical(2)
     sol = dynamics.WaveSolution.from_data(decomp, f0, f1)
     freq = decomp.frequencies
-    ts, wts = dynamics._time_quadrature(float(freq[-1]))
-    assert ts.size == 104
+    support = np.flatnonzero((sol.c0 != 0.0) | (sol.c1 != 0.0))
+    ts, wts = dynamics._time_quadrature(pc * float(np.max(freq[support])))
+    assert ts.size > dynamics._TIME_BLOCK and ts.size % dynamics._TIME_BLOCK
     acc = sum(wt * geometry.lp_norm(grid, sol.values(t), pc) ** pc
               for t, wt in zip(ts, wts))
     denom = (np.sqrt(np.sum((1.0 + freq) * sol.c0 ** 2))
              + np.sqrt(np.sum(sol.c1 ** 2 / (1.0 + freq))))
     expected = acc ** (1.0 / pc) / denom
     assert dynamics.strichartz_ratio(sol) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["s2_free_40", "s2_kato_40", "s3_free_40"])
+def test_strichartz_report_matches_fine_time_rule(name, request, monkeypatch):
+    """Every rung equals the ratio on a 400-panel time rule: |u|^{p_c}
+    oscillates p_c times faster than the top mode of the rung, and the rule
+    resolves it (sized by the mode alone, rung 32 was off by 1.9e-5 on S^2)."""
+    decomp = request.getfixturevalue(name)
+    report = dynamics.strichartz_report(decomp, ks=(4, 8, 16, 32))
+    monkeypatch.setattr(dynamics, "_time_quadrature",
+                        lambda omega: geometry._panel_gauss(0.0, 1.0, 400, 8))
+    fine = dynamics.strichartz_report(decomp, ks=(4, 8, 16, 32))
+    for (k, ratio), (_, expected) in zip(report.rows, fine.rows):
+        assert ratio == pytest.approx(expected, rel=1e-12), k
+
+
+def test_strichartz_time_rule_sized_by_the_rung(monkeypatch):
+    """At K = 512 each ladder rung takes the time nodes its own top frequency
+    needs, not those of the truncation's top mode (664 per rung)."""
+    decomp = operator_core.solve(None, geometry.ModelManifold(geometry.SPHERE_ZONAL, 2), 512)
+    sizes = []
+    original = dynamics._time_quadrature
+
+    def recording(omega):
+        ts, wts = original(omega)
+        sizes.append(ts.size)
+        return ts, wts
+
+    monkeypatch.setattr(dynamics, "_time_quadrature", recording)
+    dynamics.strichartz_report(decomp, ks=(4, 8, 16, 32))
+    assert sizes == [48, 80, 136, 264]
+
+
+@pytest.mark.parametrize("manifold, K", [
+    (geometry.ModelManifold(geometry.SPHERE_ZONAL, 2), 72),
+    (geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2), 12),
+    (geometry.ModelManifold(geometry.TORUS, 2), 8),
+])
+def test_heat_report_rows_match_heat_kernel_sup(manifold, K):
+    """heat_report, which squares the values once for all t, gives bit for bit
+    the sups of per-t heat_kernel_sup calls, and these the per-t squares of
+    the grid values and pole rows (the torus has no pole rows)."""
+    decomp = operator_core.solve(None, manifold, K)
+    ts = (0.01, 0.016, 0.025, 0.04, 0.063, 0.1)
+    rows = dynamics.heat_report(decomp, ts).rows
+    sups = [dynamics.heat_kernel_sup(decomp, t) for t in ts]
+    assert [row[1] for row in rows] == sups
+    U = decomp.node_values()
+    for t, sup in zip(ts, sups):
+        expected = float(np.max((U ** 2) @ np.exp(-t * decomp.eigenvalues)))
+        if manifold.kind != geometry.TORUS:
+            pole = decomp.basis.pole_values @ decomp.eigenvectors
+            expected = max(expected, float(np.max((pole ** 2) @ np.exp(-t * decomp.eigenvalues))))
+        assert sup == expected
 
 
 def _square_function_per_piece(decomp, f, family):
