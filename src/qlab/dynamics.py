@@ -10,7 +10,6 @@ trends over frequency grids, never claimed suprema.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,39 +20,26 @@ from .errors import ConfigError, DomainError, ResolutionError
 # heat semigroup
 
 
-def _heat_sups(decomp: operator_core.SpectralDecomposition, ts) -> list:
-    """sup over the grid, and the poles of a sphere, of the on-diagonal heat
-    kernel sum_i e^{-t mu_i} v_i(x)^2, for each t in ``ts``; the squared
-    values are formed once for all of them."""
-    if any(t <= 0 for t in ts):
+def heat_report(decomp: operator_core.SpectralDecomposition,
+                ts) -> estimators.ExperimentReport:
+    """Fit against t of the sup over the grid, and the poles of a sphere, of
+    the on-diagonal heat kernel sum_i e^{-t mu_i} v_i(x)^2; the squared values
+    are formed once for all t.  Verdict: slope within 0.1 of -n/2."""
+    ts = np.asarray(ts, dtype=float)
+    if np.any(ts <= 0):
         raise DomainError("heat time must be positive")
+    n = decomp.basis.grid.manifold.n
     values = decomp.node_values() ** 2
     pole = None
     if decomp.basis.grid.manifold.kind != geometry.TORUS:
         pole = (decomp.basis.pole_values @ decomp.eigenvectors) ** 2
-    sups = []
+    rows = []
     for t in ts:
         decay = np.exp(-t * decomp.eigenvalues)
         sup = float(np.max(values @ decay))
         if pole is not None:
             sup = max(sup, float(np.max(pole @ decay)))
-        sups.append(sup)
-    return sups
-
-
-def heat_kernel_sup(decomp: operator_core.SpectralDecomposition, t: float) -> float:
-    """sup over the grid, and the poles of a sphere, of the on-diagonal heat
-    kernel sum_i e^{-t mu_i} v_i(x)^2."""
-    return _heat_sups(decomp, [t])[0]
-
-
-def heat_report(decomp: operator_core.SpectralDecomposition,
-                ts) -> estimators.ExperimentReport:
-    """Fit of the on-diagonal kernel sup against t; verdict: slope within 0.1
-    of -n/2."""
-    ts = np.asarray(ts, dtype=float)
-    n = decomp.basis.grid.manifold.n
-    rows = [[t, sup] for t, sup in zip(ts, _heat_sups(decomp, ts))]
+        rows.append([t, sup])
     return estimators.slope_report(["t", "kernel_sup"], rows, ts, [r[1] for r in rows],
                                    -n / 2.0, 0.1, shift=decomp.shift)
 
@@ -66,41 +52,6 @@ def _wave_coefficients(freq, c0, c1, t):
     """cos(t freq) c0 + sin(t freq)/freq c1, with the limit t c1 at freq = 0."""
     sinc = np.where(freq > 0, np.sin(t * freq) / np.where(freq > 0, freq, 1.0), t)
     return np.cos(t * freq) * c0 + sinc * c1
-
-
-@dataclass
-class WaveSolution:
-    """u(t) = cos(t P) f0 + sin(t P)/P f1 in eigen-coefficients.
-
-    Zero-frequency modes take the analytic limit t * f1.  Energy
-    ||P u||^2 + ||u_t||^2 is conserved exactly on coefficients.
-    """
-
-    decomp: operator_core.SpectralDecomposition
-    c0: np.ndarray
-    c1: np.ndarray
-
-    @classmethod
-    def from_data(cls, decomp, f0, f1=None):
-        c0 = decomp.project(np.asarray(f0, dtype=float))
-        c1 = (np.zeros_like(c0) if f1 is None
-              else decomp.project(np.asarray(f1, dtype=float)))
-        return cls(decomp=decomp, c0=c0, c1=c1)
-
-    def coefficients(self, t: float) -> np.ndarray:
-        return _wave_coefficients(self.decomp.frequencies, self.c0, self.c1, t)
-
-    def velocity_coefficients(self, t: float) -> np.ndarray:
-        freq = self.decomp.frequencies
-        return -freq * np.sin(t * freq) * self.c0 + np.cos(t * freq) * self.c1
-
-    def values(self, t: float) -> np.ndarray:
-        return self.decomp.synthesize(self.coefficients(t))
-
-    def energy(self, t: float) -> float:
-        freq = self.decomp.frequencies
-        return float(np.sum((freq * self.coefficients(t)) ** 2)
-                     + np.sum(self.velocity_coefficients(t) ** 2))
 
 
 def _check_leakage(t: float, cutoff: float, lam_max: float) -> None:
@@ -380,23 +331,24 @@ def _time_quadrature(omega: float) -> tuple[np.ndarray, np.ndarray]:
     return geometry._panel_gauss(0.0, 1.0, panels, 8)
 
 
-def strichartz_ratio(sol: WaveSolution) -> float:
-    """||u||_{L^{p_c}([0,1] x M)} over the shifted-Sobolev data norm
-    ||(I+P)^{1/2} f0||_2 + ||(I+P)^{-1/2} f1||_2.  The time sweep reads only
-    the modes on the support of (c0, c1); u oscillates at most as fast as the
-    largest frequency there, so |u|^{p_c} at p_c times it, which sizes the
-    time rule."""
-    decomp = sol.decomp
+def strichartz_ratio(decomp: operator_core.SpectralDecomposition, c0: np.ndarray,
+                     c1: np.ndarray) -> float:
+    """||u||_{L^{p_c}([0,1] x M)} of u(t) = cos(tP) f0 + sin(tP)/P f1, given by
+    the eigen-coefficients c0 of f0 and c1 of f1, over the shifted-Sobolev
+    data norm ||(I+P)^{1/2} f0||_2 + ||(I+P)^{-1/2} f1||_2.  The time sweep
+    reads only the modes on the support of (c0, c1); u oscillates at most as
+    fast as the largest frequency there, so |u|^{p_c} at p_c times it, which
+    sizes the time rule."""
     n = decomp.basis.grid.manifold.n
     pc = estimators.p_critical(n)
     freq = decomp.frequencies
-    denom = float(np.sqrt(np.sum((1.0 + freq) * sol.c0 ** 2)))
-    denom += float(np.sqrt(np.sum(sol.c1 ** 2 / (1.0 + freq))))
+    denom = float(np.sqrt(np.sum((1.0 + freq) * c0 ** 2)))
+    denom += float(np.sqrt(np.sum(c1 ** 2 / (1.0 + freq))))
     if denom == 0.0:
         raise DomainError("zero initial data")
-    support = np.flatnonzero((sol.c0 != 0.0) | (sol.c1 != 0.0))
+    support = np.flatnonzero((c0 != 0.0) | (c1 != 0.0))
     U = decomp.node_values()[:, support]
-    freq, c0, c1 = freq[support], sol.c0[support], sol.c1[support]
+    freq, c0, c1 = freq[support], c0[support], c1[support]
     ts, wts = _time_quadrature(pc * float(np.max(freq)))
     w = decomp.basis.grid.weights
     acc = 0.0
@@ -430,7 +382,7 @@ def strichartz_report(decomp: operator_core.SpectralDecomposition,
     for k in ks:
         c0 = np.zeros(decomp.size)
         c0[_ladder_rung(decomp.frequencies, k)] = 1.0
-        rows.append([k, strichartz_ratio(WaveSolution(decomp, c0, np.zeros_like(c0)))])
+        rows.append([k, strichartz_ratio(decomp, c0, np.zeros_like(c0))])
     return estimators.slope_report(["k", "ratio"], rows, ks, [r[1] for r in rows], 0.0, 0.1)
 
 

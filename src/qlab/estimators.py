@@ -403,16 +403,7 @@ def harmonic_dimension(n: int, l: int):
     return (2 * l + n - 1) * math.comb(l + n - 2, n - 2) // (n - 1)
 
 
-@dataclass
-class DivergentQuasimodeReport:
-    lam: float
-    ks: np.ndarray
-    terms: np.ndarray
-    partial_sums: np.ndarray
-    growth: float
-    tail_l2: float
-    normalization: float       # lam^{-1} ||(-Delta-(lam+i)^2)(u-e)||_2 + ||u||_2
-    normalization_full: float  # same with the full residual including e_lam
+_MIN_GROWTH = 0.6  # partial-sum growth the divergent ladder must exceed
 
 
 def _check_divergent(n: int, eps: float, k_min: int, k_max: int) -> None:
@@ -425,7 +416,7 @@ def _check_divergent(n: int, eps: float, k_min: int, k_max: int) -> None:
 
 
 def divergent_quasimode(n: int, eps: float, k_min: int = 4,
-                        k_max: int = 14) -> DivergentQuasimodeReport:
+                        k_max: int = 14) -> ExperimentReport:
     """Partial sums of the pointwise-divergent quasimode correction at x0,
     with lam = 2^k_min.
 
@@ -434,10 +425,12 @@ def divergent_quasimode(n: int, eps: float, k_min: int = 4,
     sum_l beta(lam_l / 2^k) dim(H_l) / vol(S^n).  Diverges for n >= 4; the
     companion L^2 diagnostics confirm the tail stays small in norm.
 
-    The reported ``normalization`` uses the residual of the tail u - e_lam:
-    the sharp eigenfunction term contributes |1 - 2 i lam| / lam ~ 2 to the
-    full residual by construction, which is recorded separately as
-    ``normalization_full``.
+    Rows are (k, term, partial sum).  The summary's ``normalization``,
+    lam^{-1} ||(-Delta - (lam+i)^2)(u - e_lam)||_2 + ||u||_2, uses the
+    residual of the tail u - e_lam: the sharp eigenfunction term contributes
+    |1 - 2 i lam| / lam ~ 2 to the full residual by construction, which is
+    recorded separately as ``normalization_full``.  Verdict: growth above
+    ``_MIN_GROWTH`` and normalization in [0.5, 2].
     """
     _check_divergent(n, eps, k_min, k_max)
     vol = geometry.sphere_volume(n)
@@ -473,11 +466,15 @@ def divergent_quasimode(n: int, eps: float, k_min: int = 4,
     u_l[l_star] += 1.0
     u_norm = float(np.sqrt(np.sum(u_l ** 2)))
     resid_full = float(np.sqrt(np.sum(gaps ** 2 * u_l ** 2)))
-    return DivergentQuasimodeReport(
-        lam=lam_star, ks=ks, terms=terms, partial_sums=partial,
-        growth=growth, tail_l2=tail_l2,
-        normalization=resid_tail / lam_star + u_norm,
-        normalization_full=resid_full / lam_star + u_norm)
+    normalization = resid_tail / lam_star + u_norm
+    rows = [[int(k), float(t), float(s)] for k, t, s in zip(ks, terms, partial)]
+    ok = growth > _MIN_GROWTH and 0.5 <= normalization <= 2.0
+    return ExperimentReport(
+        columns=["k", "term", "partial_sum"], rows=rows,
+        summary={"growth": growth, "tail_l2": tail_l2, "normalization": normalization,
+                 "normalization_full": resid_full / lam_star + u_norm,
+                 "lam": lam_star, "min_growth": _MIN_GROWTH,
+                 "verdict": "pass" if ok else "fail"})
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Hadamard parametrix kernels in the flat model: modified Bessel functions
 K_m of complex argument, the radial kernels F_nu(r, lambda), and the kernel
-size/oscillation checks (small-r and large-r regimes and the n=2 L^6
-bound).
+checks (the recursion residual, the n=3 closed form and the n=2 L^6 bound).
 
 Branch convention: z = -(lambda+i)^2 with sqrt(z) = 1 - i lambda, so the
 Bessel argument sqrt(z) r always has positive real part.  The normalization
@@ -155,20 +154,6 @@ def recursion_residual(n: int, lam: float) -> float:
         rhs = f_nu(n, 0, r, lam)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     return worst
-
-
-def small_r_slope(n: int, lam: float) -> estimators.PowerFit:
-    """Local log-log slope of |F_0(r)| over the decade r in [0.02, 0.2]/lambda
-    (target 2 - n)."""
-    rs = np.geomspace(0.02 / lam, 0.2 / lam, 9)
-    vals = [abs(f_nu(n, 0, float(r), lam)) for r in rs]
-    return estimators.fit_exponent(rs, vals)
-
-
-def lambda_slope(n: int, r: float, lams) -> estimators.PowerFit:
-    """log-log slope of |F_0| against lambda at fixed r (target (n-3)/2)."""
-    vals = [abs(f_nu(n, 0, r, float(lam))) for lam in lams]
-    return estimators.fit_exponent(lams, vals)
 
 
 def kernel_table(n: int, nu: int, rs, lams):

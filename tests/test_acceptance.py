@@ -126,9 +126,15 @@ def test_criterion_8_parametrix():
             oracle = parametrix.f0_closed_form_3d(float(r), lam)
             got = parametrix.f_nu(3, 0, float(r), lam)
             ok &= abs(got - oracle) <= 1e-8 * abs(oracle)
-    # regime slopes
-    ok &= abs(parametrix.small_r_slope(3, 20.0).slope + 1.0) <= 0.1
-    ok &= abs(parametrix.lambda_slope(3, 0.3, np.geomspace(8, 128, 9)).slope) <= 0.1
+    # regime slopes: |F_0| against r over [0.02, 0.2]/lambda at lambda = 20
+    # (target 2 - n), and against lambda at r = 0.3 (target (n - 3)/2)
+    rs = np.geomspace(0.02 / 20.0, 0.2 / 20.0, 9)
+    fit = estimators.fit_exponent(rs, [abs(parametrix.f_nu(3, 0, float(r), 20.0)) for r in rs])
+    ok &= abs(fit.slope + 1.0) <= 0.1
+    lams = np.geomspace(8, 128, 9)
+    fit = estimators.fit_exponent(lams, [abs(parametrix.f_nu(3, 0, 0.3, float(lam)))
+                                         for lam in lams])
+    ok &= abs(fit.slope) <= 0.1
     # L^6 kernel bound slope
     l6 = parametrix.kernel_l6_check(np.geomspace(8.0, 256.0, 9))
     ok &= abs(l6.summary["slope"] + 1.0 / 3.0) <= 0.05
@@ -142,9 +148,9 @@ def test_criterion_9_weyl_and_divergent_quasimode(s2_free_40):
     rep = estimators.local_weyl_report(s2_free_40, 0.0, mus)
     ratios = [row[-1] for row in rep.rows]
     ok = all(0.9 <= r <= 1.1 for r in ratios)
-    dq = estimators.divergent_quasimode(4, 0.25, k_min=4, k_max=14)
-    ok &= dq.growth > 0.6
-    ok &= 0.5 <= dq.normalization <= 2.0
+    dq = estimators.divergent_quasimode(4, 0.25, k_min=4, k_max=14).summary
+    ok &= dq["growth"] > 0.6
+    ok &= 0.5 <= dq["normalization"] <= 2.0
     _report(9, "local Weyl law and divergent quasimode", bool(ok))
 
 

@@ -154,7 +154,10 @@ _BAD_VALUES = [
      "27 rungs needs 577 GiB, above the 1 GiB limit"),
     ("kato", "radii = 5", "radius must lie in (0, 1.5708), got 5.0"),
     ("kato", "radii =", "need at least one ball radius"),
+    ("kato", "radii = 0.1,0.1,0.1", "ball radii must be distinct, got [0.1, 0.1, 0.1]"),
     ("wave-speed", "Ks = 4", "truncation too small for the mollifier scale"),
+    ("wave-speed", "Ks = 64,64,128", "key 'Ks': truncations must be distinct, got "
+     "[64, 64, 128]"),
     ("wave-speed", "t = 2", "|t| must stay within the injectivity scale pi/2"),
     ("parametrix", "lams = 0.5,50", "lambda must be at least 1"),
     ("parametrix", "l6_lams = -1,2,3,4", "exponent fits need finite positive abscissae"),

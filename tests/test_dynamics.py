@@ -9,29 +9,45 @@ from qlab.errors import ConfigError, DomainError, ResolutionError
 
 def test_heat_requires_positive_time(s2_free_24):
     with pytest.raises(DomainError):
-        dynamics.heat_kernel_sup(s2_free_24, -1.0)
+        dynamics.heat_report(s2_free_24, (-1.0, 0.1, 0.2, 0.3))
 
 
 def test_heat_kernel_sup_decreasing(s2_free_24):
-    sups = [dynamics.heat_kernel_sup(s2_free_24, t) for t in (0.05, 0.1, 0.2)]
-    assert sups[0] > sups[1] > sups[2]
+    sups = [row[1] for row in dynamics.heat_report(s2_free_24, (0.05, 0.1, 0.2, 0.4)).rows]
+    assert sups[0] > sups[1] > sups[2] > sups[3]
+
+
+def _wave_values(decomp, c0, c1, t):
+    """u(t) on the grid from the one propagator, _wave_coefficients."""
+    return decomp.synthesize(dynamics._wave_coefficients(decomp.frequencies, c0, c1, t))
 
 
 def test_wave_initial_data(s2_free_24):
+    """u(0) = f0, and u_t(0) = f1 by a central difference of the propagator."""
     f0 = s2_free_24.node_values()[:, 4] + 0.3 * s2_free_24.node_values()[:, 2]
     f1 = s2_free_24.node_values()[:, 6]
-    sol = dynamics.WaveSolution.from_data(s2_free_24, f0, f1)
-    assert np.allclose(sol.values(0.0), f0, atol=1e-11)
-    vel0 = s2_free_24.synthesize(sol.velocity_coefficients(0.0))
-    assert np.allclose(vel0, f1, atol=1e-11)
+    c0, c1 = s2_free_24.project(f0), s2_free_24.project(f1)
+    assert np.allclose(_wave_values(s2_free_24, c0, c1, 0.0), f0, atol=1e-11)
+    h = 1e-5
+    vel0 = (_wave_values(s2_free_24, c0, c1, h) - _wave_values(s2_free_24, c0, c1, -h)) / (2 * h)
+    assert np.allclose(vel0, f1, atol=1e-8)
 
 
 def test_wave_energy_conserved(s2_free_24):
+    """||P u||^2 + ||u_t||^2 of the propagator's coefficients is constant in t,
+    with u_t = -P sin(tP) f0 + cos(tP) f1 in closed form."""
     f0 = np.sum(s2_free_24.node_values()[:, :9], axis=1)
-    sol = dynamics.WaveSolution.from_data(s2_free_24, f0, f0)
-    e0 = sol.energy(0.0)
+    c0 = s2_free_24.project(f0)
+    freq = s2_free_24.frequencies
+
+    def energy(t):
+        u = dynamics._wave_coefficients(freq, c0, c0, t)
+        u_t = -freq * np.sin(t * freq) * c0 + np.cos(t * freq) * c0
+        return float(np.sum((freq * u) ** 2) + np.sum(u_t ** 2))
+
+    e0 = energy(0.0)
     for t in (0.1, 0.5, 1.3):
-        assert sol.energy(t) == pytest.approx(e0, rel=1e-12)
+        assert energy(t) == pytest.approx(e0, rel=1e-12)
 
 
 def test_wave_cosine_double_angle(s2_free_24):
@@ -138,8 +154,8 @@ def test_random_band_battery_seed_determinism(s2_free_24):
 def test_strichartz_constant_mode_closed_form(s2_free_24):
     """Constant data on the unit time window: the wave solution is the
     constant itself, so the ratio collapses to vol^{1/p_c - 1/2}."""
-    f = np.ones(s2_free_24.basis.grid.size)
-    ratio = dynamics.strichartz_ratio(dynamics.WaveSolution.from_data(s2_free_24, f))
+    c0 = s2_free_24.project(np.ones(s2_free_24.basis.grid.size))
+    ratio = dynamics.strichartz_ratio(s2_free_24, c0, np.zeros_like(c0))
     pc = estimators.p_critical(2)
     vol = geometry.sphere_volume(2)
     assert ratio == pytest.approx(vol ** (1 / pc - 0.5), rel=1e-10)
@@ -158,17 +174,17 @@ def test_strichartz_blocks_match_per_node_sweep(name, request):
     f1 = 0.7 * U[:, 0] - 0.4 * U[:, 5] + 0.2 * U[:, 20]
     grid = decomp.basis.grid
     pc = estimators.p_critical(2)
-    sol = dynamics.WaveSolution.from_data(decomp, f0, f1)
+    c0, c1 = decomp.project(f0), decomp.project(f1)
     freq = decomp.frequencies
-    support = np.flatnonzero((sol.c0 != 0.0) | (sol.c1 != 0.0))
+    support = np.flatnonzero((c0 != 0.0) | (c1 != 0.0))
     ts, wts = dynamics._time_quadrature(pc * float(np.max(freq[support])))
     assert ts.size > dynamics._TIME_BLOCK and ts.size % dynamics._TIME_BLOCK
-    acc = sum(wt * geometry.lp_norm(grid, sol.values(t), pc) ** pc
+    acc = sum(wt * geometry.lp_norm(grid, _wave_values(decomp, c0, c1, t), pc) ** pc
               for t, wt in zip(ts, wts))
-    denom = (np.sqrt(np.sum((1.0 + freq) * sol.c0 ** 2))
-             + np.sqrt(np.sum(sol.c1 ** 2 / (1.0 + freq))))
+    denom = (np.sqrt(np.sum((1.0 + freq) * c0 ** 2))
+             + np.sqrt(np.sum(c1 ** 2 / (1.0 + freq))))
     expected = acc ** (1.0 / pc) / denom
-    assert dynamics.strichartz_ratio(sol) == pytest.approx(expected, rel=1e-12)
+    assert dynamics.strichartz_ratio(decomp, c0, c1) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["s2_free_40", "s2_kato_40", "s3_free_40"])
@@ -207,17 +223,15 @@ def test_strichartz_time_rule_sized_by_the_rung(monkeypatch):
     (geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2), 12),
     (geometry.ModelManifold(geometry.TORUS, 2), 8),
 ])
-def test_heat_report_rows_match_heat_kernel_sup(manifold, K):
+def test_heat_report_rows_match_per_t_squares(manifold, K):
     """heat_report, which squares the values once for all t, gives bit for bit
-    the sups of per-t heat_kernel_sup calls, and these the per-t squares of
-    the grid values and pole rows (the torus has no pole rows)."""
+    the sups of the per-t squares of the grid values and pole rows (the torus
+    has no pole rows)."""
     decomp = operator_core.solve(None, manifold, K)
     ts = (0.01, 0.016, 0.025, 0.04, 0.063, 0.1)
     rows = dynamics.heat_report(decomp, ts).rows
-    sups = [dynamics.heat_kernel_sup(decomp, t) for t in ts]
-    assert [row[1] for row in rows] == sups
     U = decomp.node_values()
-    for t, sup in zip(ts, sups):
+    for t, (_, sup) in zip(ts, rows):
         expected = float(np.max((U ** 2) @ np.exp(-t * decomp.eigenvalues)))
         if manifold.kind != geometry.TORUS:
             pole = decomp.basis.pole_values @ decomp.eigenvectors
@@ -282,8 +296,9 @@ def test_strichartz_report_matches_grid_data(name, request):
     for k, ratio in report.rows:
         idx = np.nonzero((freq > k / 2.0) & (freq <= k + 0.75))[0]
         idx = idx[idx > 0]
-        sol = dynamics.WaveSolution.from_data(decomp, U[:, idx].sum(axis=1))
-        assert ratio == pytest.approx(dynamics.strichartz_ratio(sol), rel=1e-12)
+        c0 = decomp.project(U[:, idx].sum(axis=1))
+        assert ratio == pytest.approx(dynamics.strichartz_ratio(decomp, c0, np.zeros_like(c0)),
+                                      rel=1e-12)
 
 
 def test_spectral_battery_evaluates_the_poles_once(monkeypatch):

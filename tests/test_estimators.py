@@ -224,7 +224,7 @@ def test_divergent_quasimode_n5_partial_sums_bounded():
     faster; growth over the window must exceed the n=4 growth."""
     r4 = estimators.divergent_quasimode(4, 0.25)
     r5 = estimators.divergent_quasimode(5, 0.25)
-    assert r5.growth > r4.growth > 0.0
+    assert r5.summary["growth"] > r4.summary["growth"] > 0.0
 
 
 @pytest.mark.parametrize("n, k_min, k_max", [(4, 4, 14), (5, 1, 9), (9, 2, 12)])
@@ -241,8 +241,9 @@ def test_divergent_quasimode_matches_the_dense_bump_table(n, k_min, k_max):
     terms = amps * (beta @ dims) / vol
     tail_l2 = float(np.sqrt(np.sum(((amps @ beta) * np.sqrt(dims / vol)) ** 2)))
     rep = estimators.divergent_quasimode(n, 0.25, k_min=k_min, k_max=k_max)
-    assert rep.terms.tobytes() == terms.tobytes()
-    assert rep.tail_l2 == tail_l2
+    assert [row[0] for row in rep.rows] == ks.tolist()
+    assert np.array([row[1] for row in rep.rows]).tobytes() == terms.tobytes()
+    assert rep.summary["tail_l2"] == tail_l2
 
 
 def test_sobolev_dual_pair():

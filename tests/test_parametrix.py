@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qlab import cli, parametrix
+from qlab import cli, estimators, parametrix
 from qlab.errors import ConfigError, DomainError
 
 
@@ -74,13 +74,18 @@ def test_recursion_f1_to_f0(n, lam):
 
 @pytest.mark.parametrize("n,lam,target", [(3, 20.0, -1.0), (4, 20.0, -2.0)])
 def test_small_r_regime_slope(n, lam, target):
-    fit = parametrix.small_r_slope(n, lam)
+    """Local log-log slope of |F_0(r)| over the decade r in [0.02, 0.2]/lambda."""
+    rs = np.geomspace(0.02 / lam, 0.2 / lam, 9)
+    fit = estimators.fit_exponent(rs, [abs(parametrix.f_nu(n, 0, float(r), lam)) for r in rs])
     assert abs(fit.slope - target) <= 0.1
 
 
 @pytest.mark.parametrize("n,target", [(3, 0.0), (4, 0.5), (5, 1.0)])
 def test_lambda_regime_slope(n, target):
-    fit = parametrix.lambda_slope(n, 0.3, np.geomspace(8.0, 128.0, 9))
+    """log-log slope of |F_0| against lambda at fixed r = 0.3."""
+    lams = np.geomspace(8.0, 128.0, 9)
+    fit = estimators.fit_exponent(lams, [abs(parametrix.f_nu(n, 0, 0.3, float(lam)))
+                                         for lam in lams])
     assert abs(fit.slope - target) <= 0.1
 
 

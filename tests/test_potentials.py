@@ -112,6 +112,29 @@ def test_kato_report_truncated_in_kato():
     assert rep.verdict == potentials.IN_KATO
 
 
+_KATO_VS = {"constant": lambda n: potentials.constant(1.0),
+            "truncated": potentials.truncated_counterexample,
+            "critical": potentials.counterexample}
+
+
+@pytest.mark.parametrize("name", list(_KATO_VS))
+@pytest.mark.parametrize("n", [2, 3])
+def test_kato_report_narrow_radii_are_inconclusive(n, name):
+    """A bounded V's modulus falls like r^2 (r^2 |log r| at n = 2), so across
+    radii 0.1 to 0.08 it keeps 0.64-0.70 of its top value, as the critical V
+    does: below a 10x span no V is not-in-Kato."""
+    rep = potentials.kato_report(_KATO_VS[name](n), n, radii=(0.1, 0.09, 0.08))
+    assert rep.verdict == potentials.INCONCLUSIVE
+    assert rep.stagnation_ratio > 0.3
+
+
+@pytest.mark.parametrize("name", ["constant", "truncated"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_kato_report_rejects_repeated_radii(n, name):
+    with pytest.raises(DomainError, match="ball radii must be distinct"):
+        potentials.kato_report(_KATO_VS[name](n), n, radii=(0.1, 0.1, 0.1))
+
+
 def test_lq_norm_divergence_detection():
     V = potentials.counterexample(3)
     finite = potentials.potential_lq_norm(V, 3, 1.5)

@@ -17,16 +17,11 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 # public names kept without a caller in src/qlab or bench/, one reason each
 ALLOWED = {
-    "multiplier": "the one apply path for m(sqrt(H_V)); the benchmark tracer names it",
-    "br_delta": "critical Bochner-Riesz index, the exponent algebra beside sigma and p_c",
-    "small_r_slope": "parametrix small-r kernel slope, read by acceptance criterion 8",
-    "lambda_slope": "parametrix frequency slope, read by acceptance criterion 8",
-    "flat_ball_kato_oracle": "closed-form oracle for the Kato ball integral",
-    "WaveSolution.from_data": "grid-data constructor, the reference harness of the "
-                              "Strichartz sweep test",
-    "WaveSolution.energy": "conserved energy, the oracle that checks _wave_coefficients",
-    "heat_kernel_sup": "the kernel sup at one t, which the heat tests read; "
-                       "heat_report shares its routine",
+    "multiplier": "the one apply path for m(sqrt(H_V)), which ROADMAP item 13's "
+                  "multiplier runs apply; the benchmark tracer names it",
+    "br_delta": "critical Bochner-Riesz index, the competitor exponent of ROADMAP "
+                "item 7's Bochner-Riesz verdicts",
+    "flat_ball_kato_oracle": "closed-form test oracle for the Kato ball integral",
 }
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -75,9 +70,8 @@ def test_every_public_definition_has_a_caller():
 
 def test_every_slope_verdict_comes_from_slope_report():
     """One slope rule: no ``slope_verdict`` is defined or referenced in
-    ``src/qlab`` or ``bench/``, and the only functions that call
-    ``fit_exponent`` are ``slope_report`` and the two parametrix slopes that
-    return the bare fit."""
+    ``src/qlab`` or ``bench/``, and the only function that calls
+    ``fit_exponent`` is ``slope_report``."""
     callers = set()
     paths = glob.glob(os.path.join(ROOT, "src", "qlab", "*.py")) \
         + glob.glob(os.path.join(ROOT, "bench", "*.py"))
@@ -91,7 +85,7 @@ def test_every_slope_verdict_comes_from_slope_report():
             for sub in ast.walk(func):
                 if isinstance(sub, ast.Call) and "fit_exponent" in _references(sub.func):
                     callers.add(func.name)
-    assert callers == {"slope_report", "small_r_slope", "lambda_slope"}
+    assert callers == {"slope_report"}
 
 
 def test_one_sign_split_for_the_potential_block():
