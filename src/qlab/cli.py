@@ -220,13 +220,11 @@ def _solve_bytes(nodes: int, modes: int, fine: int = 0) -> int:
 
 
 def _checked_nodes(manifold, V, K: int, nodes: int) -> tuple[int, int]:
-    """(N, F) of the checked solve of V != 0 on a sphere: N is ``nodes`` of the
-    default grid, or of the pole-capped grid of a zonal V with poles (cheap to
-    build), and F the refined nodes of its check (the hemisphere fold for an
-    even zonal V)."""
+    """(N, F) of the checked solve of V != 0 on the zonal sphere: N is
+    ``nodes`` of the default grid, or of the pole-capped grid of a V with
+    poles (cheap to build), and F the refined nodes of its check (the
+    hemisphere fold for an even V)."""
     from . import geometry, operator_core
-    if manifold.kind == geometry.SPHERE_FULL_2D:  # both axes doubled
-        return nodes, (2 * K + 19) * (4 * K + 10)
     if not V.singular:  # twice the Gauss nodes
         return nodes, nodes if V.even else 2 * nodes
     grid = geometry.default_grid(manifold, K, geometry.SINGULAR_POLE_LEVELS)
@@ -272,7 +270,11 @@ def _decomposition(cfg: dict, top: float = 0.0):
         _check_bytes(_solve_bytes(nodes, 1), what, "K", exact=False)
     modes = _lattice_points(n, K * K) if torus else (K + 1) ** (1 + full)
     _check_bytes(_solve_bytes(nodes, modes), what, "K")
-    if V is not None:  # past the free bound, so the grids built here are small
+    # the checked solve on the full S^2 sums V by order on polar rules and
+    # builds no refined table: it peaks reading its node values, the basis,
+    # the node values and the eigenvectors, 8 J (2 N + J) bytes, under the
+    # free charge
+    if V is not None and not full:  # past the free bound, so the grids built here are small
         nodes, fine = _checked_nodes(manifold, V, K, nodes)
         _check_bytes(_solve_bytes(nodes, modes, fine), f"the checked solve on the dense "
                      f"{manifold.kind} basis at K={K} ({nodes} nodes per mode, {fine} in "

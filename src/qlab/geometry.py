@@ -347,18 +347,28 @@ class Basis:
     ----------
     freqs : (J,) frequencies lambda_j = sqrt(eigenvalue), ascending
     values : (N, J) basis values on the grid, orthonormal under the weights
+        (a subclass that passes None builds them on their first read)
     """
 
-    def __init__(self, manifold, K, grid, freqs, values):
+    def __init__(self, manifold, K, grid, freqs, values=None):
         self.manifold = manifold
         self.K = K
         self.grid = grid
         self.freqs = freqs
-        self.values = values
+        if values is not None:
+            self.values = values
 
     @property
     def size(self) -> int:
         return self.freqs.shape[0]
+
+    @property
+    def classes(self) -> np.ndarray:
+        """Symmetry class of each mode, one integer each: the blocks that
+        ``operator_core.diagonalize`` solves apart where the matrix has
+        exact zeros between them.  Here index parity, which on the zonal
+        sphere is degree parity (the classes of an even zonal V)."""
+        return np.arange(self.size) % 2
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -431,9 +441,10 @@ def _normalized_assoc_legendre(K: int, m: int, phi: np.ndarray) -> np.ndarray:
 
 
 class FullSphereBasis(Basis):
-    """Real spherical harmonics on S^2, degrees 0..K, all orders.  ``pole_values``
-    (rows at the poles (phi, theta) = (0, 0), (pi, 0)) is computed once,
-    read-only: do not mutate the basis."""
+    """Real spherical harmonics on S^2, degrees 0..K, all orders.  ``values``
+    (N x J) is built on its first read; it and ``pole_values`` (rows at the
+    poles (phi, theta) = (0, 0), (pi, 0)) are computed once: do not mutate
+    the basis."""
 
     def __init__(self, K: int, grid: QuadratureGrid):
         if grid.manifold.kind != SPHERE_FULL_2D:
@@ -448,16 +459,33 @@ class FullSphereBasis(Basis):
         freqs = np.sqrt(degrees * (degrees + 1.0))
         order = np.argsort(freqs, kind="stable")
         self.modes = [modes[i] for i in order]
-        freqs = freqs[order]
-        values = self._eval_modes(grid.nodes)
-        super().__init__(grid.manifold, K, grid, freqs, values)
+        self._degrees = degrees[order]
+        self._orders = np.array([m for _, m, _ in self.modes])
+        self._sine = np.array([trig == "s" for _, _, trig in self.modes])
+        super().__init__(grid.manifold, K, grid, freqs[order])
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return self._eval_modes(self.grid.nodes)
+
+    @property
+    def classes(self) -> np.ndarray:
+        """(m, cos or sin, parity of k - m) of each mode: a zonal V couples
+        only modes of one order and one trigonometric factor, and an even one
+        only those whose k - m has the same parity."""
+        return 4 * self._orders + 2 * self._sine + (self._degrees - self._orders) % 2
+
+    def _order_columns(self, m: int) -> list[np.ndarray]:
+        """The columns of order m, the cos ones and (for m > 0) the sin ones,
+        each by ascending degree k = m..K."""
+        at = self._orders == m
+        return [np.flatnonzero(at & ~self._sine)] + ([np.flatnonzero(at & self._sine)]
+                                                     if m else [])
 
     def _eval_modes(self, points: np.ndarray) -> np.ndarray:
         phi, theta = points[:, 0], points[:, 1]
-        degrees = np.array([k for k, _, _ in self.modes])
-        orders = np.array([m for _, m, _ in self.modes])
-        sine = np.array([parity == "s" for _, _, parity in self.modes])
-        K = int(degrees.max())
+        degrees, orders, sine = self._degrees, self._orders, self._sine
+        K = self.K
         out = np.empty((points.shape[0], len(self.modes)))
         for m in range(K + 1):
             radial = _normalized_assoc_legendre(K, m, phi)

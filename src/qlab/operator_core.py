@@ -39,19 +39,20 @@ def _potential_values(V: Potential | None, grid: geometry.QuadratureGrid) -> np.
     return np.asarray(V(nodes[:, 0] if nodes.ndim == 2 else nodes), dtype=float)
 
 
-def _folds(V: Potential, basis: geometry.Basis) -> bool:
-    return V.even and basis.manifold.kind == geometry.SPHERE_ZONAL
-
-
-def _signed_nodes(V: Potential, basis: geometry.Basis, full: geometry.QuadratureGrid
+def _signed_nodes(V: Potential, full: geometry.QuadratureGrid
                   ) -> tuple[geometry.QuadratureGrid, np.ndarray, np.ndarray, int, int]:
-    """The nodes where V is summed for ``basis`` on ``full`` (all of it, or
-    its hemisphere fold for an even V on a zonal basis) ordered w V > 0, then
-    < 0, then = 0, each in grid order: the grid in that order, w V in that
-    order, the order as indices of the grid, and the number of nodes with
-    w V > 0 and with w V < 0.  Raises NumericError naming the first node, by
-    its index and coordinates in ``full``, where w V is not finite."""
-    grid = geometry.hemisphere(full) if _folds(V, basis) else full
+    """The zonal rule V is summed on for a basis on ``full`` (the grid itself,
+    or on the full S^2 its polar rule ``_polar_rule``; folded by
+    ``geometry.hemisphere`` for an even V), with its nodes ordered w V > 0,
+    then < 0, then = 0, each in rule order: the rule in that order, w V in
+    that order, the order as indices of the rule, and the number of nodes
+    with w V > 0 and with w V < 0.  Raises NumericError naming the first
+    node, by its index and coordinates in the unfolded rule, where w V is not
+    finite."""
+    _check_potential(V, full.manifold)
+    if full.manifold.kind == geometry.SPHERE_FULL_2D:
+        full = _polar_rule(full)
+    grid = geometry.hemisphere(full) if V.even else full
     wv = grid.weights * _potential_values(V, grid)
     bad = np.flatnonzero(~np.isfinite(wv))
     if bad.size:
@@ -65,7 +66,23 @@ def _signed_nodes(V: Potential, basis: geometry.Basis, full: geometry.Quadrature
     return grid, wv[order], order, plus.size, minus.size
 
 
+def _polar_rule(grid: geometry.QuadratureGrid) -> geometry.QuadratureGrid:
+    """The polar rule of a full-S^2 product grid: the zonal S^2 Gauss rule on
+    its polar nodes, whose weights carry the theta integral 2 pi.  The theta
+    trapezoid of n_theta > 2K points is exact for the product of any two
+    modes of degree <= K, so the block of order m summed on this rule is the
+    quadrature of the whole grid in exact arithmetic."""
+    return geometry.zonal_grid(2, _distinct(grid.nodes[:, 0]))
+
+
+def _distinct(x: np.ndarray) -> int:
+    """The number of distinct values in x, without np.unique, whose first
+    plain call in a process imports numpy.ma (about 30 ms)."""
+    return int(np.count_nonzero(np.diff(np.sort(x)))) + 1
+
+
 # the degree-parity pair: the blocks of the Galerkin matrix of an even zonal V
+# (and of each order's block on the full S^2, by the parity of k - m)
 _PARITY = (slice(0, None, 2), slice(1, None, 2))
 
 
@@ -97,24 +114,56 @@ def _split_gram(E: np.ndarray, wv: np.ndarray, npos: int, nneg: int,
     return M
 
 
+def _order_tables(V: Potential, basis: geometry.FullSphereBasis,
+                  grid: geometry.QuadratureGrid):
+    """``_split_gram``'s arguments for each order m = 0..K of a full-S^2
+    basis, summed on the polar rule of ``grid``: the table of P~_k^m,
+    k = m..K, private and column-major (one column per degree), at the
+    polar nodes where w V != 0 in sign order; w V; the sign counts; and
+    whether to split by the parity of k - m (an even V)."""
+    polar, wv, _, npos, nneg = _signed_nodes(V, grid)
+    phi = polar.nodes[:npos + nneg]
+    for m in range(basis.K + 1):
+        yield geometry._normalized_assoc_legendre(basis.K, m, phi).T, wv, npos, nneg, V.even
+
+
+def _by_order(basis: geometry.FullSphereBasis, blocks) -> np.ndarray:
+    """The J x J matrix of a zonal V on the full S^2 from its block of each
+    order m (``blocks``, m = 0..K), written at the cos and at the sin
+    columns of that order; every other entry is exactly 0."""
+    M = np.zeros((basis.size, basis.size))
+    for m, block in enumerate(blocks):
+        for cols in basis._order_columns(m):
+            M[np.ix_(cols, cols)] = block
+    return M
+
+
 def potential_matrix(V: Potential | None, basis: geometry.Basis) -> np.ndarray:
     """Galerkin matrix <V e_j, e_k> on the basis quadrature grid, exactly
-    symmetric: ``_split_gram`` of the basis rows where w V != 0, gathered in
-    sign order into a private copy.  An even V (``V.even``) on a zonal basis
-    couples only degrees of equal parity: it is summed on the hemisphere
-    rule, its two parity blocks are formed apart, and every entry across
-    parity is exactly 0.  V = None gives the zero matrix.  Raises
+    symmetric, from ``_split_gram``.  On the zonal sphere its rows are the
+    basis rows where w V != 0, gathered in sign order into a private copy.
+    On the full S^2 a zonal V couples only modes of one order m and one
+    trigonometric factor, so one block per order is formed from the
+    associated-Legendre table on the grid's polar rule (``_polar_rule``) and
+    written at both the cos and the sin columns of that order; every entry
+    between orders or between cos and sin is exactly 0, and the N x J basis
+    values are never read.  An even V (``V.even``) couples only degrees of
+    equal parity (of k - m on the full S^2): it is summed on the hemisphere
+    fold of the rule, its parity blocks are formed apart, and every entry
+    across parity is exactly 0.  V = None gives the zero matrix.  Raises
     NumericError naming the first node where w V is not finite."""
     J = basis.size
     if V is None:
         return np.zeros((J, J))
-    _, wv, order, npos, nneg = _signed_nodes(V, basis, basis.grid)
-    rows, folds = order[:npos + nneg], _folds(V, basis)
+    if basis.manifold.kind == geometry.SPHERE_FULL_2D:
+        return _by_order(basis, (_split_gram(*table)
+                                 for table in _order_tables(V, basis, basis.grid)))
+    _, wv, order, npos, nneg = _signed_nodes(V, basis.grid)
+    rows = order[:npos + nneg]
     # the parity views need column-major rows: np.take on the transposed
-    # zonal table gathers them so (on a row-major full-S^2 basis it would
-    # first copy the whole basis)
-    return _split_gram(np.take(basis.values.T, rows, axis=1).T if folds
-                       else basis.values[rows], wv, npos, nneg, folds)
+    # zonal table gathers them
+    return _split_gram(np.take(basis.values.T, rows, axis=1).T if V.even
+                       else basis.values[rows], wv, npos, nneg, V.even)
 
 
 _CHECK_TOL = 0.01  # largest entry move under refinement, relative to the matrix scale
@@ -129,13 +178,16 @@ def assemble(V: Potential | None, basis: geometry.Basis,
     1% (``_CHECK_TOL``) of the matrix scale; otherwise it returns the refined
     matrix.  A pole-capped zonal grid keeps its caps (its ``pole_levels``) node
     for node and refines only the bulk, so the check never tests the cap rule.
-    Both matrices come from one routine, ``_split_gram``; the check hands it
-    the refined basis whole, so its working set is the basis, one refined
-    basis and a few J x J matrices.  An even V on a zonal basis is
+    Both matrices come from one routine, ``_split_gram``.  On the zonal
+    sphere the check hands it the refined basis whole, so its working set is
+    the basis, one refined basis and a few J x J matrices; an even V is
     reassembled on the hemisphere fold of the refined grid, so the refined
-    basis is evaluated on those nodes only.  w V is checked on the basis grid
-    before any refined work, so the NumericError for a V that is not finite
-    names a node of that grid.
+    basis is evaluated on those nodes only.  On the full S^2 both matrices
+    are formed by order (``potential_matrix``), the check's on the polar rule
+    of the refined grid (2 n_phi + 1 nodes), and no N x J table is built.
+    w V is checked on the basis grid before any refined work, so the
+    NumericError for a V that is not finite names a node of that grid (of
+    its polar rule on the full S^2).
     """
     pot = potential_matrix(V, basis)  # checks w V on this grid first
     if check and V is not None:
@@ -152,8 +204,12 @@ def assemble(V: Potential | None, basis: geometry.Basis,
                 "references' in docs/configuration.md)")
         pot = pot_fine
     # every model Laplace eigenvalue is an integer (k(k+n-1), l(l+1), |m|^2);
-    # rounding keeps the free spectrum exact where sqrt(.)**2 misses by an ulp
-    return np.diag(np.rint(basis.freqs ** 2)) + pot
+    # rounding keeps the free spectrum exact where sqrt(.)**2 misses by an ulp.
+    # In place this is np.diag(.) + pot bit for bit: the + 0.0 turns each
+    # -0.0 off the diagonal into the +0.0 that sum gives
+    np.add(pot, 0.0, out=pot)
+    pot[np.diag_indices(basis.size)] += np.rint(basis.freqs ** 2)
+    return pot
 
 
 def _refined_grid(grid: geometry.QuadratureGrid) -> geometry.QuadratureGrid:
@@ -161,21 +217,26 @@ def _refined_grid(grid: geometry.QuadratureGrid) -> geometry.QuadratureGrid:
     m = grid.manifold
     if m.kind == geometry.SPHERE_ZONAL:
         return geometry.zonal_grid(m.n, 2 * grid.size, pole_levels=grid.pole_levels)
-    nphi = np.unique(grid.nodes[:, 0]).size
-    ntheta = np.unique(grid.nodes[:, 1]).size
+    nphi, ntheta = _distinct(grid.nodes[:, 0]), _distinct(grid.nodes[:, 1])
     return geometry.full_sphere_grid(2 * nphi + 1, 2 * ntheta + 2)
 
 
 def _refined_matrix(V: Potential, basis: geometry.Basis) -> np.ndarray:
     """Potential matrix of V on the refined grid of a sphere basis (on its
-    hemisphere fold for an even zonal V).  The refined basis is private to
-    the check, so it is built on the nodes in sign order and handed to
-    ``_split_gram`` whole: no row is copied.  A zonal basis sums its norms in
-    that order, which moves the matrix by about 1e-17 of its largest entry;
-    where w V > 0 at every node the order is the grid's own."""
-    grid, wv, _, npos, nneg = _signed_nodes(V, basis, _refined_grid(basis.grid))
+    hemisphere fold for an even V).  On the zonal sphere the refined basis is
+    private to the check, so it is built on the nodes in sign order and
+    handed to ``_split_gram`` whole: no row is copied.  A zonal basis sums
+    its norms in that order, which moves the matrix by about 1e-17 of its
+    largest entry; where w V > 0 at every node the order is the grid's own.
+    On the full S^2 the blocks of each order are summed on the refined polar
+    rule, as ``potential_matrix`` sums them on the basis grid's."""
+    fine = _refined_grid(basis.grid)
+    if basis.manifold.kind == geometry.SPHERE_FULL_2D:
+        return _by_order(basis, (_split_gram(*table)
+                                 for table in _order_tables(V, basis, fine)))
+    grid, wv, _, npos, nneg = _signed_nodes(V, fine)
     return _split_gram(geometry.build_basis(basis.manifold, basis.K, grid).values,
-                       wv, npos, nneg, _folds(V, basis))
+                       wv, npos, nneg, V.even)
 
 
 @dataclass
@@ -254,19 +315,25 @@ def diagonalize(matrix: np.ndarray,
     non-decreasing diagonal whose largest |entry| is 0 or lies in the range
     where ``eigh`` does not rescale (``_EIGH_UNSCALED``) skips ``eigh`` and
     returns its output bit for bit: the diagonal, the identity, and as node
-    values a C-contiguous copy of the basis values.  A non-diagonal matrix
-    whose entries between even and odd indices are all exactly 0 (the
-    Galerkin matrix of an even zonal V) is solved as its two parity blocks,
-    one ``eigh`` each; the merged
-    eigenvalues are sorted stably with the even block first, so ties list
-    even-index eigenvectors first.  Raises DomainError for a non-square or
-    non-symmetric matrix and NumericError when the solver does not converge.
+    values a C-contiguous copy of the basis values.  Any other diagonal
+    matrix is solved whole.  A non-diagonal matrix is solved by symmetry
+    class (``basis.classes``; index parity without a basis): classes that
+    the matrix couples by any nonzero entry are merged (``_coupled``), and
+    each merged class gets one ``eigh``, shared by classes whose blocks are
+    equal bit for bit (the cos and sin twins of an order on the full S^2).
+    The spectra are concatenated in the order of each class's lowest index
+    and go through one stable sort and one sign rule, so a tie lists the
+    eigenvector of the class with the lower first index first (even before
+    odd on the zonal sphere, cos before sin on the full S^2).  Raises
+    DomainError for a non-square or non-symmetric matrix and NumericError
+    when the solver does not converge.
     """
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError("matrix must be square")
     d = np.diagonal(A)
-    diagonal = np.count_nonzero(A) == np.count_nonzero(d)
+    nonzero = A != 0.0
+    diagonal = np.count_nonzero(nonzero) == np.count_nonzero(d)
     top = float(np.max(np.abs(d), initial=0.0))
     unscaled = top == 0.0 or _EIGH_UNSCALED[0] <= top <= _EIGH_UNSCALED[1]
     if diagonal and unscaled and np.all(d[1:] >= d[:-1]):
@@ -280,36 +347,85 @@ def diagonalize(matrix: np.ndarray,
             values.flags.writeable = False
             decomp._node_values = values
         return decomp
-    if not np.allclose(A, A.T, atol=1e-10 * max(1.0, float(np.max(np.abs(A))))):
+    J = A.shape[0]
+    # a diagonal matrix is solved whole: LAPACK orders its repeated
+    # eigenvalues in its own way, which the classes would not reproduce
+    classes = [np.arange(J)] if diagonal else _coupled(
+        nonzero, np.arange(J) % 2 if basis is None else basis.classes)
+    del nonzero
+    # a class whose block equals an earlier one's bit for bit (the cos and
+    # sin twins of an order on the full S^2) shares its eigh: ``which``
+    # gives each class its position in ``blocks``
+    blocks, which, seen = [], [], {}
+    for idx in classes:
+        block = A if len(classes) == 1 else A.take(idx, axis=0).take(idx, axis=1)
+        which.append(seen.setdefault(block.tobytes() if len(classes) > 1 else b"",
+                                     len(blocks)))
+        if which[-1] == len(blocks):
+            blocks.append(block)
+    del A, block, seen
+    # every entry between merged classes is 0, so the matrix is symmetric
+    # where its blocks are, and its largest |entry| lies in one of them
+    if len(blocks) == 1:  # one block, the whole matrix where no class splits off
+        entries, mirror = blocks[0], blocks[0].T
+    else:  # the blocks side by side, so that one test covers them all
+        entries = np.concatenate([block.ravel() for block in blocks])
+        mirror = np.concatenate([block.T.ravel() for block in blocks])
+    if not np.allclose(entries, mirror,
+                       atol=1e-10 * max(1.0, float(np.max(np.abs(entries))))):
         raise DomainError("matrix must be symmetric")
-    A = A + A.T
-    A *= 0.5
-    # a diagonal matrix stays on the full path: LAPACK orders its repeated
-    # eigenvalues in its own way, which the blocks would not reproduce
-    even, odd = _PARITY
-    if diagonal or np.any(A[even, odd]):
-        mu, vecs = _eigh(A)
-        order = np.argsort(mu, kind="stable")
-        mu = mu[order]
-        vecs = vecs[:, order]
-        signs = _signs(vecs)
-    else:
-        (mu_e, vec_e), (mu_o, vec_o) = _eigh(A[even, even]), _eigh(A[odd, odd])
-        del A
-        ne = mu_e.size
-        mu = np.concatenate([mu_e, mu_o])
-        order = np.argsort(mu, kind="stable")
-        mu = mu[order]
-        # each block's eigenvectors go straight to their sorted columns; a
-        # column's largest component lies in its block (first on ties too)
-        column = np.empty_like(order)
-        column[order] = np.arange(order.size)
-        vecs = np.zeros((order.size, order.size))
-        vecs[even, column[:ne]] = vec_e
-        vecs[odd, column[ne:]] = vec_o
-        signs = np.concatenate([_signs(vec_e), _signs(vec_o)])[order]
-    vecs *= signs  # on the whole matrix: the other parity's zeros take the sign too
+    del entries, mirror
+    for k, block in enumerate(blocks):
+        block = block + block.T
+        block *= 0.5
+        w, v = _eigh(block)
+        signs = _signs(v)
+        v *= signs
+        blocks[k] = w, v, signs
+    parts = [blocks[k] for k in which]
+    del blocks, block
+    mu = np.concatenate([w for w, _, _ in parts])
+    order = np.argsort(mu, kind="stable")
+    mu = mu[order]
+    # each class's eigenvectors go straight to their sorted columns, and the
+    # entries off its class get the sign of their column as a signed 0, as
+    # the sign rule on the whole matrix gives them; a column's largest
+    # component lies in its class (first on ties too)
+    column = np.empty_like(order)
+    column[order] = np.arange(J)
+    vecs = np.empty((J, J))
+    vecs[:] = np.copysign(0.0, np.concatenate([signs for _, _, signs in parts])[order])
+    start = 0
+    for idx, (w, v, _) in zip(classes, parts):
+        vecs[np.ix_(idx, column[start:start + w.size])] = v
+        start += w.size
     return SpectralDecomposition(eigenvalues=mu, eigenvectors=vecs, basis=basis)
+
+
+def _coupled(nonzero: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
+    """The classes of ``labels`` with every two that a matrix couples by a
+    nonzero entry (``nonzero``, its pattern; either triangle counts) merged,
+    transitively, each as its ascending indices, in the order of their
+    lowest index."""
+    _, first, label = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    label = rank[label]  # classes numbered by their lowest index
+    perm = np.argsort(label, kind="stable")
+    bounds = np.flatnonzero(np.diff(label[perm])) + 1
+    # touch[c, d]: an entry in the rows of class c and the columns of class d
+    touch = np.array([rows.any(axis=0) for rows in np.split(nonzero[perm], bounds)])
+    touch = np.array([cols.any(axis=1)
+                      for cols in np.split(touch[:, perm], bounds, axis=1)]).T
+    reach = touch | touch.T | np.eye(first.size, dtype=bool)
+    while True:  # the transitive closure, by squaring
+        closure = (reach.astype(float) @ reach.astype(float)) > 0.0
+        if np.array_equal(closure, reach):
+            break
+        reach = closure
+    merged = np.argmax(reach, axis=1)[label]  # the lowest class each one reaches
+    perm = np.argsort(merged, kind="stable")
+    return np.split(perm, np.flatnonzero(np.diff(merged[perm])) + 1)
 
 
 def _signs(vecs: np.ndarray) -> np.ndarray:

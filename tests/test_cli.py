@@ -141,9 +141,10 @@ _BAD_VALUES = [
     ("spectrum", "n = 3\npotential = counterexample\nK = 4237", "the checked solve on the "
      "dense sphere-zonal basis at K=4237 (9232 nodes per mode, 9728 in the check) needs "
      "1.01 GiB"),
-    ("spectrum", "manifold = sphere-full-2d\npotential = constant:1\nK = 54", "the checked "
-     "solve on the dense sphere-full-2d basis at K=54 (7056 nodes per mode, 28702 in the "
-     "check) needs 1.02 GiB"),
+    # the checked full-S^2 solve peaks under its free charge, so V != 0 stops there too
+    ("spectrum", "manifold = sphere-full-2d\npotential = constant:1\nK = 67",
+     "the solve on the dense sphere-full-2d basis at K=67 (10488 nodes per mode) needs "
+     "1.05 GiB"),
     ("divergent-quasimode", "k_max = 22", "key 'k_max': the ladder of 2^23 + 9 degrees x "
      "19 rungs needs 1.76 GiB, above the 1 GiB limit"),
     ("wave-speed", "Ks = 2688", "key 'Ks': the leakage run up to K=2688 (5392 nodes) "
@@ -217,7 +218,7 @@ def test_validate_size_limits_pass_at_the_edge():
     assert diagnostics("spectrum", potential="truncated-counterexample", K="4375") == []
     assert diagnostics("spectrum", n="3", potential="counterexample", K="4236") == []
     assert diagnostics("spectrum", manifold="sphere-full-2d", potential="constant:1",
-                       K="53") == []
+                       K="66") == []
     assert diagnostics("divergent-quasimode", k_max="21") == []
     assert diagnostics("wave-speed", Ks="2687") == []
     assert diagnostics("strichartz", K="33") == []  # sqrt(33 * 34) = 33.5 >= 32.75

@@ -1,4 +1,7 @@
 import math
+import re
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -151,6 +154,81 @@ def _parity_reference(A):
     vecs = np.zeros(A.shape)
     vecs[0::2, :ne] = vec_e
     vecs[1::2, ne:] = vec_o
+    order = np.argsort(mu, kind="stable")
+    mu, vecs = mu[order], vecs[:, order]
+    signs = np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])])
+    signs[signs == 0.0] = 1.0
+    return mu, vecs * signs
+
+
+@given(size=st.integers(min_value=2, max_value=40),
+       nclasses=st.integers(min_value=1, max_value=6),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       integer=st.booleans(), twins=st.booleans(), couple=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_diagonalize_class_merge_contract(size, nclasses, seed, integer, twins, couple):
+    """A non-diagonal symmetric matrix with exact zeros between the classes of
+    a random interleaved label vector, solved with those labels: eigenvalues
+    ascend, the sign rule holds, residual and orthogonality stay below
+    1e-12, every eigenvector lives on one class, ties across classes list
+    the class with the lower first index first, and the result is the
+    per-class reference bit for bit.  ``twins`` copies the block of the
+    first class into the second where they have one size (equal spectra,
+    shared eigh); ``couple`` joins two classes by one entry, which merges
+    them."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, nclasses, size) * 7 + 3  # any integers name the classes
+    B = (rng.integers(-2, 3, (size, size)) if integer
+         else rng.standard_normal((size, size))).astype(float)
+    A = (B + B.T) / 2
+    A[labels[:, None] != labels[None, :]] = 0.0
+    firsts = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+    firsts.sort(key=lambda idx: idx[0])
+    if twins and len(firsts) > 1 and firsts[0].size == firsts[1].size:
+        A[np.ix_(firsts[1], firsts[1])] = A[np.ix_(firsts[0], firsts[0])]
+    merged = labels.copy()
+    if couple and len(firsts) > 2:
+        i, j = firsts[1][0], firsts[2][-1]
+        A[i, j] = A[j, i] = 0.5
+        merged[firsts[2]] = labels[i]
+    pairs = [idx for idx in firsts if idx.size > 1]
+    if not pairs:
+        return  # every class is one index: a diagonal matrix, solved whole
+    i, j = pairs[0][:2]
+    if np.count_nonzero(A) == np.count_nonzero(np.diagonal(A)):
+        A[i, j] = A[j, i] = 1.0  # a diagonal matrix takes the whole-matrix path
+    decomp = operator_core.diagonalize(A, SimpleNamespace(classes=labels))
+    mu, V = decomp.eigenvalues, decomp.eigenvectors
+    assert np.all(np.diff(mu) >= 0.0)
+    assert np.all(V[np.argmax(np.abs(V), axis=0), np.arange(size)] > 0.0)
+    scale = max(np.linalg.norm(A, 2), 1e-300)
+    assert np.linalg.norm(A @ V - V * mu, 2) <= 1e-12 * scale
+    assert np.linalg.norm(V.T @ V - np.eye(size), 2) <= 1e-12
+    support = [np.unique(merged[np.flatnonzero(V[:, c])]) for c in range(size)]
+    assert all(s.size == 1 for s in support)
+    first = {c: int(np.flatnonzero(merged == c)[0]) for c in np.unique(merged)}
+    lowest = np.array([first[s[0]] for s in support])
+    tie = (mu[1:] == mu[:-1]) & (lowest[1:] != lowest[:-1])
+    assert np.all(lowest[:-1][tie] < lowest[1:][tie])
+    mu_ref, V_ref = _class_reference(A, merged)
+    assert mu.tobytes() == mu_ref.tobytes()
+    assert V.tobytes() == V_ref.tobytes()  # signed zeros included
+
+
+def _class_reference(A, labels):
+    """One eigh per class in the order of its lowest index, the spectra
+    concatenated and scattered into a zero J x J matrix, sorted by a column
+    copy, then the sign rule on the whole matrix."""
+    A = 0.5 * (A + A.T)
+    classes = sorted((np.flatnonzero(labels == c) for c in np.unique(labels)),
+                     key=lambda idx: idx[0])
+    parts = [np.linalg.eigh(A[np.ix_(idx, idx)]) for idx in classes]
+    mu = np.concatenate([w for w, _ in parts])
+    vecs = np.zeros(A.shape)
+    start = 0
+    for idx, (w, v) in zip(classes, parts):
+        vecs[np.ix_(idx, np.arange(start, start + w.size))] = v
+        start += w.size
     order = np.argsort(mu, kind="stable")
     mu, vecs = mu[order], vecs[:, order]
     signs = np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])])
@@ -422,7 +500,7 @@ def test_split_gram_matches_gemm(kind, levels, even, signs):
     _assert_split_matches_gemm(pot_fine, _gemm_potential(V, fine_basis), parity)
     A = operator_core.assemble(V, basis, check=True)
     assert A.tobytes() == (np.diag(np.rint(basis.freqs ** 2)) + pot_fine).tobytes()
-    _, wv, _, npos, nneg = operator_core._signed_nodes(V, basis, basis.grid)
+    _, wv, _, npos, nneg = operator_core._signed_nodes(V, basis.grid)
     assert (npos > 0, nneg > 0, npos + nneg < wv.size) == _SIGNS_PRESENT[signs]
 
 
@@ -440,7 +518,7 @@ def test_partitioned_check_matches_unpartitioned(n, V):
     half = geometry.hemisphere(fine_grid)
     ref = _gemm_potential(V, geometry.ZonalSphereBasis(n, 48, half))
     _assert_split_matches_gemm(operator_core._refined_matrix(V, basis), ref, True)
-    order = operator_core._signed_nodes(V, basis, fine_grid)[2]
+    order = operator_core._signed_nodes(V, fine_grid)[2]
     assert np.array_equal(order, np.arange(half.size)) == (n == 2 and V.singular)
 
 
@@ -455,6 +533,104 @@ def test_full_sphere_check_matches_refined_basis(expr):
     fine = geometry.build_basis(manifold, 10, operator_core._refined_grid(basis.grid))
     ref = operator_core.potential_matrix(V, fine)
     assert operator_core._refined_matrix(V, basis).tobytes() == ref.tobytes()
+
+
+_FULL_S2 = geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2)
+_ZONAL_ON_S2 = {"1": potentials.from_expression("1"),
+                "cos(phi)**2-0.3": potentials.from_expression("cos(phi)**2-0.3"),
+                "sin(phi)-0.5": potentials.from_expression("sin(phi)-0.5"),
+                "cos(phi)": potentials.from_expression("cos(phi)"),
+                "truncated-counterexample": potentials.truncated_counterexample(2, 0.3)}
+
+
+@pytest.mark.parametrize("name", sorted(_ZONAL_ON_S2))
+def test_full_sphere_blocks_match_dense_quadrature(name):
+    """On the full S^2 the potential block is formed by order on the polar
+    rule: it is within 1e-13 of values^T (w V values) on the whole grid,
+    relative to its largest entry, with exact zeros between orders and
+    between cos and sin (and across the parity of k - m for an even V); the
+    K = 24 eigenvalues lie within 1e-12 ||A|| of eigvalsh of the dense
+    matrix."""
+    V = _ZONAL_ON_S2[name]
+    basis = geometry.build_basis(_FULL_S2, 24)
+    M = operator_core.potential_matrix(V, basis)
+    ref = _gemm_potential(V, basis)
+    assert np.array_equal(M, M.T)
+    assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
+    classes = basis.classes
+    apart = (classes[:, None] if V.even else classes[:, None] // 2) != (
+        classes[None, :] if V.even else classes[None, :] // 2)
+    assert not np.any(M[apart])
+    A = operator_core.assemble(V, basis)
+    dense = np.diag(np.rint(basis.freqs ** 2)) + ref
+    mu = operator_core.diagonalize(A, basis).eigenvalues
+    norm = np.linalg.norm(dense, 2)
+    assert np.max(np.abs(mu - np.linalg.eigvalsh(dense))) <= 1e-12 * norm
+
+
+def test_full_sphere_even_solve_calls_eigh_per_order_and_parity(monkeypatch):
+    """An even V at K = 24 is solved as one eigh per (m, parity of k - m),
+    2K + 1 in all, shared by the cos and sin twins: no block has more than
+    ceil((K + 1) / 2) modes.  Each eigenvector lives on one class, and each
+    degenerate cos/sin pair lists the cos eigenvector first."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def record(a):
+        shapes.append(a.shape[0])
+        return eigh(a)
+
+    K = 24
+    basis = geometry.build_basis(_FULL_S2, K)
+    A = operator_core.assemble(_ZONAL_ON_S2["truncated-counterexample"], basis)
+    monkeypatch.setattr(operator_core.np.linalg, "eigh", record)
+    decomp = operator_core.diagonalize(A, basis)
+    assert len(shapes) == 2 * K + 1
+    assert max(shapes) == math.ceil((K + 1) / 2)
+    classes, vecs = basis.classes, decomp.eigenvectors
+    support = [np.unique(classes[np.flatnonzero(vecs[:, c])]) for c in range(basis.size)]
+    assert all(s.size == 1 for s in support)
+    cls = np.array([s[0] for s in support])
+    mu = decomp.eigenvalues
+    twins = (mu[1:] == mu[:-1]) & (cls[1:] // 4 == cls[:-1] // 4)
+    assert np.count_nonzero(twins) == K * (K + 1) // 2  # one pair per (k, m >= 1)
+    assert np.all(cls[:-1][twins] % 4 < 2) and np.all(cls[1:][twins] % 4 >= 2)
+
+
+def test_full_sphere_solve_builds_no_node_values(monkeypatch):
+    """The checked assembly and the eigensolve on the full S^2 never evaluate
+    the N x J basis table; the node values are built on their first read."""
+    rows = []
+    evaluate = geometry.FullSphereBasis._eval_modes
+
+    def record(self, points):
+        rows.append(points.shape[0])
+        return evaluate(self, points)
+
+    monkeypatch.setattr(geometry.FullSphereBasis, "_eval_modes", record)
+    basis = geometry.build_basis(_FULL_S2, 16)
+    decomp = operator_core.diagonalize(
+        operator_core.assemble(_ZONAL_ON_S2["cos(phi)"], basis, check=True), basis)
+    assert rows == []
+    assert decomp.node_values().shape == (basis.grid.size, basis.size)
+    assert rows == [basis.grid.size]
+
+
+@pytest.mark.parametrize("K,entry,move,scale", [(16, 258, "1.164e-01", "3.554e+00"),
+                                                (48, 2304, "1.128e-01", "3.589e+00")])
+def test_full_sphere_check_still_refuses_truncated(K, entry, move, scale):
+    """The checked solve of the truncated V on the default full-S^2 grid
+    still stops, naming the same move and the entry the dense check named
+    (or its cos/sin twin); at K = 48 it stops within a second (the dense
+    check took 5.2 s)."""
+    basis = geometry.build_basis(_FULL_S2, K)
+    k, m, _ = basis.modes[entry]
+    twins = "|".join(str(basis.modes.index((k, m, t))) for t in "cs" if m or t == "c")
+    start = time.perf_counter()
+    with pytest.raises(NumericError, match=rf"entry \(({twins}), \1\) moved by "
+                       rf"{re.escape(move)} \(scale {re.escape(scale)}\)"):
+        operator_core.solve(_ZONAL_ON_S2["truncated-counterexample"], _FULL_S2, K)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("n", [2, 3])
