@@ -16,7 +16,6 @@ import io
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,12 +23,22 @@ import numpy as np
 from . import geometry, operator_core
 from .errors import ConfigError, DomainError, ResolutionError
 
+def _sibling_file(path: str) -> tuple[int, str]:
+    """Create a new hidden file next to ``path``, open for writing, with the
+    mode a plain ``open`` would give it under the umask."""
+    head, tail = os.path.split(path)
+    while True:
+        tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write a whole file via a sibling temp file and rename, so interrupted
     runs never leave a half-written result behind."""
-    path = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                               prefix="." + os.path.basename(path) + ".")
+    fd, tmp = _sibling_file(os.path.abspath(path))
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
@@ -273,9 +282,10 @@ def projector_norm(decomp: operator_core.SpectralDecomposition, lo: float, hi: f
     """L^2 -> L^p norm of the spectral projector onto frequencies in (lo, hi].
 
     p = 2 is exactly 1; p = infinity is exact on the grid (pointwise l2 norm
-    of the band eigenfunction vector); intermediate p runs the p-norm power
+    of the band eigenfunction vector); intermediate p on a rank-one band is
+    the closed form ||e||_p, and on a band of rank >= 2 runs the p-norm power
     method c <- grad ||Uc||_p^p / |grad| over unit coefficient vectors from
-    deterministic restarts, and the result carries a Riesz-Thorin
+    deterministic restarts.  The result carries a Riesz-Thorin
     interpolation upper bound.
     """
     if p < 2:
@@ -293,6 +303,13 @@ def projector_norm(decomp: operator_core.SpectralDecomposition, lo: float, hi: f
         return ProjectorNormResult(lower=sup_line, upper=sup_line, p=p, rank=int(idx.size))
     if p == 2:
         return ProjectorNormResult(lower=1.0, upper=1.0, p=p, rank=int(idx.size))
+    theta = 1.0 - 2.0 / p
+    upper = sup_line ** theta  # ||P||_{2->2} = 1 interpolated against 2->inf
+    if idx.size == 1:
+        # the unit vectors of a rank-one band are +-1 and both give ||U 1||_p;
+        # the ascent ends there at its first step from every start
+        return ProjectorNormResult(lower=min(geometry.lp_norm(grid, U[:, 0], p), upper),
+                                   upper=upper, p=p, rank=1)
     w = grid.weights
     best = 0.0
     all_stagnated = True
@@ -313,8 +330,6 @@ def projector_norm(decomp: operator_core.SpectralDecomposition, lo: float, hi: f
                 all_stagnated = False  # stationary within tolerance
                 break
         best = max(best, val)
-    theta = 1.0 - 2.0 / p
-    upper = sup_line ** theta  # ||P||_{2->2} = 1 interpolated against 2->inf
     return ProjectorNormResult(lower=min(best, upper), upper=upper, p=p,
                                rank=int(idx.size), stagnation=all_stagnated)
 

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlab import estimators, geometry, operator_core
+from qlab import estimators, geometry, operator_core, potentials
 from qlab.errors import ConfigError, DomainError, ResolutionError
 
 
@@ -177,6 +179,103 @@ def test_power_method_equals_line_search_on_rank_one_bands(s2_free_72):
         assert res.stagnation == stagnated
 
 
+def _power_ascent(decomp, lo, hi, p):
+    """Reference: the power method of projector_norm from every start of
+    _ascent_starts, as it ran on bands of any rank; returns the best
+    ||Uc||_p and whether every start stagnated."""
+    U = decomp.node_values()[:, operator_core.band_indices(decomp.frequencies, lo, hi)]
+    grid = decomp.basis.grid
+    best, all_stagnated = 0.0, True
+    for c in estimators._ascent_starts(U.shape[1]):
+        g = U @ c
+        val = geometry.lp_norm(grid, g, p)
+        for _ in range(estimators._ASCENT_MAX_ITER):
+            grad = U.T @ (grid.weights * np.abs(g) ** (p - 1) * np.sign(g))
+            gnorm = float(np.linalg.norm(grad))
+            if gnorm == 0.0:
+                break
+            c = grad / gnorm
+            g = U @ c
+            prev, val = val, geometry.lp_norm(grid, g, p)
+            if val - prev < estimators._ASCENT_TOL * val:
+                all_stagnated = False
+                break
+        best = max(best, val)
+    return best, all_stagnated
+
+
+def _rank_one_bands(freq, count):
+    """(lo, hi] around each of ``count`` frequencies spread over the
+    spectrum, each holding that frequency alone."""
+    out = []
+    for j in np.linspace(1, freq.size - 2, count).astype(int):
+        lo, hi = (freq[j - 1] + freq[j]) / 2.0, (freq[j] + freq[j + 1]) / 2.0
+        if operator_core.band_indices(freq, lo, hi).size == 1:
+            out.append((lo, hi))
+    return out
+
+
+@pytest.fixture(scope="module")
+def s3_kato_40():
+    """Bounded (truncated) singular potential on S^3, truncation K = 40."""
+    return operator_core.solve(potentials.truncated_counterexample(3),
+                               geometry.ModelManifold(geometry.SPHERE_ZONAL, 3), 40)
+
+
+@pytest.mark.parametrize("name", ["s2_free_72", "s2_kato_72", "s3_free_40", "s3_kato_40"])
+def test_rank_one_closed_form_equals_the_ascent(name, request):
+    """On a rank-one band ||e||_p is the power method's value bit for bit,
+    with stagnation 0, on free and Kato-truncated zonal S^2 and S^3."""
+    decomp = request.getfixturevalue(name)
+    bands = _rank_one_bands(decomp.frequencies, 6)
+    assert len(bands) == 6
+    for p in (3.0, 4.0, 6.0, 8.0):
+        for lo, hi in bands:
+            res = estimators.projector_norm(decomp, lo, hi, p)
+            best, stagnated = _power_ascent(decomp, lo, hi, p)
+            assert res.rank == 1
+            assert res.lower == min(best, res.upper)
+            assert res.stagnation == stagnated is False
+
+
+def test_rank_one_closed_form_on_the_torus_constant_band():
+    """The constant mode is the torus's one rank-one band; its value is the
+    ascent's bit for bit, and vol^(1/p - 1/2) to rounding."""
+    decomp = operator_core.solve(None, geometry.ModelManifold(geometry.TORUS, 2), 6)
+    vol = decomp.basis.grid.manifold.volume
+    for p in (3.0, 4.0, 6.0, 8.0):
+        res = estimators.projector_norm(decomp, -0.5, 0.5, p)
+        best, stagnated = _power_ascent(decomp, -0.5, 0.5, p)
+        assert res.rank == 1
+        assert res.lower == min(best, res.upper) and res.stagnation == stagnated
+        assert res.lower == pytest.approx(vol ** (1.0 / p - 0.5), rel=1e-13)
+
+
+def test_rank_one_bands_run_no_ascent(s2_free_72, monkeypatch):
+    """Rank-one bands build no ascent starts and seed no generator; a rank-3
+    band still runs the ascent."""
+    starts = []
+    ascent_starts = estimators._ascent_starts
+
+    def record(num_modes):
+        starts.append(num_modes)
+        return ascent_starts(num_modes)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("a rank-one band seeded a generator")
+
+    monkeypatch.setattr(estimators, "_ascent_starts", record)
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    lams = (10.0, 14.0, 20.0, 28.0, 40.0, 56.0)
+    rep = estimators.projector_growth_report(s2_free_72, 6.0, lams)
+    assert [row[3] for row in rep.rows] == [1] * len(lams)
+    assert starts == []
+    monkeypatch.undo()
+    monkeypatch.setattr(estimators, "_ascent_starts", record)
+    assert estimators.projector_norm(s2_free_72, 10.0, 13.0, 6.0).rank == 3
+    assert starts == [3]
+
+
 @pytest.mark.parametrize("name, p", [("s2_free_72", 4.0), ("s2_kato_72", 6.0)])
 def test_power_method_reaches_line_search_on_rank_three_bands(name, p, request):
     """Each power step raises ||Uc||_p (it is convex in c), so the power
@@ -331,3 +430,37 @@ def test_resolvent_probe_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 10 * 2 ** 20
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+def test_atomic_write_text_mode_follows_the_umask(tmp_path, umask):
+    """Results get the mode a plain open would give them, 0o666 under the
+    umask, not the 0o600 of a private temp file."""
+    path = tmp_path / "out.csv"
+    old = os.umask(umask)
+    try:
+        estimators.atomic_write_text(str(path), "a,b\n")
+    finally:
+        os.umask(old)
+    assert path.read_text() == "a,b\n"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_atomic_write_text_failure_leaves_no_temp_file(tmp_path, monkeypatch):
+    """A write or a rename that fails removes its temp file and keeps the
+    old result."""
+    path = tmp_path / "out.json"
+    path.write_text("old")
+    with pytest.raises(TypeError):
+        estimators.atomic_write_text(str(path), None)
+    assert os.listdir(tmp_path) == ["out.json"]
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(estimators.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        estimators.atomic_write_text(str(path), "new")
+    assert os.listdir(tmp_path) == ["out.json"]
+    assert path.read_text() == "old"

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -288,6 +289,41 @@ def test_zonal_bases_unchanged():
                 h.update(np.ascontiguousarray(basis.values).tobytes())
                 h.update(basis._norms.tobytes())
     assert h.hexdigest() == "04fb28ec69721716971ba0f836270049a7ae0fd4340c6c40f5e826d05e2d8178"
+
+
+@given(n=st.integers(min_value=2, max_value=5), K=st.integers(min_value=0, max_value=600),
+       extra=st.lists(st.floats(min_value=0.0, max_value=math.pi), max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_gegenbauer_scalar_rows_match_array_table(n, K, extra):
+    """The Python-float recurrence of a few points reproduces the array
+    recurrence bit for bit, at the poles, the equator and random angles."""
+    x = np.cos(np.array([0.0, math.pi, math.pi / 2] + extra))
+    lam = (n - 1) / 2.0
+    with mock.patch.object(geometry, "_SCALAR_POINTS", x.size):
+        rows = geometry._gegenbauer_table(K, lam, x)
+    with mock.patch.object(geometry, "_SCALAR_POINTS", 0):
+        table = geometry._gegenbauer_table(K, lam, x)
+    assert rows.flags.c_contiguous and rows.shape == table.shape == (K + 1, x.size)
+    assert rows.tobytes() == table.tobytes()
+
+
+def test_pole_rows_take_the_scalar_path(monkeypatch):
+    """pole_values and a one-point evaluate recur on Python floats, and the
+    grid table on arrays."""
+    calls = []
+    multiply = np.multiply
+
+    def record(*args, **kwargs):
+        calls.append(1)
+        return multiply(*args, **kwargs)
+
+    basis = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_ZONAL, 2), 64)
+    monkeypatch.setattr(geometry.np, "multiply", record)
+    basis.pole_values
+    basis.evaluate(0.7)
+    assert calls == []
+    geometry._gegenbauer_table(64, 0.5, np.cos(basis.grid.nodes))
+    assert len(calls) == 2 * 63
 
 
 @pytest.mark.parametrize("n,size,levels", [(2, 7, 0), (3, 8, 0), (3, 31, 0), (5, 144, 0),
