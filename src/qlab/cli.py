@@ -264,7 +264,7 @@ def _decomposition(cfg: dict, top: float = 0.0):
                           f"requested frequency {top:g})")
     full, torus = manifold.kind == geometry.SPHERE_FULL_2D, manifold.kind == geometry.TORUS
     # N of geometry.default_grid; J is K + 1, (K + 1)^2 or the lattice count
-    nodes = (2 * K + 2) ** n if torus else (K + 9) * (2 * K + 4) if full else 2 * K + 16
+    nodes = math.prod(geometry._default_axes(manifold, K))
     what = f"the solve on the dense {manifold.kind} basis at K={K} ({nodes} nodes per mode)"
     if torus:  # one mode bounds the solve and keeps the lattice count cheap
         _check_bytes(_solve_bytes(nodes, 1), what, "K", exact=False)
@@ -331,12 +331,11 @@ def _plan_counterexample(cfg):
 
     from . import estimators, geometry, potentials
     n = cfg["n"]
-    _key("n", geometry.ModelManifold, geometry.SPHERE_ZONAL, n)
+    manifold = _key("n", geometry.ModelManifold, geometry.SPHERE_ZONAL, n)
 
     def run():
         V = potentials.counterexample(n)
-        grid = geometry.zonal_grid(n, 2 * cfg["K"] + 16,
-                                   pole_levels=geometry.SINGULAR_POLE_LEVELS)
+        grid = geometry.default_grid(manifold, cfg["K"], geometry.SINGULAR_POLE_LEVELS)
         phi = grid.nodes
         f = potentials.counterexample_eigenfunction(n, phi)
         lap = potentials.counterexample_eigenfunction_laplacian(n, phi)
@@ -345,7 +344,7 @@ def _plan_counterexample(cfg):
         bound = 1e-8 * (1.0 + np.abs(lap))
         rows = [[float(a), float(b), float(c), float(d)]
                 for a, b, c, d in zip(phi, f, vv, residual)]
-        coarse = geometry.zonal_grid(n, 2 * cfg["K"] + 16, pole_levels=3)
+        coarse = geometry.default_grid(manifold, cfg["K"], pole_levels=3)
         pole_growth = float(np.max(f) / np.max(
             potentials.counterexample_eigenfunction(n, coarse.nodes)))
         kato = potentials.kato_report(V, n)
@@ -464,7 +463,7 @@ def _plan_wave_speed(cfg):
         _check_bytes(sum(_solve_bytes(N, K + 1, F) for K, (N, F) in sizes.items())
                      + 25 * nodes ** 2, f"the leakage run up to K={Ks[-1]} ({nodes} nodes)",
                      "Ks")
-    sizes = {K: (2 * K + 16, 0) for K in set(Ks)}
+    sizes = {K: (geometry._default_axes(manifold, K)[0], 0) for K in set(Ks)}
     check(sizes)
     if V is not None:  # past the free bound, so the grids built here are small
         check({K: _checked_nodes(manifold, V, K, N) for K, (N, _) in sizes.items()})

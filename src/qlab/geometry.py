@@ -67,19 +67,26 @@ class QuadratureGrid:
     ``nodes`` has shape (N,) for zonal grids (polar angles ``phi``) and
     (N, d) for product grids (``(phi, theta)`` on S^2, angles on a torus).
     ``weights`` sum to the manifold volume.  ``pole_levels`` is the cap depth
-    a zonal grid was built with (0: no pole caps).
+    a zonal grid was built with (0: no pole caps).  ``shape`` is (n_phi,
+    n_theta) for a full-S^2 product grid, whose nodes run phi-major, so its
+    axes are ``nodes[::n_theta, 0]`` and ``nodes[:n_theta, 1]``; it is ()
+    for every other grid.
     """
 
     manifold: ModelManifold
     nodes: np.ndarray
     weights: np.ndarray
     pole_levels: int = 0
+    shape: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.nodes.shape[0] != self.weights.shape[0]:
             raise DomainError("nodes and weights must have matching lengths")
         if self.nodes.shape[0] == 0:
             raise DomainError("empty quadrature grid")
+        if self.shape and math.prod(self.shape) != self.nodes.shape[0]:
+            raise DomainError(f"grid shape {self.shape} does not match its "
+                              f"{self.nodes.shape[0]} nodes")
         if np.any(self.weights <= 0):
             raise DomainError("quadrature weights must be positive")
 
@@ -286,7 +293,8 @@ def full_sphere_grid(size_phi: int, size_theta: int | None = None) -> Quadrature
     pp, tt = np.meshgrid(phi, theta, indexing="ij")
     nodes = np.column_stack([pp.ravel(), tt.ravel()])
     weights = np.repeat(wphi, size_theta) * (2.0 * math.pi / size_theta)
-    return QuadratureGrid(ModelManifold(SPHERE_FULL_2D, 2), nodes, weights)
+    return QuadratureGrid(ModelManifold(SPHERE_FULL_2D, 2), nodes, weights,
+                          shape=(size_phi, size_theta))
 
 
 def torus_grid(n: int, size: int) -> QuadratureGrid:
@@ -460,31 +468,18 @@ def _normalized_assoc_legendre(K: int, m: int, phi: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def _distinct_bits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of x, told apart by their bits (so -0.0 is not
-    0.0), and the index of each entry of x among them."""
-    bits = np.ascontiguousarray(x).view(np.int64)
-    order = np.argsort(bits, kind="stable")
-    first = np.ones(x.shape[0], dtype=bool)
-    first[1:] = bits[order[1:]] != bits[order[:-1]]
-    at = np.empty_like(order)
-    at[order] = np.cumsum(first) - 1
-    return x[order[first]], at
-
-
-# node rows FullSphereBasis multiplies out at a time
-_EVAL_ROWS = 16
-
-
 class FullSphereBasis(Basis):
-    """Real spherical harmonics on S^2, degrees 0..K, all orders.  ``values``
-    (N x J) is built on its first read; it and ``pole_values`` (rows at the
-    poles (phi, theta) = (0, 0), (pi, 0)) are computed once: do not mutate
-    the basis."""
+    """Real spherical harmonics on S^2, degrees 0..K, all orders, on a
+    product grid of ``full_sphere_grid``.  ``values`` (N x J) is built on its
+    first read; it and ``pole_values`` (rows at the poles (phi, theta) =
+    (0, 0), (pi, 0)) are computed once: do not mutate the basis."""
 
     def __init__(self, K: int, grid: QuadratureGrid):
         if grid.manifold.kind != SPHERE_FULL_2D:
             raise DomainError("grid does not match the full S^2 manifold")
+        if len(grid.shape) != 2:
+            raise DomainError("the full S^2 basis needs a product grid with its "
+                              "(n_phi, n_theta) shape, as full_sphere_grid builds")
         modes = []
         for k in range(K + 1):
             modes.append((k, 0, "c"))
@@ -502,7 +497,13 @@ class FullSphereBasis(Basis):
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        return self._eval_modes(self.grid.nodes)
+        """The product of the radial rows on the grid's polar axis and the
+        trigonometric rows on its azimuthal axis, phi-major as the nodes."""
+        (n_phi, n_theta), nodes = self.grid.shape, self.grid.nodes
+        radial, trig = self._tables(nodes[::n_theta, 0], nodes[:n_theta, 1])
+        out = np.empty((n_phi, n_theta, self.size))
+        np.multiply(radial[:, None, :], trig[None, :, :], out=out)
+        return out.reshape(self.grid.size, self.size)
 
     @property
     def classes(self) -> np.ndarray:
@@ -518,35 +519,26 @@ class FullSphereBasis(Basis):
         return [np.flatnonzero(at & ~self._sine)] + ([np.flatnonzero(at & self._sine)]
                                                      if m else [])
 
-    def _eval_modes(self, points: np.ndarray) -> np.ndarray:
-        """Each value is radial(k, m, phi) * trig(m theta) with the radial
-        factor (sqrt(2) P~_k^m, or P~_k^0) computed once per distinct phi and
-        the trigonometric one once per distinct theta; a product grid has
-        n_phi and n_theta of them."""
-        phis, at_phi = _distinct_bits(points[:, 0])
-        thetas, at_theta = _distinct_bits(points[:, 1])
-        radial = np.empty((phis.shape[0], len(self.modes)))
-        trig = np.empty((thetas.shape[0], len(self.modes)))
+    def _tables(self, phi: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The factors of each mode's value radial(k, m, phi) * trig(m theta),
+        one column per mode: the radial rows (sqrt(2) P~_k^m(cos phi), or
+        P~_k^0) at ``phi`` and the trigonometric rows (cos or sin of m theta,
+        or 1) at ``theta``."""
+        radial = np.empty((phi.shape[0], self.size))
+        trig = np.empty((theta.shape[0], self.size))
         for m in range(self.K + 1):
-            table = _normalized_assoc_legendre(self.K, m, phis)
+            table = _normalized_assoc_legendre(self.K, m, phi)
             if m:
                 table *= math.sqrt(2.0)
             for f, cols in zip((np.cos, np.sin), self._order_columns(m)):
                 radial[:, cols] = table[self._degrees[cols] - m].T
-                trig[:, cols] = f(m * thetas)[:, None] if m else 1.0
-        out = np.empty((points.shape[0], len(self.modes)))
-        # the row blocks are gathered into two buffers made once
-        r_rows, t_rows = np.empty((2, min(_EVAL_ROWS, out.shape[0]), out.shape[1]))
-        for lo in range(0, out.shape[0], _EVAL_ROWS):
-            rows = slice(lo, lo + _EVAL_ROWS)
-            n = out[rows].shape[0]
-            np.take(radial, at_phi[rows], axis=0, out=r_rows[:n])
-            np.take(trig, at_theta[rows], axis=0, out=t_rows[:n])
-            np.multiply(r_rows[:n], t_rows[:n], out=out[rows])
-        return out
+                trig[:, cols] = f(m * theta)[:, None] if m else 1.0
+        return radial, trig
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        return self._eval_modes(np.atleast_2d(np.asarray(points, dtype=float)))
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        radial, trig = self._tables(points[:, 0], points[:, 1])
+        return radial * trig
 
     @functools.cached_property
     def pole_values(self) -> np.ndarray:
@@ -571,8 +563,7 @@ class TorusBasis(Basis):
         self.modes = [modes[i] for i in order]
         freqs = freqs[order]
         self._vol = grid.manifold.volume
-        values = self._eval_modes(grid.nodes)
-        super().__init__(grid.manifold, K, grid, freqs, values)
+        super().__init__(grid.manifold, K, grid, freqs, self.evaluate(grid.nodes))
 
     @staticmethod
     def _half_lattice(n: int, K: int) -> list[tuple[int, ...]]:
@@ -592,7 +583,8 @@ class TorusBasis(Basis):
         out.sort()
         return out
 
-    def _eval_modes(self, points: np.ndarray) -> np.ndarray:
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
         vol = self._vol
         cols = []
         for m, parity in self.modes:
@@ -605,17 +597,26 @@ class TorusBasis(Basis):
                 cols.append(np.sin(phase) * math.sqrt(2.0 / vol))
         return np.column_stack(cols)
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        return self._eval_modes(np.atleast_2d(np.asarray(points, dtype=float)))
+
+def _default_axes(manifold: ModelManifold, K: int) -> tuple[int, ...]:
+    """Axis sizes of ``default_grid`` without pole caps, whose node count is
+    their product: the Gauss nodes on the zonal sphere, (n_phi, n_theta) on
+    the full S^2, and the points of each of the n axes of a torus."""
+    if manifold.kind == SPHERE_ZONAL:
+        return (2 * K + 16,)
+    if manifold.kind == SPHERE_FULL_2D:
+        return (K + 9, 2 * K + 4)
+    return (2 * K + 2,) * manifold.n
 
 
 def default_grid(manifold: ModelManifold, K: int, pole_levels: int = 0) -> QuadratureGrid:
     """Grid sized for degree-2K Gauss exactness on the given manifold."""
+    axes = _default_axes(manifold, K)
     if manifold.kind == SPHERE_ZONAL:
-        return zonal_grid(manifold.n, 2 * K + 16, pole_levels=pole_levels)
+        return zonal_grid(manifold.n, axes[0], pole_levels=pole_levels)
     if manifold.kind == SPHERE_FULL_2D:
-        return full_sphere_grid(K + 9, 2 * K + 4)
-    return torus_grid(manifold.n, 2 * K + 2)
+        return full_sphere_grid(*axes)
+    return torus_grid(manifold.n, axes[0])
 
 
 def build_basis(manifold: ModelManifold, K: int, grid: QuadratureGrid | None = None) -> Basis:

@@ -68,17 +68,12 @@ def _signed_nodes(V: Potential, full: geometry.QuadratureGrid
 
 def _polar_rule(grid: geometry.QuadratureGrid) -> geometry.QuadratureGrid:
     """The polar rule of a full-S^2 product grid: the zonal S^2 Gauss rule on
-    its polar nodes, whose weights carry the theta integral 2 pi.  The theta
-    trapezoid of n_theta > 2K points is exact for the product of any two
-    modes of degree <= K, so the block of order m summed on this rule is the
-    quadrature of the whole grid in exact arithmetic."""
-    return geometry.zonal_grid(2, _distinct(grid.nodes[:, 0]))
-
-
-def _distinct(x: np.ndarray) -> int:
-    """The number of distinct values in x, without np.unique, whose first
-    plain call in a process imports numpy.ma (about 30 ms)."""
-    return int(np.count_nonzero(np.diff(np.sort(x)))) + 1
+    its n_phi polar nodes (``grid.shape[0]``), whose weights carry the theta
+    integral 2 pi.  The theta trapezoid of n_theta > 2K points is exact for
+    the product of any two modes of degree <= K, so the block of order m
+    summed on this rule is the quadrature of the whole grid in exact
+    arithmetic."""
+    return geometry.zonal_grid(2, grid.shape[0])
 
 
 # the degree-parity pair: the blocks of the Galerkin matrix of an even zonal V
@@ -114,51 +109,44 @@ def _split_gram(E: np.ndarray, wv: np.ndarray, npos: int, nneg: int,
     return M
 
 
-def _order_tables(V: Potential, basis: geometry.FullSphereBasis,
-                  grid: geometry.QuadratureGrid):
-    """``_split_gram``'s arguments for each order m = 0..K of a full-S^2
-    basis, summed on the polar rule of ``grid``: the table of P~_k^m,
-    k = m..K, private and column-major (one column per degree), at the
-    polar nodes where w V != 0 in sign order; w V; the sign counts; and
-    whether to split by the parity of k - m (an even V)."""
-    polar, wv, _, npos, nneg = _signed_nodes(V, grid)
-    phi = polar.nodes[:npos + nneg]
-    for m in range(basis.K + 1):
-        yield geometry._normalized_assoc_legendre(basis.K, m, phi).T, wv, npos, nneg, V.even
-
-
-def _by_order(basis: geometry.FullSphereBasis, blocks) -> np.ndarray:
-    """The J x J matrix of a zonal V on the full S^2 from its block of each
-    order m (``blocks``, m = 0..K), written at the cos and at the sin
-    columns of that order; every other entry is exactly 0."""
-    M = np.zeros((basis.size, basis.size))
-    for m, block in enumerate(blocks):
-        for cols in basis._order_columns(m):
-            M[np.ix_(cols, cols)] = block
-    return M
-
-
-def potential_matrix(V: Potential | None, basis: geometry.Basis) -> np.ndarray:
-    """Galerkin matrix <V e_j, e_k> on the basis quadrature grid, exactly
-    symmetric, from ``_split_gram``.  On the zonal sphere its rows are the
-    basis rows where w V != 0, gathered in sign order into a private copy.
-    On the full S^2 a zonal V couples only modes of one order m and one
-    trigonometric factor, so one block per order is formed from the
-    associated-Legendre table on the grid's polar rule (``_polar_rule``) and
-    written at both the cos and the sin columns of that order; every entry
-    between orders or between cos and sin is exactly 0, and the N x J basis
-    values are never read.  An even V (``V.even``) couples only degrees of
-    equal parity (of k - m on the full S^2): it is summed on the hemisphere
-    fold of the rule, its parity blocks are formed apart, and every entry
-    across parity is exactly 0.  V = None gives the zero matrix.  Raises
-    NumericError naming the first node where w V is not finite."""
+def potential_matrix(V: Potential | None, basis: geometry.Basis,
+                     grid: geometry.QuadratureGrid | None = None) -> np.ndarray:
+    """Galerkin matrix <V e_j, e_k> summed on ``grid`` (the basis grid by
+    default; ``assemble``'s check passes the refined grid), exactly
+    symmetric, from ``_split_gram``, which takes its rows as temporaries so
+    that it can free them.  On the zonal sphere the rows are the basis rows
+    where w V != 0, gathered in sign order into a private copy, on the basis
+    grid; on any other grid, the values of a basis built on the sign-ordered
+    rule (``_signed_nodes``).  A zonal basis sums its norms in that order,
+    which moves the matrix by about 1e-17 of its largest entry.  On the full
+    S^2 a zonal V couples only modes of one order m and one trigonometric
+    factor, so one block per order is formed from the associated-Legendre
+    table on the grid's polar rule (``_polar_rule``) and written at both the
+    cos and the sin columns of that order; every entry between orders or
+    between cos and sin is exactly 0, and no N x J table is built.  An even V
+    (``V.even``) couples only degrees of equal parity (of k - m on the full
+    S^2): it is summed on the hemisphere fold of the rule, its parity blocks
+    are formed apart, and every entry across parity is exactly 0.  V = None
+    gives the zero matrix.  Raises NumericError naming the first node where
+    w V is not finite."""
     J = basis.size
     if V is None:
         return np.zeros((J, J))
+    grid = basis.grid if grid is None else grid
+    rule, wv, order, npos, nneg = _signed_nodes(V, grid)
     if basis.manifold.kind == geometry.SPHERE_FULL_2D:
-        return _by_order(basis, (_split_gram(*table)
-                                 for table in _order_tables(V, basis, basis.grid)))
-    _, wv, order, npos, nneg = _signed_nodes(V, basis.grid)
+        M = np.zeros((J, J))
+        phi = rule.nodes[:npos + nneg]
+        for m in range(basis.K + 1):
+            # the table of P~_k^m, k = m..K, one column per degree
+            block = _split_gram(geometry._normalized_assoc_legendre(basis.K, m, phi).T,
+                                wv, npos, nneg, V.even)
+            for cols in basis._order_columns(m):
+                M[np.ix_(cols, cols)] = block
+        return M
+    if grid is not basis.grid:
+        return _split_gram(geometry.build_basis(basis.manifold, basis.K, rule).values,
+                           wv, npos, nneg, V.even)
     rows = order[:npos + nneg]
     # the parity views need column-major rows: np.take on the transposed
     # zonal table gathers them
@@ -178,20 +166,21 @@ def assemble(V: Potential | None, basis: geometry.Basis,
     1% (``_CHECK_TOL``) of the matrix scale; otherwise it returns the refined
     matrix.  A pole-capped zonal grid keeps its caps (its ``pole_levels``) node
     for node and refines only the bulk, so the check never tests the cap rule.
-    Both matrices come from one routine, ``_split_gram``.  On the zonal
-    sphere the check hands it the refined basis whole, so its working set is
-    the basis, one refined basis and a few J x J matrices; an even V is
-    reassembled on the hemisphere fold of the refined grid, so the refined
-    basis is evaluated on those nodes only.  On the full S^2 both matrices
-    are formed by order (``potential_matrix``), the check's on the polar rule
-    of the refined grid (2 n_phi + 1 nodes), and no N x J table is built.
-    w V is checked on the basis grid before any refined work, so the
+    Both matrices come from ``potential_matrix``, on the basis grid and on
+    ``_refined_grid(basis.grid)``.  On the zonal sphere the check's rows are
+    a refined basis, built on the sign-ordered nodes and handed over whole,
+    so its working set is the basis, one refined basis and a few J x J
+    matrices; an even V is reassembled on the hemisphere fold of the refined
+    grid, so the refined basis is evaluated on those nodes only.  On the
+    full S^2 both matrices are formed by order, the check's on the polar
+    rule of the refined grid (2 n_phi + 1 nodes), and no N x J table is
+    built.  w V is checked on the basis grid before any refined work, so the
     NumericError for a V that is not finite names a node of that grid (of
     its polar rule on the full S^2).
     """
     pot = potential_matrix(V, basis)  # checks w V on this grid first
     if check and V is not None:
-        pot_fine = _refined_matrix(V, basis)
+        pot_fine = potential_matrix(V, basis, _refined_grid(basis.grid))
         scale = max(float(np.max(pot_fine)), -float(np.min(pot_fine)), 1e-300)
         diff = np.subtract(pot_fine, pot, out=pot)
         np.abs(diff, out=diff)
@@ -217,26 +206,8 @@ def _refined_grid(grid: geometry.QuadratureGrid) -> geometry.QuadratureGrid:
     m = grid.manifold
     if m.kind == geometry.SPHERE_ZONAL:
         return geometry.zonal_grid(m.n, 2 * grid.size, pole_levels=grid.pole_levels)
-    nphi, ntheta = _distinct(grid.nodes[:, 0]), _distinct(grid.nodes[:, 1])
+    nphi, ntheta = grid.shape
     return geometry.full_sphere_grid(2 * nphi + 1, 2 * ntheta + 2)
-
-
-def _refined_matrix(V: Potential, basis: geometry.Basis) -> np.ndarray:
-    """Potential matrix of V on the refined grid of a sphere basis (on its
-    hemisphere fold for an even V).  On the zonal sphere the refined basis is
-    private to the check, so it is built on the nodes in sign order and
-    handed to ``_split_gram`` whole: no row is copied.  A zonal basis sums
-    its norms in that order, which moves the matrix by about 1e-17 of its
-    largest entry; where w V > 0 at every node the order is the grid's own.
-    On the full S^2 the blocks of each order are summed on the refined polar
-    rule, as ``potential_matrix`` sums them on the basis grid's."""
-    fine = _refined_grid(basis.grid)
-    if basis.manifold.kind == geometry.SPHERE_FULL_2D:
-        return _by_order(basis, (_split_gram(*table)
-                                 for table in _order_tables(V, basis, fine)))
-    grid, wv, _, npos, nneg = _signed_nodes(V, fine)
-    return _split_gram(geometry.build_basis(basis.manifold, basis.K, grid).values,
-                       wv, npos, nneg, V.even)
 
 
 @dataclass
@@ -251,7 +222,9 @@ class SpectralDecomposition:
     ``node_values()`` is computed once per decomposition, on its first call,
     and every call returns that same read-only array; pole values are read
     from the basis the same way.  ``eigenvectors`` and ``basis`` must
-    therefore not be mutated after that first call.
+    therefore not be mutated after that first call.  ``_free`` marks the
+    identity eigenvectors of ``diagonalize``'s diagonal shortcut, whose node
+    values are a copy of the basis values.
     """
 
     eigenvalues: np.ndarray
@@ -260,6 +233,7 @@ class SpectralDecomposition:
     shift: int = 0
     _node_values: np.ndarray | None = field(default=None, init=False, repr=False,
                                             compare=False)
+    _free: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -275,7 +249,9 @@ class SpectralDecomposition:
         if self.basis is None:
             raise DomainError("decomposition carries no basis")
         if self._node_values is None:
-            values = self.basis.values @ self.eigenvectors
+            # what basis.values @ I gives: C order, and +0.0 for each -0.0
+            values = (np.add(self.basis.values, 0.0, order="C") if self._free
+                      else self.basis.values @ self.eigenvectors)
             values.flags.writeable = False
             self._node_values = values
         return self._node_values
@@ -315,8 +291,9 @@ def diagonalize(matrix: np.ndarray,
     non-decreasing diagonal whose largest |entry| is 0 or lies in the range
     where ``eigh`` does not rescale (``_EIGH_UNSCALED``) skips ``eigh`` and
     returns its output bit for bit: the diagonal, the identity, and as node
-    values a C-contiguous copy of the basis values.  Any other diagonal
-    matrix is solved whole.  A non-diagonal matrix is solved by symmetry
+    values a C-contiguous copy of the basis values, made on their first read
+    (so a free full-S^2 solve builds no N x J table until then).  Any other
+    diagonal matrix is solved whole.  A non-diagonal matrix is solved by symmetry
     class (``basis.classes``; index parity without a basis): classes that
     the matrix couples by any nonzero entry are merged (``_coupled``), and
     each merged class gets one ``eigh``, shared by classes whose blocks are
@@ -341,11 +318,7 @@ def diagonalize(matrix: np.ndarray,
         # range eigh does not rescale: eigh returns exactly (d, I) here, so skip it
         decomp = SpectralDecomposition(eigenvalues=d.copy(),
                                        eigenvectors=np.eye(A.shape[0]), basis=basis)
-        if basis is not None:
-            # what basis.values @ I gives: C order, and +0.0 for each -0.0
-            values = np.add(basis.values, 0.0, order="C")
-            values.flags.writeable = False
-            decomp._node_values = values
+        decomp._free = True
         return decomp
     J = A.shape[0]
     # a diagonal matrix is solved whole: LAPACK orders its repeated

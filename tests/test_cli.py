@@ -602,3 +602,31 @@ def test_validated_configs_run(experiment):
             assert cli.main([experiment, "--out", out] + args) in (0, 2), raw
 
     check()
+
+
+def test_plans_size_the_default_grid(monkeypatch):
+    """Every plan charges the N of the grid its run builds: the solve of a
+    spectral experiment and each wave-speed solve the node count of
+    ``geometry.default_grid``, on the three manifolds at a few K; the
+    counterexample run tabulates V and f on the pole-capped default grid."""
+    from qlab import geometry
+    charged = []
+    monkeypatch.setattr(cli, "_solve_bytes",
+                        lambda nodes, modes, fine=0: charged.append((nodes, modes)) or 0)
+    for manifold in (geometry.ModelManifold(geometry.SPHERE_ZONAL, 3),
+                     geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2),
+                     geometry.ModelManifold(geometry.TORUS, 2),
+                     geometry.ModelManifold(geometry.TORUS, 3)):
+        for K in (2, 7, 24):
+            charged.clear()
+            cli._decomposition(cli.build_config("spectrum", {
+                "manifold": manifold.kind, "n": str(manifold.n), "K": str(K)}))
+            assert {N for N, _ in charged} == {geometry.default_grid(manifold, K).size}
+    charged.clear()
+    cli.RUNNERS["wave-speed"](cli.build_config("wave-speed", {"n": "3", "Ks": "8,24"}))
+    zonal = geometry.ModelManifold(geometry.SPHERE_ZONAL, 3)
+    assert sorted(charged) == [(geometry.default_grid(zonal, K).size, K + 1) for K in (8, 24)]
+    report = cli.RUNNERS["counterexample"](cli.build_config("counterexample",
+                                                            {"n": "3", "K": "8"}))()
+    grid = geometry.default_grid(zonal, 8, geometry.SINGULAR_POLE_LEVELS)
+    assert [row[0] for row in report.rows] == grid.nodes.tolist()

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 from unittest import mock
 
 import mpmath
@@ -253,7 +254,7 @@ def _full_sphere_reference(basis, points):
     return np.column_stack(cols)
 
 
-@pytest.mark.parametrize("K", [0, 1, 5, 16])
+@pytest.mark.parametrize("K", [0, 1, 5, 16, 31])
 def test_full_sphere_values_match_per_mode_loop(K):
     """The per-order evaluation reproduces the per-mode loop bit for bit,
     signed zeros included, on the grid and at off-grid points."""
@@ -351,3 +352,20 @@ def test_hemisphere_folds_even_integrands(n, size, levels):
 def test_hemisphere_rejects_product_grids():
     with pytest.raises(DomainError, match="zonal"):
         geometry.hemisphere(geometry.full_sphere_grid(8))
+
+
+def test_grid_shape_matches_its_nodes():
+    """A full-S^2 product grid keeps its (n_phi, n_theta) axes, phi-major;
+    every other grid has shape (); a shape whose product is not the node
+    count is refused, and the full-S^2 basis refuses a grid without axes."""
+    grid = geometry.full_sphere_grid(6, 10)
+    assert grid.shape == (6, 10)
+    assert np.array_equal(grid.nodes[::10, 0], np.unique(grid.nodes[:, 0]))
+    assert np.array_equal(grid.nodes[:10, 1], np.unique(grid.nodes[:, 1]))
+    for other in (geometry.zonal_grid(3, 20), geometry.zonal_grid(3, 20, pole_levels=6),
+                  geometry.torus_grid(2, 6)):
+        assert other.shape == ()
+    with pytest.raises(DomainError, match=r"shape \(6, 11\) does not match its 60 nodes"):
+        geometry.QuadratureGrid(grid.manifold, grid.nodes, grid.weights, shape=(6, 11))
+    with pytest.raises(DomainError, match="shape"):
+        geometry.FullSphereBasis(4, replace(grid, shape=()))

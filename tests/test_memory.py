@@ -5,8 +5,10 @@ of a singular V holds no copy of refined basis rows."""
 
 import ast
 import inspect
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from qlab import cli, geometry, operator_core, potentials
@@ -101,3 +103,45 @@ def test_checked_assembly_copies_no_basis_row():
         tracemalloc.stop()
     J = basis.size
     assert peak <= basis.values.nbytes + 8 * J * fine + 3 * 8 * J * J
+
+
+def _counts(E):
+    """Reference counts of rows E and of the array E views (None if it owns
+    its data), as seen from a function that was handed E."""
+    base = E.base
+    return sys.getrefcount(E), None if base is None else sys.getrefcount(base)
+
+
+def test_split_gram_takes_its_rows_as_temporaries(monkeypatch):
+    """``_split_gram`` frees its rows (``del E``) before it allocates the
+    J x J matrix, which frees them only if no caller holds a reference to
+    them or to the array they view: every call sees the reference counts of
+    a fresh temporary passed the same way, a new array or a view of one.
+    Covered: the coarse and refined zonal calls (gathered rows, their
+    parity views and the refined basis) and every order on the full S^2."""
+    split = operator_core._split_gram
+    seen = []
+
+    def record(E, wv, npos, nneg, parity):
+        seen.append((E.base is not None, _counts(E)))
+        return split(E, wv, npos, nneg, parity)
+
+    def probe(E, wv, npos, nneg, parity):
+        return _counts(E)
+
+    fresh = {False: probe(np.ones((3, 2)), None, 0, 0, False),
+             True: probe(np.ones((2, 3)).T, None, 0, 0, False)}
+    monkeypatch.setattr(operator_core, "_split_gram", record)
+    zonal = geometry.ModelManifold(geometry.SPHERE_ZONAL, 3)
+    capped = geometry.default_grid(zonal, 32, geometry.SINGULAR_POLE_LEVELS)
+    full = geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2)
+    for basis, V in ((geometry.build_basis(zonal, 32, capped), potentials.counterexample(3)),
+                     (geometry.build_basis(zonal, 32),
+                      potentials.from_expression("sin(phi)-0.5")),
+                     (geometry.build_basis(full, 8),
+                      potentials.Potential(fn=lambda phi: np.cos(phi) ** 2 - 0.3, even=True)),
+                     (geometry.build_basis(full, 8), potentials.from_expression("cos(phi)"))):
+        seen.clear()
+        operator_core.assemble(V, basis, check=True)
+        assert len(seen) == (2 if basis.manifold == zonal else 2 * (basis.K + 1))
+        assert [counts for _, counts in seen] == [fresh[view] for view, _ in seen]

@@ -357,14 +357,21 @@ def test_fixed_shift_adds_to_eigenvalues():
 
 
 def test_shifted_free_solve_keeps_node_values():
-    """A shift moves only the eigenvalues: a free shifted solve keeps the node
-    values the diagonal shortcut set, bit for bit, and computes none."""
-    manifold = geometry.ModelManifold(geometry.TORUS, 2)
-    base = operator_core.solve(None, manifold, 6)
-    shifted = operator_core.solve(None, manifold, 6, shift=1)
-    assert shifted._node_values is not None
-    assert np.array_equal(shifted.node_values(), base.node_values())
-    assert np.array_equal(shifted.eigenvalues, base.eigenvalues + 1)
+    """A shift moves only the eigenvalues: a free shifted solve forms no node
+    values until they are first read (on the full S^2 not even the basis
+    table), and then has those of the unshifted solve bit for bit, the
+    C-order copy of the basis values that basis.values @ I gives."""
+    for kind in (geometry.TORUS, geometry.SPHERE_FULL_2D):
+        manifold = geometry.ModelManifold(kind, 2)
+        base = operator_core.solve(None, manifold, 6)
+        shifted = operator_core.solve(None, manifold, 6, shift=1)
+        assert shifted._node_values is None
+        assert kind == geometry.TORUS or "values" not in vars(shifted.basis)
+        values = shifted.node_values()
+        assert values.flags.c_contiguous and not values.flags.writeable
+        assert values.tobytes() == base.node_values().tobytes()
+        assert values.tobytes() == (shifted.basis.values @ shifted.eigenvectors).tobytes()
+        assert np.array_equal(shifted.eigenvalues, base.eigenvalues + 1)
 
 
 def test_multiplier_identity(s2_free_24):
@@ -494,9 +501,9 @@ def test_split_gram_matches_gemm(kind, levels, even, signs):
     fold = geometry.hemisphere if parity else (lambda grid: grid)
     M = operator_core.potential_matrix(V, basis)
     _assert_split_matches_gemm(M, _gemm_potential(V, basis, fold(basis.grid)), parity)
-    fine = fold(operator_core._refined_grid(basis.grid))
-    fine_basis = geometry.build_basis(manifold, 24, fine)
-    pot_fine = operator_core._refined_matrix(V, basis)
+    fine_grid = operator_core._refined_grid(basis.grid)
+    fine_basis = geometry.build_basis(manifold, 24, fold(fine_grid))
+    pot_fine = operator_core.potential_matrix(V, basis, fine_grid)
     _assert_split_matches_gemm(pot_fine, _gemm_potential(V, fine_basis), parity)
     A = operator_core.assemble(V, basis, check=True)
     assert A.tobytes() == (np.diag(np.rint(basis.freqs ** 2)) + pot_fine).tobytes()
@@ -517,7 +524,7 @@ def test_partitioned_check_matches_unpartitioned(n, V):
     fine_grid = operator_core._refined_grid(basis.grid)
     half = geometry.hemisphere(fine_grid)
     ref = _gemm_potential(V, geometry.ZonalSphereBasis(n, 48, half))
-    _assert_split_matches_gemm(operator_core._refined_matrix(V, basis), ref, True)
+    _assert_split_matches_gemm(operator_core.potential_matrix(V, basis, fine_grid), ref, True)
     order = operator_core._signed_nodes(V, fine_grid)[2]
     assert np.array_equal(order, np.arange(half.size)) == (n == 2 and V.singular)
 
@@ -530,9 +537,9 @@ def test_full_sphere_check_matches_refined_basis(expr):
     manifold = geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2)
     basis = geometry.build_basis(manifold, 10)
     V = potentials.from_expression(expr)
-    fine = geometry.build_basis(manifold, 10, operator_core._refined_grid(basis.grid))
-    ref = operator_core.potential_matrix(V, fine)
-    assert operator_core._refined_matrix(V, basis).tobytes() == ref.tobytes()
+    fine_grid = operator_core._refined_grid(basis.grid)
+    ref = operator_core.potential_matrix(V, geometry.build_basis(manifold, 10, fine_grid))
+    assert operator_core.potential_matrix(V, basis, fine_grid).tobytes() == ref.tobytes()
 
 
 _FULL_S2 = geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2)
@@ -599,21 +606,22 @@ def test_full_sphere_even_solve_calls_eigh_per_order_and_parity(monkeypatch):
 
 def test_full_sphere_solve_builds_no_node_values(monkeypatch):
     """The checked assembly and the eigensolve on the full S^2 never evaluate
-    the N x J basis table; the node values are built on their first read."""
-    rows = []
-    evaluate = geometry.FullSphereBasis._eval_modes
+    the N x J basis table; the node values are built on their first read,
+    from one table of each factor on the grid's axes."""
+    axes = []
+    tables = geometry.FullSphereBasis._tables
 
-    def record(self, points):
-        rows.append(points.shape[0])
-        return evaluate(self, points)
+    def record(self, phi, theta):
+        axes.append((phi.shape[0], theta.shape[0]))
+        return tables(self, phi, theta)
 
-    monkeypatch.setattr(geometry.FullSphereBasis, "_eval_modes", record)
+    monkeypatch.setattr(geometry.FullSphereBasis, "_tables", record)
     basis = geometry.build_basis(_FULL_S2, 16)
     decomp = operator_core.diagonalize(
         operator_core.assemble(_ZONAL_ON_S2["cos(phi)"], basis, check=True), basis)
-    assert rows == []
+    assert axes == []
     assert decomp.node_values().shape == (basis.grid.size, basis.size)
-    assert rows == [basis.grid.size]
+    assert axes == [basis.grid.shape]
 
 
 @pytest.mark.parametrize("K,entry,move,scale", [(16, 258, "1.164e-01", "3.554e+00"),

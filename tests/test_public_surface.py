@@ -88,23 +88,29 @@ def test_every_slope_verdict_comes_from_slope_report():
     assert callers == {"slope_report"}
 
 
+# the retired split paths and the helpers that re-derived the axes of a
+# full-S^2 product grid, which now keeps them (``QuadratureGrid.shape``)
+_RETIRED = ("_sign_split", "_parity_blocks", "_refined_matrix", "_order_tables",
+            "_by_order", "_distinct", "_distinct_bits", "_EVAL_ROWS", "_eval_modes")
+
+
 def test_one_sign_split_for_the_potential_block():
-    """One path for S+^T S+ - S-^T S-: no ``_sign_split`` or
-    ``_parity_blocks`` is defined or referenced in ``src/qlab`` or
-    ``bench/``, and the only functions that call ``_split_gram`` are the
-    coarse assembly and the refinement check."""
+    """One path for S+^T S+ - S-^T S-: none of ``_RETIRED`` is defined or
+    referenced in ``src/qlab`` or ``bench/``, and the only function that
+    calls ``_split_gram`` is ``potential_matrix``, which sums V on any rule
+    (the basis grid, or the refined grid of the check)."""
     callers = set()
     paths = glob.glob(os.path.join(ROOT, "src", "qlab", "*.py")) \
         + glob.glob(os.path.join(ROOT, "bench", "*.py"))
     for path in sorted(paths):
         tree = ast.parse(open(path).read(), filename=path)
         refs = _references(tree)
-        assert refs["_sign_split"] == refs["_parity_blocks"] == 0, path
+        assert not any(refs[name] for name in _RETIRED), path
         for func in ast.walk(tree):
             if not isinstance(func, _FUNCS):
                 continue
-            assert func.name not in ("_sign_split", "_parity_blocks"), path
+            assert func.name not in _RETIRED, path
             for sub in ast.walk(func):
                 if isinstance(sub, ast.Call) and "_split_gram" in _references(sub.func):
                     callers.add(func.name)
-    assert callers == {"potential_matrix", "_refined_matrix"}
+    assert callers == {"potential_matrix"}
