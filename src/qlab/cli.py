@@ -207,29 +207,27 @@ def _check_bytes(size: int, what: str, key: str, exact: bool = True) -> None:
 
 
 def _solve_bytes(nodes: int, modes: int, fine: int = 0) -> int:
-    """Peak bytes of a solve and its node values on N nodes and J modes.  A
-    free one holds the basis, its node-value copy, the identity and the J x J
-    Galerkin matrix (within 3% of the tracemalloc peak); a V != 0 one peaks in
-    its check on ``fine`` refined nodes: the basis, the refined basis (which
-    ``operator_core._split_gram`` takes whole, copying no row) and three
-    J x J matrices, which cover the Galerkin matrix, the split's blocks and
-    the transients of building the refined basis (0.84x-1.02x)."""
+    """Peak bytes of a solve and its node values on N nodes and J modes, with
+    ``fine`` refined nodes in its check (0: none, or the check on the full
+    S^2, which builds no refined table).  Without a refined table it holds
+    the basis, the node values and one J x J matrix (1.00x-1.01x of the
+    tracemalloc peak); with one it peaks in its check: the basis, the refined
+    basis (which ``operator_core._split_gram`` takes whole, copying no row)
+    and three J x J matrices, which cover the Galerkin matrix, the split's
+    blocks and the transients of building the refined basis (0.84x-1.02x)."""
     if fine:
         return 8 * modes * (nodes + fine + 3 * modes)
-    return 16 * modes * (nodes + modes)
+    return 8 * modes * (2 * nodes + modes)
 
 
-def _checked_nodes(manifold, V, K: int, nodes: int) -> tuple[int, int]:
-    """(N, F) of the checked solve of V != 0 on the zonal sphere: N is
-    ``nodes`` of the default grid, or of the pole-capped grid of a V with
-    poles (cheap to build), and F the refined nodes of its check (the
-    hemisphere fold for an even V)."""
-    from . import geometry, operator_core
-    if not V.singular:  # twice the Gauss nodes
-        return nodes, nodes if V.even else 2 * nodes
-    grid = geometry.default_grid(manifold, K, geometry.SINGULAR_POLE_LEVELS)
-    refined = operator_core._refined_grid(grid)
-    return grid.size, (geometry.hemisphere(refined) if V.even else refined).size
+def _solve_plan(V, manifold, K: int, key: str):
+    """``operator_core._solve_grid`` for a truncation K >= 2 read from config
+    key ``key``: the grid of the solve, as a function that builds it, its N
+    and the F of its check."""
+    from . import operator_core
+    if K < 2:
+        raise ConfigError(f"key {key!r}: truncation too small (K must be at least 2)")
+    return _key("n", operator_core._solve_grid, V, manifold, K)
 
 
 def _lattice_points(n: int, r2: int) -> int:
@@ -255,30 +253,18 @@ def _decomposition(cfg: dict, top: float = 0.0):
     manifold = _key("manifold", geometry.ModelManifold, cfg["manifold"], n)
     V = _key("potential", potentials.from_reference, cfg["potential"], n)
     _key("potential", operator_core._check_potential, V, manifold)
-    if manifold.kind == geometry.SPHERE_ZONAL and (V is None or not V.singular):
-        _key("n", geometry._check_gauss_alpha, (n - 2) / 2.0)  # the default Gauss grid
-    if K < 2:
-        raise ConfigError("truncation too small (K must be at least 2)")
+    _, nodes, fine = _solve_plan(V, manifold, K, "K")
     if K < top:
         raise ConfigError(f"truncation too small (K={K} below the largest "
                           f"requested frequency {top:g})")
     full, torus = manifold.kind == geometry.SPHERE_FULL_2D, manifold.kind == geometry.TORUS
-    # N of geometry.default_grid; J is K + 1, (K + 1)^2 or the lattice count
-    nodes = math.prod(geometry._default_axes(manifold, K))
-    what = f"the solve on the dense {manifold.kind} basis at K={K} ({nodes} nodes per mode)"
+    what = (f"the {'checked ' if fine else ''}solve on the dense {manifold.kind} basis at "
+            f"K={K} ({nodes} nodes per mode{f', {fine} in the check' if fine else ''})")
     if torus:  # one mode bounds the solve and keeps the lattice count cheap
         _check_bytes(_solve_bytes(nodes, 1), what, "K", exact=False)
+    # J is K + 1, (K + 1)^2 or the lattice count
     modes = _lattice_points(n, K * K) if torus else (K + 1) ** (1 + full)
-    _check_bytes(_solve_bytes(nodes, modes), what, "K")
-    # the checked solve on the full S^2 sums V by order on polar rules and
-    # builds no refined table: it peaks reading its node values, the basis,
-    # the node values and the eigenvectors, 8 J (2 N + J) bytes, under the
-    # free charge
-    if V is not None and not full:  # past the free bound, so the grids built here are small
-        nodes, fine = _checked_nodes(manifold, V, K, nodes)
-        _check_bytes(_solve_bytes(nodes, modes, fine), f"the checked solve on the dense "
-                     f"{manifold.kind} basis at K={K} ({nodes} nodes per mode, {fine} in "
-                     "the check)", "K")
+    _check_bytes(_solve_bytes(nodes, modes, fine), what, "K")
     if torus:
         mu = sum(np.meshgrid(*[np.arange(-K, K + 1) ** 2] * n, sparse=True)).ravel()
         mu = np.sort(mu[mu <= K * K]).astype(float)
@@ -330,12 +316,17 @@ def _plan_counterexample(cfg):
     import numpy as np
 
     from . import estimators, geometry, potentials
-    n = cfg["n"]
+    n, K = cfg["n"], cfg["K"]
     manifold = _key("n", geometry.ModelManifold, geometry.SPHERE_ZONAL, n)
+    V = potentials.counterexample(n)
+    build, nodes, _ = _solve_plan(V, manifold, K, "K")
+    # the rows of Python floats and the arrays of the table, 264 bytes per
+    # node, held while the Kato report peaks at 5.6 MB (tracemalloc, n = 2..5)
+    _check_bytes(264 * nodes + 6 * 2 ** 20,
+                 f"the counterexample table at K={K} ({nodes} nodes)", "K")
 
     def run():
-        V = potentials.counterexample(n)
-        grid = geometry.default_grid(manifold, cfg["K"], geometry.SINGULAR_POLE_LEVELS)
+        grid = build()
         phi = grid.nodes
         f = potentials.counterexample_eigenfunction(n, phi)
         lap = potentials.counterexample_eigenfunction_laplacian(n, phi)
@@ -344,7 +335,7 @@ def _plan_counterexample(cfg):
         bound = 1e-8 * (1.0 + np.abs(lap))
         rows = [[float(a), float(b), float(c), float(d)]
                 for a, b, c, d in zip(phi, f, vv, residual)]
-        coarse = geometry.default_grid(manifold, cfg["K"], pole_levels=3)
+        coarse = geometry.default_grid(manifold, K, pole_levels=3)
         pole_growth = float(np.max(f) / np.max(
             potentials.counterexample_eigenfunction(n, coarse.nodes)))
         kato = potentials.kato_report(V, n)
@@ -445,28 +436,20 @@ def _plan_wave_speed(cfg):
     n, t, Ks = cfg["n"], cfg["t"], sorted(cfg["Ks"])
     manifold = _key("n", geometry.ModelManifold, geometry.SPHERE_ZONAL, n)
     V = _key("potential", potentials.from_reference, cfg["potential"], n)
-    if V is None or not V.singular:
-        _key("n", geometry._check_gauss_alpha, (n - 2) / 2.0)  # the default Gauss grid
-    if not Ks or Ks[0] < 2:
-        raise ConfigError("key 'Ks': truncation too small (K must be at least 2)")
+    if not Ks:
+        raise ConfigError("key 'Ks': need at least one truncation")
     if len(set(Ks)) < len(Ks):
         raise ConfigError(f"key 'Ks': truncations must be distinct, got {Ks} (the leakage "
                           "must decrease strictly from one K to the next)")
     if t == 0.0:
         raise ConfigError("key 't': t must be non-zero (at t = 0 every leakage is exactly "
                           "0, so the leakage cannot decrease with K)")
-
-    def check(sizes):  # K -> (N, F) of each solve, as _solve_bytes takes them
-        # every solve is held, and the leakage at the largest K holds its N x N
-        # kernel (then distances), mass, cone mask and mass[outside]
-        nodes = sizes[Ks[-1]][0]
-        _check_bytes(sum(_solve_bytes(N, K + 1, F) for K, (N, F) in sizes.items())
-                     + 25 * nodes ** 2, f"the leakage run up to K={Ks[-1]} ({nodes} nodes)",
-                     "Ks")
-    sizes = {K: (geometry._default_axes(manifold, K)[0], 0) for K in set(Ks)}
-    check(sizes)
-    if V is not None:  # past the free bound, so the grids built here are small
-        check({K: _checked_nodes(manifold, V, K, N) for K, (N, _) in sizes.items()})
+    sizes = {K: _solve_plan(V, manifold, K, "Ks")[1:] for K in Ks}
+    # every solve is held, and the leakage at the largest K holds its N x N
+    # kernel (then distances), mass, cone mask and mass[outside]
+    nodes = sizes[Ks[-1]][0]
+    _check_bytes(sum(_solve_bytes(N, K + 1, F) for K, (N, F) in sizes.items())
+                 + 25 * nodes ** 2, f"the leakage run up to K={Ks[-1]} ({nodes} nodes)", "Ks")
     # the free top frequencies; the cutoff is held at a quarter of the largest
     tops = [math.sqrt(K * (K + n - 1.0)) for K in Ks]
     for top in tops:

@@ -13,6 +13,7 @@ produce bit-identical decompositions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -30,15 +31,6 @@ def _check_potential(V: Potential | None, manifold: geometry.ModelManifold) -> N
                           "pass V=None or assemble on a sphere")
 
 
-def _potential_values(V: Potential | None, grid: geometry.QuadratureGrid) -> np.ndarray:
-    if V is None:
-        return np.zeros(grid.size)
-    _check_potential(V, grid.manifold)
-    nodes = grid.nodes
-    # on the full S^2 a zonal V reads the polar angle of each (phi, theta) node
-    return np.asarray(V(nodes[:, 0] if nodes.ndim == 2 else nodes), dtype=float)
-
-
 def _signed_nodes(V: Potential, full: geometry.QuadratureGrid
                   ) -> tuple[geometry.QuadratureGrid, np.ndarray, np.ndarray, int, int]:
     """The zonal rule V is summed on for a basis on ``full`` (the grid itself,
@@ -53,7 +45,7 @@ def _signed_nodes(V: Potential, full: geometry.QuadratureGrid
     if full.manifold.kind == geometry.SPHERE_FULL_2D:
         full = _polar_rule(full)
     grid = geometry.hemisphere(full) if V.even else full
-    wv = grid.weights * _potential_values(V, grid)
+    wv = grid.weights * np.asarray(V(grid.nodes), dtype=float)
     bad = np.flatnonzero(~np.isfinite(wv))
     if bad.size:
         i = int(bad[0])
@@ -296,12 +288,11 @@ def diagonalize(matrix: np.ndarray,
     diagonal matrix is solved whole.  A non-diagonal matrix is solved by symmetry
     class (``basis.classes``; index parity without a basis): classes that
     the matrix couples by any nonzero entry are merged (``_coupled``), and
-    each merged class gets one ``eigh``, shared by classes whose blocks are
-    equal bit for bit (the cos and sin twins of an order on the full S^2).
-    The spectra are concatenated in the order of each class's lowest index
-    and go through one stable sort and one sign rule, so a tie lists the
-    eigenvector of the class with the lower first index first (even before
-    odd on the zonal sphere, cos before sin on the full S^2).  Raises
+    each merged class gets one ``eigh``.  The spectra are concatenated in
+    the order of each class's lowest index and go through one stable sort
+    and one sign rule, so a tie lists the eigenvector of the class with the
+    lower first index first (even before odd on the zonal sphere, cos before
+    sin on the full S^2).  Raises
     DomainError for a non-square or non-symmetric matrix and NumericError
     when the solver does not converge.
     """
@@ -326,37 +317,21 @@ def diagonalize(matrix: np.ndarray,
     classes = [np.arange(J)] if diagonal else _coupled(
         nonzero, np.arange(J) % 2 if basis is None else basis.classes)
     del nonzero
-    # a class whose block equals an earlier one's bit for bit (the cos and
-    # sin twins of an order on the full S^2) shares its eigh: ``which``
-    # gives each class its position in ``blocks``
-    blocks, which, seen = [], [], {}
+    # every entry between merged classes is 0, so the matrix is symmetric
+    # where its blocks are
+    atol = 1e-10 * max(1.0, float(np.max(A)), -float(np.min(A)))
+    parts = []
     for idx in classes:
         block = A if len(classes) == 1 else A.take(idx, axis=0).take(idx, axis=1)
-        which.append(seen.setdefault(block.tobytes() if len(classes) > 1 else b"",
-                                     len(blocks)))
-        if which[-1] == len(blocks):
-            blocks.append(block)
-    del A, block, seen
-    # every entry between merged classes is 0, so the matrix is symmetric
-    # where its blocks are, and its largest |entry| lies in one of them
-    if len(blocks) == 1:  # one block, the whole matrix where no class splits off
-        entries, mirror = blocks[0], blocks[0].T
-    else:  # the blocks side by side, so that one test covers them all
-        entries = np.concatenate([block.ravel() for block in blocks])
-        mirror = np.concatenate([block.T.ravel() for block in blocks])
-    if not np.allclose(entries, mirror,
-                       atol=1e-10 * max(1.0, float(np.max(np.abs(entries))))):
-        raise DomainError("matrix must be symmetric")
-    del entries, mirror
-    for k, block in enumerate(blocks):
+        if not np.allclose(block, block.T, atol=atol):
+            raise DomainError("matrix must be symmetric")
         block = block + block.T
         block *= 0.5
         w, v = _eigh(block)
         signs = _signs(v)
         v *= signs
-        blocks[k] = w, v, signs
-    parts = [blocks[k] for k in which]
-    del blocks, block
+        parts.append((w, v, signs))
+    del A, block
     mu = np.concatenate([w for w, _, _ in parts])
     order = np.argsort(mu, kind="stable")
     mu = mu[order]
@@ -419,19 +394,41 @@ def _positivity_shift(mu: np.ndarray) -> int:
     return max(0, int(math.ceil(1.0 - float(mu[0]) - slack)))
 
 
+def _solve_grid(V: Potential | None, manifold: geometry.ModelManifold, K: int
+                ) -> tuple[Callable[[], geometry.QuadratureGrid], int, int]:
+    """The grid ``solve`` builds, as a function that builds it, its node
+    count N and the node count F of the refined grid its check reads (0
+    without a check and on the full S^2), counted without building a grid
+    larger than the pole caps."""
+    levels = geometry.SINGULAR_POLE_LEVELS if V is not None and V.singular else 0
+    grid = functools.partial(geometry.default_grid, manifold, K, levels)
+    N = math.prod(geometry._default_axes(manifold, K))
+    zonal = manifold.kind == geometry.SPHERE_ZONAL
+    if zonal and not levels:
+        geometry._check_gauss_alpha((manifold.n - 2) / 2.0)
+    if V is None or not zonal:
+        return grid, N, 0
+    if not levels:  # the refined Gauss rule of 2N nodes folds onto N
+        return grid, N, N if V.even else 2 * N
+    # 8 max(8, size // 8) bulk nodes, half of them north, and caps that do
+    # not depend on the size, counted on the smallest grid (64 bulk nodes)
+    small = geometry.zonal_grid(manifold.n, 0, levels)
+    caps, north = small.size - 64, geometry.hemisphere(small).size - 32
+    N = 8 * max(8, N // 8) + caps
+    bulk = 8 * max(8, 2 * N // 8)
+    return grid, N, bulk // 2 + north if V.even else bulk + caps
+
+
 def solve(V: Potential | None, manifold: geometry.ModelManifold, K: int,
           shift: int | str = 0) -> SpectralDecomposition:
-    """Assemble and diagonalize H_V truncated at K, on a grid chosen for V:
-    the pole-capped grid of depth ``geometry.SINGULAR_POLE_LEVELS`` when V has
-    annotated singularities (``V.singular``), else the default grid.  Every V
-    other than None is assembled with ``check=True``, so a grid that cannot
-    resolve V raises NumericError.  The shift N is added to the eigenvalues
-    of H_V; ``shift='auto'`` picks the smallest integer N >= 0 making the
-    lowest of them at least 1, up to round-off.
+    """Assemble and diagonalize H_V truncated at K on the grid of
+    ``_solve_grid``.  Every V other than None is assembled with
+    ``check=True``, so a grid that cannot resolve V raises NumericError.  The
+    shift N is added to the eigenvalues of H_V; ``shift='auto'`` picks the
+    smallest integer N >= 0 making the lowest of them at least 1, up to
+    round-off.
     """
-    levels = geometry.SINGULAR_POLE_LEVELS if V is not None and V.singular else 0
-    basis = geometry.build_basis(manifold, K,
-                                 geometry.default_grid(manifold, K, pole_levels=levels))
+    basis = geometry.build_basis(manifold, K, _solve_grid(V, manifold, K)[0]())
     decomp = diagonalize(assemble(V, basis, check=True), basis)
     decomp.shift = _positivity_shift(decomp.eigenvalues) if shift == "auto" else int(shift)
     if decomp.shift:  # a shift moves only the eigenvalues: the node values stay

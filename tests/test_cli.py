@@ -119,18 +119,18 @@ _BAD_VALUES = [
     ("strichartz", "manifold = torus\nK = 20", "truncation frequency 20.0 below "
      "battery rung k=32"),
     ("heat", "manifold = torus\nK = 64", "the solve on the dense torus basis at K=64 (16900 "
-     "nodes per mode) needs 5.7 GiB, above the 1 GiB limit"),
+     "nodes per mode) needs 4.47 GiB, above the 1 GiB limit"),
     ("spectrum", "manifold = torus\nn = 3\nK = 1000", "needs at least 120 GiB"),
     ("heat", "manifold = sphere-full-2d", "the solve on the dense sphere-full-2d basis at "
-     "K=128 (35620 nodes per mode) needs 13 GiB, above the 1 GiB limit"),
+     "K=128 (35620 nodes per mode) needs 10.9 GiB, above the 1 GiB limit"),
     # the first truncations whose free solve exceeds the limit
-    ("spectrum", "manifold = torus\nK = 42", "the solve on the dense torus basis at K=42 "
-     "(7396 nodes per mode) needs 1.07 GiB"),
+    ("spectrum", "manifold = torus\nK = 44", "the solve on the dense torus basis at K=44 "
+     "(8100 nodes per mode) needs 1.01 GiB"),
     ("spectrum", "manifold = torus\nn = 3\nK = 11", "the solve on the dense torus basis at "
-     "K=11 (13824 nodes per mode) needs 1.62 GiB"),
-    ("spectrum", "manifold = sphere-full-2d\nK = 67", "the solve on the dense "
-     "sphere-full-2d basis at K=67 (10488 nodes per mode) needs 1.05 GiB"),
-    ("spectrum", "K = 4727", "the solve on the dense sphere-zonal basis at K=4727 (9470 "
+     "K=11 (13824 nodes per mode) needs 1.38 GiB"),
+    ("spectrum", "manifold = sphere-full-2d\nK = 70", "the solve on the dense "
+     "sphere-full-2d basis at K=70 (11376 nodes per mode) needs 1.05 GiB"),
+    ("spectrum", "K = 5178", "the solve on the dense sphere-zonal basis at K=5178 (10372 "
      "nodes per mode) needs 1.01 GiB"),
     # the first truncations whose checked V != 0 solve exceeds the limit
     ("spectrum", "potential = sin(phi)\nK = 3859", "the checked solve on the dense "
@@ -141,14 +141,19 @@ _BAD_VALUES = [
     ("spectrum", "n = 3\npotential = counterexample\nK = 4237", "the checked solve on the "
      "dense sphere-zonal basis at K=4237 (9232 nodes per mode, 9728 in the check) needs "
      "1.01 GiB"),
-    # the checked full-S^2 solve peaks under its free charge, so V != 0 stops there too
-    ("spectrum", "manifold = sphere-full-2d\npotential = constant:1\nK = 67",
-     "the solve on the dense sphere-full-2d basis at K=67 (10488 nodes per mode) needs "
+    # the checked full-S^2 solve builds no refined table, so V != 0 stops there too
+    ("spectrum", "manifold = sphere-full-2d\npotential = constant:1\nK = 70",
+     "the solve on the dense sphere-full-2d basis at K=70 (11376 nodes per mode) needs "
      "1.05 GiB"),
     ("divergent-quasimode", "k_max = 22", "key 'k_max': the ladder of 2^23 + 9 degrees x "
      "19 rungs needs 1.76 GiB, above the 1 GiB limit"),
-    ("wave-speed", "Ks = 2688", "key 'Ks': the leakage run up to K=2688 (5392 nodes) "
+    ("wave-speed", "Ks = 2763", "key 'Ks': the leakage run up to K=2763 (5542 nodes) "
      "needs 1.01 GiB, above the 1 GiB limit"),
+    ("counterexample", "K = 2021308", "key 'K': the counterexample table at K=2021308 "
+     "(4043376 nodes) needs 1.01 GiB, above the 1 GiB limit"),
+    ("counterexample", "K = 100000000", "the counterexample table at K=100000000 "
+     "(200000760 nodes) needs 49.2 GiB"),
+    ("counterexample", "K = -5", "key 'K': truncation too small (K must be at least 2)"),
     # single-key overrides of the shipped configs that the run rejected
     ("divergent-quasimode", "k_min = 0", "need 1 <= k_min < k_max"),
     ("divergent-quasimode", "k_max = 30", "key 'k_max': the ladder of 2^31 + 9 degrees x "
@@ -204,23 +209,25 @@ def test_validate_rejects_unparseable_optional_key(tmp_path, capsys):
 
 def test_validate_size_limits_pass_at_the_edge():
     """The last truncations whose free or checked solve fits the 1 GiB working
-    set pass (the next ones are rows of _BAD_VALUES), as do the largest ladder
-    and leakage run; a zonal ladder passes when its top rung fits."""
+    set pass (the next ones are rows of _BAD_VALUES), as do the largest
+    counterexample table, ladder and leakage run; a zonal ladder passes when
+    its top rung fits."""
     def diagnostics(experiment, **raw):
         return cli.validate(experiment, cli.build_config(experiment, raw))
 
     assert diagnostics("heat", manifold="torus", K="32") == []
-    assert diagnostics("spectrum", manifold="torus", K="41") == []
+    assert diagnostics("spectrum", manifold="torus", K="43") == []
     assert diagnostics("spectrum", manifold="torus", n="3", K="10") == []
-    assert diagnostics("spectrum", manifold="sphere-full-2d", K="66") == []
-    assert diagnostics("spectrum", K="4726") == []
+    assert diagnostics("spectrum", manifold="sphere-full-2d", K="69") == []
+    assert diagnostics("spectrum", K="5177") == []
     assert diagnostics("spectrum", potential="sin(phi)", K="3858") == []
     assert diagnostics("spectrum", potential="truncated-counterexample", K="4375") == []
     assert diagnostics("spectrum", n="3", potential="counterexample", K="4236") == []
     assert diagnostics("spectrum", manifold="sphere-full-2d", potential="constant:1",
-                       K="66") == []
+                       K="69") == []
+    assert diagnostics("counterexample", K="2021307") == []
     assert diagnostics("divergent-quasimode", k_max="21") == []
-    assert diagnostics("wave-speed", Ks="2687") == []
+    assert diagnostics("wave-speed", Ks="2762") == []
     assert diagnostics("strichartz", K="33") == []  # sqrt(33 * 34) = 33.5 >= 32.75
     assert diagnostics("strichartz", K="32") != []  # sqrt(32 * 33) = 32.5
     assert diagnostics("strichartz", manifold="torus", K="33") == []
@@ -605,28 +612,46 @@ def test_validated_configs_run(experiment):
 
 
 def test_plans_size_the_default_grid(monkeypatch):
-    """Every plan charges the N of the grid its run builds: the solve of a
-    spectral experiment and each wave-speed solve the node count of
-    ``geometry.default_grid``, on the three manifolds at a few K; the
-    counterexample run tabulates V and f on the pole-capped default grid."""
-    from qlab import geometry
+    """Every plan charges the N of the grid that ``operator_core.solve``
+    builds for its run, and a checked solve the F of the refined grid its
+    check reads (``hemisphere(_refined_grid(grid))`` for an even V,
+    ``_refined_grid(grid)`` for an odd one): the solve of a spectral
+    experiment, free on the three manifolds and checked for the critical,
+    truncated and sin(phi) V at a few K, and each wave-speed solve, free and
+    with the critical V; the counterexample run tabulates V and f on the
+    grid of the solve of the critical V."""
+    from qlab import geometry, operator_core, potentials
     charged = []
     monkeypatch.setattr(cli, "_solve_bytes",
-                        lambda nodes, modes, fine=0: charged.append((nodes, modes)) or 0)
-    for manifold in (geometry.ModelManifold(geometry.SPHERE_ZONAL, 3),
-                     geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2),
-                     geometry.ModelManifold(geometry.TORUS, 2),
-                     geometry.ModelManifold(geometry.TORUS, 3)):
-        for K in (2, 7, 24):
-            charged.clear()
-            cli._decomposition(cli.build_config("spectrum", {
-                "manifold": manifold.kind, "n": str(manifold.n), "K": str(K)}))
-            assert {N for N, _ in charged} == {geometry.default_grid(manifold, K).size}
-    charged.clear()
-    cli.RUNNERS["wave-speed"](cli.build_config("wave-speed", {"n": "3", "Ks": "8,24"}))
+                        lambda nodes, modes, fine=0: charged.append((nodes, fine)) or 0)
+
+    def built(potential, manifold, K):  # (N, F) of the grid that solve builds
+        V = potentials.from_reference(potential, manifold.n)
+        grid = operator_core._solve_grid(V, manifold, K)[0]()
+        if V is None or manifold.kind != geometry.SPHERE_ZONAL:
+            return grid.size, 0
+        refined = operator_core._refined_grid(grid)
+        return grid.size, (geometry.hemisphere(refined) if V.even else refined).size
+
     zonal = geometry.ModelManifold(geometry.SPHERE_ZONAL, 3)
-    assert sorted(charged) == [(geometry.default_grid(zonal, K).size, K + 1) for K in (8, 24)]
+    cases = [(manifold, "0", K) for K in (2, 7, 24)
+             for manifold in (zonal, geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2),
+                              geometry.ModelManifold(geometry.TORUS, 2),
+                              geometry.ModelManifold(geometry.TORUS, 3))]
+    cases += [(zonal, potential, K) for K in (7, 24)
+              for potential in ("counterexample", "truncated-counterexample", "sin(phi)")]
+    for manifold, potential, K in cases:
+        charged.clear()
+        cli._decomposition(cli.build_config("spectrum", {
+            "manifold": manifold.kind, "n": str(manifold.n), "K": str(K),
+            "potential": potential}))
+        assert set(charged) == {built(potential, manifold, K)}
+    for potential in ("0", "counterexample"):
+        charged.clear()
+        cli.RUNNERS["wave-speed"](cli.build_config("wave-speed", {
+            "n": "3", "Ks": "8,24", "potential": potential}))
+        assert charged == [built(potential, zonal, K) for K in (8, 24)]
     report = cli.RUNNERS["counterexample"](cli.build_config("counterexample",
                                                             {"n": "3", "K": "8"}))()
-    grid = geometry.default_grid(zonal, 8, geometry.SINGULAR_POLE_LEVELS)
+    grid = operator_core._solve_grid(potentials.counterexample(3), zonal, 8)[0]()
     assert [row[0] for row in report.rows] == grid.nodes.tolist()

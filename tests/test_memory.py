@@ -34,6 +34,8 @@ _ROWS = {
                        ("spectrum", {"manifold": "sphere-full-2d", "K": "24",
                                      "potential": "constant:1"})],
     "_plan_resolvent_probe": [("resolvent-probe", {})],
+    "_plan_counterexample": [("counterexample", {}),
+                             ("counterexample", {"K": "16384"})],
 }
 
 

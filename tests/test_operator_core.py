@@ -411,7 +411,8 @@ def _gemm_potential(V, basis, grid=None):
     basis grid or on ``grid``, a prefix of it (its hemisphere fold)."""
     grid = basis.grid if grid is None else grid
     E = basis.values[:grid.size]
-    wv = grid.weights * operator_core._potential_values(V, grid)
+    nodes = grid.nodes  # on the full S^2 a zonal V reads the polar angle
+    wv = grid.weights * V(nodes[:, 0] if nodes.ndim == 2 else nodes)
     M = E.T @ (E * wv[:, None])
     return 0.5 * (M + M.T)
 
@@ -575,11 +576,12 @@ def test_full_sphere_blocks_match_dense_quadrature(name):
     assert np.max(np.abs(mu - np.linalg.eigvalsh(dense))) <= 1e-12 * norm
 
 
-def test_full_sphere_even_solve_calls_eigh_per_order_and_parity(monkeypatch):
-    """An even V at K = 24 is solved as one eigh per (m, parity of k - m),
-    2K + 1 in all, shared by the cos and sin twins: no block has more than
-    ceil((K + 1) / 2) modes.  Each eigenvector lives on one class, and each
-    degenerate cos/sin pair lists the cos eigenvector first."""
+def test_full_sphere_even_solve_calls_eigh_per_class_block(monkeypatch):
+    """An even V at K = 24 is solved as one eigh per class block, one per
+    (m, parity of k - m, cos or sin), 4K in all (order 0 has no sin block):
+    no block has more than ceil((K + 1) / 2) modes.  Each eigenvector lives
+    on one class, and each degenerate cos/sin pair lists the cos eigenvector
+    first."""
     shapes = []
     eigh = np.linalg.eigh
 
@@ -592,7 +594,7 @@ def test_full_sphere_even_solve_calls_eigh_per_order_and_parity(monkeypatch):
     A = operator_core.assemble(_ZONAL_ON_S2["truncated-counterexample"], basis)
     monkeypatch.setattr(operator_core.np.linalg, "eigh", record)
     decomp = operator_core.diagonalize(A, basis)
-    assert len(shapes) == 2 * K + 1
+    assert len(shapes) == len(np.unique(basis.classes)) == 4 * K
     assert max(shapes) == math.ceil((K + 1) / 2)
     classes, vecs = basis.classes, decomp.eigenvectors
     support = [np.unique(classes[np.flatnonzero(vecs[:, c])]) for c in range(basis.size)]

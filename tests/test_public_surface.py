@@ -114,3 +114,17 @@ def test_one_sign_split_for_the_potential_block():
                 if isinstance(sub, ast.Call) and "_split_gram" in _references(sub.func):
                     callers.add(func.name)
     assert callers == {"potential_matrix"}
+
+
+# the names a plan would read to re-derive the grid of a solve and its check
+_SOLVE_GRID_NAMES = ("SINGULAR_POLE_LEVELS", "_refined_grid", "hemisphere",
+                     "_check_gauss_alpha", "_checked_nodes")
+
+
+def test_plans_read_the_solve_grid_from_operator_core():
+    """One statement of the grid a solve builds and of the refined grid its
+    check reads (``operator_core._solve_grid``): ``cli.py`` references none
+    of ``_SOLVE_GRID_NAMES``."""
+    path = os.path.join(ROOT, "src", "qlab", "cli.py")
+    refs = _references(ast.parse(open(path).read(), filename=path))
+    assert not [name for name in _SOLVE_GRID_NAMES if refs[name]]
