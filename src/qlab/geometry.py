@@ -275,8 +275,12 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _panel_gauss(a: float, b: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule with ``panels`` equal panels on [a, b]."""
+    return _gauss_panels(np.linspace(a, b, panels + 1), order)
+
+
+def _gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on the panels between consecutive ``edges``."""
     x0, w0 = _gauss_legendre(order)
-    edges = np.linspace(a, b, panels + 1)
     lo, hi = edges[:-1, None], edges[1:, None]
     half = (hi - lo) / 2.0
     return ((lo + hi) / 2.0 + half * x0).ravel(), (half * w0).ravel()
@@ -414,15 +418,25 @@ _NORM_ROWS = 32
 
 
 class ZonalSphereBasis(Basis):
-    """Zonal (Gegenbauer/Legendre) eigenbasis on S^n, degrees 0..K.  ``pole_values``
+    """Zonal (Gegenbauer/Legendre) eigenbasis on S^n, degrees 0..K.  ``values``
+    and the norms it is divided by, summed on the grid, are built together
+    on the first read of ``values``, ``evaluate`` or ``pole_values``, so a
+    solve that reads no node values builds no N x J table.  ``pole_values``
     (rows phi = 0, pi) is computed once, read-only: do not mutate the basis."""
 
     def __init__(self, n: int, K: int, grid: QuadratureGrid):
         if grid.manifold.kind != SPHERE_ZONAL or grid.manifold.n != n:
             raise DomainError("grid does not match requested zonal sphere")
         self.lam_geg = (n - 1) / 2.0
-        x = np.cos(grid.nodes)
-        table = _gegenbauer_table(K, self.lam_geg, x)
+        degrees = np.arange(K + 1)
+        freqs = np.sqrt(degrees * (degrees + n - 1.0))
+        super().__init__(grid.manifold, K, grid, freqs)
+
+    @functools.cached_property
+    def _normalized(self) -> tuple[np.ndarray, np.ndarray]:
+        """The values (N x J) and the quadrature norms of the degrees."""
+        K, grid = self.K, self.grid
+        table = _gegenbauer_table(K, self.lam_geg, np.cos(grid.nodes))
         norms = np.empty(K + 1)
         for lo in range(0, K + 1, _NORM_ROWS):
             block = np.square(table[lo:lo + _NORM_ROWS])
@@ -432,12 +446,16 @@ class ZonalSphereBasis(Basis):
         if np.any(norms <= 0) or not np.all(np.isfinite(norms)):
             raise ResolutionError(f"grid of {grid.size} nodes cannot normalize degree {K}; "
                                   f"need at least {K + 8} Gauss nodes")
-        self._norms = norms
         table /= norms[:, None]
-        values = table.T
-        degrees = np.arange(K + 1)
-        freqs = np.sqrt(degrees * (degrees + n - 1.0))
-        super().__init__(grid.manifold, K, grid, freqs, values)
+        return table.T, norms
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._normalized[0]
+
+    @property
+    def _norms(self) -> np.ndarray:
+        return self._normalized[1]
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         x = np.cos(np.atleast_1d(np.asarray(points, dtype=float)))

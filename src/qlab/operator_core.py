@@ -22,7 +22,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DomainError, NumericError
-from .potentials import Potential
+from .potentials import Potential, _smoothstep
 
 
 def _check_potential(V: Potential | None, manifold: geometry.ModelManifold) -> None:
@@ -101,12 +101,170 @@ def _split_gram(E: np.ndarray, wv: np.ndarray, npos: int, nneg: int,
     return M
 
 
+def _by_moments(manifold: geometry.ModelManifold) -> bool:
+    """Whether a potential block on ``manifold`` is formed from the cosine
+    moments of V (``_moment_matrix``): the zonal S^3, where it is exact and
+    is summed on no grid."""
+    return manifold.kind == geometry.SPHERE_ZONAL and manifold.n == 3
+
+
+# the moment rule of ``_cosine_moments``: the cap cutoff chi falls from 1 to 0
+# on [_CUT[0], _CUT[1]]; no Gauss cap panel is wider than _PANEL; the Taylor
+# terms and the depth exp(-depth) of the innermost cap, for the rule and for
+# its check; and the check's tolerance, relative to the largest moment
+_CUT = (0.05, 0.15)
+_PANEL = 0.005
+_TAYLOR = (14, 18)
+_DEPTH = (80.0, 120.0)
+_MOMENT_TOL = 1e-10
+
+
+def _finite_values(V: Potential, phi: np.ndarray) -> np.ndarray:
+    """V at the nodes ``phi`` of the moment rule; raises NumericError naming
+    the first node where V is not finite."""
+    v = np.asarray(V(phi), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        i = int(bad[0])
+        raise NumericError(f"potential not finite at phi = {float(phi[i])!r}, a node of "
+                           f"the cosine-moment rule: V = {float(v[i])}; V must be finite "
+                           "on (0, pi)")
+    return v
+
+
+def _ramp(phi: np.ndarray) -> np.ndarray:
+    """1 - chi: the smooth rise from 0 at phi = _CUT[0] to 1 at _CUT[1]."""
+    return _smoothstep((phi - _CUT[0]) / (_CUT[1] - _CUT[0]))
+
+
+def _cap_moments(V: Potential, M: int, fine: bool, south: bool) -> np.ndarray:
+    """(1/pi) int_0^{_CUT[1]} V chi (cos m phi - s_m) dphi, m = 0..M, with chi
+    the cap cutoff, for the north cap, or with ``south`` for the south cap
+    read from pi (V at pi - phi, times (-1)^m).  On [0, t], t = min(1/M,
+    _CUT[0]), where chi = 1 and m phi <= 1, cos m phi - s_m is its Taylor
+    series, so the cap needs the power moments of V there, on Gauss panels
+    graded geometrically down to exp(-depth); on [t, _CUT[1]] the Gauss
+    panels are graded geometrically from t up to a width of min(pi/M,
+    _PANEL).  ``fine`` halves every panel, and goes deeper with more Taylor
+    terms."""
+    terms, depth = _TAYLOR[fine], _DEPTH[fine]
+    t = min(1.0 / M, _CUT[0])
+    inner = t * 1.5 ** -np.arange(math.ceil((depth + math.log(t)) / math.log(1.5)), -1, -1)
+    outer = [t]
+    while outer[-1] < _CUT[1]:
+        outer.append(min(outer[-1] + min(0.5 * outer[-1], math.pi / M, _PANEL), _CUT[1]))
+    m = np.arange(M + 1)
+    odd = m % 2 == 1
+    out = np.zeros(M + 1)
+    for taylor, edges in ((True, inner), (False, np.array(outer))):
+        if fine:  # every panel split at its midpoint
+            edges = np.sort(np.append(edges, 0.5 * (edges[:-1] + edges[1:])))
+        x, w = geometry._gauss_panels(edges, 8)
+        if south:  # pi - x rounds to pi below about 4e-15: those nodes are dropped
+            keep = x > 4e-15
+            w, x = w[keep], x[keep]
+        chi = 1.0 if taylor else 1.0 - _ramp(x)  # chi = 1 on [0, t]
+        h = w * chi * _finite_values(V, math.pi - x if south else x) / math.pi
+        if not np.any(h):
+            continue
+        if taylor:
+            # cos m x - 1 and cos m x - cos x as sums over p >= 1 of
+            # (-1)^p (m^2p - [m odd]) x^2p / (2p)!, scaled by t^2p
+            p = np.arange(1, terms + 1)
+            coef = (-1.0) ** p / np.array([float(math.factorial(2 * k)) for k in p])
+            u, hu, powers = (x / t) ** 2, h.copy(), np.empty(terms)
+            for i in range(terms):
+                hu *= u
+                powers[i] = hu.sum()
+            out += ((m[:, None] * t) ** (2 * p) - odd[:, None] * t ** (2 * p)) @ (coef * powers)
+            continue
+        # sum_i h_i exp(i (qR + r) x_i) for all q, r as one product of the
+        # tables of exp(i qR x) and exp(i r x): 2 sqrt(M) rows, not M
+        R = math.isqrt(M) + 1
+        low = np.exp(1j * np.multiply.outer(np.arange(R), x))
+        high = np.exp(1j * np.multiply.outer(R * np.arange(-(-(M + 1) // R)), x))
+        out += (high * h @ low.T).real.ravel()[:M + 1]
+        out -= np.where(odd, h @ low[1].real, h.sum())
+    return out * (-1.0) ** m if south else out
+
+
+def _cosine_moments(V: Potential, M: int, fine: bool = False) -> np.ndarray:
+    """d_m = (1/pi) int_0^pi V (cos m phi - s_m) dphi, m = 0..M, with s_m = 1
+    for even m and cos phi for odd m, so that cos m phi - s_m vanishes to
+    second order at both poles and d_m is finite for every V with V phi^2
+    integrable there.  V chi at each pole comes from ``_cap_moments`` (one
+    cap, doubled, for an even V), and the bulk V (1 - chi) from one DCT-I
+    (``np.fft.rfft`` of its even extension) on a uniform grid of 2M
+    intervals or more, at least 4096, rounded up to a power of 2 (``fine``:
+    twice as many).  An even V has d_m = 0 for odd m, and is evaluated on
+    [0, pi/2] only."""
+    N = 2 ** max(12, math.ceil(math.log2(2 * M))) * (1 + fine)
+    phi = math.pi * np.arange(N + 1) / N
+    g = np.zeros(N + 1)
+    top = N // 2 + 1 if V.even else N + 1
+    live = np.flatnonzero((phi[:top] > _CUT[0]) & (phi[:top] < math.pi - _CUT[0]))
+    x = phi[live]
+    g[live] = _finite_values(V, x) * _ramp(x) * _ramp(math.pi - x)
+    if V.even:
+        g[top:] = g[N - top::-1]
+    c = np.fft.rfft(np.concatenate([g, g[-2:0:-1]]))[:M + 1].real / (2 * N)
+    d = c - np.where(np.arange(M + 1) % 2 == 1, c[1], c[0])
+    north = _cap_moments(V, M, fine, south=False)
+    if V.even:
+        d += 2.0 * north
+        d[1::2] = 0.0
+    else:
+        d += north + _cap_moments(V, M, fine, south=True)
+    return d
+
+
+def _toeplitz_hankel(t: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+    """The n x n matrix T - H with T[j, k] = t[|j - k|] and H[j, k] = h[j + k],
+    exactly symmetric, from two strided views."""
+    window = np.lib.stride_tricks.sliding_window_view
+    return window(np.concatenate([t[n - 1:0:-1], t[:n]]), n)[::-1] - window(h[:2 * n - 1], n)
+
+
+def _moment_matrix(V: Potential, K: int, check: bool) -> np.ndarray:
+    """The exact Galerkin block of V on the zonal S^3 at truncation K.  There
+    e_k = sin((k+1) phi) / (pi sqrt(2) sin phi) and dvol = 4 pi sin^2 phi dphi,
+    so <V e_j, e_k> = d_{|j-k|} - d_{j+k+2} in the cosine moments d_m of
+    ``_cosine_moments``, m = 0..2K+2: Toeplitz minus Hankel, and every leading
+    block is the matrix of a smaller K.  For an even V the two parity blocks
+    read the even moments only and are filled apart; every entry across
+    parity is exactly 0.  ``check`` recomputes the moments on the refined rule
+    and raises NumericError, naming the worst moment, when one moves by more
+    than ``_MOMENT_TOL`` of the largest; the matrix is that of the rule."""
+    M = 2 * K + 2
+    d = _cosine_moments(V, M)
+    if check:
+        move = np.abs(_cosine_moments(V, M, fine=True) - d)
+        scale = float(np.max(np.abs(d)))
+        m = int(np.argmax(move))
+        if not move[m] <= _MOMENT_TOL * scale:
+            raise NumericError(
+                f"potential assembly not converged: cosine moment {m} moved by "
+                f"{move[m]:.3e} (scale {scale:.3e}) under refinement of the moment rule; "
+                "this rule cannot resolve the potential (see 'Potential references' "
+                "in docs/configuration.md)")
+    if not V.even:
+        return _toeplitz_hankel(d, d[2:], K + 1)
+    even = d[0::2]
+    out = np.zeros((K + 1, K + 1))
+    out[0::2, 0::2] = _toeplitz_hankel(even, even[1:], K // 2 + 1)
+    out[1::2, 1::2] = _toeplitz_hankel(even, even[2:], (K + 1) // 2)
+    return out
+
+
 def potential_matrix(V: Potential | None, basis: geometry.Basis,
                      grid: geometry.QuadratureGrid | None = None) -> np.ndarray:
-    """Galerkin matrix <V e_j, e_k> summed on ``grid`` (the basis grid by
-    default; ``assemble``'s check passes the refined grid), exactly
-    symmetric, from ``_split_gram``, which takes its rows as temporaries so
-    that it can free them.  On the zonal sphere the rows are the basis rows
+    """Galerkin matrix <V e_j, e_k>, exactly symmetric.  On the zonal S^3
+    without a ``grid`` it is the exact block of ``_moment_matrix``, Toeplitz
+    minus Hankel in the cosine moments of V, summed on no grid and read from
+    no basis row.  Otherwise it is summed on ``grid`` (the basis grid by
+    default; ``assemble``'s check passes the refined grid) by
+    ``_split_gram``, which takes its rows as temporaries so that it can free
+    them.  On the zonal sphere the rows are the basis rows
     where w V != 0, gathered in sign order into a private copy, on the basis
     grid; on any other grid, the values of a basis built on the sign-ordered
     rule (``_signed_nodes``).  A zonal basis sums its norms in that order,
@@ -120,10 +278,12 @@ def potential_matrix(V: Potential | None, basis: geometry.Basis,
     S^2): it is summed on the hemisphere fold of the rule, its parity blocks
     are formed apart, and every entry across parity is exactly 0.  V = None
     gives the zero matrix.  Raises NumericError naming the first node where
-    w V is not finite."""
+    w V (V on the moment rule) is not finite."""
     J = basis.size
     if V is None:
         return np.zeros((J, J))
+    if grid is None and _by_moments(basis.manifold):
+        return _moment_matrix(V, basis.K, check=False)
     grid = basis.grid if grid is None else grid
     rule, wv, order, npos, nneg = _signed_nodes(V, grid)
     if basis.manifold.kind == geometry.SPHERE_FULL_2D:
@@ -146,14 +306,22 @@ def potential_matrix(V: Potential | None, basis: geometry.Basis,
                        else basis.values[rows], wv, npos, nneg, V.even)
 
 
-_CHECK_TOL = 0.01  # largest entry move under refinement, relative to the matrix scale
+_CHECK_TOL = 0.01  # largest entry move under grid refinement, relative to the matrix scale
 
 
 def assemble(V: Potential | None, basis: geometry.Basis,
              check: bool = False) -> np.ndarray:
     """Galerkin matrix of -Delta_g + V in the given basis.
 
-    ``check=True`` reassembles the potential block on a refined grid and
+    On the zonal S^3 the potential block is the exact block of
+    ``_moment_matrix``, and ``check=True`` recomputes its cosine moments on
+    the refined moment rule (every panel halved, the DCT doubled, the pole
+    cap deeper) and raises, naming the worst moment, when one moves by more
+    than 1e-10 (``_MOMENT_TOL``) of the largest; otherwise it returns the
+    block of the rule.  No grid, no basis row and no refined table is read.
+
+    On every other manifold and n, ``check=True`` reassembles the potential
+    block on a refined grid and
     raises, naming the worst entry, when any coefficient moves by more than
     1% (``_CHECK_TOL``) of the matrix scale; otherwise it returns the refined
     matrix.  A pole-capped zonal grid keeps its caps (its ``pole_levels``) node
@@ -170,20 +338,23 @@ def assemble(V: Potential | None, basis: geometry.Basis,
     NumericError for a V that is not finite names a node of that grid (of
     its polar rule on the full S^2).
     """
-    pot = potential_matrix(V, basis)  # checks w V on this grid first
-    if check and V is not None:
-        pot_fine = potential_matrix(V, basis, _refined_grid(basis.grid))
-        scale = max(float(np.max(pot_fine)), -float(np.min(pot_fine)), 1e-300)
-        diff = np.subtract(pot_fine, pot, out=pot)
-        np.abs(diff, out=diff)
-        j, k = np.unravel_index(int(np.argmax(diff)), diff.shape)
-        if diff[j, k] > _CHECK_TOL * scale:
-            raise NumericError(
-                f"potential assembly not converged: entry ({j}, {k}) moved by "
-                f"{diff[j, k]:.3e} (scale {scale:.3e}) under grid refinement; "
-                "this grid cannot resolve the potential (see 'Potential "
-                "references' in docs/configuration.md)")
-        pot = pot_fine
+    if V is not None and _by_moments(basis.manifold):
+        pot = _moment_matrix(V, basis.K, check)
+    else:
+        pot = potential_matrix(V, basis)  # checks w V on this grid first
+        if check and V is not None:
+            pot_fine = potential_matrix(V, basis, _refined_grid(basis.grid))
+            scale = max(float(np.max(pot_fine)), -float(np.min(pot_fine)), 1e-300)
+            diff = np.subtract(pot_fine, pot, out=pot)
+            np.abs(diff, out=diff)
+            j, k = np.unravel_index(int(np.argmax(diff)), diff.shape)
+            if diff[j, k] > _CHECK_TOL * scale:
+                raise NumericError(
+                    f"potential assembly not converged: entry ({j}, {k}) moved by "
+                    f"{diff[j, k]:.3e} (scale {scale:.3e}) under grid refinement; "
+                    "this grid cannot resolve the potential (see 'Potential "
+                    "references' in docs/configuration.md)")
+            pot = pot_fine
     # every model Laplace eigenvalue is an integer (k(k+n-1), l(l+1), |m|^2);
     # rounding keeps the free spectrum exact where sqrt(.)**2 misses by an ulp.
     # In place this is np.diag(.) + pot bit for bit: the + 0.0 turns each
@@ -398,8 +569,9 @@ def _solve_grid(V: Potential | None, manifold: geometry.ModelManifold, K: int
                 ) -> tuple[Callable[[], geometry.QuadratureGrid], int, int]:
     """The grid ``solve`` builds, as a function that builds it, its node
     count N and the node count F of the refined grid its check reads (0
-    without a check and on the full S^2), counted without building a grid
-    larger than the pole caps."""
+    without a check, on the full S^2 and on the zonal S^3, whose check reads
+    the cosine moments of V), counted without building a grid larger than
+    the pole caps."""
     levels = geometry.SINGULAR_POLE_LEVELS if V is not None and V.singular else 0
     grid = functools.partial(geometry.default_grid, manifold, K, levels)
     N = math.prod(geometry._default_axes(manifold, K))
@@ -409,14 +581,16 @@ def _solve_grid(V: Potential | None, manifold: geometry.ModelManifold, K: int
     if V is None or not zonal:
         return grid, N, 0
     if not levels:  # the refined Gauss rule of 2N nodes folds onto N
-        return grid, N, N if V.even else 2 * N
-    # 8 max(8, size // 8) bulk nodes, half of them north, and caps that do
-    # not depend on the size, counted on the smallest grid (64 bulk nodes)
-    small = geometry.zonal_grid(manifold.n, 0, levels)
-    caps, north = small.size - 64, geometry.hemisphere(small).size - 32
-    N = 8 * max(8, N // 8) + caps
-    bulk = 8 * max(8, 2 * N // 8)
-    return grid, N, bulk // 2 + north if V.even else bulk + caps
+        F = N if V.even else 2 * N
+    else:
+        # 8 max(8, size // 8) bulk nodes, half of them north, and caps that do
+        # not depend on the size, counted on the smallest grid (64 bulk nodes)
+        small = geometry.zonal_grid(manifold.n, 0, levels)
+        caps, north = small.size - 64, geometry.hemisphere(small).size - 32
+        N = 8 * max(8, N // 8) + caps
+        bulk = 8 * max(8, 2 * N // 8)
+        F = bulk // 2 + north if V.even else bulk + caps
+    return grid, N, 0 if _by_moments(manifold) else F
 
 
 def solve(V: Potential | None, manifold: geometry.ModelManifold, K: int,
@@ -462,7 +636,6 @@ def lp_psi(xi) -> np.ndarray:
 
     The transition sits strictly inside the octave so the dyadic bumps
     lp_beta have genuine plateaus where they equal 1."""
-    from .potentials import _smoothstep
     return 1.0 - _smoothstep((np.asarray(xi, dtype=float) - 1.2) / 0.6)
 
 

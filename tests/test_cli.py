@@ -138,9 +138,13 @@ _BAD_VALUES = [
     ("spectrum", "potential = truncated-counterexample\nK = 4376", "the checked solve on the "
      "dense sphere-zonal basis at K=4376 (8768 nodes per mode, 8768 in the check) needs "
      "1.01 GiB"),
-    ("spectrum", "n = 3\npotential = counterexample\nK = 4237", "the checked solve on the "
+    ("spectrum", "n = 4\npotential = counterexample\nK = 4237", "the checked solve on the "
      "dense sphere-zonal basis at K=4237 (9232 nodes per mode, 9728 in the check) needs "
      "1.01 GiB"),
+    # the checked zonal S^3 solve reads the cosine moments of V and builds no
+    # refined table, so it is charged as a free solve on its grid
+    ("spectrum", "n = 3\npotential = counterexample\nK = 5032", "the solve on the dense "
+     "sphere-zonal basis at K=5032 (10824 nodes per mode) needs 1.01 GiB"),
     # the checked full-S^2 solve builds no refined table, so V != 0 stops there too
     ("spectrum", "manifold = sphere-full-2d\npotential = constant:1\nK = 70",
      "the solve on the dense sphere-full-2d basis at K=70 (11376 nodes per mode) needs "
@@ -222,7 +226,8 @@ def test_validate_size_limits_pass_at_the_edge():
     assert diagnostics("spectrum", K="5177") == []
     assert diagnostics("spectrum", potential="sin(phi)", K="3858") == []
     assert diagnostics("spectrum", potential="truncated-counterexample", K="4375") == []
-    assert diagnostics("spectrum", n="3", potential="counterexample", K="4236") == []
+    assert diagnostics("spectrum", n="4", potential="counterexample", K="4236") == []
+    assert diagnostics("spectrum", n="3", potential="counterexample", K="5031") == []
     assert diagnostics("spectrum", manifold="sphere-full-2d", potential="constant:1",
                        K="69") == []
     assert diagnostics("counterexample", K="2021307") == []
@@ -615,9 +620,10 @@ def test_plans_size_the_default_grid(monkeypatch):
     """Every plan charges the N of the grid that ``operator_core.solve``
     builds for its run, and a checked solve the F of the refined grid its
     check reads (``hemisphere(_refined_grid(grid))`` for an even V,
-    ``_refined_grid(grid)`` for an odd one): the solve of a spectral
-    experiment, free on the three manifolds and checked for the critical,
-    truncated and sin(phi) V at a few K, and each wave-speed solve, free and
+    ``_refined_grid(grid)`` for an odd one; none on the zonal S^3, whose check
+    reads the cosine moments of V): the solve of a spectral experiment, free
+    on the three manifolds and checked for the critical, truncated and
+    sin(phi) V at a few K on S^3 and S^4, and each wave-speed solve, free and
     with the critical V; the counterexample run tabulates V and f on the
     grid of the solve of the critical V."""
     from qlab import geometry, operator_core, potentials
@@ -628,7 +634,7 @@ def test_plans_size_the_default_grid(monkeypatch):
     def built(potential, manifold, K):  # (N, F) of the grid that solve builds
         V = potentials.from_reference(potential, manifold.n)
         grid = operator_core._solve_grid(V, manifold, K)[0]()
-        if V is None or manifold.kind != geometry.SPHERE_ZONAL:
+        if V is None or manifold.kind != geometry.SPHERE_ZONAL or manifold.n == 3:
             return grid.size, 0
         refined = operator_core._refined_grid(grid)
         return grid.size, (geometry.hemisphere(refined) if V.even else refined).size
@@ -638,7 +644,8 @@ def test_plans_size_the_default_grid(monkeypatch):
              for manifold in (zonal, geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2),
                               geometry.ModelManifold(geometry.TORUS, 2),
                               geometry.ModelManifold(geometry.TORUS, 3))]
-    cases += [(zonal, potential, K) for K in (7, 24)
+    cases += [(sphere, potential, K) for K in (7, 24)
+              for sphere in (zonal, geometry.ModelManifold(geometry.SPHERE_ZONAL, 4))
               for potential in ("counterexample", "truncated-counterexample", "sin(phi)")]
     for manifold, potential, K in cases:
         charged.clear()

@@ -310,7 +310,8 @@ def test_gegenbauer_scalar_rows_match_array_table(n, K, extra):
 
 def test_pole_rows_take_the_scalar_path(monkeypatch):
     """pole_values and a one-point evaluate recur on Python floats, and the
-    grid table on arrays."""
+    grid table on arrays (built here first: the zonal table and its norms are
+    built on the first read of values, evaluate or pole_values)."""
     calls = []
     multiply = np.multiply
 
@@ -319,6 +320,7 @@ def test_pole_rows_take_the_scalar_path(monkeypatch):
         return multiply(*args, **kwargs)
 
     basis = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_ZONAL, 2), 64)
+    basis.values
     monkeypatch.setattr(geometry.np, "multiply", record)
     basis.pole_values
     basis.evaluate(0.7)

@@ -25,9 +25,11 @@ _ROWS = {
                        ("spectrum", {"manifold": "sphere-full-2d", "K": "24"}),
                        ("spectrum", {"manifold": "torus", "K": "16"}),
                        ("spectrum", {"manifold": "torus", "n": "3", "K": "5"}),
-                       # checked V != 0 solves: pole caps, the fold and the full S^2
+                       # checked V != 0 solves: pole caps, the fold and the full S^2;
+                       # on S^3 the check reads cosine moments and builds no table
                        ("spectrum", {"n": "3", "K": "256", "potential": "counterexample"}),
                        ("spectrum", {"n": "3", "K": "512", "potential": "counterexample"}),
+                       ("spectrum", {"n": "4", "K": "256", "potential": "counterexample"}),
                        ("spectrum", {"K": "256", "potential": "sin(phi)"}),
                        ("spectrum", {"n": "3", "K": "256",
                                      "potential": "truncated-counterexample"}),
@@ -86,16 +88,17 @@ def test_peak_within_the_charge(caller, experiment, raw, monkeypatch):
 
 
 def test_checked_assembly_copies_no_basis_row():
-    """The checked assembly of the critical V at n = 3 on the level-6 grid at
+    """The checked assembly of the critical V at n = 4 on the level-6 grid at
     K = 256 peaks, basis build included, within the basis, one refined table
-    and 3 J x J matrices (7.77 MB against a bound of 7.84 MB); a sign split
-    that copies refined rows exceeds that (a contiguous copy of each
-    parity's positive rows, the first held while the second is made, peaked
-    at 8.37 MB, and the np.compress split at 10.5 MB)."""
-    manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 3)
+    and 3 J x J matrices (7.81 MB against a bound of 7.84 MB); a sign split
+    that copies refined rows exceeds that (at n = 3, a contiguous copy of
+    each parity's positive rows, the first held while the second is made,
+    peaked at 8.37 MB, and the np.compress split at 10.5 MB).  S^3 reads the
+    cosine moments of V and builds no table, so the node path runs at n = 4."""
+    manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 4)
     grid = geometry.default_grid(manifold, 256, geometry.SINGULAR_POLE_LEVELS)
     fine = geometry.hemisphere(operator_core._refined_grid(grid)).size
-    V = potentials.counterexample(3)
+    V = potentials.counterexample(4)
     tracemalloc.start()
     try:
         basis = geometry.build_basis(manifold, 256, grid)
@@ -134,10 +137,10 @@ def test_split_gram_takes_its_rows_as_temporaries(monkeypatch):
     fresh = {False: probe(np.ones((3, 2)), None, 0, 0, False),
              True: probe(np.ones((2, 3)).T, None, 0, 0, False)}
     monkeypatch.setattr(operator_core, "_split_gram", record)
-    zonal = geometry.ModelManifold(geometry.SPHERE_ZONAL, 3)
+    zonal = geometry.ModelManifold(geometry.SPHERE_ZONAL, 4)
     capped = geometry.default_grid(zonal, 32, geometry.SINGULAR_POLE_LEVELS)
     full = geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2)
-    for basis, V in ((geometry.build_basis(zonal, 32, capped), potentials.counterexample(3)),
+    for basis, V in ((geometry.build_basis(zonal, 32, capped), potentials.counterexample(4)),
                      (geometry.build_basis(zonal, 32),
                       potentials.from_expression("sin(phi)-0.5")),
                      (geometry.build_basis(full, 8),

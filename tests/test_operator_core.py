@@ -237,7 +237,7 @@ def _class_reference(A, labels):
 
 
 def test_checked_critical_solve_calls_eigh_on_parity_blocks(monkeypatch):
-    """The checked critical solve at n = 3, K = 64 (J = 65) runs eigh on the
+    """The checked critical solve at n = 4, K = 64 (J = 65) runs eigh on the
     33- and 32-mode parity blocks only, never on the J x J matrix, and
     returns the full-matrix eigenvalues."""
     shapes = []
@@ -248,11 +248,11 @@ def test_checked_critical_solve_calls_eigh_on_parity_blocks(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(operator_core.np.linalg, "eigh", record)
-    decomp = operator_core.solve(potentials.counterexample(3),
-                                 geometry.ModelManifold(geometry.SPHERE_ZONAL, 3), 64)
+    decomp = operator_core.solve(potentials.counterexample(4),
+                                 geometry.ModelManifold(geometry.SPHERE_ZONAL, 4), 64)
     assert sorted(shapes) == [(32, 32), (33, 33)]
     monkeypatch.undo()
-    A = operator_core.assemble(potentials.counterexample(3), decomp.basis, check=True)
+    A = operator_core.assemble(potentials.counterexample(4), decomp.basis, check=True)
     ref = np.linalg.eigvalsh(A)
     assert np.max(np.abs(decomp.eigenvalues - ref)) <= 1e-13 * np.linalg.norm(A, 2)
 
@@ -329,13 +329,129 @@ def test_free_sphere_spectrum(s2_free_24):
 
 def test_counterexample_zero_eigenvalue():
     """The singular potential has the explicit zero mode f: the lowest
-    Galerkin eigenvalue on the checked pole-capped grid sits near 0 and
-    roughly halves with each doubling of the truncation."""
+    Galerkin eigenvalue of the checked solve sits near 0 and roughly halves
+    with each doubling of the truncation."""
     manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 3)
     V = potentials.counterexample(3)
     lows = [float(operator_core.solve(V, manifold, K).eigenvalues[0]) for K in (32, 128)]
     assert lows[0] == pytest.approx(0.0430, abs=1e-4)
     assert lows[1] == pytest.approx(0.0126, abs=1e-4)
+
+
+_S3 = geometry.ModelManifold(geometry.SPHERE_ZONAL, 3)
+_EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("a", [1, 3])
+def test_manufactured_ground_state_on_s3(a):
+    """f = exp(a cos phi) > 0 solves H_V f = 0 for V_a = a^2 sin^2 phi -
+    3 a cos phi on S^3, so 0 is the bottom of the spectrum.  V_a is not even,
+    so its block reads the odd cosine moments (subtrahend cos phi): mu_0 >=
+    -eps ||A|| at every K, and once K passes the coefficient tail of f
+    (K = 32), |mu_0| <= eps ||A|| and the ground state is f / ||f||_2 to
+    1e-14 in L^2 on the solve's grid."""
+    V = potentials.from_expression(f"{a * a}*sin(phi)**2 - {3 * a}*cos(phi)")
+    assert not V.even
+    for K in (8, 16, 32):
+        decomp = operator_core.solve(V, _S3, K)
+        A = operator_core.assemble(V, decomp.basis, check=True)
+        floor = _EPS * np.linalg.norm(A, 2)
+        assert decomp.eigenvalues[0] >= -floor
+    assert abs(decomp.eigenvalues[0]) <= floor
+    grid = decomp.basis.grid
+    f = np.exp(a * np.cos(grid.nodes))
+    f /= math.sqrt(np.sum(grid.weights * f * f))
+    u = decomp.node_values()[:, 0]
+    assert math.sqrt(np.sum(grid.weights * (u - f) ** 2)) <= 1e-14
+
+
+def test_critical_zero_mode_oracle_on_s3():
+    """Rayleigh-Ritz on the exact Galerkin block of the critical V (f =
+    -ln(sin(phi)/2) > 0 in H^1, H_V f = 0): mu_0(K) >= -eps ||A|| for K = 64
+    .. 512, with a fitted slope of log mu_0 against log K of -1 within 0.1
+    (K^{-(n-2)}; the next exponent, 0, is far outside), and the values of
+    the exact block pinned to 7 digits."""
+    V = potentials.counterexample(3)
+    Ks = (64, 128, 256, 512)
+    lows = []
+    for K in Ks:
+        decomp = operator_core.solve(V, _S3, K)
+        A = operator_core.assemble(V, decomp.basis, check=True)
+        assert decomp.eigenvalues[0] >= -_EPS * np.linalg.norm(A, 2)
+        lows.append(float(decomp.eigenvalues[0]))
+    slope = np.polyfit(np.log(Ks), np.log(lows), 1)[0]
+    assert abs(slope + 1.0) <= 0.1, slope
+    pins = {32: 4.2963965e-2, 128: 1.2629002e-2, 256: 6.629920e-3, 512: 3.438251e-3}
+    for K, mu in pins.items():
+        low = lows[Ks.index(K)] if K in Ks else float(
+            operator_core.solve(V, _S3, K).eigenvalues[0])
+        assert low == pytest.approx(mu, rel=2e-7), K
+
+
+def test_s3_blocks_nest():
+    """Entry (j, k) of the S^3 block reads d_|j-k| and d_(j+k+2) only, so the
+    leading 257 x 257 block of the checked critical matrix at K = 512
+    matches the K = 256 matrix to 1e-12 of its largest entry."""
+    V = potentials.counterexample(3)
+    big, small = (operator_core.assemble(V, geometry.build_basis(_S3, K), check=True)
+                  for K in (512, 256))
+    assert np.max(np.abs(big[:257, :257] - small)) <= 1e-12 * np.max(np.abs(small))
+
+
+@pytest.mark.parametrize("expr", ["sin(phi)-0.5", "exp(cos(phi))", "truncated"])
+def test_s3_block_matches_a_resolving_rule(expr):
+    """The S^3 block of a bounded V matches the GEMM of the exact modes
+    sin((k+1) phi) / (pi sqrt(2) sin phi) on 600 16-point Gauss panels in phi
+    (where the integrand is smooth, so the rule resolves it) to 1e-13 of its
+    largest entry at K = 64; the Gauss-Gegenbauer grid does not resolve
+    sin(phi) on S^3 (the node path is off by about 7e-10 there)."""
+    V = (potentials.truncated_counterexample(3, 0.3) if expr == "truncated"
+         else potentials.from_expression(expr))
+    K = 64
+    x, w = geometry._panel_gauss(0.0, math.pi, 600, 16)
+    E = np.sin(np.outer(x, np.arange(1, K + 2))) / (math.pi * math.sqrt(2) * np.sin(x))[:, None]
+    ref = E.T @ (E * (w * 4 * math.pi * np.sin(x) ** 2 * V(x))[:, None])
+    basis = geometry.build_basis(_S3, K)
+    M = operator_core.potential_matrix(V, basis)
+    assert np.array_equal(M, M.T)
+    assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
+    A = operator_core.assemble(V, basis, check=True)  # the block of the rule, checked
+    assert A.tobytes() == (np.diag(np.rint(basis.freqs ** 2)) + M).tobytes()
+
+
+@pytest.mark.parametrize("expr", ["abs(phi-1)", "1/sin(phi)**3"])
+def test_s3_check_refuses_unresolved_moments(expr):
+    """The check recomputes the moments with every panel halved, the DCT
+    doubled and the pole cap deeper: a kink (|phi - 1|) moves them by about
+    1e-8 and a log-divergent pole (sin^-3 phi) by about 0.4 of the largest,
+    both above 1e-10, so the checked assembly stops."""
+    V = potentials.from_expression(expr)
+    basis = geometry.build_basis(_S3, 32)
+    with pytest.raises(NumericError, match=r"potential assembly not converged: cosine "
+                       r"moment \d+ moved by .* under refinement of the moment rule"):
+        operator_core.assemble(V, basis, check=True)
+    operator_core.assemble(V, basis)  # unchecked, the rule's block is returned
+
+
+def test_s3_solve_builds_no_node_values(monkeypatch):
+    """The checked critical solve on S^3 at K = 256 never evaluates the
+    Gegenbauer table on its grid; the first node_values() builds it once,
+    and is bit for bit the eager basis values times the eigenvectors."""
+    sizes = []
+    table = geometry._gegenbauer_table
+
+    def record(kmax, lam, x):
+        sizes.append(x.shape[0])
+        return table(kmax, lam, x)
+
+    monkeypatch.setattr(geometry, "_gegenbauer_table", record)
+    decomp = operator_core.solve(potentials.counterexample(3), _S3, 256)
+    assert sizes == []
+    values = decomp.node_values()
+    assert sizes == [decomp.basis.grid.size]
+    monkeypatch.undo()
+    eager = geometry.ZonalSphereBasis(3, 256, decomp.basis.grid).values
+    assert values.tobytes() == (eager @ decomp.eigenvectors).tobytes()
 
 
 def test_auto_shift(s2_free_24):
@@ -424,11 +540,12 @@ def _gemm_potential(V, basis, grid=None):
     (3, potentials.counterexample(3), 6),
 ])
 def test_potential_matrix_sign_split_matches_gemm(n, V, levels):
-    """The sign-split rank-k update is exactly symmetric and within 1e-13 of
-    the GEMM formula, relative to the largest entry."""
+    """The sign-split rank-k update on the basis grid (passed explicitly: on
+    S^3 the default block comes from the cosine moments) is exactly symmetric
+    and within 1e-13 of the GEMM formula, relative to the largest entry."""
     manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, n)
     basis = geometry.build_basis(manifold, 48, geometry.default_grid(manifold, 48, levels))
-    M = operator_core.potential_matrix(V, basis)
+    M = operator_core.potential_matrix(V, basis, basis.grid)
     assert np.array_equal(M, M.T)
     ref = _gemm_potential(V, basis)
     assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -443,12 +560,13 @@ _EVEN_POTENTIALS = [(n, V) for n in (2, 3, 4, 5)
 
 @pytest.mark.parametrize("n,V", _EVEN_POTENTIALS)
 def test_even_potential_matrix_parity_blocks_match_full_grid(n, V):
-    """An even V on the Gauss grid: the entries across degree parity are
-    exactly 0, and the two blocks, summed on the hemisphere, are within
+    """An even V on the Gauss grid (passed explicitly: on S^3 the default
+    block comes from the cosine moments): the entries across degree parity
+    are exactly 0, and the two blocks, summed on the hemisphere, are within
     1e-13 of the full-grid GEMM relative to its largest entry."""
     manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, n)
     basis = geometry.build_basis(manifold, 48)
-    M = operator_core.potential_matrix(V, basis)
+    M = operator_core.potential_matrix(V, basis, basis.grid)
     assert np.array_equal(M, M.T)
     assert not np.any(M[0::2, 1::2])
     ref = _gemm_potential(V, basis)
@@ -494,8 +612,9 @@ def test_split_gram_matches_gemm(kind, levels, even, signs):
     of the check, or its fold, for assemble(check=True), which adds the
     refined block to the free diagonal.  Both are exactly symmetric with
     exact zeros across parity on the fold, for w V of mixed signs with zeros,
-    all positive, all negative and all zero."""
-    manifold = geometry.ModelManifold(kind, 3 if kind == geometry.SPHERE_ZONAL else 2)
+    all positive, all negative and all zero.  The zonal case runs on S^4,
+    where the check still sums on the refined grid."""
+    manifold = geometry.ModelManifold(kind, 4 if kind == geometry.SPHERE_ZONAL else 2)
     basis = geometry.build_basis(manifold, 24, geometry.default_grid(manifold, 24, levels))
     V = potentials.Potential(fn=_SIGN_PATTERNS[signs], even=even)
     parity = even and kind == geometry.SPHERE_ZONAL
@@ -643,11 +762,12 @@ def test_full_sphere_check_still_refuses_truncated(K, entry, move, scale):
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_even_checked_assembly_matches_unfolded(n):
-    """The check of an even V reassembles on the fold of the refined grid;
-    it returns the refined full-grid matrix of the same V without the
-    annotation to 1e-13, with exact zeros across parity."""
+    """The check of an even V reassembles on the fold of the refined grid (on
+    S^3 it recomputes the folded cosine moments); it returns the full-grid
+    matrix of the same V without the annotation to 1e-13, with exact zeros
+    across parity."""
     V = potentials.truncated_counterexample(n, 0.3)
     plain = potentials.Potential(fn=V.fn, smooth_bound=V.smooth_bound)
     basis = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_ZONAL, n), 32)
