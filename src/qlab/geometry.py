@@ -286,10 +286,8 @@ def _gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
     return ((lo + hi) / 2.0 + half * x0).ravel(), (half * w0).ravel()
 
 
-def full_sphere_grid(size_phi: int, size_theta: int | None = None) -> QuadratureGrid:
+def full_sphere_grid(size_phi: int, size_theta: int) -> QuadratureGrid:
     """Product quadrature on the full S^2: Gauss in cos(phi), trapezoid in theta."""
-    if size_theta is None:
-        size_theta = 2 * size_phi
     x, w = gauss_gegenbauer(size_phi, 0.0)
     phi = np.arccos(x)[::-1]
     wphi = w[::-1]

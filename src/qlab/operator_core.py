@@ -31,26 +31,21 @@ def _check_potential(V: Potential | None, manifold: geometry.ModelManifold) -> N
                           "pass V=None or assemble on a sphere")
 
 
-def _signed_nodes(V: Potential, full: geometry.QuadratureGrid
+def _signed_nodes(V: Potential, rule: geometry.QuadratureGrid
                   ) -> tuple[geometry.QuadratureGrid, np.ndarray, np.ndarray, int, int]:
-    """The zonal rule V is summed on for a basis on ``full`` (the grid itself,
-    or on the full S^2 its polar rule ``_polar_rule``; folded by
-    ``geometry.hemisphere`` for an even V), with its nodes ordered w V > 0,
-    then < 0, then = 0, each in rule order: the rule in that order, w V in
-    that order, the order as indices of the rule, and the number of nodes
-    with w V > 0 and with w V < 0.  Raises NumericError naming the first
-    node, by its index and coordinates in the unfolded rule, where w V is not
-    finite."""
-    _check_potential(V, full.manifold)
-    if full.manifold.kind == geometry.SPHERE_FULL_2D:
-        full = _polar_rule(full)
-    grid = geometry.hemisphere(full) if V.even else full
+    """The zonal ``rule`` V is summed on (folded by ``geometry.hemisphere``
+    for an even V), with its nodes ordered w V > 0, then < 0, then = 0, each
+    in rule order: the rule in that order, w V in that order, the order as
+    indices of the rule, and the number of nodes with w V > 0 and with
+    w V < 0.  Raises NumericError naming the first node, by its index and
+    coordinates in the unfolded rule, where w V is not finite."""
+    grid = geometry.hemisphere(rule) if V.even else rule
     wv = grid.weights * np.asarray(V(grid.nodes), dtype=float)
     bad = np.flatnonzero(~np.isfinite(wv))
     if bad.size:
         i = int(bad[0])
-        raise NumericError(f"potential not finite at node {i} of {full.size} "
-                           f"(coordinates {full.nodes[i]}): w*V = {float(wv[i])}; "
+        raise NumericError(f"potential not finite at node {i} of {rule.size} "
+                           f"(coordinates {rule.nodes[i]}): w*V = {float(wv[i])}; "
                            "V must be finite on the quadrature grid")
     plus, minus = np.flatnonzero(wv > 0.0), np.flatnonzero(wv < 0.0)
     order = np.concatenate([plus, minus, np.flatnonzero(wv == 0.0)])
@@ -58,14 +53,13 @@ def _signed_nodes(V: Potential, full: geometry.QuadratureGrid
     return grid, wv[order], order, plus.size, minus.size
 
 
-def _polar_rule(grid: geometry.QuadratureGrid) -> geometry.QuadratureGrid:
-    """The polar rule of a full-S^2 product grid: the zonal S^2 Gauss rule on
-    its n_phi polar nodes (``grid.shape[0]``), whose weights carry the theta
-    integral 2 pi.  The theta trapezoid of n_theta > 2K points is exact for
-    the product of any two modes of degree <= K, so the block of order m
-    summed on this rule is the quadrature of the whole grid in exact
-    arithmetic."""
-    return geometry.zonal_grid(2, grid.shape[0])
+def _zonal_rule(V: Potential, basis: geometry.Basis) -> geometry.QuadratureGrid:
+    """The zonal rule V is summed on for ``basis``: the basis grid on the
+    zonal sphere, and on the full S^2 the zonal S^2 rule that a zonal S^2
+    ``solve`` of V at the same K builds its basis on (``_solve_grid``)."""
+    if basis.manifold.kind != geometry.SPHERE_FULL_2D:
+        return basis.grid
+    return _solve_grid(V, geometry.ModelManifold(geometry.SPHERE_ZONAL, 2), basis.K)[0]()
 
 
 # the degree-parity pair: the blocks of the Galerkin matrix of an even zonal V
@@ -261,30 +255,37 @@ def potential_matrix(V: Potential | None, basis: geometry.Basis,
     """Galerkin matrix <V e_j, e_k>, exactly symmetric.  On the zonal S^3
     without a ``grid`` it is the exact block of ``_moment_matrix``, Toeplitz
     minus Hankel in the cosine moments of V, summed on no grid and read from
-    no basis row.  Otherwise it is summed on ``grid`` (the basis grid by
-    default; ``assemble``'s check passes the refined grid) by
-    ``_split_gram``, which takes its rows as temporaries so that it can free
-    them.  On the zonal sphere the rows are the basis rows
-    where w V != 0, gathered in sign order into a private copy, on the basis
-    grid; on any other grid, the values of a basis built on the sign-ordered
-    rule (``_signed_nodes``).  A zonal basis sums its norms in that order,
-    which moves the matrix by about 1e-17 of its largest entry.  On the full
-    S^2 a zonal V couples only modes of one order m and one trigonometric
-    factor, so one block per order is formed from the associated-Legendre
-    table on the grid's polar rule (``_polar_rule``) and written at both the
-    cos and the sin columns of that order; every entry between orders or
-    between cos and sin is exactly 0, and no N x J table is built.  An even V
-    (``V.even``) couples only degrees of equal parity (of k - m on the full
-    S^2): it is summed on the hemisphere fold of the rule, its parity blocks
-    are formed apart, and every entry across parity is exactly 0.  V = None
-    gives the zero matrix.  Raises NumericError naming the first node where
-    w V (V on the moment rule) is not finite."""
+    no basis row.  Otherwise it is summed on ``grid``, a zonal rule of the
+    basis's S^n (by default ``_zonal_rule``: the basis grid on the zonal
+    sphere, the zonal S^2 rule of a zonal S^2 solve on the full S^2;
+    ``assemble``'s check passes its ``_refined_grid``), by ``_split_gram``,
+    which takes its rows as temporaries so that it can free them.  On the
+    zonal sphere the rows are the basis rows where w V != 0, gathered in
+    sign order into a private copy, on the basis grid; on any other rule, the
+    values of a basis built on the sign-ordered rule (``_signed_nodes``).  A
+    zonal basis sums its norms in that order, which moves the matrix by
+    about 1e-17 of its largest entry.  On the full S^2 a zonal V couples only
+    modes of one order m and one trigonometric factor, so one block per
+    order is formed from the associated-Legendre table on the rule and
+    written at both the cos and the sin columns of that order; every entry
+    between orders or between cos and sin is exactly 0, and no N x J table
+    is built.  An even V (``V.even``) couples only degrees of equal parity (of
+    k - m on the full S^2): it is summed on the hemisphere fold of the rule,
+    its parity blocks are formed apart, and every entry across parity is
+    exactly 0.  V = None gives the zero matrix.  Raises DomainError for a V
+    on the torus or a ``grid`` that is not a zonal rule of S^n, and
+    NumericError naming the first node where w V (V on the moment rule) is
+    not finite."""
+    _check_potential(V, basis.manifold)
     J = basis.size
     if V is None:
         return np.zeros((J, J))
     if grid is None and _by_moments(basis.manifold):
         return _moment_matrix(V, basis.K, check=False)
-    grid = basis.grid if grid is None else grid
+    grid = _zonal_rule(V, basis) if grid is None else grid
+    if grid.manifold != geometry.ModelManifold(geometry.SPHERE_ZONAL, basis.manifold.n):
+        raise DomainError(f"a zonal V is summed on a zonal rule of S^{basis.manifold.n}, "
+                          f"not on {grid.manifold}")
     rule, wv, order, npos, nneg = _signed_nodes(V, grid)
     if basis.manifold.kind == geometry.SPHERE_FULL_2D:
         M = np.zeros((J, J))
@@ -320,30 +321,29 @@ def assemble(V: Potential | None, basis: geometry.Basis,
     than 1e-10 (``_MOMENT_TOL``) of the largest; otherwise it returns the
     block of the rule.  No grid, no basis row and no refined table is read.
 
-    On every other manifold and n, ``check=True`` reassembles the potential
-    block on a refined grid and
-    raises, naming the worst entry, when any coefficient moves by more than
-    1% (``_CHECK_TOL``) of the matrix scale; otherwise it returns the refined
-    matrix.  A pole-capped zonal grid keeps its caps (its ``pole_levels``) node
-    for node and refines only the bulk, so the check never tests the cap rule.
-    Both matrices come from ``potential_matrix``, on the basis grid and on
-    ``_refined_grid(basis.grid)``.  On the zonal sphere the check's rows are
-    a refined basis, built on the sign-ordered nodes and handed over whole,
-    so its working set is the basis, one refined basis and a few J x J
+    On every other manifold and n the block is summed on the zonal rule of
+    ``_zonal_rule`` (the basis grid on the zonal sphere, the zonal S^2 rule
+    of a zonal S^2 solve on the full S^2), and ``check=True`` reassembles it
+    on ``_refined_grid`` of that rule and raises, naming the worst entry,
+    when any coefficient moves by more than 1% (``_CHECK_TOL``) of the matrix
+    scale; otherwise it returns the refined matrix.  A pole-capped rule keeps
+    its caps (its ``pole_levels``) node for node and refines only the bulk,
+    so the check never tests the cap rule.  On the zonal sphere the check's
+    rows are a refined basis, built on the sign-ordered nodes and handed over
+    whole, so its working set is the basis, one refined basis and a few J x J
     matrices; an even V is reassembled on the hemisphere fold of the refined
-    grid, so the refined basis is evaluated on those nodes only.  On the
-    full S^2 both matrices are formed by order, the check's on the polar
-    rule of the refined grid (2 n_phi + 1 nodes), and no N x J table is
-    built.  w V is checked on the basis grid before any refined work, so the
-    NumericError for a V that is not finite names a node of that grid (of
-    its polar rule on the full S^2).
+    rule, so the refined basis is evaluated on those nodes only.  On the full
+    S^2 both matrices are formed by order and no N x J table is built.  w V
+    is checked on the rule before any refined work, so the NumericError for a
+    V that is not finite names a node of that rule.
     """
     if V is not None and _by_moments(basis.manifold):
         pot = _moment_matrix(V, basis.K, check)
     else:
-        pot = potential_matrix(V, basis)  # checks w V on this grid first
+        rule = None if V is None else _zonal_rule(V, basis)
+        pot = potential_matrix(V, basis, rule)  # checks w V on the rule first
         if check and V is not None:
-            pot_fine = potential_matrix(V, basis, _refined_grid(basis.grid))
+            pot_fine = potential_matrix(V, basis, _refined_grid(rule))
             scale = max(float(np.max(pot_fine)), -float(np.min(pot_fine)), 1e-300)
             diff = np.subtract(pot_fine, pot, out=pot)
             np.abs(diff, out=diff)
@@ -364,13 +364,10 @@ def assemble(V: Potential | None, basis: geometry.Basis,
     return pot
 
 
-def _refined_grid(grid: geometry.QuadratureGrid) -> geometry.QuadratureGrid:
-    """The grid of the check on a sphere (no potential lives on the torus)."""
-    m = grid.manifold
-    if m.kind == geometry.SPHERE_ZONAL:
-        return geometry.zonal_grid(m.n, 2 * grid.size, pole_levels=grid.pole_levels)
-    nphi, ntheta = grid.shape
-    return geometry.full_sphere_grid(2 * nphi + 1, 2 * ntheta + 2)
+def _refined_grid(rule: geometry.QuadratureGrid) -> geometry.QuadratureGrid:
+    """The zonal rule of the check: twice the nodes, at the rule's own cap
+    depth."""
+    return geometry.zonal_grid(rule.manifold.n, 2 * rule.size, pole_levels=rule.pole_levels)
 
 
 @dataclass
@@ -569,9 +566,12 @@ def _solve_grid(V: Potential | None, manifold: geometry.ModelManifold, K: int
                 ) -> tuple[Callable[[], geometry.QuadratureGrid], int, int]:
     """The grid ``solve`` builds, as a function that builds it, its node
     count N and the node count F of the refined grid its check reads (0
-    without a check, on the full S^2 and on the zonal S^3, whose check reads
+    without a check, on the full S^2, whose check reads a refined zonal S^2
+    rule but builds no N x J table, and on the zonal S^3, whose check reads
     the cosine moments of V), counted without building a grid larger than
-    the pole caps."""
+    the pole caps.  On the zonal sphere it is the rule every potential block
+    is summed on, pole-capped for a singular V; the full S^2 sums a zonal V
+    on the rule of the zonal S^2 (``_zonal_rule``)."""
     levels = geometry.SINGULAR_POLE_LEVELS if V is not None and V.singular else 0
     grid = functools.partial(geometry.default_grid, manifold, K, levels)
     N = math.prod(geometry._default_axes(manifold, K))

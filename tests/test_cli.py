@@ -427,8 +427,7 @@ def test_spectrum_counterexample_on_pole_capped_grid(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["--manifold", "sphere-full-2d", "--potential", "truncated-counterexample",
-     "--K", "16"],
+    ["--manifold", "sphere-full-2d", "--potential", "cos(phi)/sin(phi)", "--K", "16"],
     ["--potential", "cos(phi)/sin(phi)", "--K", "48"],
 ])
 def test_spectrum_unresolved_potential_stops(tmp_path, capsys, args):

@@ -189,7 +189,7 @@ def test_torus_and_full_sphere_volumes():
     grid = geometry.torus_grid(3, 10)
     assert float(np.sum(grid.weights)) == pytest.approx((2 * math.pi) ** 3,
                                                         rel=1e-12)
-    grid2 = geometry.full_sphere_grid(16)
+    grid2 = geometry.full_sphere_grid(16, 32)
     assert float(np.sum(grid2.weights)) == pytest.approx(4 * math.pi, rel=1e-12)
 
 
@@ -353,7 +353,7 @@ def test_hemisphere_folds_even_integrands(n, size, levels):
 
 def test_hemisphere_rejects_product_grids():
     with pytest.raises(DomainError, match="zonal"):
-        geometry.hemisphere(geometry.full_sphere_grid(8))
+        geometry.hemisphere(geometry.full_sphere_grid(8, 16))
 
 
 def test_grid_shape_matches_its_nodes():

@@ -25,8 +25,9 @@ _ROWS = {
                        ("spectrum", {"manifold": "sphere-full-2d", "K": "24"}),
                        ("spectrum", {"manifold": "torus", "K": "16"}),
                        ("spectrum", {"manifold": "torus", "n": "3", "K": "5"}),
-                       # checked V != 0 solves: pole caps, the fold and the full S^2;
-                       # on S^3 the check reads cosine moments and builds no table
+                       # checked V != 0 solves: pole caps, the fold and the full S^2,
+                       # which sums on the zonal S^2 rule; on S^3 the check reads
+                       # cosine moments and builds no table
                        ("spectrum", {"n": "3", "K": "256", "potential": "counterexample"}),
                        ("spectrum", {"n": "3", "K": "512", "potential": "counterexample"}),
                        ("spectrum", {"n": "4", "K": "256", "potential": "counterexample"}),
@@ -34,7 +35,11 @@ _ROWS = {
                        ("spectrum", {"n": "3", "K": "256",
                                      "potential": "truncated-counterexample"}),
                        ("spectrum", {"manifold": "sphere-full-2d", "K": "24",
-                                     "potential": "constant:1"})],
+                                     "potential": "constant:1"}),
+                       ("spectrum", {"manifold": "sphere-full-2d", "K": "24",
+                                     "potential": "truncated-counterexample"}),
+                       ("spectrum", {"manifold": "sphere-full-2d", "K": "24",
+                                     "potential": "counterexample"})],
     "_plan_resolvent_probe": [("resolvent-probe", {})],
     "_plan_counterexample": [("counterexample", {}),
                              ("counterexample", {"K": "16384"})],

@@ -607,27 +607,35 @@ _SIGNS_PRESENT = {"mixed": (True, True, True), "positive": (True, False, False),
     (geometry.SPHERE_FULL_2D, 0, False)])
 def test_split_gram_matches_gemm(kind, levels, even, signs):
     """potential_matrix and the checked assembly match the GEMM on the grid
-    they sum on: the basis grid, or its hemisphere fold for an even V on a
-    zonal basis (the parity views of the gathered rows), and the refined grid
+    they sum on: on a zonal basis the basis grid, or its hemisphere fold for
+    an even V (the parity views of the gathered rows), and the refined grid
     of the check, or its fold, for assemble(check=True), which adds the
-    refined block to the free diagonal.  Both are exactly symmetric with
-    exact zeros across parity on the fold, for w V of mixed signs with zeros,
-    all positive, all negative and all zero.  The zonal case runs on S^4,
-    where the check still sums on the refined grid."""
+    refined block to the free diagonal; on the full S^2 the product grids
+    whose polar axes are the zonal S^2 rule and its refined copy.  Both are
+    exactly symmetric with exact zeros across parity on the fold, for w V of
+    mixed signs with zeros, all positive, all negative and all zero.  The
+    zonal case runs on S^4, where the check still sums on the refined grid."""
     manifold = geometry.ModelManifold(kind, 4 if kind == geometry.SPHERE_ZONAL else 2)
     basis = geometry.build_basis(manifold, 24, geometry.default_grid(manifold, 24, levels))
     V = potentials.Potential(fn=_SIGN_PATTERNS[signs], even=even)
     parity = even and kind == geometry.SPHERE_ZONAL
     fold = geometry.hemisphere if parity else (lambda grid: grid)
+    rule = operator_core._zonal_rule(V, basis)
+    fine_grid = operator_core._refined_grid(rule)
+    if kind == geometry.SPHERE_FULL_2D:
+        ref, fine_ref = (_gemm_potential(V, geometry.build_basis(manifold, 24,
+                                                                 _product_grid(g, 24)))
+                         for g in (rule, fine_grid))
+    else:
+        ref = _gemm_potential(V, basis, fold(basis.grid))
+        fine_ref = _gemm_potential(V, geometry.build_basis(manifold, 24, fold(fine_grid)))
     M = operator_core.potential_matrix(V, basis)
-    _assert_split_matches_gemm(M, _gemm_potential(V, basis, fold(basis.grid)), parity)
-    fine_grid = operator_core._refined_grid(basis.grid)
-    fine_basis = geometry.build_basis(manifold, 24, fold(fine_grid))
+    _assert_split_matches_gemm(M, ref, parity)
     pot_fine = operator_core.potential_matrix(V, basis, fine_grid)
-    _assert_split_matches_gemm(pot_fine, _gemm_potential(V, fine_basis), parity)
+    _assert_split_matches_gemm(pot_fine, fine_ref, parity)
     A = operator_core.assemble(V, basis, check=True)
     assert A.tobytes() == (np.diag(np.rint(basis.freqs ** 2)) + pot_fine).tobytes()
-    _, wv, _, npos, nneg = operator_core._signed_nodes(V, basis.grid)
+    _, wv, _, npos, nneg = operator_core._signed_nodes(V, rule)
     assert (npos > 0, nneg > 0, npos + nneg < wv.size) == _SIGNS_PRESENT[signs]
 
 
@@ -649,20 +657,43 @@ def test_partitioned_check_matches_unpartitioned(n, V):
     assert np.array_equal(order, np.arange(half.size)) == (n == 2 and V.singular)
 
 
+_FULL_S2 = geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2)
+
+
+def _product_grid(rule, K):
+    """The full-S^2 product grid whose polar axis is the zonal S^2 ``rule``
+    and whose azimuthal axis is the trapezoid rule of 2K + 4 points, which is
+    exact for the product of two modes of degree <= K.  On the Gauss rule of
+    n_phi nodes it is full_sphere_grid(n_phi, 2K + 4) up to rounding."""
+    ntheta = 2 * K + 4
+    theta = 2.0 * math.pi * np.arange(ntheta) / ntheta
+    pp, tt = np.meshgrid(rule.nodes, theta, indexing="ij")
+    return geometry.QuadratureGrid(_FULL_S2, np.column_stack([pp.ravel(), tt.ravel()]),
+                                   np.repeat(rule.weights / ntheta, ntheta),
+                                   shape=(rule.size, ntheta))
+
+
 @pytest.mark.parametrize("expr", ["1", "cos(phi)", "cos(phi)**2 - 0.3"])
 def test_full_sphere_check_matches_refined_basis(expr):
-    """On the full S^2 the check's partitioned refined basis gives the sign
-    split on the refined basis in grid order bit for bit (its harmonics carry
-    no summed norms), also where w V changes sign."""
-    manifold = geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2)
-    basis = geometry.build_basis(manifold, 10)
+    """On the full S^2 the check sums by order on the refined zonal S^2 rule
+    (twice the 2K + 16 Gauss nodes, node for node), partitioned by the sign
+    of w V: it matches the GEMM of a basis on the product grid whose polar
+    axis is that refined rule within 1e-13 of its largest entry, also where
+    w V changes sign, with exact zeros between orders and between cos and
+    sin."""
+    basis = geometry.build_basis(_FULL_S2, 10)
     V = potentials.from_expression(expr)
-    fine_grid = operator_core._refined_grid(basis.grid)
-    ref = operator_core.potential_matrix(V, geometry.build_basis(manifold, 10, fine_grid))
-    assert operator_core.potential_matrix(V, basis, fine_grid).tobytes() == ref.tobytes()
+    fine_grid = operator_core._refined_grid(operator_core._zonal_rule(V, basis))
+    expected = geometry.zonal_grid(2, 2 * (2 * 10 + 16))  # twice the zonal S^2 rule
+    assert np.array_equal(fine_grid.nodes, expected.nodes)
+    assert np.array_equal(fine_grid.weights, expected.weights)
+    M = operator_core.potential_matrix(V, basis, fine_grid)
+    ref = _gemm_potential(V, geometry.build_basis(_FULL_S2, 10, _product_grid(fine_grid, 10)))
+    _assert_split_matches_gemm(M, ref, False)
+    classes = basis.classes // 2
+    assert not np.any(M[classes[:, None] != classes[None, :]])
 
 
-_FULL_S2 = geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2)
 _ZONAL_ON_S2 = {"1": potentials.from_expression("1"),
                 "cos(phi)**2-0.3": potentials.from_expression("cos(phi)**2-0.3"),
                 "sin(phi)-0.5": potentials.from_expression("sin(phi)-0.5"),
@@ -672,16 +703,17 @@ _ZONAL_ON_S2 = {"1": potentials.from_expression("1"),
 
 @pytest.mark.parametrize("name", sorted(_ZONAL_ON_S2))
 def test_full_sphere_blocks_match_dense_quadrature(name):
-    """On the full S^2 the potential block is formed by order on the polar
-    rule: it is within 1e-13 of values^T (w V values) on the whole grid,
-    relative to its largest entry, with exact zeros between orders and
-    between cos and sin (and across the parity of k - m for an even V); the
-    K = 24 eigenvalues lie within 1e-12 ||A|| of eigvalsh of the dense
-    matrix."""
+    """On the full S^2 the potential block is formed by order on the zonal
+    S^2 rule: it is within 1e-13 of values^T (w V values) on the product grid
+    whose polar axis is that rule, relative to its largest entry, with exact
+    zeros between orders and between cos and sin (and across the parity of
+    k - m for an even V); the K = 24 eigenvalues lie within 1e-12 ||A|| of
+    eigvalsh of the dense matrix."""
     V = _ZONAL_ON_S2[name]
     basis = geometry.build_basis(_FULL_S2, 24)
     M = operator_core.potential_matrix(V, basis)
-    ref = _gemm_potential(V, basis)
+    grid = _product_grid(operator_core._zonal_rule(V, basis), 24)
+    ref = _gemm_potential(V, geometry.build_basis(_FULL_S2, 24, grid))
     assert np.array_equal(M, M.T)
     assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
     classes = basis.classes
@@ -745,21 +777,54 @@ def test_full_sphere_solve_builds_no_node_values(monkeypatch):
     assert axes == [basis.grid.shape]
 
 
-@pytest.mark.parametrize("K,entry,move,scale", [(16, 258, "1.164e-01", "3.554e+00"),
-                                                (48, 2304, "1.128e-01", "3.589e+00")])
-def test_full_sphere_check_still_refuses_truncated(K, entry, move, scale):
-    """The checked solve of the truncated V on the default full-S^2 grid
-    still stops, naming the same move and the entry the dense check named
-    (or its cos/sin twin); at K = 48 it stops within a second (the dense
-    check took 5.2 s)."""
+# the worst entry of the check of cos(phi)/sin(phi), its move and its scale, by K
+_COT_STOPS = {16: (225, "2.996e-01", "2.970e+00"), 48: (2209, "4.025e-01", "3.584e+00")}
+
+
+@pytest.mark.parametrize("K", sorted(_COT_STOPS))
+def test_full_sphere_check_resolves_the_counterexamples(K):
+    """The checked solve of the truncated and of the critical V on the full
+    S^2 runs, within a second each at K = 48: both are summed on the zonal
+    S^2 rule, whose refined copy moves no entry by 1%.  cos(phi)/sin(phi),
+    which the zonal S^2 rule does not resolve at the poles, still stops, as
+    on the zonal S^2, naming the worst entry, an order-0 pair of degrees
+    K - 1 and K, and its move."""
+    for V in (_ZONAL_ON_S2["truncated-counterexample"], potentials.counterexample(2)):
+        start = time.perf_counter()
+        decomp = operator_core.solve(V, _FULL_S2, K)
+        assert time.perf_counter() - start < 1.0
+        assert decomp.size == (K + 1) ** 2
+    entry, move, scale = _COT_STOPS[K]
     basis = geometry.build_basis(_FULL_S2, K)
-    k, m, _ = basis.modes[entry]
-    twins = "|".join(str(basis.modes.index((k, m, t))) for t in "cs" if m or t == "c")
-    start = time.perf_counter()
-    with pytest.raises(NumericError, match=rf"entry \(({twins}), \1\) moved by "
+    assert (basis.modes[entry], basis.modes[entry + 2 * K - 1]) == ((K - 1, 0, "c"),
+                                                                   (K, 0, "c"))
+    with pytest.raises(NumericError, match=rf"entry \({entry}, {entry + 2 * K - 1}\) moved by "
                        rf"{re.escape(move)} \(scale {re.escape(scale)}\)"):
-        operator_core.solve(_ZONAL_ON_S2["truncated-counterexample"], _FULL_S2, K)
-    assert time.perf_counter() - start < 1.0
+        operator_core.solve(potentials.from_expression("cos(phi)/sin(phi)"), _FULL_S2, K)
+
+
+_ZONAL_S2 = geometry.ModelManifold(geometry.SPHERE_ZONAL, 2)
+
+
+@pytest.mark.parametrize("K", [16, 48])
+@pytest.mark.parametrize("ref", ["sin(phi)-0.5", "truncated-counterexample",
+                                 "1*sin(phi)**2 - 2*cos(phi)", "9*sin(phi)**2 - 6*cos(phi)",
+                                 "counterexample"])
+def test_full_sphere_holds_the_zonal_spectrum(ref, K):
+    """The full S^2 sums a zonal V on the rule of the zonal S^2 solve of V at
+    the same K, so its order-0 block is the zonal S^2 matrix, and the bottom
+    of both checked spectra agree within 1e-12 ||A|| (the critical V, on the
+    pole-capped rule, agrees to 7e-16 ||A|| at K = 48 and is held to 1e-10
+    ||A||).  For V_a = a^2 sin^2 phi - 2a cos phi, f = exp(a cos phi) > 0
+    solves H_V f = 0 on S^2, so there |mu_0| <= eps ||A||."""
+    V = potentials.from_reference(ref, 2)
+    full = operator_core.solve(V, _FULL_S2, K).eigenvalues
+    zonal = operator_core.solve(V, _ZONAL_S2, K).eigenvalues
+    norm = max(abs(full[0]), abs(full[-1]))
+    assert abs(full[0] - zonal[0]) <= (1e-10 if V.singular else 1e-12) * norm
+    if "cos(phi)" in ref:
+        assert abs(full[0]) <= _EPS * norm
+        assert abs(zonal[0]) <= _EPS * norm
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -840,20 +905,15 @@ def test_zonal_refined_copy_keeps_cap_depth(levels):
     assert np.array_equal(fine.weights, expected.weights)
 
 
-@pytest.mark.parametrize("size_phi,size_theta", [(20, 30), (12, None)])
-def test_full_sphere_refined_copy_reads_both_counts(size_phi, size_theta):
-    """The refined full-S^2 grid has 2 nphi + 1 polar and 2 ntheta + 2
-    azimuthal nodes, read from the grid itself; a default-shaped grid
-    refines to full_sphere_grid(2 nphi + 1), node for node."""
-    grid = geometry.full_sphere_grid(size_phi, size_theta)
-    fine = operator_core._refined_grid(grid)
-    ntheta = size_theta or 2 * size_phi
-    assert np.unique(fine.nodes[:, 0]).size == 2 * size_phi + 1
-    assert np.unique(fine.nodes[:, 1]).size == 2 * ntheta + 2
-    if size_theta is None:
-        expected = geometry.full_sphere_grid(2 * size_phi + 1)
-        assert np.array_equal(fine.nodes, expected.nodes)
-        assert np.array_equal(fine.weights, expected.weights)
+def test_potential_matrix_takes_only_a_zonal_rule():
+    """A zonal V is summed on a zonal rule of the basis's S^n: a product grid
+    of the full S^2, or a zonal rule of another dimension, is refused."""
+    V = potentials.from_expression("cos(phi)")
+    basis = geometry.build_basis(_FULL_S2, 4)
+    for grid in (basis.grid, geometry.zonal_grid(3, 16)):
+        with pytest.raises(DomainError, match="zonal rule of S\\^2"):
+            operator_core.potential_matrix(V, basis, grid)
+    assert operator_core.potential_matrix(V, basis, geometry.zonal_grid(2, 16)).shape == (25, 25)
 
 
 def test_potential_on_torus_rejected():
