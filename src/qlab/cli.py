@@ -207,27 +207,27 @@ def _check_bytes(size: int, what: str, key: str, exact: bool = True) -> None:
 
 
 def _solve_bytes(nodes: int, modes: int, fine: int = 0) -> int:
-    """Peak bytes of a solve and its node values on N nodes and J modes, with
-    ``fine`` refined nodes in its check (0: none, or the check on the full
-    S^2, which builds no refined table).  Without a refined table it holds
-    the basis, the node values and one J x J matrix (1.00x-1.01x of the
-    tracemalloc peak); with one it peaks in its check: the basis, the refined
-    basis (which ``operator_core._split_gram`` takes whole, copying no row)
-    and three J x J matrices, which cover the Galerkin matrix, the split's
-    blocks and the transients of building the refined basis (0.84x-1.02x)."""
+    """Peak bytes of a solve and its node values on N basis nodes and J
+    modes, with ``fine`` refined-rule nodes in its check (0: none, or the
+    full S^2's check, which builds no refined table).  Without a refined
+    table it holds the basis, the node values and one J x J matrix
+    (1.00x-1.05x of the tracemalloc peak); with one it peaks in its check:
+    the basis, the table of the basis at the refined nodes (which
+    ``operator_core._split_gram`` takes whole, copying no row) and three
+    J x J matrices for the Galerkin matrix, the split's blocks and the
+    check's transients (0.91x-1.01x)."""
     if fine:
         return 8 * modes * (nodes + fine + 3 * modes)
     return 8 * modes * (2 * nodes + modes)
 
 
-def _solve_plan(V, manifold, K: int, key: str):
-    """``operator_core._solve_grid`` for a truncation K >= 2 read from config
-    key ``key``: the grid of the solve, as a function that builds it, its N
-    and the F of its check."""
-    from . import operator_core
+def _solve_plan(key: str, K: int, sizes, *args):
+    """``sizes(*args)``, an ``operator_core`` count of the grids of a run at
+    a truncation K >= 2 read from config key ``key``: ``_solve_grid``'s N
+    and F of a solve, or ``_rule_sizes`` of the rule V is summed on."""
     if K < 2:
         raise ConfigError(f"key {key!r}: truncation too small (K must be at least 2)")
-    return _key("n", operator_core._solve_grid, V, manifold, K)
+    return _key("n", sizes, *args)
 
 
 def _lattice_points(n: int, r2: int) -> int:
@@ -253,7 +253,7 @@ def _decomposition(cfg: dict, top: float = 0.0):
     manifold = _key("manifold", geometry.ModelManifold, cfg["manifold"], n)
     V = _key("potential", potentials.from_reference, cfg["potential"], n)
     _key("potential", operator_core._check_potential, V, manifold)
-    _, nodes, fine = _solve_plan(V, manifold, K, "K")
+    nodes, fine = _solve_plan("K", K, operator_core._solve_grid, V, manifold, K)
     if K < top:
         raise ConfigError(f"truncation too small (K={K} below the largest "
                           f"requested frequency {top:g})")
@@ -315,18 +315,18 @@ def _plan_kato(cfg):
 def _plan_counterexample(cfg):
     import numpy as np
 
-    from . import estimators, geometry, potentials
+    from . import estimators, geometry, operator_core, potentials
     n, K = cfg["n"], cfg["K"]
     manifold = _key("n", geometry.ModelManifold, geometry.SPHERE_ZONAL, n)
     V = potentials.counterexample(n)
-    build, nodes, _ = _solve_plan(V, manifold, K, "K")
+    nodes = _solve_plan("K", K, operator_core._rule_sizes, V, n, K)[0]
     # the rows of Python floats and the arrays of the table, 264 bytes per
     # node, held while the Kato report peaks at 5.6 MB (tracemalloc, n = 2..5)
     _check_bytes(264 * nodes + 6 * 2 ** 20,
                  f"the counterexample table at K={K} ({nodes} nodes)", "K")
 
     def run():
-        grid = build()
+        grid = operator_core._zonal_rule(V, n, K)
         phi = grid.nodes
         f = potentials.counterexample_eigenfunction(n, phi)
         lap = potentials.counterexample_eigenfunction_laplacian(n, phi)
@@ -432,7 +432,7 @@ def _plan_heat(cfg):
 
 
 def _plan_wave_speed(cfg):
-    from . import dynamics, geometry, potentials
+    from . import dynamics, geometry, operator_core, potentials
     n, t, Ks = cfg["n"], cfg["t"], sorted(cfg["Ks"])
     manifold = _key("n", geometry.ModelManifold, geometry.SPHERE_ZONAL, n)
     V = _key("potential", potentials.from_reference, cfg["potential"], n)
@@ -444,7 +444,7 @@ def _plan_wave_speed(cfg):
     if t == 0.0:
         raise ConfigError("key 't': t must be non-zero (at t = 0 every leakage is exactly "
                           "0, so the leakage cannot decrease with K)")
-    sizes = {K: _solve_plan(V, manifold, K, "Ks")[1:] for K in Ks}
+    sizes = {K: _solve_plan("Ks", K, operator_core._solve_grid, V, manifold, K) for K in Ks}
     # every solve is held, and the leakage at the largest K holds its N x N
     # kernel (then distances), mass, cone mask and mass[outside]
     nodes = sizes[Ks[-1]][0]

@@ -10,10 +10,10 @@ Three model geometries are supported:
   harmonic basis.
 * ``torus(n)`` -- the flat torus [0, 2pi)^n with a real Fourier basis.
 
-All bases are orthonormal with respect to the quadrature grid they are
-built on, and frequencies follow the convention ``lambda_j = sqrt(mu_j)``
-with ``mu_j`` the Laplace eigenvalue (``k(k+n-1)`` on spheres, ``|m|^2`` on
-the torus).
+Every basis is orthonormal under the weights of the Gauss, product or torus
+grid of ``default_grid``, not of a pole-capped rule, and frequencies follow
+``lambda_j = sqrt(mu_j)`` with ``mu_j`` the Laplace eigenvalue (``k(k+n-1)``
+on spheres, ``|m|^2`` on the torus).
 """
 
 from __future__ import annotations
@@ -66,17 +66,15 @@ class QuadratureGrid:
 
     ``nodes`` has shape (N,) for zonal grids (polar angles ``phi``) and
     (N, d) for product grids (``(phi, theta)`` on S^2, angles on a torus).
-    ``weights`` sum to the manifold volume.  ``pole_levels`` is the cap depth
-    a zonal grid was built with (0: no pole caps).  ``shape`` is (n_phi,
-    n_theta) for a full-S^2 product grid, whose nodes run phi-major, so its
-    axes are ``nodes[::n_theta, 0]`` and ``nodes[:n_theta, 1]``; it is ()
-    for every other grid.
+    ``weights`` sum to the manifold volume.  ``shape`` is (n_phi, n_theta)
+    for a full-S^2 product grid, whose nodes run phi-major, so its axes are
+    ``nodes[::n_theta, 0]`` and ``nodes[:n_theta, 1]``; it is () for every
+    other grid.
     """
 
     manifold: ModelManifold
     nodes: np.ndarray
     weights: np.ndarray
-    pole_levels: int = 0
     shape: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -194,12 +192,11 @@ def zonal_grid(n: int, size: int, pole_levels: int = 0) -> QuadratureGrid:
     2**pole_levels; these resolve integrands with pole singularities.
     """
     if pole_levels <= 0:
-        x, w = gauss_gegenbauer(size, (n - 2) / 2.0)
+        x, w = _gauss_rule(size, (n - 2) / 2.0)
         phi = np.arccos(x)[::-1]
         weights = (w * sphere_volume(n - 1))[::-1].copy()
         return QuadratureGrid(ModelManifold(SPHERE_ZONAL, n), phi, weights)
-    grid = _pole_capped_grid(n, max(8, size // 8), float(2 ** pole_levels), 1)
-    return replace(grid, pole_levels=pole_levels)
+    return _pole_capped_grid(n, max(8, size // 8), float(2 ** pole_levels), 1)
 
 
 SINGULAR_POLE_LEVELS = 6  # cap depth of the grid that solves a V with poles
@@ -264,10 +261,11 @@ def hemisphere(grid: QuadratureGrid) -> QuadratureGrid:
 
 
 @functools.lru_cache(maxsize=None)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule on [-1, 1], computed once per order.  The cached
-    arrays are read-only so no caller can change them."""
-    x, w = gauss_gegenbauer(order, 0.0)
+def _gauss_rule(m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """``gauss_gegenbauer(m, alpha)``, computed once per (m, alpha): a basis
+    grid that is also the rule V is summed on costs one Newton pass.  The
+    cached arrays are read-only so no caller can change them."""
+    x, w = gauss_gegenbauer(m, alpha)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -280,7 +278,7 @@ def _panel_gauss(a: float, b: float, panels: int, order: int) -> tuple[np.ndarra
 
 def _gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on the panels between consecutive ``edges``."""
-    x0, w0 = _gauss_legendre(order)
+    x0, w0 = _gauss_rule(order, 0.0)
     lo, hi = edges[:-1, None], edges[1:, None]
     half = (hi - lo) / 2.0
     return ((lo + hi) / 2.0 + half * x0).ravel(), (half * w0).ravel()
@@ -288,7 +286,7 @@ def _gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
 
 def full_sphere_grid(size_phi: int, size_theta: int) -> QuadratureGrid:
     """Product quadrature on the full S^2: Gauss in cos(phi), trapezoid in theta."""
-    x, w = gauss_gegenbauer(size_phi, 0.0)
+    x, w = _gauss_rule(size_phi, 0.0)
     phi = np.arccos(x)[::-1]
     wphi = w[::-1]
     theta = 2.0 * math.pi * np.arange(size_theta) / size_theta
@@ -458,7 +456,8 @@ class ZonalSphereBasis(Basis):
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         x = np.cos(np.atleast_1d(np.asarray(points, dtype=float)))
         table = _gegenbauer_table(self.K, self.lam_geg, x)
-        return (table / self._norms[:, None]).T
+        table /= self._norms[:, None]
+        return table.T
 
     @functools.cached_property
     def pole_values(self) -> np.ndarray:

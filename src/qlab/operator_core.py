@@ -13,9 +13,8 @@ produce bit-identical decompositions.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -32,13 +31,13 @@ def _check_potential(V: Potential | None, manifold: geometry.ModelManifold) -> N
 
 
 def _signed_nodes(V: Potential, rule: geometry.QuadratureGrid
-                  ) -> tuple[geometry.QuadratureGrid, np.ndarray, np.ndarray, int, int]:
-    """The zonal ``rule`` V is summed on (folded by ``geometry.hemisphere``
-    for an even V), with its nodes ordered w V > 0, then < 0, then = 0, each
-    in rule order: the rule in that order, w V in that order, the order as
-    indices of the rule, and the number of nodes with w V > 0 and with
-    w V < 0.  Raises NumericError naming the first node, by its index and
-    coordinates in the unfolded rule, where w V is not finite."""
+                  ) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The nodes of the zonal ``rule`` V is summed on (folded by
+    ``geometry.hemisphere`` for an even V), ordered w V > 0, then < 0, then
+    = 0, each in rule order: the nodes in that order, w V in that order, and
+    the number of nodes with w V > 0 and with w V < 0.  Raises NumericError
+    naming the first node, by its index and coordinates in the unfolded
+    rule, where w V is not finite."""
     grid = geometry.hemisphere(rule) if V.even else rule
     wv = grid.weights * np.asarray(V(grid.nodes), dtype=float)
     bad = np.flatnonzero(~np.isfinite(wv))
@@ -49,17 +48,37 @@ def _signed_nodes(V: Potential, rule: geometry.QuadratureGrid
                            "V must be finite on the quadrature grid")
     plus, minus = np.flatnonzero(wv > 0.0), np.flatnonzero(wv < 0.0)
     order = np.concatenate([plus, minus, np.flatnonzero(wv == 0.0)])
-    grid = replace(grid, nodes=grid.nodes[order], weights=grid.weights[order])
-    return grid, wv[order], order, plus.size, minus.size
+    return grid.nodes[order], wv[order], plus.size, minus.size
 
 
-def _zonal_rule(V: Potential, basis: geometry.Basis) -> geometry.QuadratureGrid:
-    """The zonal rule V is summed on for ``basis``: the basis grid on the
-    zonal sphere, and on the full S^2 the zonal S^2 rule that a zonal S^2
-    ``solve`` of V at the same K builds its basis on (``_solve_grid``)."""
-    if basis.manifold.kind != geometry.SPHERE_FULL_2D:
-        return basis.grid
-    return _solve_grid(V, geometry.ModelManifold(geometry.SPHERE_ZONAL, 2), basis.K)[0]()
+def _zonal_rule(V: Potential, n: int, K: int, refined: bool = False
+                ) -> geometry.QuadratureGrid:
+    """The zonal rule of S^n a zonal V is summed on at truncation K, on the
+    zonal sphere and on the full S^2 (n = 2) alike: the 2K + 16 Gauss nodes
+    of ``geometry.default_grid``, pole-capped at ``SINGULAR_POLE_LEVELS``
+    for a singular V.  ``refined`` gives the rule of ``assemble``'s check:
+    twice the rule's nodes, at the same cap depth, so a pole-capped rule
+    keeps its caps node for node and doubles its bulk."""
+    levels = geometry.SINGULAR_POLE_LEVELS if V.singular else 0
+    rule = geometry.default_grid(geometry.ModelManifold(geometry.SPHERE_ZONAL, n), K, levels)
+    return geometry.zonal_grid(n, 2 * rule.size, levels) if refined else rule
+
+
+def _rule_sizes(V: Potential, n: int, K: int) -> tuple[int, int]:
+    """The node count of ``_zonal_rule(V, n, K)`` and the number of nodes of
+    its refined rule that the check evaluates the basis at (the hemisphere
+    fold for an even V), counted on the rule of K = 0 so that no grid larger
+    than its pole caps is built."""
+    size = geometry._default_axes(geometry.ModelManifold(geometry.SPHERE_ZONAL, n), K)[0]
+    if not V.singular:  # a Gauss rule of 2 size nodes folds onto size
+        return size, size if V.even else 2 * size
+    # 8 max(8, size // 8) bulk nodes, half of them north, and caps that do
+    # not depend on the size, counted on the rule of K = 0 (64 bulk nodes)
+    small = _zonal_rule(V, n, 0)
+    caps, north = small.size - 64, geometry.hemisphere(small).size - 32
+    nodes = 8 * max(8, size // 8) + caps
+    bulk = 8 * max(8, 2 * nodes // 8)
+    return nodes, bulk // 2 + north if V.even else bulk + caps
 
 
 # the degree-parity pair: the blocks of the Galerkin matrix of an even zonal V
@@ -256,55 +275,46 @@ def potential_matrix(V: Potential | None, basis: geometry.Basis,
     without a ``grid`` it is the exact block of ``_moment_matrix``, Toeplitz
     minus Hankel in the cosine moments of V, summed on no grid and read from
     no basis row.  Otherwise it is summed on ``grid``, a zonal rule of the
-    basis's S^n (by default ``_zonal_rule``: the basis grid on the zonal
-    sphere, the zonal S^2 rule of a zonal S^2 solve on the full S^2;
-    ``assemble``'s check passes its ``_refined_grid``), by ``_split_gram``,
-    which takes its rows as temporaries so that it can free them.  On the
-    zonal sphere the rows are the basis rows where w V != 0, gathered in
-    sign order into a private copy, on the basis grid; on any other rule, the
-    values of a basis built on the sign-ordered rule (``_signed_nodes``).  A
-    zonal basis sums its norms in that order, which moves the matrix by
-    about 1e-17 of its largest entry.  On the full S^2 a zonal V couples only
-    modes of one order m and one trigonometric factor, so one block per
-    order is formed from the associated-Legendre table on the rule and
-    written at both the cos and the sin columns of that order; every entry
-    between orders or between cos and sin is exactly 0, and no N x J table
-    is built.  An even V (``V.even``) couples only degrees of equal parity (of
-    k - m on the full S^2): it is summed on the hemisphere fold of the rule,
-    its parity blocks are formed apart, and every entry across parity is
-    exactly 0.  V = None gives the zero matrix.  Raises DomainError for a V
-    on the torus or a ``grid`` that is not a zonal rule of S^n, and
-    NumericError naming the first node where w V (V on the moment rule) is
-    not finite."""
+    basis's S^n (by default ``_zonal_rule``, which depends on V, n and K
+    alone, never on the basis grid; ``assemble``'s check passes its refined
+    copy), by ``_split_gram``, which takes its rows as temporaries so that
+    it can free them.  On the zonal sphere the rows are the basis functions
+    at the nodes where w V != 0, in sign order (``_signed_nodes``), from
+    ``basis.evaluate`` with the basis's own norms; on a Gauss rule equal to
+    the basis grid they are the basis rows bit for bit.  On the full S^2 a
+    zonal V couples only modes of one order m and one trigonometric factor,
+    so one block per order is formed from the associated-Legendre table on
+    the rule and written at both the cos and the sin columns of that order;
+    every entry between orders or between cos and sin is exactly 0, and no
+    N x J table is built.  An even V (``V.even``) couples only degrees of
+    equal parity (of k - m on the full S^2): it is summed on the hemisphere
+    fold of the rule, its parity blocks are formed apart, and every entry
+    across parity is exactly 0.  V = None gives the zero matrix.  Raises
+    DomainError for a V on the torus or a ``grid`` that is not a zonal rule
+    of S^n, and NumericError naming the first node where w V (V on the
+    moment rule) is not finite."""
     _check_potential(V, basis.manifold)
-    J = basis.size
+    J, n = basis.size, basis.manifold.n
     if V is None:
         return np.zeros((J, J))
     if grid is None and _by_moments(basis.manifold):
         return _moment_matrix(V, basis.K, check=False)
-    grid = _zonal_rule(V, basis) if grid is None else grid
-    if grid.manifold != geometry.ModelManifold(geometry.SPHERE_ZONAL, basis.manifold.n):
-        raise DomainError(f"a zonal V is summed on a zonal rule of S^{basis.manifold.n}, "
+    grid = _zonal_rule(V, n, basis.K) if grid is None else grid
+    if grid.manifold != geometry.ModelManifold(geometry.SPHERE_ZONAL, n):
+        raise DomainError(f"a zonal V is summed on a zonal rule of S^{n}, "
                           f"not on {grid.manifold}")
-    rule, wv, order, npos, nneg = _signed_nodes(V, grid)
-    if basis.manifold.kind == geometry.SPHERE_FULL_2D:
-        M = np.zeros((J, J))
-        phi = rule.nodes[:npos + nneg]
-        for m in range(basis.K + 1):
-            # the table of P~_k^m, k = m..K, one column per degree
-            block = _split_gram(geometry._normalized_assoc_legendre(basis.K, m, phi).T,
-                                wv, npos, nneg, V.even)
-            for cols in basis._order_columns(m):
-                M[np.ix_(cols, cols)] = block
-        return M
-    if grid is not basis.grid:
-        return _split_gram(geometry.build_basis(basis.manifold, basis.K, rule).values,
-                           wv, npos, nneg, V.even)
-    rows = order[:npos + nneg]
-    # the parity views need column-major rows: np.take on the transposed
-    # zonal table gathers them
-    return _split_gram(np.take(basis.values.T, rows, axis=1).T if V.even
-                       else basis.values[rows], wv, npos, nneg, V.even)
+    nodes, wv, npos, nneg = _signed_nodes(V, grid)
+    phi = nodes[:npos + nneg]
+    if basis.manifold.kind != geometry.SPHERE_FULL_2D:
+        return _split_gram(basis.evaluate(phi), wv, npos, nneg, V.even)
+    M = np.zeros((J, J))
+    for m in range(basis.K + 1):
+        # the table of P~_k^m, k = m..K, one column per degree
+        block = _split_gram(geometry._normalized_assoc_legendre(basis.K, m, phi).T,
+                            wv, npos, nneg, V.even)
+        for cols in basis._order_columns(m):
+            M[np.ix_(cols, cols)] = block
+    return M
 
 
 _CHECK_TOL = 0.01  # largest entry move under grid refinement, relative to the matrix scale
@@ -322,28 +332,27 @@ def assemble(V: Potential | None, basis: geometry.Basis,
     block of the rule.  No grid, no basis row and no refined table is read.
 
     On every other manifold and n the block is summed on the zonal rule of
-    ``_zonal_rule`` (the basis grid on the zonal sphere, the zonal S^2 rule
-    of a zonal S^2 solve on the full S^2), and ``check=True`` reassembles it
-    on ``_refined_grid`` of that rule and raises, naming the worst entry,
-    when any coefficient moves by more than 1% (``_CHECK_TOL``) of the matrix
-    scale; otherwise it returns the refined matrix.  A pole-capped rule keeps
-    its caps (its ``pole_levels``) node for node and refines only the bulk,
-    so the check never tests the cap rule.  On the zonal sphere the check's
-    rows are a refined basis, built on the sign-ordered nodes and handed over
-    whole, so its working set is the basis, one refined basis and a few J x J
-    matrices; an even V is reassembled on the hemisphere fold of the refined
-    rule, so the refined basis is evaluated on those nodes only.  On the full
-    S^2 both matrices are formed by order and no N x J table is built.  w V
-    is checked on the rule before any refined work, so the NumericError for a
-    V that is not finite names a node of that rule.
+    ``_zonal_rule``, and ``check=True`` reassembles it on that rule's refined
+    copy and raises, naming the worst entry, when any coefficient moves by
+    more than 1% (``_CHECK_TOL``) of the matrix scale; otherwise it returns
+    the refined matrix.  A pole-capped rule keeps its caps node for node
+    and refines only the bulk, so the check never tests the cap rule.  On
+    the zonal sphere each matrix reads the basis functions at the rule's
+    nodes where w V != 0 (the refined rule's hemisphere fold for an even
+    V), evaluated into one table handed to ``_split_gram`` whole, so the
+    check's working set is the basis, that refined table and a few J x J
+    matrices.  On the full S^2 both matrices are formed by order and no
+    N x J table is built.  w V is checked on the rule before any refined
+    work, so the NumericError for a V that is not finite names a node of
+    that rule.
     """
     if V is not None and _by_moments(basis.manifold):
         pot = _moment_matrix(V, basis.K, check)
     else:
-        rule = None if V is None else _zonal_rule(V, basis)
-        pot = potential_matrix(V, basis, rule)  # checks w V on the rule first
+        pot = potential_matrix(V, basis)  # checks w V on the rule first
         if check and V is not None:
-            pot_fine = potential_matrix(V, basis, _refined_grid(rule))
+            fine = _zonal_rule(V, basis.manifold.n, basis.K, refined=True)
+            pot_fine = potential_matrix(V, basis, fine)
             scale = max(float(np.max(pot_fine)), -float(np.min(pot_fine)), 1e-300)
             diff = np.subtract(pot_fine, pot, out=pot)
             np.abs(diff, out=diff)
@@ -362,12 +371,6 @@ def assemble(V: Potential | None, basis: geometry.Basis,
     np.add(pot, 0.0, out=pot)
     pot[np.diag_indices(basis.size)] += np.rint(basis.freqs ** 2)
     return pot
-
-
-def _refined_grid(rule: geometry.QuadratureGrid) -> geometry.QuadratureGrid:
-    """The zonal rule of the check: twice the nodes, at the rule's own cap
-    depth."""
-    return geometry.zonal_grid(rule.manifold.n, 2 * rule.size, pole_levels=rule.pole_levels)
 
 
 @dataclass
@@ -563,46 +566,33 @@ def _positivity_shift(mu: np.ndarray) -> int:
 
 
 def _solve_grid(V: Potential | None, manifold: geometry.ModelManifold, K: int
-                ) -> tuple[Callable[[], geometry.QuadratureGrid], int, int]:
-    """The grid ``solve`` builds, as a function that builds it, its node
-    count N and the node count F of the refined grid its check reads (0
-    without a check, on the full S^2, whose check reads a refined zonal S^2
-    rule but builds no N x J table, and on the zonal S^3, whose check reads
-    the cosine moments of V), counted without building a grid larger than
-    the pole caps.  On the zonal sphere it is the rule every potential block
-    is summed on, pole-capped for a singular V; the full S^2 sums a zonal V
-    on the rule of the zonal S^2 (``_zonal_rule``)."""
-    levels = geometry.SINGULAR_POLE_LEVELS if V is not None and V.singular else 0
-    grid = functools.partial(geometry.default_grid, manifold, K, levels)
+                ) -> tuple[int, int]:
+    """The node count N of the basis grid ``solve`` builds
+    (``geometry.default_grid``, whatever V is) and the number F of refined
+    rule nodes its check evaluates the basis at (``_rule_sizes``; 0 without
+    a check, on the full S^2, whose check builds no N x J table, and on the
+    zonal S^3, whose check reads cosine moments), counted without building a
+    grid larger than the pole caps.  Raises DomainError on a zonal sphere
+    without a Gauss rule."""
     N = math.prod(geometry._default_axes(manifold, K))
-    zonal = manifold.kind == geometry.SPHERE_ZONAL
-    if zonal and not levels:
-        geometry._check_gauss_alpha((manifold.n - 2) / 2.0)
-    if V is None or not zonal:
-        return grid, N, 0
-    if not levels:  # the refined Gauss rule of 2N nodes folds onto N
-        F = N if V.even else 2 * N
-    else:
-        # 8 max(8, size // 8) bulk nodes, half of them north, and caps that do
-        # not depend on the size, counted on the smallest grid (64 bulk nodes)
-        small = geometry.zonal_grid(manifold.n, 0, levels)
-        caps, north = small.size - 64, geometry.hemisphere(small).size - 32
-        N = 8 * max(8, N // 8) + caps
-        bulk = 8 * max(8, 2 * N // 8)
-        F = bulk // 2 + north if V.even else bulk + caps
-    return grid, N, 0 if _by_moments(manifold) else F
+    if manifold.kind != geometry.SPHERE_ZONAL:
+        return N, 0
+    geometry._check_gauss_alpha((manifold.n - 2) / 2.0)
+    if V is None or _by_moments(manifold):
+        return N, 0
+    return N, _rule_sizes(V, manifold.n, K)[1]
 
 
 def solve(V: Potential | None, manifold: geometry.ModelManifold, K: int,
           shift: int | str = 0) -> SpectralDecomposition:
-    """Assemble and diagonalize H_V truncated at K on the grid of
-    ``_solve_grid``.  Every V other than None is assembled with
-    ``check=True``, so a grid that cannot resolve V raises NumericError.  The
-    shift N is added to the eigenvalues of H_V; ``shift='auto'`` picks the
-    smallest integer N >= 0 making the lowest of them at least 1, up to
-    round-off.
+    """Assemble and diagonalize H_V truncated at K, with the basis on
+    ``geometry.default_grid``, where it is orthonormal, and every V other
+    than None summed on its own rule (``_zonal_rule``) with ``check=True``,
+    so a rule that cannot resolve V raises NumericError.  The shift N is added to the eigenvalues
+    of H_V; ``shift='auto'`` picks the smallest integer N >= 0 making the
+    lowest of them at least 1, up to round-off.
     """
-    basis = geometry.build_basis(manifold, K, _solve_grid(V, manifold, K)[0]())
+    basis = geometry.build_basis(manifold, K)
     decomp = diagonalize(assemble(V, basis, check=True), basis)
     decomp.shift = _positivity_shift(decomp.eigenvalues) if shift == "auto" else int(shift)
     if decomp.shift:  # a shift moves only the eigenvalues: the node values stay

@@ -35,12 +35,12 @@ class Potential:
     """A real zonal potential V(phi) with annotations of facts about V.
 
     ``singularities`` lists the polar angles where V blows up (these select
-    the pole-capped grid), ``smooth_bound`` bounds |V| when V is bounded, and
-    ``even`` states the equatorial symmetry V(pi - phi) = V(phi).  An even V
-    couples only zonal modes of equal degree parity, so ``operator_core``
-    assembles it on the folded hemisphere rule, as two parity blocks.  Only
-    the two counterexample potentials set it; an expression, and a constant,
-    leave it False.
+    the pole-capped rule V is summed on), ``smooth_bound`` bounds |V| when V
+    is bounded, and ``even`` states the equatorial symmetry V(pi - phi) =
+    V(phi).  An even V couples only zonal modes of equal degree parity, so
+    ``operator_core`` assembles it on the folded hemisphere rule, as two
+    parity blocks.  Only the two counterexample potentials set it; an
+    expression, and a constant, leave it False.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -375,9 +375,11 @@ def potential_lq_norm(V: Potential, n: int, q: float) -> LpNormResult:
     """(integral of |V|^q over S^n)^(1/q) with singularity-graded quadrature.
 
     Three pole-capped rules: cap depth 40, 48, 56 in s = -ln(phi), with 2, 8,
-    32 panels per unit of s and 8 times that many bulk panels.  Divergence
-    detection: either refinement growing the integral by more than 10% flags
-    it as divergent and returns an infinite sentinel.
+    32 panels per unit of s and 8 times that many bulk panels.  An even V is
+    summed on the ``geometry.hemisphere`` fold of each rule, as the assembly
+    sums it, so the south cap, cut from s ~ 33.2 on, does not bias the sum
+    low.  Divergence detection: either refinement growing the integral by
+    more than 10% flags it as divergent and returns an infinite sentinel.
     """
     if q <= 0:
         raise DomainError("exponent must be positive")
@@ -385,6 +387,8 @@ def potential_lq_norm(V: Potential, n: int, q: float) -> LpNormResult:
     for step in range(3):
         per_unit = 2 * 4 ** step
         grid = geometry._pole_capped_grid(n, 8 * per_unit, 40.0 + 8.0 * step, per_unit)
+        if V.even:
+            grid = geometry.hemisphere(grid)
         vals = np.abs(V(grid.nodes)) ** q
         sums.append(float(np.sum(grid.weights * vals)))
     growth1 = sums[1] / sums[0] if sums[0] > 0 else 1.0

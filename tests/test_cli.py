@@ -138,13 +138,13 @@ _BAD_VALUES = [
     ("spectrum", "potential = truncated-counterexample\nK = 4376", "the checked solve on the "
      "dense sphere-zonal basis at K=4376 (8768 nodes per mode, 8768 in the check) needs "
      "1.01 GiB"),
-    ("spectrum", "n = 4\npotential = counterexample\nK = 4237", "the checked solve on the "
-     "dense sphere-zonal basis at K=4237 (9232 nodes per mode, 9728 in the check) needs "
+    ("spectrum", "n = 4\npotential = counterexample\nK = 4289", "the checked solve on the "
+     "dense sphere-zonal basis at K=4289 (8594 nodes per mode, 9832 in the check) needs "
      "1.01 GiB"),
     # the checked zonal S^3 solve reads the cosine moments of V and builds no
-    # refined table, so it is charged as a free solve on its grid
-    ("spectrum", "n = 3\npotential = counterexample\nK = 5032", "the solve on the dense "
-     "sphere-zonal basis at K=5032 (10824 nodes per mode) needs 1.01 GiB"),
+    # refined table, so it is charged as a free solve on its Gauss grid
+    ("spectrum", "n = 3\npotential = counterexample\nK = 5178", "the solve on the dense "
+     "sphere-zonal basis at K=5178 (10372 nodes per mode) needs 1.01 GiB"),
     # the checked full-S^2 solve builds no refined table, so V != 0 stops there too
     ("spectrum", "manifold = sphere-full-2d\npotential = constant:1\nK = 70",
      "the solve on the dense sphere-full-2d basis at K=70 (11376 nodes per mode) needs "
@@ -226,8 +226,8 @@ def test_validate_size_limits_pass_at_the_edge():
     assert diagnostics("spectrum", K="5177") == []
     assert diagnostics("spectrum", potential="sin(phi)", K="3858") == []
     assert diagnostics("spectrum", potential="truncated-counterexample", K="4375") == []
-    assert diagnostics("spectrum", n="4", potential="counterexample", K="4236") == []
-    assert diagnostics("spectrum", n="3", potential="counterexample", K="5031") == []
+    assert diagnostics("spectrum", n="4", potential="counterexample", K="4288") == []
+    assert diagnostics("spectrum", n="3", potential="counterexample", K="5177") == []
     assert diagnostics("spectrum", manifold="sphere-full-2d", potential="constant:1",
                        K="69") == []
     assert diagnostics("counterexample", K="2021307") == []
@@ -242,15 +242,18 @@ def test_validate_size_limits_pass_at_the_edge():
 
 
 def test_zonal_gauss_limit_and_parametrix_orders(tmp_path):
-    """S^23 is the last zonal sphere with a default Gauss grid, and a V with
-    poles, solved on Gauss-Legendre panels, passes at any n; parametrix runs
-    orders whose Bessel integral cancels (nu = 11, 12) and rejects the nu
-    whose K_m leaves the double range."""
+    """S^23 is the last zonal sphere with a default Gauss grid, which every
+    solve builds its basis on, also for a V with poles; the counterexample
+    table, on the pole-capped rule of Gauss-Legendre panels, passes at any
+    n.  parametrix runs orders whose Bessel integral cancels (nu = 11, 12)
+    and rejects the nu whose K_m leaves the double range."""
     def diagnostics(experiment, **raw):
         return cli.validate(experiment, cli.build_config(experiment, raw))
 
-    assert diagnostics("spectrum", n="24", potential="counterexample") == []
-    assert diagnostics("wave-speed", n="24", potential="counterexample") == []
+    for experiment in ("spectrum", "wave-speed"):
+        assert "no Gauss rule for the weight (1-x^2)^alpha at alpha = 11 (S^24)" in \
+            diagnostics(experiment, n="24", potential="counterexample")[0]
+    assert diagnostics("counterexample", n="24") == []
     assert cli.main(["spectrum", "--n", "23", "--K", "8", "--out", str(tmp_path)]) == 0
     for nu in ("11", "12"):
         assert cli.main(["parametrix", "--nu", nu, "--l6_lams", "",
@@ -616,27 +619,32 @@ def test_validated_configs_run(experiment):
 
 
 def test_plans_size_the_default_grid(monkeypatch):
-    """Every plan charges the N of the grid that ``operator_core.solve``
-    builds for its run, and a checked solve the F of the refined grid its
-    check reads (``hemisphere(_refined_grid(grid))`` for an even V,
-    ``_refined_grid(grid)`` for an odd one; none on the zonal S^3, whose check
-    reads the cosine moments of V): the solve of a spectral experiment, free
-    on the three manifolds and checked for the critical, truncated and
-    sin(phi) V at a few K on S^3 and S^4, and each wave-speed solve, free and
-    with the critical V; the counterexample run tabulates V and f on the
-    grid of the solve of the critical V."""
+    """Every plan charges the N of the basis grid that ``operator_core.solve``
+    builds for its run (the default Gauss grid, whatever V is), and a checked
+    solve the F of the refined rule its check evaluates the basis at
+    (``hemisphere`` of ``_zonal_rule(..., refined=True)`` for an even V, the
+    rule itself for an odd one; none on the zonal S^3, whose check reads the
+    cosine moments of V): the solve of a spectral experiment, free on the
+    three manifolds and checked for the critical, truncated and sin(phi) V
+    at a few K on S^3 and S^4, and each wave-speed solve, free and with the
+    critical V.  ``_rule_sizes`` counts the rule and those refined nodes on
+    S^2..S^5 without building them, and the counterexample run tabulates V
+    and f on the rule of the critical V."""
     from qlab import geometry, operator_core, potentials
     charged = []
     monkeypatch.setattr(cli, "_solve_bytes",
                         lambda nodes, modes, fine=0: charged.append((nodes, fine)) or 0)
 
-    def built(potential, manifold, K):  # (N, F) of the grid that solve builds
+    def checked(V, n, K):  # the refined nodes the check evaluates the basis at
+        refined = operator_core._zonal_rule(V, n, K, refined=True)
+        return (geometry.hemisphere(refined) if V.even else refined).size
+
+    def built(potential, manifold, K):  # (N, F) of the basis grid and the check
         V = potentials.from_reference(potential, manifold.n)
-        grid = operator_core._solve_grid(V, manifold, K)[0]()
+        N = geometry.default_grid(manifold, K).size
         if V is None or manifold.kind != geometry.SPHERE_ZONAL or manifold.n == 3:
-            return grid.size, 0
-        refined = operator_core._refined_grid(grid)
-        return grid.size, (geometry.hemisphere(refined) if V.even else refined).size
+            return N, 0
+        return N, checked(V, manifold.n, K)
 
     zonal = geometry.ModelManifold(geometry.SPHERE_ZONAL, 3)
     cases = [(manifold, "0", K) for K in (2, 7, 24)
@@ -657,7 +665,13 @@ def test_plans_size_the_default_grid(monkeypatch):
         cli.RUNNERS["wave-speed"](cli.build_config("wave-speed", {
             "n": "3", "Ks": "8,24", "potential": potential}))
         assert charged == [built(potential, zonal, K) for K in (8, 24)]
+    for n in (2, 3, 4, 5):
+        for potential in ("counterexample", "truncated-counterexample", "sin(phi)"):
+            V = potentials.from_reference(potential, n)
+            for K in (0, 7, 24, 100):
+                assert operator_core._rule_sizes(V, n, K) == (
+                    operator_core._zonal_rule(V, n, K).size, checked(V, n, K))
     report = cli.RUNNERS["counterexample"](cli.build_config("counterexample",
                                                             {"n": "3", "K": "8"}))()
-    grid = operator_core._solve_grid(potentials.counterexample(3), zonal, 8)[0]()
+    grid = operator_core._zonal_rule(potentials.counterexample(3), 3, 8)
     assert [row[0] for row in report.rows] == grid.nodes.tolist()

@@ -126,7 +126,7 @@ def test_gauss_gegenbauer_alpha_bound():
 
 
 def test_panel_gauss_cache_is_read_only():
-    x0, w0 = geometry._gauss_legendre(8)
+    x0, w0 = geometry._gauss_rule(8, 0.0)
     with pytest.raises(ValueError):
         x0[0] = 0.0
     x, w = geometry._panel_gauss(0.0, 2.0, 3, 8)
@@ -148,7 +148,6 @@ def test_zonal_grid_volume(n, size):
 
 def test_zonal_grid_pole_refinement_volume():
     grid = geometry.zonal_grid(3, 64, pole_levels=6)
-    assert grid.pole_levels == 6
     assert float(np.sum(grid.weights)) == pytest.approx(
         geometry.sphere_volume(3), rel=1e-12)
     assert np.all(grid.nodes > 0) and np.all(grid.nodes < math.pi)
@@ -338,7 +337,6 @@ def test_hemisphere_folds_even_integrands(n, size, levels):
     half = geometry.hemisphere(grid)
     h = half.size
     assert np.array_equal(half.nodes, grid.nodes[:h])
-    assert half.pole_levels == grid.pole_levels
     assert np.all(grid.nodes[h:] > math.pi / 2)
     equator = half.nodes[-1] == math.pi / 2
     assert equator == (levels == 0 and size % 2 == 1)

@@ -1,7 +1,7 @@
 """Every size check of a plan in qlab.cli charges the working set of its run:
 the tracemalloc peak of the run stays within 1.25x of the bytes the plan
 passed to ``cli._check_bytes``, and above half of them.  The checked assembly
-of a singular V holds no copy of refined basis rows."""
+of a singular V holds no copy of the basis rows it evaluates."""
 
 import ast
 import inspect
@@ -93,20 +93,19 @@ def test_peak_within_the_charge(caller, experiment, raw, monkeypatch):
 
 
 def test_checked_assembly_copies_no_basis_row():
-    """The checked assembly of the critical V at n = 4 on the level-6 grid at
-    K = 256 peaks, basis build included, within the basis, one refined table
-    and 3 J x J matrices (7.81 MB against a bound of 7.84 MB); a sign split
-    that copies refined rows exceeds that (at n = 3, a contiguous copy of
-    each parity's positive rows, the first held while the second is made,
-    peaked at 8.37 MB, and the np.compress split at 10.5 MB).  S^3 reads the
+    """The checked assembly of the critical V at n = 4 at K = 256, on the
+    default Gauss basis, peaks, basis build included, within the basis, one
+    table of the basis at the fold of the refined rule and 3 J x J matrices
+    (5.76 MB against a bound of 6.31 MB): ``basis.evaluate`` divides its
+    table by the norms in place, and ``_split_gram`` scales it in place
+    (an evaluate that divides a copy peaked at 9.07 MB).  S^3 reads the
     cosine moments of V and builds no table, so the node path runs at n = 4."""
     manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 4)
-    grid = geometry.default_grid(manifold, 256, geometry.SINGULAR_POLE_LEVELS)
-    fine = geometry.hemisphere(operator_core._refined_grid(grid)).size
     V = potentials.counterexample(4)
+    fine = geometry.hemisphere(operator_core._zonal_rule(V, 4, 256, refined=True)).size
     tracemalloc.start()
     try:
-        basis = geometry.build_basis(manifold, 256, grid)
+        basis = geometry.build_basis(manifold, 256)
         operator_core.assemble(V, basis, check=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -127,8 +126,9 @@ def test_split_gram_takes_its_rows_as_temporaries(monkeypatch):
     J x J matrix, which frees them only if no caller holds a reference to
     them or to the array they view: every call sees the reference counts of
     a fresh temporary passed the same way, a new array or a view of one.
-    Covered: the coarse and refined zonal calls (gathered rows, their
-    parity views and the refined basis) and every order on the full S^2."""
+    Covered: the zonal calls on the rule and on its refined copy (the
+    transposed tables of ``basis.evaluate``) and every order on the full
+    S^2."""
     split = operator_core._split_gram
     seen = []
 
@@ -143,9 +143,8 @@ def test_split_gram_takes_its_rows_as_temporaries(monkeypatch):
              True: probe(np.ones((2, 3)).T, None, 0, 0, False)}
     monkeypatch.setattr(operator_core, "_split_gram", record)
     zonal = geometry.ModelManifold(geometry.SPHERE_ZONAL, 4)
-    capped = geometry.default_grid(zonal, 32, geometry.SINGULAR_POLE_LEVELS)
     full = geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2)
-    for basis, V in ((geometry.build_basis(zonal, 32, capped), potentials.counterexample(4)),
+    for basis, V in ((geometry.build_basis(zonal, 32), potentials.counterexample(4)),
                      (geometry.build_basis(zonal, 32),
                       potentials.from_expression("sin(phi)-0.5")),
                      (geometry.build_basis(full, 8),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import time
@@ -523,10 +524,11 @@ def test_littlewood_paley_partition():
 
 
 def _gemm_potential(V, basis, grid=None):
-    """The potential block as the symmetrized full GEMM E^T (w V E), on the
-    basis grid or on ``grid``, a prefix of it (its hemisphere fold)."""
+    """The potential block as the symmetrized full GEMM E^T (w V E), with E
+    the basis values on the basis grid, or the basis functions at the nodes
+    of a zonal ``grid``."""
+    E = basis.values if grid is None else basis.evaluate(grid.nodes)
     grid = basis.grid if grid is None else grid
-    E = basis.values[:grid.size]
     nodes = grid.nodes  # on the full S^2 a zonal V reads the polar angle
     wv = grid.weights * V(nodes[:, 0] if nodes.ndim == 2 else nodes)
     M = E.T @ (E * wv[:, None])
@@ -606,55 +608,55 @@ _SIGNS_PRESENT = {"mixed": (True, True, True), "positive": (True, False, False),
     (geometry.SPHERE_ZONAL, 0, False), (geometry.SPHERE_ZONAL, 6, False),
     (geometry.SPHERE_FULL_2D, 0, False)])
 def test_split_gram_matches_gemm(kind, levels, even, signs):
-    """potential_matrix and the checked assembly match the GEMM on the grid
-    they sum on: on a zonal basis the basis grid, or its hemisphere fold for
-    an even V (the parity views of the gathered rows), and the refined grid
-    of the check, or its fold, for assemble(check=True), which adds the
+    """potential_matrix and the checked assembly match the GEMM on the rule
+    they sum on (``_zonal_rule``, pole-capped at level 6 for a V marked
+    singular): on a zonal basis, on the default grid, the basis functions at
+    the nodes of the rule, or of its hemisphere fold for an even V, and of
+    its refined copy, or its fold, for assemble(check=True), which adds the
     refined block to the free diagonal; on the full S^2 the product grids
     whose polar axes are the zonal S^2 rule and its refined copy.  Both are
     exactly symmetric with exact zeros across parity on the fold, for w V of
     mixed signs with zeros, all positive, all negative and all zero.  The
-    zonal case runs on S^4, where the check still sums on the refined grid."""
+    zonal case runs on S^4, where the check still sums on the refined rule."""
     manifold = geometry.ModelManifold(kind, 4 if kind == geometry.SPHERE_ZONAL else 2)
-    basis = geometry.build_basis(manifold, 24, geometry.default_grid(manifold, 24, levels))
-    V = potentials.Potential(fn=_SIGN_PATTERNS[signs], even=even)
+    basis = geometry.build_basis(manifold, 24)
+    V = potentials.Potential(fn=_SIGN_PATTERNS[signs], even=even,
+                             singularities=(0.0, math.pi) if levels else ())
     parity = even and kind == geometry.SPHERE_ZONAL
     fold = geometry.hemisphere if parity else (lambda grid: grid)
-    rule = operator_core._zonal_rule(V, basis)
-    fine_grid = operator_core._refined_grid(rule)
+    rule = operator_core._zonal_rule(V, manifold.n, 24)
+    fine_grid = operator_core._zonal_rule(V, manifold.n, 24, refined=True)
+    assert (rule.size > 2 * 24 + 16) == bool(levels)  # the caps add nodes
     if kind == geometry.SPHERE_FULL_2D:
         ref, fine_ref = (_gemm_potential(V, geometry.build_basis(manifold, 24,
                                                                  _product_grid(g, 24)))
                          for g in (rule, fine_grid))
     else:
-        ref = _gemm_potential(V, basis, fold(basis.grid))
-        fine_ref = _gemm_potential(V, geometry.build_basis(manifold, 24, fold(fine_grid)))
+        ref, fine_ref = (_gemm_potential(V, basis, fold(g)) for g in (rule, fine_grid))
     M = operator_core.potential_matrix(V, basis)
     _assert_split_matches_gemm(M, ref, parity)
     pot_fine = operator_core.potential_matrix(V, basis, fine_grid)
     _assert_split_matches_gemm(pot_fine, fine_ref, parity)
     A = operator_core.assemble(V, basis, check=True)
     assert A.tobytes() == (np.diag(np.rint(basis.freqs ** 2)) + pot_fine).tobytes()
-    _, wv, _, npos, nneg = operator_core._signed_nodes(V, rule)
+    _, wv, npos, nneg = operator_core._signed_nodes(V, rule)
     assert (npos > 0, nneg > 0, npos + nneg < wv.size) == _SIGNS_PRESENT[signs]
 
 
 @pytest.mark.parametrize("n,V", _EVEN_POTENTIALS)
 def test_partitioned_check_matches_unpartitioned(n, V):
-    """The check of an even V builds its refined basis on the fold of the
-    refined grid partitioned by the sign of w V; its matrix matches the GEMM
-    on the unpartitioned fold (grid order), with exact zeros across parity.
-    The critical V at n = 2 is positive at every node, so there the
-    partition is the grid's own order."""
-    manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, n)
-    levels = geometry.SINGULAR_POLE_LEVELS if V.singular else 0
-    basis = geometry.build_basis(manifold, 48, geometry.default_grid(manifold, 48, levels))
-    fine_grid = operator_core._refined_grid(basis.grid)
+    """The check of an even V evaluates the basis at the fold of the refined
+    rule partitioned by the sign of w V; its matrix matches the GEMM on the
+    unpartitioned fold (rule order), with exact zeros across parity.  The
+    critical V at n = 2 is positive at every node, so there the partition is
+    the rule's own order."""
+    basis = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_ZONAL, n), 48)
+    fine_grid = operator_core._zonal_rule(V, n, 48, refined=True)
     half = geometry.hemisphere(fine_grid)
-    ref = _gemm_potential(V, geometry.ZonalSphereBasis(n, 48, half))
+    ref = _gemm_potential(V, basis, half)
     _assert_split_matches_gemm(operator_core.potential_matrix(V, basis, fine_grid), ref, True)
-    order = operator_core._signed_nodes(V, fine_grid)[2]
-    assert np.array_equal(order, np.arange(half.size)) == (n == 2 and V.singular)
+    nodes = operator_core._signed_nodes(V, fine_grid)[0]
+    assert np.array_equal(nodes, half.nodes) == (n == 2 and V.singular)
 
 
 _FULL_S2 = geometry.ModelManifold(geometry.SPHERE_FULL_2D, 2)
@@ -683,7 +685,7 @@ def test_full_sphere_check_matches_refined_basis(expr):
     sin."""
     basis = geometry.build_basis(_FULL_S2, 10)
     V = potentials.from_expression(expr)
-    fine_grid = operator_core._refined_grid(operator_core._zonal_rule(V, basis))
+    fine_grid = operator_core._zonal_rule(V, 2, 10, refined=True)
     expected = geometry.zonal_grid(2, 2 * (2 * 10 + 16))  # twice the zonal S^2 rule
     assert np.array_equal(fine_grid.nodes, expected.nodes)
     assert np.array_equal(fine_grid.weights, expected.weights)
@@ -712,7 +714,7 @@ def test_full_sphere_blocks_match_dense_quadrature(name):
     V = _ZONAL_ON_S2[name]
     basis = geometry.build_basis(_FULL_S2, 24)
     M = operator_core.potential_matrix(V, basis)
-    grid = _product_grid(operator_core._zonal_rule(V, basis), 24)
+    grid = _product_grid(operator_core._zonal_rule(V, 2, 24), 24)
     ref = _gemm_potential(V, geometry.build_basis(_FULL_S2, 24, grid))
     assert np.array_equal(M, M.T)
     assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -842,13 +844,81 @@ def test_even_checked_assembly_matches_unfolded(n):
     assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+# the checked V != 0 solves whose node values the probes read: the zonal
+# S^2..S^5 at K = 48 and 512, and the full S^2 at K = 24
+_CHECKED_SOLVES = [(geometry.SPHERE_ZONAL, n, K) for n in (2, 3, 4, 5) for K in (48, 512)]
+_CHECKED_SOLVES.append((geometry.SPHERE_FULL_2D, 2, 24))
+
+
+@pytest.mark.parametrize("ref", ["counterexample", "truncated-counterexample"])
+@pytest.mark.parametrize("kind,n,K", _CHECKED_SOLVES)
+def test_checked_solve_node_values_are_orthonormal(kind, n, K, ref):
+    """Every solve builds its basis on the Gauss grid of its manifold,
+    whatever V is, and sums V on its own rule, so the node values U of a
+    checked solve are orthonormal under the grid weights W, max |U^T W U - I|
+    <= 1e-12 (1.3e-13 at worst, the critical V at n = 2, K = 512), also for
+    the critical V, whose rule is pole-capped (a basis on that rule was off
+    by about 1e-3 at K = 48 and 4e-2 to 5e-2 at K = 512)."""
+    decomp = operator_core.solve(potentials.from_reference(ref, n),
+                                 geometry.ModelManifold(kind, n), K)
+    U, w = decomp.node_values(), decomp.basis.grid.weights
+    assert np.max(np.abs(U.T @ (w[:, None] * U) - np.eye(decomp.size))) <= 1e-12
+
+
+# SHA-256 of the unchecked potential matrix on the default zonal basis at
+# K = 64, as the basis rows gathered on the basis grid gave it
+_GAUSS_BLOCK_DIGESTS = {
+    (2, "sin(phi)-0.5"): "cc5f6f48976076204593b78f65fd2ebae77f22b4df76a1e9d4d77af80c50f113",
+    (2, "truncated-counterexample"):
+        "182c2d6bfaa0376aa6caf99f6bf9cf0652a351b9493946aa665d71bd67b2aa8b",
+    (4, "sin(phi)-0.5"): "2b6ff16b95da76ec57e9c8d62324c246ab2c7cef4c4475aa79b008c353e380dd",
+    (4, "truncated-counterexample"):
+        "3a23ab8fa21c81f82bd56380f8d5908561c8a1d063a0c39aa8be850255f51a73",
+    (5, "sin(phi)-0.5"): "56d9b0066475a10256f128b7bd547f6f4990ca3daab4cec377deb46fdee206f4",
+    (5, "truncated-counterexample"):
+        "4f5cad682822344baf1575502b7280697edd693df2ab9439c4813d7a967fe2f0",
+}
+
+
+@pytest.mark.parametrize("n,ref", sorted(_GAUSS_BLOCK_DIGESTS))
+def test_gauss_rule_block_is_bit_stable(n, ref):
+    """For a V without poles the rule is the basis grid, and the rows that
+    ``basis.evaluate`` gives at its nodes are the basis rows bit for bit, so
+    the potential matrix is the one the gathered basis rows gave."""
+    basis = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_ZONAL, n), 64)
+    M = operator_core.potential_matrix(potentials.from_reference(ref, n), basis)
+    assert hashlib.sha256(M.tobytes()).hexdigest() == _GAUSS_BLOCK_DIGESTS[n, ref]
+
+
+@pytest.mark.parametrize("kind,n,ref,rules", [
+    (geometry.SPHERE_ZONAL, 2, "sin(phi)-0.5", [(96, 0.0), (192, 0.0)]),
+    (geometry.SPHERE_ZONAL, 4, "truncated-counterexample", [(96, 1.0), (192, 1.0)]),
+    (geometry.SPHERE_ZONAL, 2, "counterexample", [(96, 0.0), (8, 0.0)]),
+    (geometry.SPHERE_FULL_2D, 2, "cos(phi)", [(49, 0.0), (96, 0.0), (192, 0.0)])])
+def test_checked_solve_runs_one_newton_pass_per_gauss_rule(kind, n, ref, rules, monkeypatch):
+    """A checked solve at K = 40 runs ``gauss_gegenbauer`` once for each
+    distinct Gauss rule it reads: for a V without poles the basis grid and
+    the rule V is summed on are one rule, then its refined copy (on the full
+    S^2 the polar axis of the basis grid comes first); for the critical V
+    the basis grid and the order-8 rule of every cap and bulk panel."""
+    calls = []
+    gauss = geometry.gauss_gegenbauer
+
+    def record(m, alpha):
+        calls.append((m, alpha))
+        return gauss(m, alpha)
+
+    monkeypatch.setattr(geometry, "gauss_gegenbauer", record)
+    geometry._gauss_rule.cache_clear()
+    operator_core.solve(potentials.from_reference(ref, n), geometry.ModelManifold(kind, n), 40)
+    assert calls == rules
+
+
 def test_n2_critical_cross_parity_block_is_exactly_zero():
-    """The level-6 grid drops the south cap from s ~ 33.2 on, which at n = 2
+    """The level-6 rule drops the south cap from s ~ 33.2 on, which at n = 2
     (w V ~ 2/s^2) used to leave cross-parity entries of 4e-4 of the largest
     entry; the fold integrates both caps as the full north cap."""
-    manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 2)
-    grid = geometry.default_grid(manifold, 64, pole_levels=geometry.SINGULAR_POLE_LEVELS)
-    basis = geometry.build_basis(manifold, 64, grid)
+    basis = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_ZONAL, 2), 64)
     A = operator_core.assemble(potentials.counterexample(2), basis, check=True)
     assert np.array_equal(A, A.T)
     assert not np.any(A[0::2, 1::2])
@@ -889,20 +959,24 @@ def test_assembly_refinement_check_passes_smooth():
 
 @pytest.mark.parametrize("levels", [3, 6, 8])
 def test_zonal_refined_copy_keeps_cap_depth(levels):
-    """The refined grid of a pole-capped grid rebuilds both caps at the
-    grid's own depth, node for node, and doubles the bulk; at level 6 it is
-    the level-6 grid of twice the node count, as before."""
+    """Twice the nodes of a pole-capped grid at its own cap depth rebuild
+    both caps node for node and double the bulk; at level 6 these are the
+    rule of a singular V and the refined rule of its check
+    (``_zonal_rule``)."""
     grid = geometry.zonal_grid(3, 2 * 64 + 16, pole_levels=levels)
-    fine = operator_core._refined_grid(grid)
+    fine = geometry.zonal_grid(3, 2 * grid.size, pole_levels=levels)
     for cap in (lambda phi: phi < 0.1, lambda phi: phi > math.pi - 0.1):
         assert np.array_equal(fine.nodes[cap(fine.nodes)], grid.nodes[cap(grid.nodes)])
         assert np.array_equal(fine.weights[cap(fine.nodes)], grid.weights[cap(grid.nodes)])
     bulk = (grid.nodes >= 0.1) & (grid.nodes <= math.pi - 0.1)
     fine_bulk = (fine.nodes >= 0.1) & (fine.nodes <= math.pi - 0.1)
     assert np.count_nonzero(fine_bulk) >= 2 * np.count_nonzero(bulk)
-    expected = geometry.zonal_grid(3, 2 * grid.size, pole_levels=levels)
-    assert np.array_equal(fine.nodes, expected.nodes)
-    assert np.array_equal(fine.weights, expected.weights)
+    if levels == geometry.SINGULAR_POLE_LEVELS:
+        V = potentials.counterexample(3)
+        for refined, expected in ((False, grid), (True, fine)):
+            rule = operator_core._zonal_rule(V, 3, 64, refined=refined)
+            assert np.array_equal(rule.nodes, expected.nodes)
+            assert np.array_equal(rule.weights, expected.weights)
 
 
 def test_potential_matrix_takes_only_a_zonal_rule():

@@ -135,6 +135,15 @@ def test_kato_report_rejects_repeated_radii(n, name):
         potentials.kato_report(_KATO_VS[name](n), n, radii=(0.1, 0.1, 0.1))
 
 
+def test_lq_norm_folds_an_even_v():
+    """An even V is summed on the hemisphere fold of each pole-capped rule,
+    which reads the whole north cap where the south cap is cut (s ~ 33.2):
+    the L^{3/2} norm of the critical V on S^3 is 13.9505 (13.7736 on the
+    full rules; the closed tail gives 15.12)."""
+    assert potentials.ln_half_norm(potentials.counterexample(3), 3).value == pytest.approx(
+        13.950476591909915, rel=1e-12)
+
+
 def test_lq_norm_divergence_detection():
     V = potentials.counterexample(3)
     finite = potentials.potential_lq_norm(V, 3, 1.5)

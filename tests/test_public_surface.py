@@ -10,6 +10,7 @@ of that name is read.
 
 import ast
 import glob
+import inspect
 import os
 from collections import Counter
 
@@ -128,3 +129,29 @@ def test_plans_read_the_solve_grid_from_operator_core():
     path = os.path.join(ROOT, "src", "qlab", "cli.py")
     refs = _references(ast.parse(open(path).read(), filename=path))
     assert not [name for name in _SOLVE_GRID_NAMES if refs[name]]
+
+
+def test_one_statement_of_the_pole_capped_rule():
+    """The cap depth of the rule a singular V is summed on is stated once:
+    ``SINGULAR_POLE_LEVELS`` is named in one function of ``src/qlab``
+    (``operator_core._zonal_rule``), and ``src/qlab`` reads no
+    ``pole_levels`` attribute of a grid, so no rule is re-derived from a
+    grid's cap depth."""
+    naming = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "qlab", "*.py"))):
+        tree = ast.parse(open(path).read(), filename=path)
+        assert not [sub for sub in ast.walk(tree)
+                    if isinstance(sub, ast.Attribute) and sub.attr == "pole_levels"], path
+        naming += [func.name for func in ast.walk(tree) if isinstance(func, _FUNCS)
+                   and _references(func)["SINGULAR_POLE_LEVELS"]]
+    assert naming == ["_zonal_rule"]
+
+
+def test_gauss_gegenbauer_stays_a_plain_function():
+    """The benchmark tracer wraps the plain functions of each layer
+    (``inspect.isfunction``), and counts Newton passes at
+    ``geometry.gauss_gegenbauer``; a cache belongs on the private
+    ``geometry._gauss_rule``, which calls it, not on the public rule."""
+    from qlab import geometry
+    assert inspect.isfunction(geometry.gauss_gegenbauer)
+    assert geometry.gauss_gegenbauer.__module__ == geometry.__name__
