@@ -221,13 +221,10 @@ def _solve_bytes(nodes: int, modes: int, fine: int = 0) -> int:
     return 8 * modes * (2 * nodes + modes)
 
 
-def _solve_plan(key: str, K: int, sizes, *args):
-    """``sizes(*args)``, an ``operator_core`` count of the grids of a run at
-    a truncation K >= 2 read from config key ``key``: ``_solve_grid``'s N
-    and F of a solve, or ``_rule_sizes`` of the rule V is summed on."""
-    if K < 2:
+def _check_K(key: str, *Ks: int) -> None:
+    """Rejects a truncation K < 2 among the ``Ks`` read from config key ``key``."""
+    if min(Ks) < 2:
         raise ConfigError(f"key {key!r}: truncation too small (K must be at least 2)")
-    return _key("n", sizes, *args)
 
 
 def _lattice_points(n: int, r2: int) -> int:
@@ -253,7 +250,8 @@ def _decomposition(cfg: dict, top: float = 0.0):
     manifold = _key("manifold", geometry.ModelManifold, cfg["manifold"], n)
     V = _key("potential", potentials.from_reference, cfg["potential"], n)
     _key("potential", operator_core._check_potential, V, manifold)
-    nodes, fine = _solve_plan("K", K, operator_core._solve_grid, V, manifold, K)
+    _check_K("K", K)
+    nodes, fine = operator_core._solve_grid(V, manifold, K)
     if K < top:
         raise ConfigError(f"truncation too small (K={K} below the largest "
                           f"requested frequency {top:g})")
@@ -319,7 +317,8 @@ def _plan_counterexample(cfg):
     n, K = cfg["n"], cfg["K"]
     manifold = _key("n", geometry.ModelManifold, geometry.SPHERE_ZONAL, n)
     V = potentials.counterexample(n)
-    nodes = _solve_plan("K", K, operator_core._rule_sizes, V, n, K)[0]
+    _check_K("K", K)
+    nodes = operator_core._rule_sizes(V, n, K)[0]
     # the rows of Python floats and the arrays of the table, 264 bytes per
     # node, held while the Kato report peaks at 5.6 MB (tracemalloc, n = 2..5)
     _check_bytes(264 * nodes + 6 * 2 ** 20,
@@ -444,7 +443,8 @@ def _plan_wave_speed(cfg):
     if t == 0.0:
         raise ConfigError("key 't': t must be non-zero (at t = 0 every leakage is exactly "
                           "0, so the leakage cannot decrease with K)")
-    sizes = {K: _solve_plan("Ks", K, operator_core._solve_grid, V, manifold, K) for K in Ks}
+    _check_K("Ks", *Ks)
+    sizes = {K: operator_core._solve_grid(V, manifold, K) for K in Ks}
     # every solve is held, and the leakage at the largest K holds its N x N
     # kernel (then distances), mass, cone mask and mass[outside]
     nodes = sizes[Ks[-1]][0]

@@ -122,14 +122,6 @@ def _recurrence(x: np.ndarray, b: list[float], christoffel: bool = False):
     return total if christoffel else (p0, p1)
 
 
-def _check_gauss_alpha(alpha: float) -> None:
-    """-1 < alpha <= ``_ALPHA_MAX``: an integrable weight whose rules Newton settles."""
-    if not -1.0 < alpha <= _ALPHA_MAX:
-        raise DomainError(f"no Gauss rule for the weight (1-x^2)^alpha at alpha = {alpha:g} "
-                          f"(S^{2 * alpha + 2:g}): need -1 < alpha <= {_ALPHA_MAX:g}, "
-                          "the zonal S^n with n <= 23")
-
-
 def gauss_gegenbauer(m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes/weights for the weight (1-x^2)^alpha on [-1, 1].
 
@@ -144,7 +136,10 @@ def gauss_gegenbauer(m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """
     if m < 1:
         raise DomainError("need at least one quadrature node")
-    _check_gauss_alpha(alpha)
+    if not -1.0 < alpha <= _ALPHA_MAX:
+        raise DomainError(f"no Gauss rule for the weight (1-x^2)^alpha at alpha = {alpha:g} "
+                          f"(S^{2 * alpha + 2:g}): need -1 < alpha <= {_ALPHA_MAX:g}, "
+                          "the weight of S^n with n <= 23")
     k = np.arange(1, m + 1)
     a = alpha
     num = 4.0 * k * (k + a) * (k + a) * (k + 2 * a)
@@ -183,16 +178,28 @@ def gauss_gegenbauer(m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _weight_drop(n: int) -> int:
+    """The j >= 0 that ``zonal_grid`` takes off the S^n weight (1-x^2)^alpha,
+    alpha = (n-2)/2, for a Gauss rule that Newton settles: the least j with
+    alpha - j <= 10.5, so j = 0 up to S^23."""
+    return max(0, math.ceil((n - 2) / 2.0 - _ALPHA_MAX))
+
+
 def zonal_grid(n: int, size: int, pole_levels: int = 0) -> QuadratureGrid:
     """Zonal quadrature on S^n: Gauss nodes in cos(phi) with the
-    sin^{n-1}(phi) volume element folded into the weights.
+    sin^{n-1}(phi) volume element folded into the weights.  From S^24 on it
+    is the Gauss rule of (1-x^2)^(alpha-j), j = ``_weight_drop(n)``, with
+    its weights times (1-x^2)^j: positive, mirror-symmetric and exact to
+    degree 2 size - 1 - 2j, so ``_default_axes`` adds j nodes.
 
     ``pole_levels > 0`` appends geometrically graded segments near both
     poles via the substitution phi = exp(-s), with s ranging up to
     2**pole_levels; these resolve integrands with pole singularities.
     """
     if pole_levels <= 0:
-        x, w = _gauss_rule(size, (n - 2) / 2.0)
+        j = _weight_drop(n)
+        x, w = _gauss_rule(size, (n - 2) / 2.0 - j)
+        w = w * ((1.0 - x) * (1.0 + x)) ** j  # w itself, bit for bit, at j = 0
         phi = np.arccos(x)[::-1]
         weights = (w * sphere_volume(n - 1))[::-1].copy()
         return QuadratureGrid(ModelManifold(SPHERE_ZONAL, n), phi, weights)
@@ -615,10 +622,11 @@ class TorusBasis(Basis):
 
 def _default_axes(manifold: ModelManifold, K: int) -> tuple[int, ...]:
     """Axis sizes of ``default_grid`` without pole caps, whose node count is
-    their product: the Gauss nodes on the zonal sphere, (n_phi, n_theta) on
-    the full S^2, and the points of each of the n axes of a torus."""
+    their product: the Gauss nodes on the zonal sphere (``_weight_drop`` more
+    from S^24 on), (n_phi, n_theta) on the full S^2, and the points of each
+    of the n axes of a torus."""
     if manifold.kind == SPHERE_ZONAL:
-        return (2 * K + 16,)
+        return (2 * K + 16 + _weight_drop(manifold.n),)
     if manifold.kind == SPHERE_FULL_2D:
         return (K + 9, 2 * K + 4)
     return (2 * K + 2,) * manifold.n

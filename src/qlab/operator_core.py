@@ -51,17 +51,18 @@ def _signed_nodes(V: Potential, rule: geometry.QuadratureGrid
     return grid.nodes[order], wv[order], plus.size, minus.size
 
 
-def _zonal_rule(V: Potential, n: int, K: int, refined: bool = False
-                ) -> geometry.QuadratureGrid:
+def _zonal_rule(V: Potential, n: int, K: int,
+                refine: geometry.QuadratureGrid | None = None) -> geometry.QuadratureGrid:
     """The zonal rule of S^n a zonal V is summed on at truncation K, on the
-    zonal sphere and on the full S^2 (n = 2) alike: the 2K + 16 Gauss nodes
-    of ``geometry.default_grid``, pole-capped at ``SINGULAR_POLE_LEVELS``
-    for a singular V.  ``refined`` gives the rule of ``assemble``'s check:
-    twice the rule's nodes, at the same cap depth, so a pole-capped rule
-    keeps its caps node for node and doubles its bulk."""
+    zonal sphere and on the full S^2 (n = 2) alike: the Gauss nodes of
+    ``geometry.default_grid``, pole-capped at ``SINGULAR_POLE_LEVELS`` for a
+    singular V.  Given that rule as ``refine``, it gives instead the rule of
+    ``assemble``'s check: twice its nodes, at the same cap depth, so a
+    pole-capped rule keeps its caps node for node and doubles its bulk."""
     levels = geometry.SINGULAR_POLE_LEVELS if V.singular else 0
-    rule = geometry.default_grid(geometry.ModelManifold(geometry.SPHERE_ZONAL, n), K, levels)
-    return geometry.zonal_grid(n, 2 * rule.size, levels) if refined else rule
+    if refine is not None:
+        return geometry.zonal_grid(n, 2 * refine.size, levels)
+    return geometry.default_grid(geometry.ModelManifold(geometry.SPHERE_ZONAL, n), K, levels)
 
 
 def _rule_sizes(V: Potential, n: int, K: int) -> tuple[int, int]:
@@ -73,9 +74,9 @@ def _rule_sizes(V: Potential, n: int, K: int) -> tuple[int, int]:
     if not V.singular:  # a Gauss rule of 2 size nodes folds onto size
         return size, size if V.even else 2 * size
     # 8 max(8, size // 8) bulk nodes, half of them north, and caps that do
-    # not depend on the size, counted on the rule of K = 0 (64 bulk nodes)
-    small = _zonal_rule(V, n, 0)
-    caps, north = small.size - 64, geometry.hemisphere(small).size - 32
+    # not depend on the size, counted on the rule of K = 0
+    small, bulk = _zonal_rule(V, n, 0), 8 * max(8, (size - 2 * K) // 8)
+    caps, north = small.size - bulk, geometry.hemisphere(small).size - bulk // 2
     nodes = 8 * max(8, size // 8) + caps
     bulk = 8 * max(8, 2 * nodes // 8)
     return nodes, bulk // 2 + north if V.even else bulk + caps
@@ -349,10 +350,11 @@ def assemble(V: Potential | None, basis: geometry.Basis,
     if V is not None and _by_moments(basis.manifold):
         pot = _moment_matrix(V, basis.K, check)
     else:
-        pot = potential_matrix(V, basis)  # checks w V on the rule first
+        rule = None if V is None else _zonal_rule(V, basis.manifold.n, basis.K)
+        pot = potential_matrix(V, basis, rule)  # checks w V on the rule first
         if check and V is not None:
-            fine = _zonal_rule(V, basis.manifold.n, basis.K, refined=True)
-            pot_fine = potential_matrix(V, basis, fine)
+            pot_fine = potential_matrix(V, basis, _zonal_rule(V, basis.manifold.n, basis.K,
+                                                              refine=rule))
             scale = max(float(np.max(pot_fine)), -float(np.min(pot_fine)), 1e-300)
             diff = np.subtract(pot_fine, pot, out=pot)
             np.abs(diff, out=diff)
@@ -572,13 +574,9 @@ def _solve_grid(V: Potential | None, manifold: geometry.ModelManifold, K: int
     rule nodes its check evaluates the basis at (``_rule_sizes``; 0 without
     a check, on the full S^2, whose check builds no N x J table, and on the
     zonal S^3, whose check reads cosine moments), counted without building a
-    grid larger than the pole caps.  Raises DomainError on a zonal sphere
-    without a Gauss rule."""
+    grid larger than the pole caps."""
     N = math.prod(geometry._default_axes(manifold, K))
-    if manifold.kind != geometry.SPHERE_ZONAL:
-        return N, 0
-    geometry._check_gauss_alpha((manifold.n - 2) / 2.0)
-    if V is None or _by_moments(manifold):
+    if V is None or manifold.kind != geometry.SPHERE_ZONAL or _by_moments(manifold):
         return N, 0
     return N, _rule_sizes(V, manifold.n, K)[1]
 

@@ -193,11 +193,6 @@ _BAD_VALUES = [
      "the 72^5 grid needs 4.65 GiB, above the 1 GiB limit"),
     ("resolvent-probe", "n = 6\nlams = 1,2,3,4", "the resolvent probe on the 17^6 half "
      "cube of the 32^6 grid needs 1.62 GiB"),
-    # the default zonal Gauss grid stops at S^23
-    ("spectrum", "n = 24", "key 'n': no Gauss rule for the weight (1-x^2)^alpha at "
-     "alpha = 11 (S^24): need -1 < alpha <= 10.5, the zonal S^n with n <= 23"),
-    ("wave-speed", "n = 24", "key 'n': no Gauss rule for the weight (1-x^2)^alpha at "
-     "alpha = 11 (S^24)"),
 ]
 
 
@@ -242,19 +237,23 @@ def test_validate_size_limits_pass_at_the_edge():
 
 
 def test_zonal_gauss_limit_and_parametrix_orders(tmp_path):
-    """S^23 is the last zonal sphere with a default Gauss grid, which every
-    solve builds its basis on, also for a V with poles; the counterexample
-    table, on the pole-capped rule of Gauss-Legendre panels, passes at any
-    n.  parametrix runs orders whose Bessel integral cancels (nu = 11, 12)
-    and rejects the nu whose K_m leaves the double range."""
+    """Past S^23, where Newton settles no Gauss rule of the S^n weight, the
+    default zonal grid lowers the weight, so every solve still has a Gauss
+    basis grid there: spectrum and wave-speed pass at n = 24 with and
+    without a V, and the counterexample table, on the pole-capped rule of
+    Gauss-Legendre panels, passes at any n.  parametrix runs orders whose
+    Bessel integral cancels (nu = 11, 12) and rejects the nu whose K_m
+    leaves the double range."""
     def diagnostics(experiment, **raw):
         return cli.validate(experiment, cli.build_config(experiment, raw))
 
-    for experiment in ("spectrum", "wave-speed"):
-        assert "no Gauss rule for the weight (1-x^2)^alpha at alpha = 11 (S^24)" in \
-            diagnostics(experiment, n="24", potential="counterexample")[0]
+    assert diagnostics("spectrum", n="24", potential="counterexample") == []
+    assert diagnostics("wave-speed", n="24", potential="counterexample") == []
+    assert diagnostics("spectrum", n="24") == []
     assert diagnostics("counterexample", n="24") == []
-    assert cli.main(["spectrum", "--n", "23", "--K", "8", "--out", str(tmp_path)]) == 0
+    for n, potential in (("23", "0"), ("24", "0"), ("24", "counterexample")):
+        assert cli.main(["spectrum", "--n", n, "--K", "8", "--potential", potential,
+                         "--out", str(tmp_path)]) == 0
     for nu in ("11", "12"):
         assert cli.main(["parametrix", "--nu", nu, "--l6_lams", "",
                          "--out", str(tmp_path)]) == 0
@@ -622,7 +621,7 @@ def test_plans_size_the_default_grid(monkeypatch):
     """Every plan charges the N of the basis grid that ``operator_core.solve``
     builds for its run (the default Gauss grid, whatever V is), and a checked
     solve the F of the refined rule its check evaluates the basis at
-    (``hemisphere`` of ``_zonal_rule(..., refined=True)`` for an even V, the
+    (``hemisphere`` of ``_zonal_rule(..., refine=rule)`` for an even V, the
     rule itself for an odd one; none on the zonal S^3, whose check reads the
     cosine moments of V): the solve of a spectral experiment, free on the
     three manifolds and checked for the critical, truncated and sin(phi) V
@@ -636,7 +635,8 @@ def test_plans_size_the_default_grid(monkeypatch):
                         lambda nodes, modes, fine=0: charged.append((nodes, fine)) or 0)
 
     def checked(V, n, K):  # the refined nodes the check evaluates the basis at
-        refined = operator_core._zonal_rule(V, n, K, refined=True)
+        rule = operator_core._zonal_rule(V, n, K)
+        refined = operator_core._zonal_rule(V, n, K, refine=rule)
         return (geometry.hemisphere(refined) if V.even else refined).size
 
     def built(potential, manifold, K):  # (N, F) of the basis grid and the check

@@ -125,6 +125,33 @@ def test_gauss_gegenbauer_alpha_bound():
             geometry.gauss_gegenbauer(m, 11.0)
 
 
+@pytest.mark.parametrize("n", [23, 24, 25, 26, 40, 100])
+def test_zonal_grid_lowers_the_weight_past_s23(n):
+    """Up to S^23 the zonal Gauss grid is the rule of the S^n weight; from
+    S^24 on it is the rule of (1-x^2)^(alpha-j) with its weights times
+    (1-x^2)^j, on the j extra nodes that ``_default_axes`` counts: it keeps
+    the exactness of 2K + 16 nodes (every even moment of cos(phi) up to
+    degree 4K + 30 against a 50-digit Beta integral, to 1e-13), stays
+    mirror-symmetric, and the default basis on it is orthonormal."""
+    alpha, K = (n - 2) / 2.0, 8
+    j = geometry._weight_drop(n)
+    assert j == max(0, math.ceil(alpha - 10.5)) and (j == 0) == (n <= 23)
+    manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, n)
+    grid = geometry.default_grid(manifold, K)
+    assert grid.size == 2 * K + 16 + j
+    assert np.max(np.abs(grid.nodes + grid.nodes[::-1] - math.pi)) <= 1e-15
+    assert np.array_equal(grid.weights, grid.weights[::-1])
+    x = np.cos(grid.nodes)
+    surf = geometry.sphere_volume(n - 1)
+    for k in range(0, 4 * K + 31, 2):
+        with mpmath.workdps(50):  # int x^k (1-x^2)^alpha dx = B((k+1)/2, alpha+1)
+            exact = float(surf * mpmath.beta((k + 1) / mpmath.mpf(2), alpha + 1))
+        assert math.fsum(grid.weights * x ** k) == pytest.approx(exact, rel=1e-13), k
+    basis = geometry.build_basis(manifold, K)
+    gram = basis.values.T @ (grid.weights[:, None] * basis.values)
+    assert np.max(np.abs(gram - np.eye(K + 1))) <= 1e-14
+
+
 def test_panel_gauss_cache_is_read_only():
     x0, w0 = geometry._gauss_rule(8, 0.0)
     with pytest.raises(ValueError):

@@ -102,7 +102,8 @@ def test_checked_assembly_copies_no_basis_row():
     cosine moments of V and builds no table, so the node path runs at n = 4."""
     manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 4)
     V = potentials.counterexample(4)
-    fine = geometry.hemisphere(operator_core._zonal_rule(V, 4, 256, refined=True)).size
+    rule = operator_core._zonal_rule(V, 4, 256)
+    fine = geometry.hemisphere(operator_core._zonal_rule(V, 4, 256, refine=rule)).size
     tracemalloc.start()
     try:
         basis = geometry.build_basis(manifold, 256)

@@ -625,7 +625,7 @@ def test_split_gram_matches_gemm(kind, levels, even, signs):
     parity = even and kind == geometry.SPHERE_ZONAL
     fold = geometry.hemisphere if parity else (lambda grid: grid)
     rule = operator_core._zonal_rule(V, manifold.n, 24)
-    fine_grid = operator_core._zonal_rule(V, manifold.n, 24, refined=True)
+    fine_grid = operator_core._zonal_rule(V, manifold.n, 24, refine=rule)
     assert (rule.size > 2 * 24 + 16) == bool(levels)  # the caps add nodes
     if kind == geometry.SPHERE_FULL_2D:
         ref, fine_ref = (_gemm_potential(V, geometry.build_basis(manifold, 24,
@@ -651,7 +651,8 @@ def test_partitioned_check_matches_unpartitioned(n, V):
     critical V at n = 2 is positive at every node, so there the partition is
     the rule's own order."""
     basis = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_ZONAL, n), 48)
-    fine_grid = operator_core._zonal_rule(V, n, 48, refined=True)
+    fine_grid = operator_core._zonal_rule(V, n, 48,
+                                          refine=operator_core._zonal_rule(V, n, 48))
     half = geometry.hemisphere(fine_grid)
     ref = _gemm_potential(V, basis, half)
     _assert_split_matches_gemm(operator_core.potential_matrix(V, basis, fine_grid), ref, True)
@@ -685,7 +686,8 @@ def test_full_sphere_check_matches_refined_basis(expr):
     sin."""
     basis = geometry.build_basis(_FULL_S2, 10)
     V = potentials.from_expression(expr)
-    fine_grid = operator_core._zonal_rule(V, 2, 10, refined=True)
+    fine_grid = operator_core._zonal_rule(V, 2, 10,
+                                          refine=operator_core._zonal_rule(V, 2, 10))
     expected = geometry.zonal_grid(2, 2 * (2 * 10 + 16))  # twice the zonal S^2 rule
     assert np.array_equal(fine_grid.nodes, expected.nodes)
     assert np.array_equal(fine_grid.weights, expected.weights)
@@ -845,9 +847,10 @@ def test_even_checked_assembly_matches_unfolded(n):
 
 
 # the checked V != 0 solves whose node values the probes read: the zonal
-# S^2..S^5 at K = 48 and 512, and the full S^2 at K = 24
+# S^2..S^5 at K = 48 and 512, the full S^2 at K = 24, and the zonal S^24,
+# whose Gauss grid lowers the weight
 _CHECKED_SOLVES = [(geometry.SPHERE_ZONAL, n, K) for n in (2, 3, 4, 5) for K in (48, 512)]
-_CHECKED_SOLVES.append((geometry.SPHERE_FULL_2D, 2, 24))
+_CHECKED_SOLVES += [(geometry.SPHERE_FULL_2D, 2, 24), (geometry.SPHERE_ZONAL, 24, 48)]
 
 
 @pytest.mark.parametrize("ref", ["counterexample", "truncated-counterexample"])
@@ -894,6 +897,7 @@ def test_gauss_rule_block_is_bit_stable(n, ref):
     (geometry.SPHERE_ZONAL, 2, "sin(phi)-0.5", [(96, 0.0), (192, 0.0)]),
     (geometry.SPHERE_ZONAL, 4, "truncated-counterexample", [(96, 1.0), (192, 1.0)]),
     (geometry.SPHERE_ZONAL, 2, "counterexample", [(96, 0.0), (8, 0.0)]),
+    (geometry.SPHERE_ZONAL, 24, "counterexample", [(97, 10.0), (8, 0.0)]),
     (geometry.SPHERE_FULL_2D, 2, "cos(phi)", [(49, 0.0), (96, 0.0), (192, 0.0)])])
 def test_checked_solve_runs_one_newton_pass_per_gauss_rule(kind, n, ref, rules, monkeypatch):
     """A checked solve at K = 40 runs ``gauss_gegenbauer`` once for each
@@ -973,10 +977,11 @@ def test_zonal_refined_copy_keeps_cap_depth(levels):
     assert np.count_nonzero(fine_bulk) >= 2 * np.count_nonzero(bulk)
     if levels == geometry.SINGULAR_POLE_LEVELS:
         V = potentials.counterexample(3)
-        for refined, expected in ((False, grid), (True, fine)):
-            rule = operator_core._zonal_rule(V, 3, 64, refined=refined)
-            assert np.array_equal(rule.nodes, expected.nodes)
-            assert np.array_equal(rule.weights, expected.weights)
+        rule = operator_core._zonal_rule(V, 3, 64)
+        for got, expected in ((rule, grid), (operator_core._zonal_rule(V, 3, 64, refine=rule),
+                                              fine)):
+            assert np.array_equal(got.nodes, expected.nodes)
+            assert np.array_equal(got.weights, expected.weights)
 
 
 def test_potential_matrix_takes_only_a_zonal_rule():

@@ -119,7 +119,7 @@ def test_one_sign_split_for_the_potential_block():
 
 # the names a plan would read to re-derive the grid of a solve and its check
 _SOLVE_GRID_NAMES = ("SINGULAR_POLE_LEVELS", "_refined_grid", "hemisphere",
-                     "_check_gauss_alpha", "_checked_nodes")
+                     "_weight_drop", "_checked_nodes")
 
 
 def test_plans_read_the_solve_grid_from_operator_core():
