@@ -263,6 +263,7 @@ def _decomposition(cfg: dict, top: float = 0.0):
     # J is K + 1, (K + 1)^2 or the lattice count
     modes = _lattice_points(n, K * K) if torus else (K + 1) ** (1 + full)
     _check_bytes(_solve_bytes(nodes, modes, fine), what, "K")
+    _key("n", operator_core._check_rules, V, manifold, K)
     if torus:
         mu = sum(np.meshgrid(*[np.arange(-K, K + 1) ** 2] * n, sparse=True)).ravel()
         mu = np.sort(mu[mu <= K * K]).astype(float)
@@ -444,12 +445,13 @@ def _plan_wave_speed(cfg):
         raise ConfigError("key 't': t must be non-zero (at t = 0 every leakage is exactly "
                           "0, so the leakage cannot decrease with K)")
     _check_K("Ks", *Ks)
-    sizes = {K: operator_core._solve_grid(V, manifold, K) for K in Ks}
-    # every solve is held, and the leakage at the largest K holds its N x N
-    # kernel (then distances), mass, cone mask and mass[outside]
-    nodes = sizes[Ks[-1]][0]
-    _check_bytes(sum(_solve_bytes(N, K + 1, F) for K, (N, F) in sizes.items())
-                 + 25 * nodes ** 2, f"the leakage run up to K={Ks[-1]} ({nodes} nodes)", "Ks")
+    # one solve is held at a time, the largest first, and its leakage holds
+    # its N x N kernel (then distances), mass, cone mask and mass[outside]
+    nodes, fine = operator_core._solve_grid(V, manifold, Ks[-1])
+    _check_bytes(_solve_bytes(nodes, Ks[-1] + 1, fine) + 25 * nodes ** 2,
+                 f"the leakage run up to K={Ks[-1]} ({nodes} nodes)", "Ks")
+    for K in Ks:
+        _key("n", operator_core._check_rules, V, manifold, K)
     # the free top frequencies; the cutoff is held at a quarter of the largest
     tops = [math.sqrt(K * (K + n - 1.0)) for K in Ks]
     for top in tops:

@@ -110,10 +110,13 @@ def cone_leakage_trend(n: int, t: float, Ks, V=None) -> estimators.ExperimentRep
     (rescaling the mollifier with K would be scale invariant)."""
     Ks = sorted(int(K) for K in Ks)
     manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, n)
-    decomps = {K: operator_core.solve(V, manifold, K) for K in Ks}
-    cutoff = float(decomps[Ks[-1]].frequencies[-1]) / 4.0
-    rows = [[K, cone_leakage(decomps[K], t, cutoff=cutoff)] for K in Ks]
-    leaks = [r[1] for r in rows]
+    top = operator_core.solve(V, manifold, Ks[-1])  # first, for the cutoff
+    cutoff = float(top.frequencies[-1]) / 4.0
+    last = cone_leakage(top, t, cutoff=cutoff)
+    del top  # one decomposition is held at a time
+    leaks = [cone_leakage(operator_core.solve(V, manifold, K), t, cutoff=cutoff)
+             for K in Ks[:-1]] + [last]
+    rows = [[K, leak] for K, leak in zip(Ks, leaks)]
     monotone = all(leaks[i + 1] < leaks[i] for i in range(len(leaks) - 1))
     ok = monotone and leaks[-1] < 1e-3
     return estimators.ExperimentReport(

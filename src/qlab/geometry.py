@@ -34,8 +34,11 @@ _KINDS = (SPHERE_ZONAL, SPHERE_FULL_2D, TORUS)
 
 
 def sphere_volume(n: int) -> float:
-    """Volume of the unit round sphere S^n (surface measure)."""
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+    """Volume of the unit round sphere S^n (surface measure), past S^342 by log-gamma."""
+    h = (n + 1) / 2.0
+    if h < 172.0:
+        return 2.0 * math.pi ** h / math.gamma(h)
+    return 2.0 * math.exp(h * math.log(math.pi) - math.lgamma(h))
 
 
 @dataclass(frozen=True)

@@ -116,9 +116,9 @@ def _split_gram(E: np.ndarray, wv: np.ndarray, npos: int, nneg: int,
 
 
 def _by_moments(manifold: geometry.ModelManifold) -> bool:
-    """Whether a potential block on ``manifold`` is formed from the cosine
-    moments of V (``_moment_matrix``): the zonal S^3, where it is exact and
-    is summed on no grid."""
+    """Whether ``assemble`` forms the potential block on ``manifold`` from the
+    cosine moments of V (``_moment_matrix``): the zonal S^3, where it is
+    exact and is summed on no grid."""
     return manifold.kind == geometry.SPHERE_ZONAL and manifold.n == 3
 
 
@@ -239,76 +239,42 @@ def _toeplitz_hankel(t: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     return window(np.concatenate([t[n - 1:0:-1], t[:n]]), n)[::-1] - window(h[:2 * n - 1], n)
 
 
-def _moment_matrix(V: Potential, K: int, check: bool) -> np.ndarray:
-    """The exact Galerkin block of V on the zonal S^3 at truncation K.  There
+def _moment_matrix(d: np.ndarray, K: int, even: bool) -> np.ndarray:
+    """The exact Galerkin block on the zonal S^3 at truncation K from the
+    cosine moments d_m of V, m = 0..2K+2 (``_cosine_moments``).  There
     e_k = sin((k+1) phi) / (pi sqrt(2) sin phi) and dvol = 4 pi sin^2 phi dphi,
-    so <V e_j, e_k> = d_{|j-k|} - d_{j+k+2} in the cosine moments d_m of
-    ``_cosine_moments``, m = 0..2K+2: Toeplitz minus Hankel, and every leading
-    block is the matrix of a smaller K.  For an even V the two parity blocks
-    read the even moments only and are filled apart; every entry across
-    parity is exactly 0.  ``check`` recomputes the moments on the refined rule
-    and raises NumericError, naming the worst moment, when one moves by more
-    than ``_MOMENT_TOL`` of the largest; the matrix is that of the rule."""
-    M = 2 * K + 2
-    d = _cosine_moments(V, M)
-    if check:
-        move = np.abs(_cosine_moments(V, M, fine=True) - d)
-        scale = float(np.max(np.abs(d)))
-        m = int(np.argmax(move))
-        if not move[m] <= _MOMENT_TOL * scale:
-            raise NumericError(
-                f"potential assembly not converged: cosine moment {m} moved by "
-                f"{move[m]:.3e} (scale {scale:.3e}) under refinement of the moment rule; "
-                "this rule cannot resolve the potential (see 'Potential references' "
-                "in docs/configuration.md)")
-    if not V.even:
+    so <V e_j, e_k> = d_{|j-k|} - d_{j+k+2}: Toeplitz minus Hankel, and every
+    leading block is the matrix of a smaller K.  For an ``even`` V the two
+    parity blocks read the even moments only and are filled apart; every
+    entry across parity is exactly 0."""
+    if not even:
         return _toeplitz_hankel(d, d[2:], K + 1)
-    even = d[0::2]
+    even_d = d[0::2]
     out = np.zeros((K + 1, K + 1))
-    out[0::2, 0::2] = _toeplitz_hankel(even, even[1:], K // 2 + 1)
-    out[1::2, 1::2] = _toeplitz_hankel(even, even[2:], (K + 1) // 2)
+    out[0::2, 0::2] = _toeplitz_hankel(even_d, even_d[1:], K // 2 + 1)
+    out[1::2, 1::2] = _toeplitz_hankel(even_d, even_d[2:], (K + 1) // 2)
     return out
 
 
-def potential_matrix(V: Potential | None, basis: geometry.Basis,
-                     grid: geometry.QuadratureGrid | None = None) -> np.ndarray:
-    """Galerkin matrix <V e_j, e_k>, exactly symmetric.  On the zonal S^3
-    without a ``grid`` it is the exact block of ``_moment_matrix``, Toeplitz
-    minus Hankel in the cosine moments of V, summed on no grid and read from
-    no basis row.  Otherwise it is summed on ``grid``, a zonal rule of the
-    basis's S^n (by default ``_zonal_rule``, which depends on V, n and K
-    alone, never on the basis grid; ``assemble``'s check passes its refined
-    copy), by ``_split_gram``, which takes its rows as temporaries so that
-    it can free them.  On the zonal sphere the rows are the basis functions
-    at the nodes where w V != 0, in sign order (``_signed_nodes``), from
-    ``basis.evaluate`` with the basis's own norms; on a Gauss rule equal to
-    the basis grid they are the basis rows bit for bit.  On the full S^2 a
-    zonal V couples only modes of one order m and one trigonometric factor,
-    so one block per order is formed from the associated-Legendre table on
-    the rule and written at both the cos and the sin columns of that order;
-    every entry between orders or between cos and sin is exactly 0, and no
-    N x J table is built.  An even V (``V.even``) couples only degrees of
-    equal parity (of k - m on the full S^2): it is summed on the hemisphere
-    fold of the rule, its parity blocks are formed apart, and every entry
-    across parity is exactly 0.  V = None gives the zero matrix.  Raises
-    DomainError for a V on the torus or a ``grid`` that is not a zonal rule
-    of S^n, and NumericError naming the first node where w V (V on the
-    moment rule) is not finite."""
-    _check_potential(V, basis.manifold)
-    J, n = basis.size, basis.manifold.n
-    if V is None:
-        return np.zeros((J, J))
-    if grid is None and _by_moments(basis.manifold):
-        return _moment_matrix(V, basis.K, check=False)
-    grid = _zonal_rule(V, n, basis.K) if grid is None else grid
-    if grid.manifold != geometry.ModelManifold(geometry.SPHERE_ZONAL, n):
-        raise DomainError(f"a zonal V is summed on a zonal rule of S^{n}, "
-                          f"not on {grid.manifold}")
-    nodes, wv, npos, nneg = _signed_nodes(V, grid)
+def _rule_matrix(V: Potential, basis: geometry.Basis,
+                 rule: geometry.QuadratureGrid) -> np.ndarray:
+    """Galerkin matrix <V e_j, e_k> summed on ``rule``, a zonal rule of the
+    basis's S^n, by ``_split_gram``, exactly symmetric.  On the zonal sphere
+    its rows are one table of the basis functions at the nodes where
+    w V != 0, in sign order (``_signed_nodes``), from ``basis.evaluate``: on
+    a Gauss rule equal to the basis grid, the basis rows bit for bit.  On
+    the full S^2 a zonal V couples only modes of one order m and one
+    trigonometric factor: one block per order, from the associated-Legendre
+    table on the rule, is written at the cos and at the sin columns of that
+    order, every other entry is exactly 0, and no N x J table is built.  An
+    even V is summed on the hemisphere fold of the rule, by parity blocks
+    (of k - m on the full S^2) with exact zeros across parity.  Raises
+    NumericError naming the first node where w V is not finite."""
+    nodes, wv, npos, nneg = _signed_nodes(V, rule)
     phi = nodes[:npos + nneg]
     if basis.manifold.kind != geometry.SPHERE_FULL_2D:
         return _split_gram(basis.evaluate(phi), wv, npos, nneg, V.even)
-    M = np.zeros((J, J))
+    M = np.zeros((basis.size, basis.size))
     for m in range(basis.K + 1):
         # the table of P~_k^m, k = m..K, one column per degree
         block = _split_gram(geometry._normalized_assoc_legendre(basis.K, m, phi).T,
@@ -323,55 +289,60 @@ _CHECK_TOL = 0.01  # largest entry move under grid refinement, relative to the m
 
 def assemble(V: Potential | None, basis: geometry.Basis,
              check: bool = False) -> np.ndarray:
-    """Galerkin matrix of -Delta_g + V in the given basis.
+    """Galerkin matrix of -Delta_g + V in the given basis, exactly symmetric:
+    the one place where V becomes a block, by the route picked here.
 
-    On the zonal S^3 the potential block is the exact block of
-    ``_moment_matrix``, and ``check=True`` recomputes its cosine moments on
-    the refined moment rule (every panel halved, the DCT doubled, the pole
-    cap deeper) and raises, naming the worst moment, when one moves by more
-    than 1e-10 (``_MOMENT_TOL``) of the largest; otherwise it returns the
-    block of the rule.  No grid, no basis row and no refined table is read.
-
-    On every other manifold and n the block is summed on the zonal rule of
-    ``_zonal_rule``, and ``check=True`` reassembles it on that rule's refined
-    copy and raises, naming the worst entry, when any coefficient moves by
-    more than 1% (``_CHECK_TOL``) of the matrix scale; otherwise it returns
-    the refined matrix.  A pole-capped rule keeps its caps node for node
-    and refines only the bulk, so the check never tests the cap rule.  On
-    the zonal sphere each matrix reads the basis functions at the rule's
-    nodes where w V != 0 (the refined rule's hemisphere fold for an even
-    V), evaluated into one table handed to ``_split_gram`` whole, so the
-    check's working set is the basis, that refined table and a few J x J
-    matrices.  On the full S^2 both matrices are formed by order and no
-    N x J table is built.  w V is checked on the rule before any refined
-    work, so the NumericError for a V that is not finite names a node of
-    that rule.
+    On the zonal S^3 the block is the Toeplitz-minus-Hankel fill
+    (``_moment_matrix``) of the cosine moments of V, read from no grid, and
+    ``check=True`` recomputes the moments on the refined moment rule (every
+    panel halved, the DCT doubled, the pole cap deeper), each move measured
+    against the largest |moment| with a tolerance of 1e-10 (``_MOMENT_TOL``);
+    the block is that of the rule.  Elsewhere the block is summed on the
+    rule of ``_zonal_rule`` (``_rule_matrix``), and ``check=True`` sums it
+    again on the rule's refined copy, which keeps the caps of a pole-capped
+    rule node for node, each entry's move measured against the largest
+    |entry| of the refined block with a tolerance of 1% (``_CHECK_TOL``);
+    the block is the refined one.  w V is checked on the rule before any
+    refined work, so the NumericError for a V that is not finite names a
+    node of that rule.  Both checks go through one gate, which raises
+    NumericError naming the worst moment or entry unless every move is at
+    most the tolerance times the scale; a NaN move or scale fails it.
+    V = None gives the free matrix; a V on the torus raises DomainError.
     """
-    if V is not None and _by_moments(basis.manifold):
-        pot = _moment_matrix(V, basis.K, check)
+    _check_potential(V, basis.manifold)
+    J, n, K = basis.size, basis.manifold.n, basis.K
+    move = None
+    if V is None:
+        pot = np.zeros((J, J))
+    elif _by_moments(basis.manifold):
+        d = _cosine_moments(V, 2 * K + 2)
+        if check:
+            move = np.abs(_cosine_moments(V, 2 * K + 2, fine=True) - d)
+            scale, tol, refined = float(np.max(np.abs(d))), _MOMENT_TOL, "moment rule"
+        pot = _moment_matrix(d, K, V.even)
     else:
-        rule = None if V is None else _zonal_rule(V, basis.manifold.n, basis.K)
-        pot = potential_matrix(V, basis, rule)  # checks w V on the rule first
-        if check and V is not None:
-            pot_fine = potential_matrix(V, basis, _zonal_rule(V, basis.manifold.n, basis.K,
-                                                              refine=rule))
-            scale = max(float(np.max(pot_fine)), -float(np.min(pot_fine)), 1e-300)
-            diff = np.subtract(pot_fine, pot, out=pot)
-            np.abs(diff, out=diff)
-            j, k = np.unravel_index(int(np.argmax(diff)), diff.shape)
-            if diff[j, k] > _CHECK_TOL * scale:
-                raise NumericError(
-                    f"potential assembly not converged: entry ({j}, {k}) moved by "
-                    f"{diff[j, k]:.3e} (scale {scale:.3e}) under grid refinement; "
-                    "this grid cannot resolve the potential (see 'Potential "
-                    "references' in docs/configuration.md)")
-            pot = pot_fine
+        rule = _zonal_rule(V, n, K)
+        pot = _rule_matrix(V, basis, rule)  # checks w V on the rule first
+        if check:
+            fine = _rule_matrix(V, basis, _zonal_rule(V, n, K, refine=rule))
+            scale = max(float(np.max(fine)), -float(np.min(fine)), 1e-300)
+            move = np.abs(np.subtract(fine, pot, out=pot), out=pot)
+            pot, tol, refined = fine, _CHECK_TOL, "grid"
+    if move is not None:
+        i = int(np.argmax(move))  # the first NaN if there is one, which fails
+        if not move.flat[i] <= tol * scale:
+            where = (f"cosine moment {i}" if move.ndim == 1
+                     else "entry ({}, {})".format(*divmod(i, J)))
+            raise NumericError(
+                f"potential assembly not converged: {where} moved by {move.flat[i]:.3e} "
+                f"(scale {scale:.3e}) under refinement of the {refined}; this {refined} cannot "
+                "resolve the potential (see 'Potential references' in docs/configuration.md)")
     # every model Laplace eigenvalue is an integer (k(k+n-1), l(l+1), |m|^2);
     # rounding keeps the free spectrum exact where sqrt(.)**2 misses by an ulp.
     # In place this is np.diag(.) + pot bit for bit: the + 0.0 turns each
     # -0.0 off the diagonal into the +0.0 that sum gives
     np.add(pot, 0.0, out=pot)
-    pot[np.diag_indices(basis.size)] += np.rint(basis.freqs ** 2)
+    pot[np.diag_indices(J)] += np.rint(basis.freqs ** 2)
     return pot
 
 
@@ -466,8 +437,9 @@ def diagonalize(matrix: np.ndarray,
     and one sign rule, so a tie lists the eigenvector of the class with the
     lower first index first (even before odd on the zonal sphere, cos before
     sin on the full S^2).  Raises
-    DomainError for a non-square or non-symmetric matrix and NumericError
-    when the solver does not converge.
+    DomainError for a non-square or non-symmetric matrix, and NumericError
+    for a matrix with an entry that is not finite or whose symmetrization
+    0.5 (A + A^T) overflows, and when the solver does not converge.
     """
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -490,9 +462,13 @@ def diagonalize(matrix: np.ndarray,
     classes = [np.arange(J)] if diagonal else _coupled(
         nonzero, np.arange(J) % 2 if basis is None else basis.classes)
     del nonzero
+    # eigh reads 0.5 (A + A^T): no |entry| may pass half the largest float, nor be NaN
+    top = max(float(np.max(A)), -float(np.min(A)))
+    if not top <= np.finfo(float).max / 2:
+        raise NumericError(f"matrix not finite: largest |entry| {top:.3e} overflows 0.5 (A + A^T)")
     # every entry between merged classes is 0, so the matrix is symmetric
     # where its blocks are
-    atol = 1e-10 * max(1.0, float(np.max(A)), -float(np.min(A)))
+    atol = 1e-10 * max(1.0, top)
     parts = []
     for idx in classes:
         block = A if len(classes) == 1 else A.take(idx, axis=0).take(idx, axis=1)
@@ -581,15 +557,29 @@ def _solve_grid(V: Potential | None, manifold: geometry.ModelManifold, K: int
     return N, _rule_sizes(V, manifold.n, K)[1]
 
 
+def _check_rules(V: Potential | None, manifold: geometry.ModelManifold, K: int) -> None:
+    """Builds the zonal rules a solve at K reads (its basis grid, and the
+    rule of V and its refined copy), so a plan refuses with DomainError the
+    solve whose weights underflow to 0 near the poles, from about S^150 on."""
+    if manifold.kind != geometry.SPHERE_ZONAL:
+        return
+    try:
+        geometry.default_grid(manifold, K)
+        if V is not None and not _by_moments(manifold):
+            _zonal_rule(V, manifold.n, K, refine=_zonal_rule(V, manifold.n, K))
+    except DomainError as exc:
+        raise DomainError(f"{exc}: the rules of S^{manifold.n} at K={K} have weights that "
+                          "underflow to 0 near the poles; lower n or K") from None
+
+
 def solve(V: Potential | None, manifold: geometry.ModelManifold, K: int,
           shift: int | str = 0) -> SpectralDecomposition:
-    """Assemble and diagonalize H_V truncated at K, with the basis on
-    ``geometry.default_grid``, where it is orthonormal, and every V other
-    than None summed on its own rule (``_zonal_rule``) with ``check=True``,
-    so a rule that cannot resolve V raises NumericError.  The shift N is added to the eigenvalues
-    of H_V; ``shift='auto'`` picks the smallest integer N >= 0 making the
-    lowest of them at least 1, up to round-off.
-    """
+    """Assemble and diagonalize H_V truncated at K: the basis on
+    ``geometry.default_grid``, where it is orthonormal, and V through
+    ``assemble(check=True)``, so a V that its route cannot resolve, or a
+    matrix that is not finite, raises NumericError.  The shift N is added to
+    the eigenvalues of H_V; ``shift='auto'`` picks the smallest integer
+    N >= 0 making the lowest of them at least 1, up to round-off."""
     basis = geometry.build_basis(manifold, K)
     decomp = diagonalize(assemble(V, basis, check=True), basis)
     decomp.shift = _positivity_shift(decomp.eigenvalues) if shift == "auto" else int(shift)

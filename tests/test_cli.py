@@ -236,6 +236,24 @@ def test_validate_size_limits_pass_at_the_edge():
     assert cli._lattice_points(3, 2) == 19
 
 
+@pytest.mark.parametrize("n,K,potential", [("200", "128", "0"), ("400", "128", "0"),
+                                           ("152", "128", "sin(phi)"), ("214", "8", "0")])
+def test_plan_refuses_the_rules_that_underflow(tmp_path, capsys, n, K, potential):
+    """Far up in n the weights of a zonal rule underflow to 0 near the poles,
+    the sooner the larger K and the refined rule of a check: validate and the
+    run both refuse such a solve with a ConfigError naming key 'n', where
+    validate used to print ok and the run to stop with DomainError (or
+    OverflowError past S^342).  S^150 at K = 128 still runs."""
+    raw = {"n": n, "K": K, "potential": potential}
+    assert cli.validate("spectrum", cli.build_config("spectrum", raw)) == [
+        f"key 'n': quadrature weights must be positive: the rules of S^{n} at K={K} have "
+        "weights that underflow to 0 near the poles; lower n or K"]
+    assert cli.main(["spectrum", "--out", str(tmp_path), "--n", n, "--K", K,
+                     "--potential", potential]) == 1
+    assert "ConfigError: key 'n'" in capsys.readouterr().err
+    assert cli.main(["spectrum", "--out", str(tmp_path), "--n", "150", "--K", "128"]) == 0
+
+
 def test_zonal_gauss_limit_and_parametrix_orders(tmp_path):
     """Past S^23, where Newton settles no Gauss rule of the S^n weight, the
     default zonal grid lowers the weight, so every solve still has a Gauss
@@ -455,6 +473,20 @@ def test_spectrum_non_finite_potential_stops(tmp_path, capsys):
     assert not (tmp_path / "spectrum.csv").exists()
 
 
+@pytest.mark.parametrize("args", [["--n", "2"], ["--n", "3"], ["--n", "4"], ["--n", "5"],
+                                  ["--manifold", "sphere-full-2d", "--K", "8"]])
+def test_spectrum_overflowing_potential_stops(tmp_path, capsys, args):
+    """V = 1e308 gives a block whose symmetrization overflows (NaN moments on
+    S^3): the run stops with NumericError, exit 1 and no CSV, where it used
+    to write NaN or inf eigenvalues with verdict ok."""
+    with np.errstate(all="ignore"):
+        rc = cli.main(["spectrum", "--out", str(tmp_path), "--potential", "constant:1e308",
+                       "--K", "16"] + args)
+    assert rc == 1
+    assert "NumericError" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 def test_spectrum_constant_auto_shift(tmp_path):
     rc = cli.main(["spectrum", "--out", str(tmp_path), "--potential", "constant:-5",
                    "--shift", "auto", "--K", "8"])
@@ -625,8 +657,8 @@ def test_plans_size_the_default_grid(monkeypatch):
     rule itself for an odd one; none on the zonal S^3, whose check reads the
     cosine moments of V): the solve of a spectral experiment, free on the
     three manifolds and checked for the critical, truncated and sin(phi) V
-    at a few K on S^3 and S^4, and each wave-speed solve, free and with the
-    critical V.  ``_rule_sizes`` counts the rule and those refined nodes on
+    at a few K on S^3 and S^4, and the wave-speed solve at the largest K,
+    free and with the critical V.  ``_rule_sizes`` counts the rule and those refined nodes on
     S^2..S^5 without building them, and the counterexample run tabulates V
     and f on the rule of the critical V."""
     from qlab import geometry, operator_core, potentials
@@ -664,7 +696,7 @@ def test_plans_size_the_default_grid(monkeypatch):
         charged.clear()
         cli.RUNNERS["wave-speed"](cli.build_config("wave-speed", {
             "n": "3", "Ks": "8,24", "potential": potential}))
-        assert charged == [built(potential, zonal, K) for K in (8, 24)]
+        assert charged == [built(potential, zonal, 24)]  # one solve is held at a time
     for n in (2, 3, 4, 5):
         for potential in ("counterexample", "truncated-counterexample", "sin(phi)"):
             V = potentials.from_reference(potential, n)

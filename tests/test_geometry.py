@@ -18,6 +18,16 @@ def test_sphere_volumes():
     assert geometry.sphere_volume(3) == pytest.approx(2 * math.pi ** 2, rel=1e-15)
 
 
+def test_sphere_volume_past_the_gamma_range():
+    """vol(S^{n+2}) = 2 pi vol(S^n) / (n + 1) holds on both sides of S^342,
+    where Gamma((n+1)/2) overflows and the volume comes from its logarithm;
+    far beyond, where pi^((n+1)/2) overflows too, the volume is 0."""
+    for n in range(336, 348):
+        ratio = geometry.sphere_volume(n + 2) * (n + 1) / (2 * math.pi * geometry.sphere_volume(n))
+        assert ratio == pytest.approx(1.0, rel=1e-10)
+    assert geometry.sphere_volume(1300) == 0.0
+
+
 def test_gauss_gegenbauer_legendre_moments():
     # alpha = 0 is Gauss-Legendre on [-1, 1]: integrates x^k exactly
     x, w = geometry.gauss_gegenbauer(8, 0.0)

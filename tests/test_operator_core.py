@@ -278,7 +278,8 @@ def test_diagonalize_rejects_non_square_and_non_symmetric():
 
 def test_near_symmetric_matrix_is_symmetrized():
     """A matrix symmetric to rounding is solved as 0.5 (A + A^T); one that
-    holds NaN is rejected as non-symmetric."""
+    holds NaN or inf, or an entry whose symmetrization overflows, is rejected
+    as not finite."""
     rng = np.random.default_rng(5)
     S = rng.standard_normal((24, 24))
     S = S + S.T
@@ -287,9 +288,11 @@ def test_near_symmetric_matrix_is_symmetrized():
     d2 = operator_core.diagonalize(0.5 * (B + B.T))
     assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
     assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
-    S[3, 3] = np.nan
-    with pytest.raises(DomainError, match="symmetric"):
-        operator_core.diagonalize(S)
+    for bad in (np.nan, np.inf, 0.6 * np.finfo(float).max):
+        T = S.copy()
+        T[3, 3] = bad
+        with pytest.raises(NumericError, match="not finite"):
+            operator_core.diagonalize(T)
 
 
 def test_diagonalize_maps_solver_failure_to_numeric_error(monkeypatch):
@@ -413,7 +416,7 @@ def test_s3_block_matches_a_resolving_rule(expr):
     E = np.sin(np.outer(x, np.arange(1, K + 2))) / (math.pi * math.sqrt(2) * np.sin(x))[:, None]
     ref = E.T @ (E * (w * 4 * math.pi * np.sin(x) ** 2 * V(x))[:, None])
     basis = geometry.build_basis(_S3, K)
-    M = operator_core.potential_matrix(V, basis)
+    M = operator_core._moment_matrix(operator_core._cosine_moments(V, 2 * K + 2), K, V.even)
     assert np.array_equal(M, M.T)
     assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
     A = operator_core.assemble(V, basis, check=True)  # the block of the rule, checked
@@ -542,12 +545,13 @@ def _gemm_potential(V, basis, grid=None):
     (3, potentials.counterexample(3), 6),
 ])
 def test_potential_matrix_sign_split_matches_gemm(n, V, levels):
-    """The sign-split rank-k update on the basis grid (passed explicitly: on
-    S^3 the default block comes from the cosine moments) is exactly symmetric
-    and within 1e-13 of the GEMM formula, relative to the largest entry."""
+    """The sign-split rank-k update summed on the basis grid (on S^3
+    ``assemble`` forms the block from the cosine moments instead) is exactly
+    symmetric and within 1e-13 of the GEMM formula, relative to the largest
+    entry."""
     manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, n)
     basis = geometry.build_basis(manifold, 48, geometry.default_grid(manifold, 48, levels))
-    M = operator_core.potential_matrix(V, basis, basis.grid)
+    M = operator_core._rule_matrix(V, basis, basis.grid)
     assert np.array_equal(M, M.T)
     ref = _gemm_potential(V, basis)
     assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -562,13 +566,13 @@ _EVEN_POTENTIALS = [(n, V) for n in (2, 3, 4, 5)
 
 @pytest.mark.parametrize("n,V", _EVEN_POTENTIALS)
 def test_even_potential_matrix_parity_blocks_match_full_grid(n, V):
-    """An even V on the Gauss grid (passed explicitly: on S^3 the default
-    block comes from the cosine moments): the entries across degree parity
+    """An even V summed on the Gauss grid (on S^3 ``assemble`` forms the
+    block from the cosine moments instead): the entries across degree parity
     are exactly 0, and the two blocks, summed on the hemisphere, are within
     1e-13 of the full-grid GEMM relative to its largest entry."""
     manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, n)
     basis = geometry.build_basis(manifold, 48)
-    M = operator_core.potential_matrix(V, basis, basis.grid)
+    M = operator_core._rule_matrix(V, basis, basis.grid)
     assert np.array_equal(M, M.T)
     assert not np.any(M[0::2, 1::2])
     ref = _gemm_potential(V, basis)
@@ -608,7 +612,7 @@ _SIGNS_PRESENT = {"mixed": (True, True, True), "positive": (True, False, False),
     (geometry.SPHERE_ZONAL, 0, False), (geometry.SPHERE_ZONAL, 6, False),
     (geometry.SPHERE_FULL_2D, 0, False)])
 def test_split_gram_matches_gemm(kind, levels, even, signs):
-    """potential_matrix and the checked assembly match the GEMM on the rule
+    """The block summed on a rule and the checked assembly match the GEMM on the rule
     they sum on (``_zonal_rule``, pole-capped at level 6 for a V marked
     singular): on a zonal basis, on the default grid, the basis functions at
     the nodes of the rule, or of its hemisphere fold for an even V, and of
@@ -633,9 +637,9 @@ def test_split_gram_matches_gemm(kind, levels, even, signs):
                          for g in (rule, fine_grid))
     else:
         ref, fine_ref = (_gemm_potential(V, basis, fold(g)) for g in (rule, fine_grid))
-    M = operator_core.potential_matrix(V, basis)
+    M = operator_core._rule_matrix(V, basis, rule)
     _assert_split_matches_gemm(M, ref, parity)
-    pot_fine = operator_core.potential_matrix(V, basis, fine_grid)
+    pot_fine = operator_core._rule_matrix(V, basis, fine_grid)
     _assert_split_matches_gemm(pot_fine, fine_ref, parity)
     A = operator_core.assemble(V, basis, check=True)
     assert A.tobytes() == (np.diag(np.rint(basis.freqs ** 2)) + pot_fine).tobytes()
@@ -655,7 +659,7 @@ def test_partitioned_check_matches_unpartitioned(n, V):
                                           refine=operator_core._zonal_rule(V, n, 48))
     half = geometry.hemisphere(fine_grid)
     ref = _gemm_potential(V, basis, half)
-    _assert_split_matches_gemm(operator_core.potential_matrix(V, basis, fine_grid), ref, True)
+    _assert_split_matches_gemm(operator_core._rule_matrix(V, basis, fine_grid), ref, True)
     nodes = operator_core._signed_nodes(V, fine_grid)[0]
     assert np.array_equal(nodes, half.nodes) == (n == 2 and V.singular)
 
@@ -691,7 +695,7 @@ def test_full_sphere_check_matches_refined_basis(expr):
     expected = geometry.zonal_grid(2, 2 * (2 * 10 + 16))  # twice the zonal S^2 rule
     assert np.array_equal(fine_grid.nodes, expected.nodes)
     assert np.array_equal(fine_grid.weights, expected.weights)
-    M = operator_core.potential_matrix(V, basis, fine_grid)
+    M = operator_core._rule_matrix(V, basis, fine_grid)
     ref = _gemm_potential(V, geometry.build_basis(_FULL_S2, 10, _product_grid(fine_grid, 10)))
     _assert_split_matches_gemm(M, ref, False)
     classes = basis.classes // 2
@@ -715,8 +719,9 @@ def test_full_sphere_blocks_match_dense_quadrature(name):
     eigvalsh of the dense matrix."""
     V = _ZONAL_ON_S2[name]
     basis = geometry.build_basis(_FULL_S2, 24)
-    M = operator_core.potential_matrix(V, basis)
-    grid = _product_grid(operator_core._zonal_rule(V, 2, 24), 24)
+    rule = operator_core._zonal_rule(V, 2, 24)
+    M = operator_core._rule_matrix(V, basis, rule)
+    grid = _product_grid(rule, 24)
     ref = _gemm_potential(V, geometry.build_basis(_FULL_S2, 24, grid))
     assert np.array_equal(M, M.T)
     assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -889,8 +894,70 @@ def test_gauss_rule_block_is_bit_stable(n, ref):
     ``basis.evaluate`` gives at its nodes are the basis rows bit for bit, so
     the potential matrix is the one the gathered basis rows gave."""
     basis = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_ZONAL, n), 64)
-    M = operator_core.potential_matrix(potentials.from_reference(ref, n), basis)
+    V = potentials.from_reference(ref, n)
+    M = operator_core._rule_matrix(V, basis, operator_core._zonal_rule(V, n, 64))
     assert hashlib.sha256(M.tobytes()).hexdigest() == _GAUSS_BLOCK_DIGESTS[n, ref]
+
+
+# SHA-256 of the checked Galerkin matrix, recorded when a public
+# potential_matrix still chose the route apart from assemble; one pin per
+# route: the rule sum at n = 2 and 5, the cosine moments at n = 3, and the
+# order blocks of the full S^2
+_CHECKED_ASSEMBLY_DIGESTS = {
+    (geometry.SPHERE_ZONAL, 2, "counterexample", 48):
+        "b366da16b7907c9ed6ea251336194ee50876c6d352144256a095f0d2fae6eeb5",
+    (geometry.SPHERE_ZONAL, 5, "counterexample", 48):
+        "872eb44c6f5799d08b794fd1f55865cb78769fee24c4946f46ac1532b1811feb",
+    (geometry.SPHERE_ZONAL, 3, "counterexample", 128):
+        "ad5fe2fb9fc44e71853fdbc975908c843e3508d0b70146e5bc9035a5d97a5676",
+    (geometry.SPHERE_FULL_2D, 2, "truncated-counterexample", 16):
+        "ecba0bb4d34aa7adf607c8805cfffda9c5bebc6c43d4cc00ba524f814fc7d276",
+}
+
+
+@pytest.mark.parametrize("kind,n,ref,K", sorted(_CHECKED_ASSEMBLY_DIGESTS))
+def test_checked_assembly_is_bit_stable(kind, n, ref, K):
+    """assemble(check=True) gives the same bytes on every route of V."""
+    basis = geometry.build_basis(geometry.ModelManifold(kind, n), K)
+    A = operator_core.assemble(potentials.from_reference(ref, n), basis, check=True)
+    assert hashlib.sha256(A.tobytes()).hexdigest() == _CHECKED_ASSEMBLY_DIGESTS[kind, n, ref, K]
+
+
+@pytest.mark.parametrize("kind,n,K", [(geometry.SPHERE_ZONAL, 2, 16),
+                                      (geometry.SPHERE_ZONAL, 3, 16),
+                                      (geometry.SPHERE_ZONAL, 4, 16),
+                                      (geometry.SPHERE_ZONAL, 5, 16),
+                                      (geometry.SPHERE_FULL_2D, 2, 8)])
+def test_unchecked_overflowing_potential_gives_no_spectrum(kind, n, K):
+    """V = 1e308 assembled without the check gives a block of entries near
+    1e308 (NaN on S^3, from NaN moments), whose symmetrization is not
+    finite: ``diagonalize`` stops it with NumericError rather than return
+    NaN or inf eigenvalues.  The checked runs are in tests/test_cli.py."""
+    manifold = geometry.ModelManifold(kind, n)
+    with np.errstate(all="ignore"):
+        A = operator_core.assemble(potentials.constant(1e308), geometry.build_basis(manifold, K))
+    with pytest.raises(NumericError, match="not finite"):
+        operator_core.diagonalize(A)
+
+
+def test_refinement_gate_fails_a_nan_move(monkeypatch):
+    """A refined rule sum that is NaN where the rule's is finite stops the
+    checked assembly at the gate, naming the first NaN entry, instead of
+    passing a NaN matrix on (a move compared as ``diff > tol`` passes NaN)."""
+    basis = geometry.build_basis(geometry.ModelManifold(geometry.SPHERE_ZONAL, 4), 8)
+    rule_matrix = operator_core._rule_matrix
+    calls = []
+
+    def refined_nan(V, basis, rule):
+        M = rule_matrix(V, basis, rule)
+        calls.append(rule.size)
+        if len(calls) == 2:
+            M[1, 2] = M[2, 1] = np.nan
+        return M
+
+    monkeypatch.setattr(operator_core, "_rule_matrix", refined_nan)
+    with pytest.raises(NumericError, match=r"not converged: entry \(1, 2\) moved by nan"):
+        operator_core.assemble(potentials.from_expression("cos(phi)"), basis, check=True)
 
 
 @pytest.mark.parametrize("kind,n,ref,rules", [
@@ -982,17 +1049,6 @@ def test_zonal_refined_copy_keeps_cap_depth(levels):
                                               fine)):
             assert np.array_equal(got.nodes, expected.nodes)
             assert np.array_equal(got.weights, expected.weights)
-
-
-def test_potential_matrix_takes_only_a_zonal_rule():
-    """A zonal V is summed on a zonal rule of the basis's S^n: a product grid
-    of the full S^2, or a zonal rule of another dimension, is refused."""
-    V = potentials.from_expression("cos(phi)")
-    basis = geometry.build_basis(_FULL_S2, 4)
-    for grid in (basis.grid, geometry.zonal_grid(3, 16)):
-        with pytest.raises(DomainError, match="zonal rule of S\\^2"):
-            operator_core.potential_matrix(V, basis, grid)
-    assert operator_core.potential_matrix(V, basis, geometry.zonal_grid(2, 16)).shape == (25, 25)
 
 
 def test_potential_on_torus_rejected():

@@ -98,8 +98,8 @@ _RETIRED = ("_sign_split", "_parity_blocks", "_refined_matrix", "_order_tables",
 def test_one_sign_split_for_the_potential_block():
     """One path for S+^T S+ - S-^T S-: none of ``_RETIRED`` is defined or
     referenced in ``src/qlab`` or ``bench/``, and the only function that
-    calls ``_split_gram`` is ``potential_matrix``, which sums V on any rule
-    (the basis grid, or the refined grid of the check)."""
+    calls ``_split_gram`` is ``_rule_matrix``, which sums V on any rule
+    (``assemble``'s rule, or the refined rule of its check)."""
     callers = set()
     paths = glob.glob(os.path.join(ROOT, "src", "qlab", "*.py")) \
         + glob.glob(os.path.join(ROOT, "bench", "*.py"))
@@ -114,7 +114,50 @@ def test_one_sign_split_for_the_potential_block():
             for sub in ast.walk(func):
                 if isinstance(sub, ast.Call) and "_split_gram" in _references(sub.func):
                     callers.add(func.name)
-    assert callers == {"potential_matrix"}
+    assert callers == {"_rule_matrix"}
+
+
+def _source_functions():
+    """Every function (and method) defined in ``src/qlab`` or ``bench/``."""
+    paths = glob.glob(os.path.join(ROOT, "src", "qlab", "*.py")) \
+        + glob.glob(os.path.join(ROOT, "bench", "*.py"))
+    for path in sorted(paths):
+        tree = ast.parse(open(path).read(), filename=path)
+        yield from (func for func in ast.walk(tree) if isinstance(func, _FUNCS))
+
+
+def test_operator_core_defines_no_potential_matrix():
+    """V becomes a block through ``assemble`` alone: no public
+    ``potential_matrix`` (with a ``grid`` knob of its own) remains."""
+    from qlab import operator_core
+    assert not hasattr(operator_core, "potential_matrix")
+
+
+def test_assemble_alone_picks_the_route_of_the_potential():
+    """The route of V (the cosine moments on the zonal S^3, a rule sum
+    elsewhere) is decided once: ``assemble`` is the only function that
+    calls ``_moment_matrix`` or ``_rule_matrix``."""
+    callers = {"_moment_matrix": set(), "_rule_matrix": set()}
+    for func in _source_functions():
+        for sub in ast.walk(func):
+            if isinstance(sub, ast.Call):
+                for name in callers:
+                    if _references(sub.func)[name]:
+                        callers[name].add(func.name)
+    assert callers == {"_moment_matrix": {"assemble"}, "_rule_matrix": {"assemble"}}
+
+
+def test_one_refinement_gate():
+    """Both refinement checks of the potential block go through one gate:
+    exactly one function raises "potential assembly not converged"."""
+    raisers = set()
+    for func in _source_functions():
+        for sub in ast.walk(func):
+            if isinstance(sub, ast.Raise) and any(
+                    isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    and "potential assembly not converged" in c.value for c in ast.walk(sub)):
+                raisers.add(func.name)
+    assert raisers == {"assemble"}
 
 
 # the names a plan would read to re-derive the grid of a solve and its check
