@@ -180,7 +180,7 @@ def build_config(experiment: str, raw: dict) -> dict:
 
 # ---------------------------------------------------------------------------
 # plans: each takes the typed config, checks every precondition of the run
-# without computing, and returns the run, which returns an ExperimentReport
+# before its first product, and returns the run, which returns an ExperimentReport
 
 
 def _key(key: str, check, *args):
@@ -239,8 +239,9 @@ def _lattice_points(n: int, r2: int) -> int:
 def _decomposition(cfg: dict, top: float = 0.0):
     """Plan of the solve of a spectral experiment: resolves the manifold and V,
     checks the truncation (K >= 2 and K >= ``top``) and the working set of the
-    solve on the dense N x J basis (``_solve_bytes``), and returns the solve
-    with the frequencies of H_0 + shift.
+    solve on the dense N x J basis (``_solve_bytes``), free before anything is
+    built, then checked at the F nodes of ``operator_core._solve_rules``, and
+    returns the solve with the frequencies of H_0 + shift, read off its basis.
     The plans check what a run reads of the spectrum against these; V moves
     them, so the run checks again."""
     import numpy as np
@@ -251,25 +252,22 @@ def _decomposition(cfg: dict, top: float = 0.0):
     V = _key("potential", potentials.from_reference, cfg["potential"], n)
     _key("potential", operator_core._check_potential, V, manifold)
     _check_K("K", K)
-    nodes, fine = operator_core._solve_grid(V, manifold, K)
     if K < top:
         raise ConfigError(f"truncation too small (K={K} below the largest "
                           f"requested frequency {top:g})")
     full, torus = manifold.kind == geometry.SPHERE_FULL_2D, manifold.kind == geometry.TORUS
-    what = (f"the {'checked ' if fine else ''}solve on the dense {manifold.kind} basis at "
-            f"K={K} ({nodes} nodes per mode{f', {fine} in the check' if fine else ''})")
+    nodes = math.prod(geometry._default_axes(manifold, K))
+    what = f"solve on the dense {manifold.kind} basis at K={K} ({nodes} nodes per mode"
     if torus:  # one mode bounds the solve and keeps the lattice count cheap
-        _check_bytes(_solve_bytes(nodes, 1), what, "K", exact=False)
+        _check_bytes(_solve_bytes(nodes, 1), f"the {what})", "K", exact=False)
     # J is K + 1, (K + 1)^2 or the lattice count
     modes = _lattice_points(n, K * K) if torus else (K + 1) ** (1 + full)
-    _check_bytes(_solve_bytes(nodes, modes, fine), what, "K")
-    _key("n", operator_core._check_rules, V, manifold, K)
-    if torus:
-        mu = sum(np.meshgrid(*[np.arange(-K, K + 1) ** 2] * n, sparse=True)).ravel()
-        mu = np.sort(mu[mu <= K * K]).astype(float)
-    else:
-        k = np.arange(K + 1)
-        mu = np.repeat(k * (k + n - 1.0), 2 * k + 1 if full else 1)
+    _check_bytes(_solve_bytes(nodes, modes), f"the {what})", "K")
+    basis, fine = _key("n", operator_core._solve_rules, V, manifold, K)
+    if fine:
+        _check_bytes(_solve_bytes(basis.grid.size, basis.size, fine),
+                     f"the checked {what}, {fine} in the check)", "K")
+    mu = np.rint(basis.freqs ** 2)  # the free diagonal of ``operator_core.assemble``
     shift = operator_core._positivity_shift(mu) if cfg["shift"] == "auto" else cfg["shift"]
     return (lambda: operator_core.solve(V, manifold, K, shift=cfg["shift"]),
             np.sqrt(np.maximum(mu + shift, 0.0)))
@@ -319,14 +317,17 @@ def _plan_counterexample(cfg):
     manifold = _key("n", geometry.ModelManifold, geometry.SPHERE_ZONAL, n)
     V = potentials.counterexample(n)
     _check_K("K", K)
-    nodes = operator_core._rule_sizes(V, n, K)[0]
     # the rows of Python floats and the arrays of the table, 264 bytes per
-    # node, held while the Kato report peaks at 5.6 MB (tracemalloc, n = 2..5)
-    _check_bytes(264 * nodes + 6 * 2 ** 20,
-                 f"the counterexample table at K={K} ({nodes} nodes)", "K")
+    # node, held while the Kato report peaks at 5.6 MB (tracemalloc, n = 2..5):
+    # charged on the Gauss nodes the rule has at least before it is built
+    least = geometry._default_axes(manifold, K)[0]
+    _check_bytes(264 * least + 6 * 2 ** 20,
+                 f"the counterexample table at K={K} (at least {least} nodes)", "K")
+    grid = _key("n", operator_core._zonal_rule, V, n, K)
+    _check_bytes(264 * grid.size + 6 * 2 ** 20,
+                 f"the counterexample table at K={K} ({grid.size} nodes)", "K")
 
     def run():
-        grid = operator_core._zonal_rule(V, n, K)
         phi = grid.nodes
         f = potentials.counterexample_eigenfunction(n, phi)
         lap = potentials.counterexample_eigenfunction_laplacian(n, phi)
@@ -445,15 +446,18 @@ def _plan_wave_speed(cfg):
         raise ConfigError("key 't': t must be non-zero (at t = 0 every leakage is exactly "
                           "0, so the leakage cannot decrease with K)")
     _check_K("Ks", *Ks)
-    # one solve is held at a time, the largest first, and its leakage holds
-    # its N x N kernel (then distances), mass, cone mask and mass[outside]
-    nodes, fine = operator_core._solve_grid(V, manifold, Ks[-1])
-    _check_bytes(_solve_bytes(nodes, Ks[-1] + 1, fine) + 25 * nodes ** 2,
-                 f"the leakage run up to K={Ks[-1]} ({nodes} nodes)", "Ks")
-    for K in Ks:
-        _key("n", operator_core._check_rules, V, manifold, K)
+    # one solve at a time, the largest first: its check's refined table is
+    # freed before its leakage holds the free solve, its N x N kernel (then
+    # distances), mass, cone mask and mass[outside]; both phases are charged
+    nodes, modes = math.prod(geometry._default_axes(manifold, Ks[-1])), Ks[-1] + 1
+    what = f"the leakage run up to K={Ks[-1]} ({nodes} nodes)"
+    _check_bytes(_solve_bytes(nodes, modes) + 25 * nodes ** 2, what, "Ks")
+    rungs = [_key("n", operator_core._solve_rules, V, manifold, K) for K in Ks]
+    largest, fine = rungs[-1]
+    if fine:
+        _check_bytes(_solve_bytes(largest.grid.size, largest.size, fine), what, "Ks")
     # the free top frequencies; the cutoff is held at a quarter of the largest
-    tops = [math.sqrt(K * (K + n - 1.0)) for K in Ks]
+    tops = [float(basis.freqs[-1]) for basis, _ in rungs]
     for top in tops:
         dynamics._check_leakage(t, tops[-1] / 4.0, top)
     return lambda: dynamics.cone_leakage_trend(n, t, Ks, V=V)
@@ -537,7 +541,7 @@ RUNNERS = {
 
 def validate(experiment: str, cfg: dict) -> list:
     """The error of the run's own plan as a diagnostic, [] when the run would
-    start; computes nothing and writes nothing."""
+    start; writes nothing, and builds only the grids and bases a plan checks."""
     try:
         RUNNERS[experiment](cfg)
     except QlabError as exc:

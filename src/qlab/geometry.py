@@ -231,11 +231,6 @@ def _pole_capped_grid(n: int, bulk_panels: int, s_hi: float,
     phi_seg = np.exp(-sp)
     # d(phi) = -exp(-s) ds; volume element sin^{n-1}(phi) * vol(S^{n-1})
     w_seg = swp * phi_seg * np.sin(phi_seg) ** (n - 1) * surf
-    # from s ~ 256 on (pole level 8, n >= 3) the weight underflows to 0;
-    # drop those nodes, whose share of the integral is below the underflow
-    # threshold
-    live = w_seg > 0.0
-    phi_seg, w_seg = phi_seg[live], w_seg[live]
     # the mirrored cap pi - exp(-s) keeps almost no bits of exp(-s) from
     # s ~ 33 on and is not representable beyond s ~ 36; drop the nodes with
     # exp(-s) <= 4e-15 (s >= 33.2).  Their weight is tiny, but at n = 2 the
@@ -244,6 +239,11 @@ def _pole_capped_grid(n: int, bulk_panels: int, s_hi: float,
     mirror = phi_seg > 4e-15
     phi = np.concatenate([phi_seg, phi_b, np.pi - phi_seg[mirror]])
     weights = np.concatenate([w_seg, w_b, w_seg[mirror]])
+    # from s ~ 256 on (pole level 8, n >= 3), and in the bulk from about
+    # S^210 on, a weight underflows to 0; drop those nodes, whose share of
+    # the integral is below the underflow threshold
+    live = weights > 0.0
+    phi, weights = phi[live], weights[live]
     order = np.argsort(phi)
     return QuadratureGrid(ModelManifold(SPHERE_ZONAL, n), phi[order], weights[order])
 
@@ -573,7 +573,8 @@ class FullSphereBasis(Basis):
 
 
 class TorusBasis(Basis):
-    """Real Fourier basis on [0, 2pi)^n for lattice vectors with |m| <= K."""
+    """Real Fourier basis on [0, 2pi)^n for lattice vectors with |m| <= K.
+    ``values`` (N x J) is built on its first read, from ``evaluate``."""
 
     def __init__(self, n: int, K: int, grid: QuadratureGrid):
         if grid.manifold.kind != TORUS or grid.manifold.n != n:
@@ -588,7 +589,11 @@ class TorusBasis(Basis):
         self.modes = [modes[i] for i in order]
         freqs = freqs[order]
         self._vol = grid.manifold.volume
-        super().__init__(grid.manifold, K, grid, freqs, self.evaluate(grid.nodes))
+        super().__init__(grid.manifold, K, grid, freqs)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return self.evaluate(self.grid.nodes)
 
     @staticmethod
     def _half_lattice(n: int, K: int) -> list[tuple[int, ...]]:

@@ -65,23 +65,6 @@ def _zonal_rule(V: Potential, n: int, K: int,
     return geometry.default_grid(geometry.ModelManifold(geometry.SPHERE_ZONAL, n), K, levels)
 
 
-def _rule_sizes(V: Potential, n: int, K: int) -> tuple[int, int]:
-    """The node count of ``_zonal_rule(V, n, K)`` and the number of nodes of
-    its refined rule that the check evaluates the basis at (the hemisphere
-    fold for an even V), counted on the rule of K = 0 so that no grid larger
-    than its pole caps is built."""
-    size = geometry._default_axes(geometry.ModelManifold(geometry.SPHERE_ZONAL, n), K)[0]
-    if not V.singular:  # a Gauss rule of 2 size nodes folds onto size
-        return size, size if V.even else 2 * size
-    # 8 max(8, size // 8) bulk nodes, half of them north, and caps that do
-    # not depend on the size, counted on the rule of K = 0
-    small, bulk = _zonal_rule(V, n, 0), 8 * max(8, (size - 2 * K) // 8)
-    caps, north = small.size - bulk, geometry.hemisphere(small).size - bulk // 2
-    nodes = 8 * max(8, size // 8) + caps
-    bulk = 8 * max(8, 2 * nodes // 8)
-    return nodes, bulk // 2 + north if V.even else bulk + caps
-
-
 # the degree-parity pair: the blocks of the Galerkin matrix of an even zonal V
 # (and of each order's block on the full S^2, by the parity of k - m)
 _PARITY = (slice(0, None, 2), slice(1, None, 2))
@@ -543,33 +526,23 @@ def _positivity_shift(mu: np.ndarray) -> int:
     return max(0, int(math.ceil(1.0 - float(mu[0]) - slack)))
 
 
-def _solve_grid(V: Potential | None, manifold: geometry.ModelManifold, K: int
-                ) -> tuple[int, int]:
-    """The node count N of the basis grid ``solve`` builds
-    (``geometry.default_grid``, whatever V is) and the number F of refined
-    rule nodes its check evaluates the basis at (``_rule_sizes``; 0 without
-    a check, on the full S^2, whose check builds no N x J table, and on the
-    zonal S^3, whose check reads cosine moments), counted without building a
-    grid larger than the pole caps."""
-    N = math.prod(geometry._default_axes(manifold, K))
-    if V is None or manifold.kind != geometry.SPHERE_ZONAL or _by_moments(manifold):
-        return N, 0
-    return N, _rule_sizes(V, manifold.n, K)[1]
-
-
-def _check_rules(V: Potential | None, manifold: geometry.ModelManifold, K: int) -> None:
-    """Builds the zonal rules a solve at K reads (its basis grid, and the
-    rule of V and its refined copy), so a plan refuses with DomainError the
-    solve whose weights underflow to 0 near the poles, from about S^150 on."""
-    if manifold.kind != geometry.SPHERE_ZONAL:
-        return
+def _solve_rules(V: Potential | None, manifold: geometry.ModelManifold, K: int
+                 ) -> tuple[geometry.Basis, int]:
+    """The basis ``solve`` builds at K (its N x J table built on first read)
+    and the number F of nodes at which its check evaluates the basis: those
+    of the refined copy of V's ``_zonal_rule`` (both rules built here), or of
+    its ``hemisphere`` fold for an even V; F = 0 where the check builds no
+    refined table (V = None, the full S^2, the zonal S^3).  Raises
+    DomainError when a rule's weights underflow to 0, from about S^150 on."""
     try:
-        geometry.default_grid(manifold, K)
-        if V is not None and not _by_moments(manifold):
-            _zonal_rule(V, manifold.n, K, refine=_zonal_rule(V, manifold.n, K))
+        basis = geometry.build_basis(manifold, K)
+        if V is None or manifold.kind != geometry.SPHERE_ZONAL or _by_moments(manifold):
+            return basis, 0
+        fine = _zonal_rule(V, manifold.n, K, refine=_zonal_rule(V, manifold.n, K))
     except DomainError as exc:
         raise DomainError(f"{exc}: the rules of S^{manifold.n} at K={K} have weights that "
                           "underflow to 0 near the poles; lower n or K") from None
+    return basis, (geometry.hemisphere(fine) if V.even else fine).size
 
 
 def solve(V: Potential | None, manifold: geometry.ModelManifold, K: int,

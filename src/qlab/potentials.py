@@ -307,10 +307,23 @@ def _ball_integral(V: Potential, n: int, center: float, r: float,
         + b_fac[:, None] * np.sin(0.5 * psi) ** 2
     dist = 2.0 * np.arcsin(np.sqrt(np.clip(hav, 0.0, 1.0)))
     dist = np.maximum(dist, 1e-300)
-    inner = (kato_weight(n, dist) * np.sin(psi) ** (n - 2)) @ w_tau * psi_max
     surf = geometry.sphere_volume(max(n - 2, 0))
     vabs = np.abs(V(phi))
-    return float(np.sum(w_phi * vabs * np.sin(phi) ** (n - 1) * surf * inner))
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = (kato_weight(n, dist) * np.sin(psi) ** (n - 2)) @ w_tau * psi_max
+        terms = w_phi * vabs * np.sin(phi) ** (n - 1) * surf * inner
+    # far up in n, dist^(2-n) overflows near the ball centre and
+    # sin(phi)^(n-1) underflows: only such a slice is summed in logarithms
+    redo = ~np.isfinite(terms) | ((vabs > 0.0) & (terms < np.finfo(float).tiny))
+    if np.any(redo):
+        with np.errstate(divide="ignore"):
+            log_kernel = ((n - 2) * (np.log(np.sin(psi[redo])) - np.log(dist[redo]))
+                          if n > 2 else np.log(kato_weight(n, dist[redo])))
+            log_inner = np.logaddexp.reduce(log_kernel + np.log(w_tau), axis=1)
+            terms[redo] = np.exp(np.log(w_phi[redo]) + np.log(vabs[redo])
+                                 + (n - 1) * np.log(np.sin(phi[redo])) + np.log(surf)
+                                 + log_inner + np.log(psi_max[redo]))
+    return float(np.sum(terms))
 
 
 _KATO_BOUND_MARGIN = 1.5  # safety factor on the per-center bound (its spread is 0.63%)
@@ -389,8 +402,12 @@ def potential_lq_norm(V: Potential, n: int, q: float) -> LpNormResult:
         grid = geometry._pole_capped_grid(n, 8 * per_unit, 40.0 + 8.0 * step, per_unit)
         if V.even:
             grid = geometry.hemisphere(grid)
-        vals = np.abs(V(grid.nodes)) ** q
-        sums.append(float(np.sum(grid.weights * vals)))
+        vabs = np.abs(V(grid.nodes))
+        with np.errstate(over="ignore"):  # far up in q, on the deepest cap nodes
+            terms = grid.weights * vabs ** q
+        bad = ~np.isfinite(terms)  # only those terms are summed in logarithms
+        terms[bad] = np.exp(np.log(grid.weights[bad]) + q * np.log(vabs[bad]))
+        sums.append(float(np.sum(terms)))
     growth1 = sums[1] / sums[0] if sums[0] > 0 else 1.0
     growth2 = sums[2] / sums[1] if sums[1] > 0 else 1.0
     divergent = growth1 > 1.10 or growth2 > 1.10

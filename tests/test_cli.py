@@ -155,8 +155,9 @@ _BAD_VALUES = [
      "needs 1.01 GiB, above the 1 GiB limit"),
     ("counterexample", "K = 2021308", "key 'K': the counterexample table at K=2021308 "
      "(4043376 nodes) needs 1.01 GiB, above the 1 GiB limit"),
+    # charged on the Gauss nodes the rule has at least, before it is built
     ("counterexample", "K = 100000000", "the counterexample table at K=100000000 "
-     "(200000760 nodes) needs 49.2 GiB"),
+     "(at least 200000016 nodes) needs 49.2 GiB"),
     ("counterexample", "K = -5", "key 'K': truncation too small (K must be at least 2)"),
     # single-key overrides of the shipped configs that the run rejected
     ("divergent-quasimode", "k_min = 0", "need 1 <= k_min < k_max"),
@@ -436,6 +437,24 @@ def test_counterexample_json_contents(tmp_path):
     assert payload["summary"]["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("experiment, n, verdict", [
+    ("counterexample", "13", "pass"), ("counterexample", "18", "pass"),
+    ("kato", "21", "ok"), ("kato", "400", "ok"), ("counterexample", "400", "fail")])
+def test_kato_and_counterexample_far_up_in_n(tmp_path, experiment, n, verdict):
+    """Past n = 12 the L^(n/2) norm and the Kato modulus of the critical V
+    stay finite: `counterexample --n 13` read lnhalf_norm inf, flagged it
+    divergent and failed, `--n 18` passed with lnhalf_norm inf, `kato --n 21`
+    wrote a NaN modulus, and at n = 400 both stopped with an error.  At
+    n = 400 the rule keeps no pole-cap node, so the counterexample cannot
+    show its pole growth and fails."""
+    rc = cli.main([experiment, "--out", str(tmp_path), "--n", n])
+    payload = json.loads((tmp_path / f"{experiment}.json").read_text())
+    assert rc == (2 if verdict == "fail" else 0)
+    assert payload["summary"]["verdict"] == verdict
+    assert all(map(math.isfinite, _numbers([payload["rows"], payload["summary"]])))
+    assert not payload["summary"]["lnhalf_divergent"]
+
+
 def test_spectrum_counterexample_on_pole_capped_grid(tmp_path):
     """The critical potential is solved on the checked pole-capped grid; the
     default grid would report mu_0 = 0.0629 at n = 3, K = 64."""
@@ -587,6 +606,9 @@ _SMALL = {
     "k_min": st.sampled_from([2, 0, 1, 4]),
     "k_max": st.sampled_from([6, 0, 2, 8]),
 }
+# the dimensions of the runs that read no basis, past the Gauss limit S^23
+# and far up in n, where |V|^(n/2) and the Kato weight overflow
+_EXTREME_N = [400, 21, 18, 13, 5, 3, 2]
 _ZONAL_MOSTLY = st.sampled_from(["sphere-zonal"] * 5 + ["torus"])
 _K_ABOVE_LAMS = st.sampled_from([16, 12] * 3 + [2])  # mostly above the lams drawn
 # keys whose range differs in one experiment
@@ -600,8 +622,10 @@ _SMALL_IN = {
                         "width": _either(_reals(1.0, 2.0), _reals(-1.0, 1.0))},
     "weyl": {"manifold": _ZONAL_MOSTLY,
              "mus": _listed(_reals(1.0, 8.0), _reals(-1.0, 1.0), max_size=4)},
-    "kato": {"potential": st.sampled_from(["0", "counterexample",
+    "kato": {"n": st.sampled_from(_EXTREME_N),
+             "potential": st.sampled_from(["0", "counterexample",
                                            "truncated-counterexample", "constant:1"])},
+    "counterexample": {"n": st.sampled_from(_EXTREME_N)},
     "divergent-quasimode": {"n": st.sampled_from([4, 3, 4])},
     "parametrix": {"nu": _ints(-1, 2),
                    "lams": _listed(_reals(1.0, 60.0), _reals(-1.0, 1.0), max_size=3),
@@ -624,11 +648,21 @@ def _cli_text(value) -> str:
 _DRAWS = {"kato": 8, "counterexample": 8}
 
 
+def _numbers(value):
+    """Every number in a JSON value, its lists and its objects."""
+    if isinstance(value, (int, float)):
+        yield value
+    elif isinstance(value, (list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _numbers(item)
+
+
 @pytest.mark.parametrize("experiment", sorted(cli.SCHEMAS))
 def test_validated_configs_run(experiment):
     """A small config that `validate` accepts runs to a verdict: exit 0 or 2,
-    never 1.  A config that `validate` rejects is never run.  The draws are
-    derandomized so that every run of the suite checks the same configs."""
+    never 1, and every number of its rows and summary is finite.  A config
+    that `validate` rejects is never run.  The draws are derandomized so
+    that every run of the suite checks the same configs."""
     strategies = {**_SMALL, **_SMALL_IN.get(experiment, {})}
 
     @settings(max_examples=_DRAWS.get(experiment, 25), deadline=None, derandomize=True)
@@ -645,38 +679,48 @@ def test_validated_configs_run(experiment):
         args = [token for key, text in raw.items() for token in (f"--{key}", text)]
         with tempfile.TemporaryDirectory() as out, np.errstate(all="ignore"):
             assert cli.main([experiment, "--out", out] + args) in (0, 2), raw
+            with open(os.path.join(out, f"{experiment}.json")) as fh:
+                report = json.load(fh)
+        assert all(map(math.isfinite, _numbers([report["rows"], report["summary"]]))), raw
 
     check()
 
 
 def test_plans_size_the_default_grid(monkeypatch):
-    """Every plan charges the N of the basis grid that ``operator_core.solve``
-    builds for its run (the default Gauss grid, whatever V is), and a checked
-    solve the F of the refined rule its check evaluates the basis at
-    (``hemisphere`` of ``_zonal_rule(..., refine=rule)`` for an even V, the
-    rule itself for an odd one; none on the zonal S^3, whose check reads the
-    cosine moments of V): the solve of a spectral experiment, free on the
-    three manifolds and checked for the critical, truncated and sin(phi) V
-    at a few K on S^3 and S^4, and the wave-speed solve at the largest K,
-    free and with the critical V.  ``_rule_sizes`` counts the rule and those refined nodes on
-    S^2..S^5 without building them, and the counterexample run tabulates V
-    and f on the rule of the critical V."""
+    """Every charge of a solve plan reads its (N, F) off what the plan built
+    with ``operator_core._solve_rules``: N the node count of the basis grid
+    that ``operator_core.solve`` builds for its run (the default Gauss grid,
+    whatever V is), and F that of the refined rule its check evaluates the
+    basis at (``hemisphere`` of ``_zonal_rule(..., refine=rule)`` for an
+    even V, the rule itself for an odd one; 0 without a check, on the full
+    S^2 and on the zonal S^3, whose check reads the cosine moments of V).
+    The free charge comes first, on the default axes, before anything is
+    built; a checked solve then adds the check's charge.  Covered: the solve
+    of a spectral experiment, free on the three manifolds and checked for
+    the critical, truncated and sin(phi) V at a few K on S^3 and S^4, and
+    the wave-speed solve at the largest K, free and with the critical V.
+    The counterexample run tabulates V and f on the rule its plan charged."""
     from qlab import geometry, operator_core, potentials
-    charged = []
+    charged, built = [], []
     monkeypatch.setattr(cli, "_solve_bytes",
                         lambda nodes, modes, fine=0: charged.append((nodes, fine)) or 0)
+    solve_rules = operator_core._solve_rules
 
-    def checked(V, n, K):  # the refined nodes the check evaluates the basis at
-        rule = operator_core._zonal_rule(V, n, K)
-        refined = operator_core._zonal_rule(V, n, K, refine=rule)
-        return (geometry.hemisphere(refined) if V.even else refined).size
+    def record(V, manifold, K):
+        basis, fine = solve_rules(V, manifold, K)
+        built.append((basis.grid.size, fine))
+        return basis, fine
 
-    def built(potential, manifold, K):  # (N, F) of the basis grid and the check
+    monkeypatch.setattr(operator_core, "_solve_rules", record)
+
+    def sizes(potential, manifold, K):  # (N, F) of the basis grid and the check
         V = potentials.from_reference(potential, manifold.n)
         N = geometry.default_grid(manifold, K).size
         if V is None or manifold.kind != geometry.SPHERE_ZONAL or manifold.n == 3:
             return N, 0
-        return N, checked(V, manifold.n, K)
+        rule = operator_core._zonal_rule(V, manifold.n, K)
+        refined = operator_core._zonal_rule(V, manifold.n, K, refine=rule)
+        return N, (geometry.hemisphere(refined) if V.even else refined).size
 
     zonal = geometry.ModelManifold(geometry.SPHERE_ZONAL, 3)
     cases = [(manifold, "0", K) for K in (2, 7, 24)
@@ -688,22 +732,23 @@ def test_plans_size_the_default_grid(monkeypatch):
               for potential in ("counterexample", "truncated-counterexample", "sin(phi)")]
     for manifold, potential, K in cases:
         charged.clear()
+        built.clear()
         cli._decomposition(cli.build_config("spectrum", {
             "manifold": manifold.kind, "n": str(manifold.n), "K": str(K),
             "potential": potential}))
-        assert set(charged) == {built(potential, manifold, K)}
+        N, F = sizes(potential, manifold, K)
+        assert built == [(N, F)]
+        assert set(charged) == {(N, 0), (N, F)}
     for potential in ("0", "counterexample"):
         charged.clear()
+        built.clear()
         cli.RUNNERS["wave-speed"](cli.build_config("wave-speed", {
             "n": "3", "Ks": "8,24", "potential": potential}))
-        assert charged == [built(potential, zonal, 24)]  # one solve is held at a time
-    for n in (2, 3, 4, 5):
-        for potential in ("counterexample", "truncated-counterexample", "sin(phi)"):
-            V = potentials.from_reference(potential, n)
-            for K in (0, 7, 24, 100):
-                assert operator_core._rule_sizes(V, n, K) == (
-                    operator_core._zonal_rule(V, n, K).size, checked(V, n, K))
-    report = cli.RUNNERS["counterexample"](cli.build_config("counterexample",
-                                                            {"n": "3", "K": "8"}))()
+        assert built == [sizes(potential, zonal, 8), sizes(potential, zonal, 24)]
+        # one solve is held at a time: the largest, free with its kernel, then its check
+        N, F = built[-1]
+        assert charged == [(N, 0), (N, F)][:1 + bool(F)]
+    plan = cli.RUNNERS["counterexample"](cli.build_config("counterexample",
+                                                          {"n": "3", "K": "8"}))
     grid = operator_core._zonal_rule(potentials.counterexample(3), 3, 8)
-    assert [row[0] for row in report.rows] == grid.nodes.tolist()
+    assert [row[0] for row in plan().rows] == grid.nodes.tolist()

@@ -152,6 +152,23 @@ def test_lq_norm_divergence_detection():
     assert divergent.divergent and math.isinf(divergent.value)
 
 
+@pytest.mark.parametrize("n", [13, 18, 21, 400])
+def test_lnhalf_norm_and_kato_modulus_stay_finite_far_up_in_n(n):
+    """Far up in n, |V|^(n/2) overflows on the deepest cap nodes (from
+    n = 13 on), the Kato weight dist^(2-n) overflows near the ball centre
+    (NaN from n = 21 at r = 1e-3) and the bulk weights of the pole-capped
+    rule underflow (DomainError at n = 400).  Only those terms are summed in
+    logarithms, and only those nodes dropped: the critical V is in
+    L^(n/2) at every n, so its norm is finite and not flagged divergent, and
+    every Kato modulus and the stagnation ratio are finite."""
+    V = potentials.counterexample(n)
+    norm = potentials.ln_half_norm(V, n)
+    assert math.isfinite(norm.value) and not norm.divergent
+    rep = potentials.kato_report(V, n)
+    assert all(map(math.isfinite, rep.moduli + (rep.stagnation_ratio,)))
+    assert all(m > 0.0 for m in rep.moduli)
+
+
 def test_truncated_counterexample_is_bounded():
     V = potentials.truncated_counterexample(3)
     phi = np.linspace(1e-6, math.pi - 1e-6, 3000)

@@ -166,12 +166,31 @@ _SOLVE_GRID_NAMES = ("SINGULAR_POLE_LEVELS", "_refined_grid", "hemisphere",
 
 
 def test_plans_read_the_solve_grid_from_operator_core():
-    """One statement of the grid a solve builds and of the refined grid its
-    check reads (``operator_core._solve_grid``): ``cli.py`` references none
-    of ``_SOLVE_GRID_NAMES``."""
+    """One statement of the grid a solve builds and of the refined rule its
+    check reads (``operator_core._solve_rules``, which builds them):
+    ``cli.py`` calls it and references none of ``_SOLVE_GRID_NAMES``."""
     path = os.path.join(ROOT, "src", "qlab", "cli.py")
     refs = _references(ast.parse(open(path).read(), filename=path))
     assert not [name for name in _SOLVE_GRID_NAMES if refs[name]]
+    assert refs["_solve_rules"]
+
+
+# the plan helpers that counted the rules of a solve without building them
+_RETIRED_COUNTS = ("_rule_sizes", "_solve_grid")
+
+
+def test_no_plan_counts_a_rule_it_does_not_build():
+    """A plan reads the node counts of a solve off the grid and rules it
+    builds: none of ``_RETIRED_COUNTS`` is defined or referenced in
+    ``src/qlab`` or ``bench/``."""
+    paths = glob.glob(os.path.join(ROOT, "src", "qlab", "*.py")) \
+        + glob.glob(os.path.join(ROOT, "bench", "*.py"))
+    for path in sorted(paths):
+        tree = ast.parse(open(path).read(), filename=path)
+        refs = _references(tree)
+        assert not [name for name in _RETIRED_COUNTS if refs[name]], path
+        assert not [func.name for func in ast.walk(tree)
+                    if isinstance(func, _FUNCS) and func.name in _RETIRED_COUNTS], path
 
 
 def test_one_statement_of_the_pole_capped_rule():
