@@ -319,10 +319,12 @@ def _plan_counterexample(cfg):
     _check_K("K", K)
     # the rows of Python floats and the arrays of the table, 264 bytes per
     # node, held while the Kato report peaks at 5.6 MB (tracemalloc, n = 2..5):
-    # charged on the Gauss nodes the rule has at least before it is built
-    least = geometry._default_axes(manifold, K)[0]
-    _check_bytes(264 * least + 6 * 2 ** 20,
-                 f"the counterexample table at K={K} (at least {least} nodes)", "K")
+    # first on the Gauss count at K, so no rule is built for a K far above
+    # the limit (the rule has more nodes up to about S^195, fewer beyond,
+    # where it drops the nodes whose weights underflow), then on the rule
+    gauss = geometry._default_axes(manifold, K)[0]
+    _check_bytes(264 * gauss + 6 * 2 ** 20,
+                 f"the counterexample table at K={K} (a Gauss count of {gauss} nodes)", "K")
     grid = _key("n", operator_core._zonal_rule, V, n, K)
     _check_bytes(264 * grid.size + 6 * 2 ** 20,
                  f"the counterexample table at K={K} ({grid.size} nodes)", "K")

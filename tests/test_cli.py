@@ -155,9 +155,9 @@ _BAD_VALUES = [
      "needs 1.01 GiB, above the 1 GiB limit"),
     ("counterexample", "K = 2021308", "key 'K': the counterexample table at K=2021308 "
      "(4043376 nodes) needs 1.01 GiB, above the 1 GiB limit"),
-    # charged on the Gauss nodes the rule has at least, before it is built
+    # charged on the Gauss count at K, before the rule is built
     ("counterexample", "K = 100000000", "the counterexample table at K=100000000 "
-     "(at least 200000016 nodes) needs 49.2 GiB"),
+     "(a Gauss count of 200000016 nodes) needs 49.2 GiB"),
     ("counterexample", "K = -5", "key 'K': truncation too small (K must be at least 2)"),
     # single-key overrides of the shipped configs that the run rejected
     ("divergent-quasimode", "k_min = 0", "need 1 <= k_min < k_max"),
@@ -260,7 +260,9 @@ def test_zonal_gauss_limit_and_parametrix_orders(tmp_path):
     default zonal grid lowers the weight, so every solve still has a Gauss
     basis grid there: spectrum and wave-speed pass at n = 24 with and
     without a V, and the counterexample table, on the pole-capped rule of
-    Gauss-Legendre panels, passes at any n.  parametrix runs orders whose
+    Gauss-Legendre panels, passes at any n.  kato writes finite moduli at
+    n = 21 (a NaN at r = 1e-3 before) and n = 400 (its pole-capped rule drops
+    the bulk nodes whose weights underflow).  parametrix runs orders whose
     Bessel integral cancels (nu = 11, 12) and rejects the nu whose K_m
     leaves the double range."""
     def diagnostics(experiment, **raw):
@@ -273,6 +275,11 @@ def test_zonal_gauss_limit_and_parametrix_orders(tmp_path):
     for n, potential in (("23", "0"), ("24", "0"), ("24", "counterexample")):
         assert cli.main(["spectrum", "--n", n, "--K", "8", "--potential", potential,
                          "--out", str(tmp_path)]) == 0
+    for n in ("21", "400"):
+        assert cli.main(["kato", "--n", n, "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "kato.json").read_text())
+        assert payload["summary"]["verdict"] == "ok"
+        assert all(map(math.isfinite, _numbers([payload["rows"], payload["summary"]])))
     for nu in ("11", "12"):
         assert cli.main(["parametrix", "--nu", nu, "--l6_lams", "",
                          "--out", str(tmp_path)]) == 0
@@ -427,32 +434,17 @@ def test_qlab_out_environment(tmp_path, monkeypatch):
 
 
 def test_counterexample_json_contents(tmp_path):
-    rc = cli.main(["counterexample", "--out", str(tmp_path), "--n", "3",
-                   "--K", "128"])
-    assert rc == 0
-    payload = json.loads((tmp_path / "counterexample.json").read_text())
-    assert payload["summary"]["residual_within_bound"] is True
-    assert payload["summary"]["residual_rel_max"] <= 1e-8
-    assert payload["summary"]["kato_classification"] == "not-in-Kato"
-    assert payload["summary"]["verdict"] == "pass"
-
-
-@pytest.mark.parametrize("experiment, n, verdict", [
-    ("counterexample", "13", "pass"), ("counterexample", "18", "pass"),
-    ("kato", "21", "ok"), ("kato", "400", "ok"), ("counterexample", "400", "fail")])
-def test_kato_and_counterexample_far_up_in_n(tmp_path, experiment, n, verdict):
-    """Past n = 12 the L^(n/2) norm and the Kato modulus of the critical V
-    stay finite: `counterexample --n 13` read lnhalf_norm inf, flagged it
-    divergent and failed, `--n 18` passed with lnhalf_norm inf, `kato --n 21`
-    wrote a NaN modulus, and at n = 400 both stopped with an error.  At
-    n = 400 the rule keeps no pole-cap node, so the counterexample cannot
-    show its pole growth and fails."""
-    rc = cli.main([experiment, "--out", str(tmp_path), "--n", n])
-    payload = json.loads((tmp_path / f"{experiment}.json").read_text())
-    assert rc == (2 if verdict == "fail" else 0)
-    assert payload["summary"]["verdict"] == verdict
-    assert all(map(math.isfinite, _numbers([payload["rows"], payload["summary"]])))
-    assert not payload["summary"]["lnhalf_divergent"]
+    """The counterexample passes far up in n too: at n = 13 its L^(n/2)
+    norm read inf and was flagged divergent, at n = 18 it read inf."""
+    for n in ("3", "13", "18"):
+        rc = cli.main(["counterexample", "--out", str(tmp_path), "--n", n,
+                       "--K", "128"])
+        assert rc == 0, n
+        payload = json.loads((tmp_path / "counterexample.json").read_text())
+        assert payload["summary"]["residual_within_bound"] is True
+        assert payload["summary"]["residual_rel_max"] <= 1e-8
+        assert payload["summary"]["kato_classification"] == "not-in-Kato"
+        assert payload["summary"]["verdict"] == "pass"
 
 
 def test_spectrum_counterexample_on_pole_capped_grid(tmp_path):
