@@ -239,11 +239,10 @@ def _lattice_points(n: int, r2: int) -> int:
 def _decomposition(cfg: dict, top: float = 0.0):
     """Plan of the solve of a spectral experiment: resolves the manifold and V,
     checks the truncation (K >= 2 and K >= ``top``) and the working set of the
-    solve on the dense N x J basis (``_solve_bytes``), free before anything is
-    built, then checked at the F nodes of ``operator_core._solve_rules``, and
-    returns the solve with the frequencies of H_0 + shift, read off its basis.
-    The plans check what a run reads of the spectrum against these; V moves
-    them, so the run checks again."""
+    solve on the dense N x J basis (``_solve_bytes``): free before anything is
+    built, then at the F nodes of ``operator_core._solve_rules``.  Returns the
+    solve on the basis built there and the frequencies of H_0 + shift read off
+    it, which plans check a run's reads against (V moves them; the run rechecks)."""
     import numpy as np
 
     from . import geometry, operator_core, potentials
@@ -269,7 +268,7 @@ def _decomposition(cfg: dict, top: float = 0.0):
                      f"the checked {what}, {fine} in the check)", "K")
     mu = np.rint(basis.freqs ** 2)  # the free diagonal of ``operator_core.assemble``
     shift = operator_core._positivity_shift(mu) if cfg["shift"] == "auto" else cfg["shift"]
-    return (lambda: operator_core.solve(V, manifold, K, shift=cfg["shift"]),
+    return (lambda: operator_core._solve_on(V, basis, cfg["shift"]),
             np.sqrt(np.maximum(mu + shift, 0.0)))
 
 
@@ -317,11 +316,9 @@ def _plan_counterexample(cfg):
     manifold = _key("n", geometry.ModelManifold, geometry.SPHERE_ZONAL, n)
     V = potentials.counterexample(n)
     _check_K("K", K)
-    # the rows of Python floats and the arrays of the table, 264 bytes per
-    # node, held while the Kato report peaks at 5.6 MB (tracemalloc, n = 2..5):
-    # first on the Gauss count at K, so no rule is built for a K far above
-    # the limit (the rule has more nodes up to about S^195, fewer beyond,
-    # where it drops the nodes whose weights underflow), then on the rule
+    # the rows of Python floats and the arrays of the table, 264 bytes per node,
+    # held while the Kato report peaks at 5.6 MB (tracemalloc, n = 2..5); charged
+    # on the Gauss count at K first, so no rule is built far above the limit
     gauss = geometry._default_axes(manifold, K)[0]
     _check_bytes(264 * gauss + 6 * 2 ** 20,
                  f"the counterexample table at K={K} (a Gauss count of {gauss} nodes)", "K")
@@ -458,10 +455,8 @@ def _plan_wave_speed(cfg):
     largest, fine = rungs[-1]
     if fine:
         _check_bytes(_solve_bytes(largest.grid.size, largest.size, fine), what, "Ks")
-    # the free top frequencies; the cutoff is held at a quarter of the largest
-    tops = [float(basis.freqs[-1]) for basis, _ in rungs]
-    for top in tops:
-        dynamics._check_leakage(t, tops[-1] / 4.0, top)
+    for basis, _ in rungs:  # the free top frequency; the cutoff is a quarter of the largest
+        dynamics._check_leakage(t, float(largest.freqs[-1]) / 4.0, float(basis.freqs[-1]))
     return lambda: dynamics.cone_leakage_trend(n, t, Ks, V=V)
 
 

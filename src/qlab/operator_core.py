@@ -529,11 +529,10 @@ def _positivity_shift(mu: np.ndarray) -> int:
 def _solve_rules(V: Potential | None, manifold: geometry.ModelManifold, K: int
                  ) -> tuple[geometry.Basis, int]:
     """The basis ``solve`` builds at K (its N x J table built on first read)
-    and the number F of nodes at which its check evaluates the basis: those
-    of the refined copy of V's ``_zonal_rule`` (both rules built here), or of
-    its ``hemisphere`` fold for an even V; F = 0 where the check builds no
-    refined table (V = None, the full S^2, the zonal S^3).  Raises
-    DomainError when a rule's weights underflow to 0, from about S^150 on."""
+    and the number F of nodes its check evaluates the basis at: the refined
+    copy of V's ``_zonal_rule`` (both built here), or its ``hemisphere`` fold
+    for an even V; 0 where the check builds no refined table (V = None, the
+    full S^2, the zonal S^3).  DomainError: weights underflow (about S^150 on)."""
     try:
         basis = geometry.build_basis(manifold, K)
         if V is None or manifold.kind != geometry.SPHERE_ZONAL or _by_moments(manifold):
@@ -553,7 +552,11 @@ def solve(V: Potential | None, manifold: geometry.ModelManifold, K: int,
     matrix that is not finite, raises NumericError.  The shift N is added to
     the eigenvalues of H_V; ``shift='auto'`` picks the smallest integer
     N >= 0 making the lowest of them at least 1, up to round-off."""
-    basis = geometry.build_basis(manifold, K)
+    return _solve_on(V, geometry.build_basis(manifold, K), shift)
+
+
+def _solve_on(V: Potential | None, basis: geometry.Basis, shift) -> SpectralDecomposition:
+    """``solve`` on a built basis, such as the one a plan's ``_solve_rules`` built."""
     decomp = diagonalize(assemble(V, basis, check=True), basis)
     decomp.shift = _positivity_shift(decomp.eigenvalues) if shift == "auto" else int(shift)
     if decomp.shift:  # a shift moves only the eigenvalues: the node values stay

@@ -744,3 +744,26 @@ def test_plans_size_the_default_grid(monkeypatch):
                                                           {"n": "3", "K": "8"}))
     grid = operator_core._zonal_rule(potentials.counterexample(3), 3, 8)
     assert [row[0] for row in plan().rows] == grid.nodes.tolist()
+
+
+def test_spectral_run_solves_on_the_basis_its_plan_built(monkeypatch):
+    """A spectral experiment's run solves on the basis its plan built with
+    ``operator_core._solve_rules``, builds no other, and gives the
+    decomposition of ``operator_core.solve`` bit for bit."""
+    from qlab import geometry, operator_core, potentials
+    cases = [("torus", "2", "6", "0"), ("sphere-zonal", "4", "7", "counterexample"),
+             ("sphere-full-2d", "2", "5", "sin(phi)")]
+    for kind, n, K, potential in cases:
+        cfg = cli.build_config("spectrum", {"manifold": kind, "n": n, "K": K,
+                                            "potential": potential, "shift": "auto"})
+        expected = operator_core.solve(potentials.from_reference(potential, int(n)),
+                                       geometry.ModelManifold(kind, int(n)), int(K),
+                                       shift="auto")
+        bases, build = [], geometry.build_basis
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "build_basis",
+                          lambda *args: bases.append(build(*args)) or bases[-1])
+            decomp = cli._decomposition(cfg)[0]()
+        assert len(bases) == 1 and decomp.basis is bases[0]
+        assert np.array_equal(decomp.eigenvalues, expected.eigenvalues)
+        assert decomp.shift == expected.shift
