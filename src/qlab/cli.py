@@ -206,19 +206,20 @@ def _check_bytes(size: int, what: str, key: str, exact: bool = True) -> None:
                               f"the {_RUN_BYTES / 2 ** 30:g} GiB limit; lower {key}")
 
 
-def _solve_bytes(nodes: int, modes: int, fine: int = 0) -> int:
+def _solve_bytes(nodes: int, modes: int, fine: int = 0, free: bool = False) -> int:
     """Peak bytes of a solve and its node values on N basis nodes and J
     modes, with ``fine`` refined-rule nodes in its check (0: none, or the
     full S^2's check, which builds no refined table).  Without a refined
-    table it holds the basis, the node values and one J x J matrix
-    (1.00x-1.05x of the tracemalloc peak); with one it peaks in its check:
-    the basis, the table of the basis at the refined nodes (which
-    ``operator_core._split_gram`` takes whole, copying no row) and three
-    J x J matrices for the Galerkin matrix, the split's blocks and the
-    check's transients (0.91x-1.01x)."""
+    table it holds the basis and the node values, plus, unless it is
+    ``free`` (V = None, whose decomposition holds no eigenvector matrix),
+    the J x J eigenvectors (0.9x-1.05x of the tracemalloc peak); with one
+    it peaks in its check: the basis, the table of the basis at the refined
+    nodes (which ``operator_core._split_gram`` takes whole, copying no row)
+    and three J x J matrices for the Galerkin matrix, the split's blocks and
+    the check's transients (0.91x-1.01x)."""
     if fine:
         return 8 * modes * (nodes + fine + 3 * modes)
-    return 8 * modes * (2 * nodes + modes)
+    return 8 * modes * (2 * nodes + (0 if free else modes))
 
 
 def _check_K(key: str, *Ks: int) -> None:
@@ -258,10 +259,11 @@ def _decomposition(cfg: dict, top: float = 0.0):
     nodes = math.prod(geometry._default_axes(manifold, K))
     what = f"solve on the dense {manifold.kind} basis at K={K} ({nodes} nodes per mode"
     if torus:  # one mode bounds the solve and keeps the lattice count cheap
-        _check_bytes(_solve_bytes(nodes, 1), f"the {what})", "K", exact=False)
+        _check_bytes(_solve_bytes(nodes, 1, free=V is None), f"the {what})", "K",
+                     exact=False)
     # J is K + 1, (K + 1)^2 or the lattice count
     modes = _lattice_points(n, K * K) if torus else (K + 1) ** (1 + full)
-    _check_bytes(_solve_bytes(nodes, modes), f"the {what})", "K")
+    _check_bytes(_solve_bytes(nodes, modes, free=V is None), f"the {what})", "K")
     basis, fine = _key("n", operator_core._solve_rules, V, manifold, K)
     if fine:
         _check_bytes(_solve_bytes(basis.grid.size, basis.size, fine),
@@ -446,11 +448,14 @@ def _plan_wave_speed(cfg):
                           "0, so the leakage cannot decrease with K)")
     _check_K("Ks", *Ks)
     # one solve at a time, the largest first: its check's refined table is
-    # freed before its leakage holds the free solve, its N x N kernel (then
-    # distances), mass, cone mask and mass[outside]; both phases are charged
+    # freed before its leakage holds the solve, its N x N kernel (then
+    # distances) with the mass and the cone mask, and then, the kernel
+    # freed, the mass, the mask and mass[outside]; both phases are charged,
+    # with the 128 KiB of buffers numpy's ufunc.outer iterates through
     nodes, modes = math.prod(geometry._default_axes(manifold, Ks[-1])), Ks[-1] + 1
     what = f"the leakage run up to K={Ks[-1]} ({nodes} nodes)"
-    _check_bytes(_solve_bytes(nodes, modes) + 25 * nodes ** 2, what, "Ks")
+    _check_bytes(_solve_bytes(nodes, modes, free=V is None) + 17 * nodes ** 2 + 2 ** 17,
+                 what, "Ks")
     rungs = [_key("n", operator_core._solve_rules, V, manifold, K) for K in Ks]
     largest, fine = rungs[-1]
     if fine:

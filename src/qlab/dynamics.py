@@ -32,7 +32,7 @@ def heat_report(decomp: operator_core.SpectralDecomposition,
     values = decomp.node_values() ** 2
     pole = None
     if decomp.basis.grid.manifold.kind != geometry.TORUS:
-        pole = (decomp.basis.pole_values @ decomp.eigenvectors) ** 2
+        pole = decomp.values_at(decomp.basis.pole_values) ** 2
     rows = []
     for t in ts:
         decay = np.exp(-t * decomp.eigenvalues)
@@ -88,7 +88,8 @@ def cone_leakage(decomp: operator_core.SpectralDecomposition, t: float,
     phi = grid.nodes
     w = grid.weights
     # the kernel is squared in place, and its buffer, free once mass exists,
-    # then takes the distances |phi_i - phi_j|
+    # then takes the distances |phi_i - phi_j|; it is dropped before the copy
+    # of the mass outside the cone is made
     np.square(kernel, out=kernel)
     mass = np.multiply.outer(w, w)
     mass *= kernel
@@ -97,6 +98,7 @@ def cone_leakage(decomp: operator_core.SpectralDecomposition, t: float,
         return 0.0
     dist = np.subtract.outer(phi, phi, out=kernel)
     outside = np.abs(dist, out=dist) > abs(t) + margin
+    del kernel, dist
     return float(np.sum(mass[outside]) / total)
 
 
@@ -160,7 +162,7 @@ def br_l1_row_norm(decomp: operator_core.SpectralDecomposition, lam: float,
     """
     geometry._require_zonal(decomp.basis.manifold.kind, "the Bochner-Riesz row norm")
     weights = bochner_riesz(lam, delta)(decomp.frequencies)
-    pole = (decomp.basis.pole_values[:1] @ decomp.eigenvectors)[0]
+    pole = decomp.values_at(decomp.basis.pole_values[:1])[0]
     row = decomp.node_values() @ (weights * pole)
     return float(decomp.basis.grid.integrate(np.abs(row)))
 
@@ -197,7 +199,7 @@ def square_function(decomp: operator_core.SpectralDecomposition, f: np.ndarray,
     freq = decomp.frequencies
     if family is None:
         family = default_lp_family(float(freq[-1]))
-    # one symbol column per piece, so all pieces come from one GEMM
+    # one symbol column per piece
     symbols = np.column_stack([np.asarray(beta(freq), dtype=float) for beta in family])
     total = np.sum(symbols, axis=1)
     if float(np.max(np.abs(total - 1.0))) > _PARTITION_TOL:
@@ -205,11 +207,14 @@ def square_function(decomp: operator_core.SpectralDecomposition, f: np.ndarray,
                           f"spectrum (max deviation {np.max(np.abs(total - 1.0)):.2e})")
     U = decomp.node_values()
     F = np.asarray(f, dtype=float)
-    out = []
-    for g in (F.T if F.ndim == 2 else [F]):
-        pieces = U @ (symbols * decomp.project(g)[:, None])
-        out.append(np.sqrt(np.sum(pieces ** 2, axis=1)))
-    return np.column_stack(out) if F.ndim == 2 else out[0]
+    cols = F.T if F.ndim == 2 else [F]
+    # every (column, piece) pair is one right-hand side, each column's pieces
+    # side by side, so all columns come from one GEMM and each Sf sums its
+    # pieces along a contiguous axis
+    rhs = np.concatenate([symbols * decomp.project(g)[:, None] for g in cols], axis=1)
+    pieces = (U @ rhs).reshape(U.shape[0], len(cols), symbols.shape[1])
+    sf = np.sqrt(np.sum(pieces ** 2, axis=-1))
+    return sf if F.ndim == 2 else sf[:, 0]
 
 
 _PRESETS = ("zonal-ladder", "point-concentrated", "random-band")

@@ -198,7 +198,7 @@ def quasimode_ratio(decomp: operator_core.SpectralDecomposition, u: np.ndarray,
     resid = float(np.sqrt(np.sum(np.abs(decomp.eigenvalues - z) ** 2 * c ** 2)))
     norm_p = float(geometry.lp_norm(basis.grid, decomp.synthesize(c), p))
     if math.isinf(p) and basis.manifold.kind != geometry.TORUS:
-        pole = basis.pole_values @ (decomp.eigenvectors @ c)
+        pole = decomp.synthesize(c, basis.pole_values)
         norm_p = max(norm_p, float(np.max(np.abs(pole))))
     s = sigma(p, n)
     return norm_p / (lam ** (s - 1.0) * resid + lam ** s * norm2)
@@ -297,7 +297,7 @@ def projector_norm(decomp: operator_core.SpectralDecomposition, lo: float, hi: f
     if grid.manifold.kind != geometry.TORUS:
         # zonal (m = 0) eigenfunctions peak at the poles, which quadrature
         # grids exclude; include them in the sup explicitly
-        pole_vals = decomp.basis.pole_values @ decomp.eigenvectors[:, idx]
+        pole_vals = decomp.values_at(decomp.basis.pole_values, idx)
         sup_line = max(sup_line, float(np.max(np.sqrt(np.sum(pole_vals ** 2, axis=1)))))
     if math.isinf(p):
         return ProjectorNormResult(lower=sup_line, upper=sup_line, p=p, rank=int(idx.size))
@@ -376,7 +376,7 @@ def local_weyl(decomp: operator_core.SpectralDecomposition, point, mus) -> list:
     basis = decomp.basis
     geometry._require_zonal(basis.manifold.kind, "the local Weyl sum")
     _check_weyl(mus, float(freqs[-1]))
-    e0 = basis.evaluate(np.atleast_1d(np.asarray(point, dtype=float))) @ decomp.eigenvectors
+    e0 = decomp.values_at(basis.evaluate(np.atleast_1d(np.asarray(point, dtype=float))))
     sq = e0 ** 2
     return [float(np.sum(sq[..., freqs <= mu])) for mu in mus]
 

@@ -296,7 +296,7 @@ def assemble(V: Potential | None, basis: geometry.Basis,
     J, n, K = basis.size, basis.manifold.n, basis.K
     move = None
     if V is None:
-        pot = np.zeros((J, J))
+        pot = np.zeros((J, J))  # all +0.0: the pass of + 0.0 below is skipped
     elif _by_moments(basis.manifold):
         d = _cosine_moments(V, 2 * K + 2)
         if check:
@@ -324,7 +324,8 @@ def assemble(V: Potential | None, basis: geometry.Basis,
     # rounding keeps the free spectrum exact where sqrt(.)**2 misses by an ulp.
     # In place this is np.diag(.) + pot bit for bit: the + 0.0 turns each
     # -0.0 off the diagonal into the +0.0 that sum gives
-    np.add(pot, 0.0, out=pot)
+    if V is not None:
+        np.add(pot, 0.0, out=pot)
     pot[np.diag_indices(J)] += np.rint(basis.freqs ** 2)
     return pot
 
@@ -338,21 +339,33 @@ class SpectralDecomposition:
     ``frequencies`` sqrt(max(mu_i, 0)); ``shift`` records the constant that
     ``solve`` added to the eigenvalues of H_V.
 
+    Every product with the eigenvectors goes through ``node_values``,
+    ``values_at``, ``synthesize`` or ``project``.  A free decomposition
+    (``diagonalize``'s diagonal shortcut, ``_vectors`` None) holds no
+    eigenvector matrix: its eigenvectors are the identity, and these
+    methods read the basis rows and coefficients directly, plus 0.0 and in
+    C order, which is what a product with the identity gives for finite
+    input.  Its ``eigenvectors`` are built on each read, which no probe
+    makes.
+
     ``node_values()`` is computed once per decomposition, on its first call,
     and every call returns that same read-only array; pole values are read
     from the basis the same way.  ``eigenvectors`` and ``basis`` must
-    therefore not be mutated after that first call.  ``_free`` marks the
-    identity eigenvectors of ``diagonalize``'s diagonal shortcut, whose node
-    values are a copy of the basis values.
+    therefore not be mutated after that first call.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    _vectors: np.ndarray | None = field(repr=False)
     basis: geometry.Basis | None = None
     shift: int = 0
     _node_values: np.ndarray | None = field(default=None, init=False, repr=False,
                                             compare=False)
-    _free: bool = field(default=False, init=False, repr=False, compare=False)
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """The J x J coefficient columns; for a free decomposition, a new
+        ``np.eye(J)`` on each read."""
+        return np.eye(self.size) if self._vectors is None else self._vectors
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -362,29 +375,40 @@ class SpectralDecomposition:
     def size(self) -> int:
         return self.eigenvalues.shape[0]
 
+    def _basis(self) -> geometry.Basis:
+        if self.basis is None:
+            raise DomainError("decomposition carries no basis")
+        return self.basis
+
+    def values_at(self, rows: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+        """The eigenfunctions (those of ``idx``, all by default) at the points
+        whose basis values are ``rows``, one column each: rows @
+        eigenvectors[:, idx]."""
+        if self._vectors is None:
+            return np.add(rows if idx is None else rows[..., idx], 0.0, order="C")
+        return rows @ (self._vectors if idx is None else self._vectors[:, idx])
+
     def node_values(self) -> np.ndarray:
         """Eigenfunction values on the basis quadrature grid, one column each
         (computed on the first call, then returned as the same read-only array)."""
-        if self.basis is None:
-            raise DomainError("decomposition carries no basis")
         if self._node_values is None:
-            # what basis.values @ I gives: C order, and +0.0 for each -0.0
-            values = (np.add(self.basis.values, 0.0, order="C") if self._free
-                      else self.basis.values @ self.eigenvectors)
+            values = self.values_at(self._basis().values)
             values.flags.writeable = False
             self._node_values = values
         return self._node_values
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        if self.basis is None:
-            raise DomainError("decomposition carries no basis")
-        return self.basis.values @ (self.eigenvectors @ coeffs)
+    def synthesize(self, coeffs: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """The function with eigen-coefficients ``coeffs`` on the grid, or at
+        the points whose basis values are ``rows``."""
+        table = self._basis().values if rows is None else rows
+        if self._vectors is None:
+            return table @ np.add(coeffs, 0.0, order="C")
+        return table @ (self._vectors @ coeffs)
 
     def project(self, f: np.ndarray) -> np.ndarray:
         """Coefficients of f in the eigenbasis (quadrature inner products)."""
-        if self.basis is None:
-            raise DomainError("decomposition carries no basis")
-        return self.eigenvectors.T @ self.basis.project(f)
+        c = self._basis().project(f)
+        return np.add(c, 0.0, order="C") if self._vectors is None else self._vectors.T @ c
 
 
 def _eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -409,9 +433,10 @@ def diagonalize(matrix: np.ndarray,
     largest-magnitude component positive.  A diagonal matrix with a
     non-decreasing diagonal whose largest |entry| is 0 or lies in the range
     where ``eigh`` does not rescale (``_EIGH_UNSCALED``) skips ``eigh`` and
-    returns its output bit for bit: the diagonal, the identity, and as node
-    values a C-contiguous copy of the basis values, made on their first read
-    (so a free full-S^2 solve builds no N x J table until then).  Any other
+    returns its output bit for bit: the diagonal, and the identity as a free
+    decomposition that holds no eigenvector matrix, whose node values are a
+    C-contiguous copy of the basis values, made on their first read (so a
+    free full-S^2 solve builds no N x J table until then).  Any other
     diagonal matrix is solved whole.  A non-diagonal matrix is solved by symmetry
     class (``basis.classes``; index parity without a basis): classes that
     the matrix couples by any nonzero entry are merged (``_coupled``), and
@@ -435,10 +460,7 @@ def diagonalize(matrix: np.ndarray,
     if diagonal and unscaled and np.all(d[1:] >= d[:-1]):
         # diagonal and ascending, as every free Galerkin matrix is, and in the
         # range eigh does not rescale: eigh returns exactly (d, I) here, so skip it
-        decomp = SpectralDecomposition(eigenvalues=d.copy(),
-                                       eigenvectors=np.eye(A.shape[0]), basis=basis)
-        decomp._free = True
-        return decomp
+        return SpectralDecomposition(d.copy(), None, basis)
     J = A.shape[0]
     # a diagonal matrix is solved whole: LAPACK orders its repeated
     # eigenvalues in its own way, which the classes would not reproduce
@@ -479,7 +501,7 @@ def diagonalize(matrix: np.ndarray,
     for idx, (w, v, _) in zip(classes, parts):
         vecs[np.ix_(idx, column[start:start + w.size])] = v
         start += w.size
-    return SpectralDecomposition(eigenvalues=mu, eigenvectors=vecs, basis=basis)
+    return SpectralDecomposition(mu, vecs, basis)
 
 
 def _coupled(nonzero: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:

@@ -20,6 +20,12 @@ def s2_free_72():
 
 
 @pytest.fixture(scope="session")
+def s2_free_512():
+    """V = 0 on the zonal 2-sphere, truncation K = 512."""
+    return _zonal_decomp(2, 512)
+
+
+@pytest.fixture(scope="session")
 def s2_kato_72():
     """Bounded (truncated) singular potential on S^2, truncation K = 72."""
     return _zonal_decomp(2, 72, potentials.truncated_counterexample(2))

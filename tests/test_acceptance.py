@@ -24,12 +24,6 @@ def _report(idx, label, ok):
     assert ok, f"criterion {idx}: {label}"
 
 
-@pytest.fixture(scope="module")
-def s2_free_512():
-    manifold = geometry.ModelManifold(geometry.SPHERE_ZONAL, 2)
-    return operator_core.solve(None, manifold, 512)
-
-
 def test_criterion_1_exponent_algebra():
     ok = True
     for n in range(2, 7):

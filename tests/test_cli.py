@@ -119,18 +119,18 @@ _BAD_VALUES = [
     ("strichartz", "manifold = torus\nK = 20", "truncation frequency 20.0 below "
      "battery rung k=32"),
     ("heat", "manifold = torus\nK = 64", "the solve on the dense torus basis at K=64 (16900 "
-     "nodes per mode) needs 4.47 GiB, above the 1 GiB limit"),
+     "nodes per mode) needs 3.24 GiB, above the 1 GiB limit"),
     ("spectrum", "manifold = torus\nn = 3\nK = 1000", "needs at least 120 GiB"),
     ("heat", "manifold = sphere-full-2d", "the solve on the dense sphere-full-2d basis at "
-     "K=128 (35620 nodes per mode) needs 10.9 GiB, above the 1 GiB limit"),
+     "K=128 (35620 nodes per mode) needs 8.84 GiB, above the 1 GiB limit"),
     # the first truncations whose free solve exceeds the limit
-    ("spectrum", "manifold = torus\nK = 44", "the solve on the dense torus basis at K=44 "
-     "(8100 nodes per mode) needs 1.01 GiB"),
+    ("spectrum", "manifold = torus\nK = 48", "the solve on the dense torus basis at K=48 "
+     "(9604 nodes per mode) needs 1.04 GiB"),
     ("spectrum", "manifold = torus\nn = 3\nK = 11", "the solve on the dense torus basis at "
-     "K=11 (13824 nodes per mode) needs 1.38 GiB"),
-    ("spectrum", "manifold = sphere-full-2d\nK = 70", "the solve on the dense "
-     "sphere-full-2d basis at K=70 (11376 nodes per mode) needs 1.05 GiB"),
-    ("spectrum", "K = 5178", "the solve on the dense sphere-zonal basis at K=5178 (10372 "
+     "K=11 (13824 nodes per mode) needs 1.15 GiB"),
+    ("spectrum", "manifold = sphere-full-2d\nK = 73", "the solve on the dense "
+     "sphere-full-2d basis at K=73 (12300 nodes per mode) needs 1.01 GiB"),
+    ("spectrum", "K = 5789", "the solve on the dense sphere-zonal basis at K=5789 (11594 "
      "nodes per mode) needs 1.01 GiB"),
     # the first truncations whose checked V != 0 solve exceeds the limit
     ("spectrum", "potential = sin(phi)\nK = 3859", "the checked solve on the dense "
@@ -142,17 +142,21 @@ _BAD_VALUES = [
      "dense sphere-zonal basis at K=4289 (8594 nodes per mode, 9832 in the check) needs "
      "1.01 GiB"),
     # the checked zonal S^3 solve reads the cosine moments of V and builds no
-    # refined table, so it is charged as a free solve on its Gauss grid
+    # refined table, so it is charged as a solve on its Gauss grid that holds
+    # its J x J eigenvectors
     ("spectrum", "n = 3\npotential = counterexample\nK = 5178", "the solve on the dense "
      "sphere-zonal basis at K=5178 (10372 nodes per mode) needs 1.01 GiB"),
-    # the checked full-S^2 solve builds no refined table, so V != 0 stops there too
+    # the checked full-S^2 solve builds no refined table: V != 0 stops where the
+    # J x J eigenvectors take the solve past the limit
     ("spectrum", "manifold = sphere-full-2d\npotential = constant:1\nK = 70",
      "the solve on the dense sphere-full-2d basis at K=70 (11376 nodes per mode) needs "
      "1.05 GiB"),
     ("divergent-quasimode", "k_max = 22", "key 'k_max': the ladder of 2^23 + 9 degrees x "
      "19 rungs needs 1.76 GiB, above the 1 GiB limit"),
-    ("wave-speed", "Ks = 2763", "key 'Ks': the leakage run up to K=2763 (5542 nodes) "
+    ("wave-speed", "Ks = 3270", "key 'Ks': the leakage run up to K=3270 (6556 nodes) "
      "needs 1.01 GiB, above the 1 GiB limit"),
+    ("wave-speed", "Ks = 3147\npotential = counterexample", "key 'Ks': the leakage run "
+     "up to K=3147 (6310 nodes) needs 1.01 GiB, above the 1 GiB limit"),
     ("counterexample", "K = 2021308", "key 'K': the counterexample table at K=2021308 "
      "(4043376 nodes) needs 1.01 GiB, above the 1 GiB limit"),
     # charged on the Gauss count at K, before the rule is built
@@ -208,18 +212,18 @@ def test_validate_rejects_unparseable_optional_key(tmp_path, capsys):
 
 
 def test_validate_size_limits_pass_at_the_edge():
-    """The last truncations whose free or checked solve fits the 1 GiB working
-    set pass (the next ones are rows of _BAD_VALUES), as do the largest
-    counterexample table, ladder and leakage run; a zonal ladder passes when
-    its top rung fits."""
+    """The last truncations whose free, V != 0 or checked solve fits the 1 GiB
+    working set pass (the next ones are rows of _BAD_VALUES), as do the
+    largest counterexample table, ladder and leakage runs (free and with the
+    critical V); a zonal ladder passes when its top rung fits."""
     def diagnostics(experiment, **raw):
         return cli.validate(experiment, cli.build_config(experiment, raw))
 
     assert diagnostics("heat", manifold="torus", K="32") == []
-    assert diagnostics("spectrum", manifold="torus", K="43") == []
+    assert diagnostics("spectrum", manifold="torus", K="47") == []
     assert diagnostics("spectrum", manifold="torus", n="3", K="10") == []
-    assert diagnostics("spectrum", manifold="sphere-full-2d", K="69") == []
-    assert diagnostics("spectrum", K="5177") == []
+    assert diagnostics("spectrum", manifold="sphere-full-2d", K="72") == []
+    assert diagnostics("spectrum", K="5788") == []
     assert diagnostics("spectrum", potential="sin(phi)", K="3858") == []
     assert diagnostics("spectrum", potential="truncated-counterexample", K="4375") == []
     assert diagnostics("spectrum", n="4", potential="counterexample", K="4288") == []
@@ -228,7 +232,8 @@ def test_validate_size_limits_pass_at_the_edge():
                        K="69") == []
     assert diagnostics("counterexample", K="2021307") == []
     assert diagnostics("divergent-quasimode", k_max="21") == []
-    assert diagnostics("wave-speed", Ks="2762") == []
+    assert diagnostics("wave-speed", Ks="3269") == []
+    assert diagnostics("wave-speed", Ks="3146", potential="counterexample") == []
     assert diagnostics("strichartz", K="33") == []  # sqrt(33 * 34) = 33.5 >= 32.75
     assert diagnostics("strichartz", K="32") != []  # sqrt(32 * 33) = 32.5
     assert diagnostics("strichartz", manifold="torus", K="33") == []
@@ -686,16 +691,23 @@ def test_plans_size_the_default_grid(monkeypatch):
     basis at (``hemisphere`` of ``_zonal_rule(..., refine=rule)`` for an
     even V, the rule itself for an odd one; 0 without a check, on the full
     S^2 and on the zonal S^3, whose check reads the cosine moments of V).
-    The free charge comes first, on the default axes, before anything is
-    built; a checked solve then adds the check's charge.  Covered: the solve
-    of a spectral experiment, free on the three manifolds and checked for
-    the critical, truncated and sin(phi) V at a few K on S^3 and S^4, and
+    The charge of the solve comes first, on the default axes, before
+    anything is built, and every charge is a free one (no J x J
+    eigenvectors) exactly when V = None; a checked solve then adds the
+    check's charge.  Covered: the solve of a spectral experiment, free on
+    the three manifolds and checked for the critical, truncated and
+    sin(phi) V at a few K on S^3 and S^4, and
     the wave-speed solve at the largest K, free and with the critical V.
     The counterexample run tabulates V and f on the rule its plan charged."""
     from qlab import geometry, operator_core, potentials
-    charged, built = [], []
-    monkeypatch.setattr(cli, "_solve_bytes",
-                        lambda nodes, modes, fine=0: charged.append((nodes, fine)) or 0)
+    charged, built, frees = [], [], []
+
+    def solve_bytes(nodes, modes, fine=0, free=False):
+        charged.append((nodes, fine))
+        frees.append(free)
+        return 0
+
+    monkeypatch.setattr(cli, "_solve_bytes", solve_bytes)
     solve_rules = operator_core._solve_rules
 
     def record(V, manifold, K):
@@ -725,21 +737,25 @@ def test_plans_size_the_default_grid(monkeypatch):
     for manifold, potential, K in cases:
         charged.clear()
         built.clear()
+        frees.clear()
         cli._decomposition(cli.build_config("spectrum", {
             "manifold": manifold.kind, "n": str(manifold.n), "K": str(K),
             "potential": potential}))
         N, F = sizes(potential, manifold, K)
         assert built == [(N, F)]
         assert set(charged) == {(N, 0), (N, F)}
+        assert frees == [potential == "0"] * len(charged)
     for potential in ("0", "counterexample"):
         charged.clear()
         built.clear()
+        frees.clear()
         cli.RUNNERS["wave-speed"](cli.build_config("wave-speed", {
             "n": "3", "Ks": "8,24", "potential": potential}))
         assert built == [sizes(potential, zonal, 8), sizes(potential, zonal, 24)]
-        # one solve is held at a time: the largest, free with its kernel, then its check
+        # one solve is held at a time: the largest with its kernel, then its check
         N, F = built[-1]
         assert charged == [(N, 0), (N, F)][:1 + bool(F)]
+        assert frees == [potential == "0"] * len(charged)
     plan = cli.RUNNERS["counterexample"](cli.build_config("counterexample",
                                                           {"n": "3", "K": "8"}))
     grid = operator_core._zonal_rule(potentials.counterexample(3), 3, 8)

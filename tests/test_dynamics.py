@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qlab import dynamics, estimators, geometry, operator_core
+from qlab import dynamics, estimators, geometry, operator_core, potentials
 from qlab.errors import ConfigError, DomainError, ResolutionError
 
 
@@ -321,6 +323,95 @@ def test_spectral_battery_evaluates_the_poles_once(monkeypatch):
     dynamics.norm_equivalence_probe(decomp)
     estimators.local_weyl_report(decomp, 0.0, lams)
     assert points == [[0.0, math.pi], [0.0]]
+
+
+def _spectral_battery(decomp):
+    """The reports of the spectral-probe battery at K = 512."""
+    lams = [20.0, 40.0, 80.0, 160.0, 320.0]
+    return [estimators.projector_growth_report(decomp, math.inf, lams),
+            estimators.projector_growth_report(decomp, 6.0, lams),
+            dynamics.heat_report(decomp, (0.01, 0.016, 0.025, 0.04, 0.063, 0.1)),
+            dynamics.br_norm_probe(decomp, 1.0, [32.0, 64.0, 128.0, 256.0, 500.0]),
+            dynamics.strichartz_report(decomp, ks=(4, 8, 16, 32)),
+            dynamics.band_bound_report(decomp, ks=(4, 8, 16, 32, 64)),
+            dynamics.norm_equivalence_probe(decomp),
+            estimators.local_weyl_report(decomp, 0.0, lams)]
+
+
+@pytest.fixture(scope="module")
+def s2_kato_512():
+    return operator_core.solve(potentials.truncated_counterexample(2),
+                               geometry.ModelManifold(geometry.SPHERE_ZONAL, 2), 512)
+
+
+def test_free_battery_builds_no_eigenvector_matrix(s2_free_512, monkeypatch):
+    """The spectral-probe battery on a free K = 512 decomposition reads no
+    eigenvector matrix and builds none, and every report row equals, bit
+    for bit, that of the same decomposition with the dense identity as its
+    eigenvectors."""
+    free = s2_free_512
+    dense = operator_core.SpectralDecomposition(free.eigenvalues, np.eye(free.size), free.basis)
+    assert dense._vectors is not None
+    expected = _spectral_battery(dense)
+    monkeypatch.setattr(operator_core.SpectralDecomposition, "eigenvectors",
+                        property(lambda self: pytest.fail("eigenvectors read")))
+    reports = _spectral_battery(free)
+    assert free._vectors is None
+    assert [r.summary["verdict"] for r in reports] == ["pass"] * len(reports)
+    for got, want in zip(reports, expected):
+        assert np.asarray(got.rows).tobytes() == np.asarray(want.rows).tobytes()
+
+
+def _square_function_per_column(decomp, F, family):
+    """Reference: one GEMM per column of F, its pieces summed along a row."""
+    freq = decomp.frequencies
+    symbols = np.column_stack([np.asarray(beta(freq), dtype=float) for beta in family])
+    U = decomp.node_values()
+    out = []
+    for g in F.T:
+        pieces = U @ (symbols * decomp.project(g)[:, None])
+        out.append(np.sqrt(np.sum(pieces ** 2, axis=1)))
+    return np.column_stack(out)
+
+
+def test_square_function_batch_matches_per_column_on_the_battery(s2_free_512):
+    """The one-GEMM square function equals the per-column loop bit for bit on
+    the three test-function batteries at K = 512, as a stack and column by
+    column."""
+    decomp = s2_free_512
+    F = np.column_stack([f for preset in dynamics._PRESETS
+                         for _, f in dynamics.test_battery(decomp, preset)])
+    family = dynamics.default_lp_family(float(decomp.frequencies[-1]))
+    expected = _square_function_per_column(decomp, F, family)
+    assert dynamics.square_function(decomp, F).tobytes() == expected.tobytes()
+    for j in range(F.shape[1]):
+        assert dynamics.square_function(decomp, F[:, j]).tobytes() == expected[:, j].tobytes()
+
+
+@given(scales=st.lists(st.floats(min_value=1.0, max_value=80.0), min_size=1, max_size=9,
+                       unique=True),
+       columns=st.integers(min_value=1, max_value=12),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       kato=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_square_function_batch_matches_per_column(s2_free_512, s2_kato_512, scales, columns,
+                                                  seed, kato):
+    """On drawn partitions of unity (low-pass at drawn scales, then their
+    differences, then the remainder) and drawn column stacks at K = 512, the
+    one-GEMM square function equals the per-column loop bit for bit.  (On
+    small products OpenBLAS may round a GEMM column differently with the
+    number of columns: at K = 72, with 2 or 3 pieces, some stacks differ in
+    their last bits.)"""
+    decomp = s2_kato_512 if kato else s2_free_512
+    psi = operator_core.lp_psi
+    scales = sorted(scales)
+    family = [lambda fr: psi(fr / scales[0])]
+    family += [lambda fr, a=a, b=b: psi(fr / b) - psi(fr / a)
+               for a, b in zip(scales, scales[1:])]
+    family.append(lambda fr: 1.0 - psi(fr / scales[-1]))
+    F = np.random.default_rng(seed).standard_normal((decomp.basis.grid.size, columns))
+    expected = _square_function_per_column(decomp, F, family)
+    assert dynamics.square_function(decomp, F, family=family).tobytes() == expected.tobytes()
 
 
 def test_norm_equivalence_one_square_function_per_test_function(s2_free_72, monkeypatch):

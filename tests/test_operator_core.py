@@ -77,19 +77,48 @@ _DIAGONAL_ENTRIES = st.one_of(
 def test_diagonalize_diagonal_matches_eigh_bit_for_bit(diag, ascending, fortran, seed):
     """On diagonal matrices (repeated, negative and -0.0 entries included),
     ascending or not, diagonalize returns the eigh path's eigenvalues,
-    eigenvectors and C-contiguous node values bit for bit."""
+    eigenvectors and C-contiguous node values bit for bit, and so do its
+    projections, its syntheses (on the grid and at other points) and its
+    pole, band and point rows, on inputs holding -0.0.  The diagonal
+    shortcut builds no eigenvector matrix for any of these."""
     d = np.sort(diag, kind="stable") if ascending else np.array(diag)
     A = np.diag(d)
     rng = np.random.default_rng(seed)
-    values = rng.standard_normal((d.size + 5, d.size))
+
+    def draw(*shape):  # standard normal, with about a quarter of the entries -0.0
+        x = rng.standard_normal(shape)
+        x[rng.random(shape) < 0.25] = -0.0
+        return x
+
+    values = draw(d.size + 5, d.size)
     if fortran:  # the zonal basis stores its values in F order
         values = np.asfortranarray(values)
-    basis = geometry.Basis(None, 0, None, np.zeros(d.size), values)
+    grid = geometry.QuadratureGrid(None, np.arange(d.size + 5.0),
+                                   rng.uniform(0.5, 2.0, d.size + 5))
+    basis = geometry.Basis(None, 0, grid, np.zeros(d.size), values)
     decomp = operator_core.diagonalize(A, basis)
     mu, vecs, nodes = _eigh_reference(A, values)
+    f, c = draw(d.size + 5), draw(d.size)
+    poles = draw(d.size, 2).T  # two rows in F order, as pole_values
+    point = draw(1, d.size)
+    band = np.flatnonzero(rng.random(d.size) < 0.5)
+    products = [(decomp.project(f), vecs.T @ basis.project(f)),
+                (decomp.synthesize(c), values @ (vecs @ c)),
+                (decomp.synthesize(c, poles), poles @ (vecs @ c)),
+                (decomp.values_at(poles), poles @ vecs),
+                (decomp.values_at(poles[:1]), poles[:1] @ vecs),
+                (decomp.values_at(poles, band), poles @ vecs[:, band]),
+                (decomp.values_at(point), point @ vecs)]
+    node_values = decomp.node_values()
+    top = float(np.max(np.abs(d)))
+    lo, hi = operator_core._EIGH_UNSCALED
+    shortcut = bool(np.all(d[1:] >= d[:-1])) and (top == 0.0 or lo <= top <= hi)
+    assert (decomp._vectors is None) == shortcut
     assert decomp.eigenvalues.tobytes() == mu.tobytes()
     assert decomp.eigenvectors.tobytes() == vecs.tobytes()
-    node_values = decomp.node_values()
+    for got, expected in products:
+        assert got.shape == expected.shape and got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
     assert node_values.flags.c_contiguous and not node_values.flags.writeable
     assert node_values.tobytes() == nodes.tobytes()
     assert not np.shares_memory(node_values, values)

@@ -217,3 +217,21 @@ def test_gauss_gegenbauer_stays_a_plain_function():
     from qlab import geometry
     assert inspect.isfunction(geometry.gauss_gegenbauer)
     assert geometry.gauss_gegenbauer.__module__ == geometry.__name__
+
+
+def test_only_operator_core_reads_eigenvectors():
+    """A free decomposition holds no eigenvector matrix and builds the
+    identity on each read of ``eigenvectors``, so every product with
+    the eigenvectors goes through a ``SpectralDecomposition`` method: no
+    module of ``src/qlab`` but ``operator_core`` reads an ``eigenvectors``
+    attribute.  The methods the benchmark tracer wraps by name stay plain
+    methods."""
+    from qlab import operator_core
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "qlab", "*.py"))):
+        if os.path.basename(path) == "operator_core.py":
+            continue
+        tree = ast.parse(open(path).read(), filename=path)
+        assert not [sub for sub in ast.walk(tree)
+                    if isinstance(sub, ast.Attribute) and sub.attr == "eigenvectors"], path
+    for name in ("node_values", "project", "synthesize"):
+        assert inspect.isfunction(getattr(operator_core.SpectralDecomposition, name)), name
